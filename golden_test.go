@@ -566,3 +566,51 @@ func TestGoldenSingle(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenSubBatch pins the NeuPIMs-style sub-batch interleaving path:
+// single-instance NPU+PIM runs across {local, pool} PIM placement x
+// {2, 4} sub-batches. Each iteration's block latency is the operator
+// scheduler's merged-trace makespan, so any change to that scheduler's
+// dispatch rule shows up here.
+func TestGoldenSubBatch(t *testing.T) {
+	goldens := map[string]string{
+		"local/sub=2": "iters=933 finished=48 end_ps=461433648000 gen_tps=10714.433204923105 p99=0.25153945900000002",
+		"local/sub=4": "iters=871 finished=48 end_ps=747141726000 gen_tps=6617.2184311922638 p99=0.53724753700000005",
+		"pool/sub=2":  "iters=917 finished=48 end_ps=511330519000 gen_tps=9668.8928516703691 p99=0.30143632999999997",
+		"pool/sub=4":  "iters=900 finished=48 end_ps=792449898000 gen_tps=6238.8802276052538 p99=0.58485455274999998",
+	}
+
+	trace := goldenTrace(t)
+	for _, pim := range []sim.PIMMode{sim.PIMLocal, sim.PIMPool} {
+		for _, sub := range []int{2, 4} {
+			key := fmt.Sprintf("%s/sub=%d", pim, sub)
+			t.Run(key, func(t *testing.T) {
+				cfg := goldenConfig(sim.SchedOrca, sim.KVPaged)
+				cfg.PIMType = pim
+				cfg.SubBatches = sub
+				s, err := sim.NewFromConfig(cfg, trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fmt.Sprintf("iters=%d finished=%d end_ps=%d gen_tps=%s p99=%s",
+					rep.Iterations, rep.Latency.Count, int64(rep.SimEndSec*1e12+0.5),
+					g17(rep.GenTPS), g17(rep.Latency.P99Sec))
+				if os.Getenv("GOLDEN_PRINT") != "" {
+					t.Logf("golden: %q: %q,", key, got)
+					return
+				}
+				want, ok := goldens[key]
+				if !ok {
+					t.Fatalf("no golden pinned for %s; run with GOLDEN_PRINT=1", key)
+				}
+				if got != want {
+					t.Errorf("behaviour drifted from pinned golden\n got %s\nwant %s", got, want)
+				}
+			})
+		}
+	}
+}

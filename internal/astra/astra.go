@@ -26,11 +26,24 @@ type Result struct {
 	Makespan simtime.Duration
 	Timings  []NodeTiming // indexed by node ID
 
-	// BusyTime per resource, for utilisation reporting.
-	Busy map[graph.Resource]simtime.Duration
 	// ComputeTime and CommTime aggregate node durations by class.
 	ComputeTime simtime.Duration
 	CommTime    simtime.Duration
+
+	// busy and used hold each resource's busy time and whether any node
+	// ran on it, indexed class-major (int(Class)*devices + Device).
+	busy    []simtime.Duration
+	used    []bool
+	devices int
+}
+
+// Busy returns the time res spent executing nodes.
+func (r Result) Busy(res graph.Resource) simtime.Duration {
+	i := int(res.Class)*r.devices + res.Device
+	if res.Device < 0 || res.Device >= r.devices || i < 0 || i >= len(r.busy) {
+		return 0
+	}
+	return r.busy[i]
 }
 
 // Utilization returns the busy fraction of a resource over the makespan.
@@ -38,7 +51,7 @@ func (r Result) Utilization(res graph.Resource) float64 {
 	if r.Makespan == 0 {
 		return 0
 	}
-	return float64(r.Busy[res]) / float64(r.Makespan)
+	return float64(r.Busy(res)) / float64(r.Makespan)
 }
 
 type candidate struct {
@@ -101,15 +114,14 @@ func (h *candidateHeap) pop() candidate {
 // Executor runs graphs while reusing all scheduling scratch state
 // (successor arrays, resource timelines, the ready heap, the timings
 // buffer) across calls. One graph executes per simulated iteration, so
-// this reuse removes the executor from the allocation profile almost
-// entirely; only the returned Result's Busy map is freshly allocated,
-// while Result.Timings aliases executor-owned storage valid until the
-// next Execute call. An Executor is not safe for concurrent use; each
-// simulator owns one.
+// this reuse keeps a warmed Execute call from allocating at all: the
+// returned Result's Timings and busy times alias executor-owned storage
+// valid until the next Execute call. An Executor is not safe for
+// concurrent use; each simulator owns one.
 type Executor struct {
 	resFree []simtime.Time
 	resBusy []simtime.Duration
-	resSeen []bool
+	resUsed []bool
 
 	indeg   []int
 	succOff []int
@@ -125,7 +137,7 @@ type Executor struct {
 // bookkeeping is flat: successor lists live in one offset-indexed array
 // and per-resource state in a dense slice keyed by (class, device). The
 // returned Result's Timings alias executor-owned storage, valid until
-// the next Execute call.
+// the next Execute call, and so do its busy times.
 func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	if err := g.Validate(); err != nil {
 		return Result{}, err
@@ -134,10 +146,7 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	if cap(e.timings) < n {
 		e.timings = make([]NodeTiming, n)
 	}
-	res := Result{
-		Timings: e.timings[:n],
-		Busy:    make(map[graph.Resource]simtime.Duration),
-	}
+	res := Result{Timings: e.timings[:n]}
 	clear(res.Timings)
 	if n == 0 {
 		return res, nil
@@ -157,7 +166,7 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	nRes := 3 * stride
 	resFree := growZero(&e.resFree, nRes)
 	resBusy := growZero(&e.resBusy, nRes)
-	resSeen := growZero(&e.resSeen, nRes)
+	resUsed := growZero(&e.resUsed, nRes)
 
 	// Successor lists in one flat array: count, prefix-sum, fill.
 	indeg := growZero(&e.indeg, n)
@@ -228,7 +237,7 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 			i := ridx(r)
 			resFree[i] = end
 			resBusy[i] += node.Duration
-			resSeen[i] = true
+			resUsed[i] = true
 		}
 		if node.Kind == graph.Compute {
 			res.ComputeTime += node.Duration
@@ -251,11 +260,7 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	if scheduled != n {
 		return Result{}, fmt.Errorf("astra: deadlock, scheduled %d of %d nodes (cycle in graph?)", scheduled, n)
 	}
-	for i, seen := range resSeen {
-		if seen {
-			res.Busy[graph.Resource{Class: graph.ResourceClass(i / stride), Device: i % stride}] = resBusy[i]
-		}
-	}
+	res.busy, res.used, res.devices = resBusy, resUsed, stride
 	return res, nil
 }
 

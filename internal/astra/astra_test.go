@@ -119,8 +119,8 @@ func TestBusyAccounting(t *testing.T) {
 	g.AddCompute("b", 0, 20*us)
 	r, _ := Execute(g)
 	res := graph.Resource{Class: graph.ResCompute, Device: 0}
-	if r.Busy[res] != 30*us {
-		t.Fatalf("busy %v", r.Busy[res])
+	if r.Busy(res) != 30*us {
+		t.Fatalf("busy %v", r.Busy(res))
 	}
 	if u := r.Utilization(res); u != 1.0 {
 		t.Fatalf("utilization %v", u)
@@ -229,4 +229,32 @@ func longestPath(g *graph.Graph) simtime.Duration {
 		}
 	}
 	return best
+}
+
+// TestExecutorAllocationFree: a warmed Executor runs a reused graph
+// without allocating; busy times live in executor-owned storage.
+func TestExecutorAllocationFree(t *testing.T) {
+	g := buildServingGraph(8, 4)
+	var e Executor
+	want, err := e.Execute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBusy := want.Busy(graph.Resource{Class: graph.ResCompute, Device: 3})
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := e.Execute(g); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("warmed Execute allocates %v times per call", n)
+	}
+	r, _ := e.Execute(g)
+	if r.Makespan != want.Makespan || r.Busy(graph.Resource{Class: graph.ResCompute, Device: 3}) != wantBusy {
+		t.Fatal("re-executing the same graph changed its result")
+	}
+	for _, res := range []graph.Resource{{Class: graph.ResCompute, Device: 8}, {Class: graph.ResCompute, Device: -1}, {Class: 7}} {
+		if b := r.Busy(res); b != 0 {
+			t.Fatalf("busy time %v for resource %+v outside the graph", b, res)
+		}
+	}
 }

@@ -3,7 +3,6 @@ package astra
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 
 	"repro/internal/graph"
@@ -23,34 +22,28 @@ type DeviceUtilization struct {
 // result, sorted by device ID. Devices appear if any of their resources
 // were touched.
 func Utilizations(r Result) []DeviceUtilization {
-	byDev := map[int]*DeviceUtilization{}
-	get := func(dev int) *DeviceUtilization {
-		u, ok := byDev[dev]
-		if !ok {
-			u = &DeviceUtilization{Device: dev}
-			byDev[dev] = u
+	frac := func(class graph.ResourceClass, dev int) float64 {
+		if r.Makespan == 0 {
+			return 0
 		}
-		return u
+		return float64(r.Busy(graph.Resource{Class: class, Device: dev})) / float64(r.Makespan)
 	}
-	for res, busy := range r.Busy {
-		frac := 0.0
-		if r.Makespan > 0 {
-			frac = float64(busy) / float64(r.Makespan)
+	var out []DeviceUtilization
+	for dev := range r.devices {
+		touched := false
+		for class := range len(r.used) / r.devices {
+			touched = touched || r.used[class*r.devices+dev]
 		}
-		switch res.Class {
-		case graph.ResCompute:
-			get(res.Device).Compute = frac
-		case graph.ResNetwork:
-			get(res.Device).Network = frac
-		case graph.ResHostDMA:
-			get(res.Device).HostDMA = frac
+		if !touched {
+			continue
 		}
+		out = append(out, DeviceUtilization{
+			Device:  dev,
+			Compute: frac(graph.ResCompute, dev),
+			Network: frac(graph.ResNetwork, dev),
+			HostDMA: frac(graph.ResHostDMA, dev),
+		})
 	}
-	out := make([]DeviceUtilization, 0, len(byDev))
-	for _, u := range byDev {
-		out = append(out, *u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
 	return out
 }
 

@@ -27,6 +27,9 @@ const (
 	NPU Kind = iota
 	PIM
 	GPU
+
+	// NumKinds counts the accelerator classes, for arrays indexed by Kind.
+	NumKinds
 )
 
 func (k Kind) String() string {

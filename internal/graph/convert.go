@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -187,12 +187,14 @@ func ConvertInto(g *Graph, p Params) error {
 		}
 	}
 
+	cs := &g.conv
+
 	// The request-scattered placements need per-request identities in a
 	// deterministic order; head-split batches only need the total, so the
 	// sort is skipped on that fast path.
-	var reqIDs []int
+	cs.reqIDs = cs.reqIDs[:0]
 	if p.Block.Monolithic <= 0 && p.Placement != HeadSplit {
-		reqIDs = sortedKeys(p.Block.Attn)
+		cs.reqIDs = appendSortedKeys(cs.reqIDs, p.Block.Attn)
 	}
 	var attnTotal simtime.Duration
 	for _, d := range p.Block.Attn {
@@ -200,37 +202,51 @@ func ConvertInto(g *Graph, p Params) error {
 	}
 
 	// KV paging transfers run up front on each device's DMA engine; the
-	// device's first compute of the iteration waits for them.
-	var memDeps map[int][]int
-	if len(p.MemOps) > 0 {
-		memDeps = make(map[int][]int, len(p.MemOps))
-		for _, m := range p.MemOps {
-			d := topo.HostTransfer(m.Bytes)
-			id := g.AddMemOp(m.Label, m.Device, m.Load, d, m.Bytes)
-			memDeps[m.Device] = append(memDeps[m.Device], id)
-		}
+	// device's first compute of the iteration waits for them. Devices
+	// left over from an earlier call keep an empty list.
+	for dev, ids := range cs.memDeps {
+		cs.memDeps[dev] = ids[:0]
+	}
+	if len(p.MemOps) > 0 && cs.memDeps == nil {
+		cs.memDeps = make(map[int][]int, len(p.MemOps))
+	}
+	memDeps := cs.memDeps
+	for _, m := range p.MemOps {
+		d := topo.HostTransfer(m.Bytes)
+		id := g.AddMemOp(m.Label, m.Device, m.Load, d, m.Bytes)
+		memDeps[m.Device] = append(memDeps[m.Device], id)
 	}
 
-	layersOf := distributeLayers(p.Layers, topo.Stages)
+	cs.layersOf = distributeLayers(cs.layersOf[:0], p.Layers, topo.Stages)
+	layersOf := cs.layersOf
 	labels := labelsFor(topo.Stages, p.Layers)
 
 	// Stage device lists are needed several times each; fetch them once.
-	stageDevs := make([][]int, topo.Stages)
-	for s := range stageDevs {
-		stageDevs[s] = topo.StageNodes(s)
+	// Every stage holds one tensor-parallel group of equal size.
+	cs.devs = cs.devs[:0]
+	for s := range topo.Stages {
+		cs.devs = topo.AppendStageNodes(cs.devs, s)
 	}
+	group := len(cs.devs) / topo.Stages
+	cs.stageDevs = cs.stageDevs[:0]
+	for s := range topo.Stages {
+		cs.stageDevs = append(cs.stageDevs, cs.devs[s*group:(s+1)*group])
+	}
+	stageDevs := cs.stageDevs
 
 	// cv carries the per-worker positional state through the pipeline:
 	// entry[i] is the node worker i's next compute must wait on, aligned
 	// with the current stage's device list (worker i of a stage feeds
 	// worker i of the next).
-	group := len(stageDevs[0])
+	cs.entry = slices.Grow(cs.entry[:0], group)[:group]
+	cs.scratch = slices.Grow(cs.scratch[:0], group)[:group]
 	cv := converter{
-		g: g, topo: topo, p: &p, reqIDs: reqIDs, memDeps: memDeps,
-		labels:    labels,
-		attnTotal: attnTotal,
-		entry:     make([]int, group),
-		scratch:   make([]int, group),
+		convScratch: cs,
+		g:           g,
+		topo:        topo,
+		p:           &p,
+		labels:      labels,
+		attnTotal:   attnTotal,
 	}
 
 	// Stage 0: embedding on every worker.
@@ -275,27 +291,37 @@ func ConvertInto(g *Graph, p Params) error {
 	return nil
 }
 
-// converter holds the positional per-worker state and scratch buffers of
-// one Convert call, so the layer loop runs without per-layer maps or
-// allocations.
-type converter struct {
-	g       *Graph
-	topo    network.Topology
-	p       *Params
-	reqIDs  []int
-	memDeps map[int][]int
-	labels  *labelTable
-
-	attnTotal simtime.Duration // head-split per-worker attention span
+// convScratch holds ConvertInto's buffers. It lives in the Graph and is
+// reused across calls, so converting into a Reset graph allocates
+// nothing once the buffers have grown.
+type convScratch struct {
+	reqIDs    []int         // request IDs in ascending order
+	memDeps   map[int][]int // per-device KV paging nodes
+	layersOf  []int         // layer count per pipeline stage
+	devs      []int         // every stage's devices, back to back
+	stageDevs [][]int       // per-stage windows into devs
 
 	entry   []int // per worker position: node its next compute waits on
 	scratch []int // per-stage staging (pre/post/block/head node IDs)
 	depsBuf []int
-	pimRR   int
 
 	// multiDeps backs the per-worker multi-dependency lists of the
 	// request-scattered attention placements.
 	multiDeps [][]int
+}
+
+// converter holds the positional per-worker state of one Convert call
+// over the graph's reused buffers, so the layer loop runs without
+// per-layer maps or allocations.
+type converter struct {
+	*convScratch
+	g      *Graph
+	topo   network.Topology
+	p      *Params
+	labels *labelTable
+
+	attnTotal simtime.Duration // head-split per-worker attention span
+	pimRR     int
 }
 
 // emitLayer adds one transformer block for stage s at the current entry
@@ -414,23 +440,25 @@ func (cv *converter) resetMulti(n int) {
 // distributeLayers spreads n layers over s pipeline stages as evenly as
 // possible; leading stages take the remainder (a stage may hold zero
 // layers when stages exceed layers, and then only forwards activations).
-func distributeLayers(n, s int) []int {
-	out := make([]int, s)
+// The counts are appended to dst.
+func distributeLayers(dst []int, n, s int) []int {
 	base, extra := n/s, n%s
-	for i := range out {
-		out[i] = base
+	for i := range s {
+		c := base
 		if i < extra {
-			out[i]++
+			c++
 		}
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }
 
-func sortedKeys(m map[int]simtime.Duration) []int {
-	keys := make([]int, 0, len(m))
+// appendSortedKeys appends m's keys to dst in ascending order.
+func appendSortedKeys(dst []int, m map[int]simtime.Duration) []int {
+	start := len(dst)
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Ints(keys)
-	return keys
+	slices.Sort(dst[start:])
+	return dst
 }

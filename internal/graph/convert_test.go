@@ -242,7 +242,7 @@ func TestDistributeLayers(t *testing.T) {
 		{7, 3, []int{3, 2, 2}},
 	}
 	for _, c := range cases {
-		got := distributeLayers(c.n, c.s)
+		got := distributeLayers(nil, c.n, c.s)
 		if len(got) != len(c.want) {
 			t.Fatalf("distributeLayers(%d,%d) len %d", c.n, c.s, len(got))
 		}

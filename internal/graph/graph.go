@@ -92,6 +92,8 @@ type Graph struct {
 	nodeArena []Node
 	depArena  []int
 	resArena  []Resource
+
+	conv convScratch // ConvertInto's reused buffers
 }
 
 // New returns an empty graph.

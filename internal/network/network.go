@@ -108,12 +108,14 @@ func (t Topology) Nodes() int { return t.Stages*t.TP + t.PIMPool }
 func (t Topology) NPUNodes() int { return t.Stages * t.TP }
 
 // StageNodes returns the node IDs of pipeline stage s.
-func (t Topology) StageNodes(s int) []int {
-	ids := make([]int, t.TP)
-	for i := range ids {
-		ids[i] = s*t.TP + i
+func (t Topology) StageNodes(s int) []int { return t.AppendStageNodes(nil, s) }
+
+// AppendStageNodes appends the node IDs of pipeline stage s to dst.
+func (t Topology) AppendStageNodes(dst []int, s int) []int {
+	for i := range t.TP {
+		dst = append(dst, s*t.TP+i)
 	}
-	return ids
+	return dst
 }
 
 // PIMNodes returns the node IDs of the PIM pool (empty if none).

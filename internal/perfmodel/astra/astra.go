@@ -50,9 +50,13 @@ type Backend struct {
 	// conversion inputs are rebuilt every iteration, so their storage is
 	// recycled rather than reallocated (see graph.ConvertInto).
 	exec     astrasim.Executor // system-simulation scratch state
+	interlv  trace.Scheduler   // sub-batch interleaving scratch state
 	gbuf     *graph.Graph
 	itemsBuf []trace.Item
+	groups   [][]model.Seq  // per-sub-batch sequence groups
+	single   [1][]model.Seq // the unpartitioned batch's one group
 	memOps   []graph.MemOp
+	stage0   []int // devices of pipeline stage 0
 	reqBytes map[int]int64
 	attnBuf  map[int]simtime.Duration
 	itBuf    model.IterationOps
@@ -163,7 +167,7 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 	defer func() { b.host.ExecutionEngine += time.Since(t0) }()
 
 	var zero graph.BlockWork
-	subBatches := groupSeqs(batch)
+	subBatches := b.groupSeqs(batch)
 	reps := 1
 	if !b.cfg.Reuse.ModelRedundancy {
 		// Without model-redundancy reuse every transformer block is
@@ -251,11 +255,11 @@ func (b *Backend) assembleBlockWork(items []trace.Item, nSub int) (graph.BlockWo
 		// Sub-batch interleaving: the execution engine stack's operator
 		// scheduler overlaps sub-batches across the heterogeneous engines
 		// (Algorithm 1, line 14); the block behaves as one fused span.
-		sched := trace.Greedy(items)
-		if err := sched.Validate(); err != nil {
+		makespan, err := b.interlv.Makespan(items)
+		if err != nil {
 			return work, err
 		}
-		work.Monolithic = sched.Makespan
+		work.Monolithic = makespan
 		// Attention identities are still needed for placement bookkeeping.
 		clear(b.attnBuf)
 		work.Attn = b.attnBuf
@@ -295,7 +299,8 @@ func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, he
 	memOps := b.memOps[:0]
 	if len(batch.PageOps) > 0 {
 		npus := int64(b.cfg.Topo.NPUNodes())
-		stage0 := b.cfg.Topo.StageNodes(0)
+		b.stage0 = b.cfg.Topo.AppendStageNodes(b.stage0[:0], 0)
+		stage0 := b.stage0
 		for _, op := range batch.PageOps {
 			share := op.Bytes / npus
 			if share == 0 {
@@ -344,10 +349,13 @@ func pageOpLabel(op sched.PageOp) string {
 }
 
 // groupSeqs splits the batch into sub-batch sequence groups in index
-// order.
-func groupSeqs(b *sched.Batch) [][]model.Seq {
+// order. The groups live in backend-owned buffers valid until the next
+// call. The unpartitioned case returns batch.Seqs itself as the only
+// group, and never through the group buffers, so appending into those
+// cannot overwrite the batch.
+func (b *Backend) groupSeqs(batch *sched.Batch) [][]model.Seq {
 	n := 1
-	for _, sb := range b.SubBatch {
+	for _, sb := range batch.SubBatch {
 		if sb+1 > n {
 			n = sb + 1
 		}
@@ -355,19 +363,28 @@ func groupSeqs(b *sched.Batch) [][]model.Seq {
 	if n == 1 {
 		// Unpartitioned batch (the common case): one group, already in
 		// batch order.
-		return [][]model.Seq{b.Seqs}
+		b.single[0] = batch.Seqs
+		return b.single[:]
 	}
-	groups := make([][]model.Seq, n)
-	for _, q := range b.Seqs {
-		sb := b.SubBatch[q.ReqID]
+	for len(b.groups) < n {
+		b.groups = append(b.groups, nil)
+	}
+	groups := b.groups[:n]
+	for i := range groups {
+		groups[i] = groups[i][:0]
+	}
+	for _, q := range batch.Seqs {
+		sb := batch.SubBatch[q.ReqID]
 		groups[sb] = append(groups[sb], q)
 	}
-	// Drop empty groups (possible when eviction removed all of one group).
-	out := groups[:0]
-	for _, g := range groups {
-		if len(g) > 0 {
-			out = append(out, g)
+	// Drop empty groups (possible when eviction removed all of one
+	// group) by swapping them to the tail, keeping their storage.
+	out := 0
+	for i := range groups {
+		if len(groups[i]) > 0 {
+			groups[out], groups[i] = groups[i], groups[out]
+			out++
 		}
 	}
-	return out
+	return groups[:out]
 }

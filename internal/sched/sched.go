@@ -6,7 +6,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/kvcache"
@@ -763,10 +765,8 @@ func (s *Scheduler) partition(seqs []model.Seq) map[int]int {
 	// the lightest bucket.
 	order := append(s.orderBuf[:0], seqs...)
 	s.orderBuf = order
-	sort.SliceStable(order, func(i, j int) bool {
-		wi := order[i].NewTokens*1024 + order[i].Context
-		wj := order[j].NewTokens*1024 + order[j].Context
-		return wi > wj
+	slices.SortStableFunc(order, func(a, b model.Seq) int {
+		return cmp.Compare(b.NewTokens*1024+b.Context, a.NewTokens*1024+a.Context)
 	})
 	if cap(s.loadBuf) < n {
 		s.loadBuf = make([]int, n)

@@ -12,7 +12,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/model"
@@ -29,149 +29,90 @@ type Item struct {
 	Seq      int // program order within the sub-batch
 }
 
-// Scheduled is an item placed on the merged timeline.
-type Scheduled struct {
-	Item
-	Start simtime.Duration // offset from the schedule origin
-	End   simtime.Duration
+// Scheduler merges engine traces into one timeline and reports its
+// makespan. Items within a sub-batch execute in Seq order (true data
+// dependencies); items from different sub-batches are independent and
+// may overlap when they occupy different engine kinds. At each step the
+// scheduler dispatches, among the sub-batches' next items, the one that
+// can start earliest (ties go to the lower sub-batch), modelling the
+// paper's greedy heuristic that "maximizes hardware utilization by
+// allowing overlapping between operators and sub-batches".
+//
+// A Scheduler reuses its scratch state across calls, so a warmed
+// Makespan call does not allocate. It is not safe for concurrent use.
+type Scheduler struct {
+	bounds    []int              // chain c holds items[bounds[c]:bounds[c+1]]
+	head      []int              // next unscheduled item per chain
+	chainFree []simtime.Duration // when each chain's previous item ends
+	starts    []simtime.Duration // start offset per item
 }
 
-// Schedule is the merged, ordered timeline of one iteration on one
-// (possibly heterogeneous) device.
-type Schedule struct {
-	Items    []Scheduled
-	Makespan simtime.Duration
-	// BusyTime per accelerator class, for utilisation accounting.
-	Busy map[engine.Kind]simtime.Duration
-}
-
-// Greedy merges engine traces into one timeline. Items within a sub-batch
-// execute in Seq order (true data dependencies); items from different
-// sub-batches are independent and may overlap when they occupy different
-// engine kinds. At each step the scheduler dispatches, among ready items,
-// the one that can start earliest (ties broken by sub-batch then Seq),
-// modelling the paper's greedy heuristic that "maximizes hardware
-// utilization by allowing overlapping between operators and sub-batches".
-func Greedy(items []Item) Schedule {
-	if len(items) == 0 {
-		return Schedule{Busy: map[engine.Kind]simtime.Duration{}}
+// Makespan schedules items and returns the merged timeline's length.
+// Items must arrive grouped by SubBatch in ascending order and, within a
+// group, in strictly ascending Seq order, as the execution engine phase
+// emits them; anything else is an error rather than
+// silently reordered. A negative latency or an unknown engine kind is an
+// error too.
+//
+// Validity holds by construction once the input is checked: an item
+// starts no earlier than its kind's and its chain's previous end, and
+// with non-negative latencies those ends only grow, so no two items on
+// one engine kind overlap and each sub-batch runs in program order.
+func (s *Scheduler) Makespan(items []Item) (simtime.Duration, error) {
+	s.bounds = s.bounds[:0]
+	for i := range items {
+		it := &items[i]
+		switch {
+		case it.Kind < 0 || it.Kind >= engine.NumKinds:
+			return 0, fmt.Errorf("trace: item %d (%q) has unknown engine kind %v", i, it.Op.Name, it.Kind)
+		case it.Latency < 0:
+			return 0, fmt.Errorf("trace: item %d (%q) has negative latency %v", i, it.Op.Name, it.Latency)
+		case i == 0 || it.SubBatch > items[i-1].SubBatch:
+			s.bounds = append(s.bounds, i)
+		case it.SubBatch < items[i-1].SubBatch:
+			return 0, fmt.Errorf("trace: item %d: sub-batch %d follows sub-batch %d; items must be grouped in ascending sub-batch order",
+				i, it.SubBatch, items[i-1].SubBatch)
+		case it.Seq <= items[i-1].Seq:
+			return 0, fmt.Errorf("trace: item %d: sub-batch %d order violation: seq %d follows seq %d",
+				i, it.SubBatch, it.Seq, items[i-1].Seq)
+		}
 	}
+	chains := len(s.bounds)
+	s.bounds = append(s.bounds, len(items))
+	s.head = append(s.head[:0], s.bounds[:chains]...)
+	s.chainFree = slices.Grow(s.chainFree[:0], chains)[:chains]
+	clear(s.chainFree)
+	s.starts = slices.Grow(s.starts[:0], len(items))[:len(items)]
 
-	// Group items into per-sub-batch chains, each sorted by program order.
-	chains := map[int][]Item{}
-	for _, it := range items {
-		chains[it.SubBatch] = append(chains[it.SubBatch], it)
-	}
-	chainIDs := make([]int, 0, len(chains))
-	for id := range chains {
-		sort.SliceStable(chains[id], func(a, b int) bool { return chains[id][a].Seq < chains[id][b].Seq })
-		chainIDs = append(chainIDs, id)
-	}
-	sort.Ints(chainIDs)
-
-	head := map[int]int{}                            // next unscheduled index per chain
-	chainFree := map[int]simtime.Duration{}          // when the chain's previous op ends
-	engineFree := map[engine.Kind]simtime.Duration{} // when each engine becomes idle
-
-	sched := Schedule{
-		Items: make([]Scheduled, 0, len(items)),
-		Busy:  map[engine.Kind]simtime.Duration{},
-	}
-	remaining := len(items)
-	for remaining > 0 {
-		// Find the ready item with the earliest feasible start.
-		bestChain := -1
+	var kindFree [engine.NumKinds]simtime.Duration // when each engine kind becomes idle
+	var makespan simtime.Duration
+	for range items {
+		best := -1
 		var bestStart simtime.Duration
-		for _, id := range chainIDs {
-			idx := head[id]
-			if idx >= len(chains[id]) {
+		for c := range chains {
+			i := s.head[c]
+			if i == s.bounds[c+1] {
 				continue
 			}
-			it := chains[id][idx]
-			start := simtime.Max(chainFree[id], engineFree[it.Kind])
-			if bestChain == -1 || start < bestStart ||
-				(start == bestStart && id < bestChain) {
-				bestChain, bestStart = id, start
+			start := max(s.chainFree[c], kindFree[items[i].Kind])
+			if best < 0 || start < bestStart {
+				best, bestStart = c, start
 			}
 		}
-		it := chains[bestChain][head[bestChain]]
-		head[bestChain]++
-		end := bestStart + it.Latency
-		chainFree[bestChain] = end
-		engineFree[it.Kind] = end
-		sched.Busy[it.Kind] += it.Latency
-		if end > sched.Makespan {
-			sched.Makespan = end
-		}
-		sched.Items = append(sched.Items, Scheduled{Item: it, Start: bestStart, End: end})
-		remaining--
+		i := s.head[best]
+		s.head[best]++
+		end := bestStart + items[i].Latency
+		s.starts[i] = bestStart
+		s.chainFree[best] = end
+		kindFree[items[i].Kind] = end
+		makespan = max(makespan, end)
 	}
-	return sched
+	return makespan, nil
 }
 
-// Serial places all items back-to-back in (SubBatch, Seq) order: the
-// no-overlap baseline a homogeneous single engine produces.
-func Serial(items []Item) Schedule {
-	sorted := append([]Item(nil), items...)
-	sort.SliceStable(sorted, func(a, b int) bool {
-		if sorted[a].SubBatch != sorted[b].SubBatch {
-			return sorted[a].SubBatch < sorted[b].SubBatch
-		}
-		return sorted[a].Seq < sorted[b].Seq
-	})
-	sched := Schedule{
-		Items: make([]Scheduled, 0, len(sorted)),
-		Busy:  map[engine.Kind]simtime.Duration{},
-	}
-	var t simtime.Duration
-	for _, it := range sorted {
-		sched.Items = append(sched.Items, Scheduled{Item: it, Start: t, End: t + it.Latency})
-		sched.Busy[it.Kind] += it.Latency
-		t += it.Latency
-	}
-	sched.Makespan = t
-	return sched
-}
-
-// Utilization returns the busy fraction of the given engine kind over the
-// schedule makespan.
-func (s Schedule) Utilization(k engine.Kind) float64 {
-	if s.Makespan == 0 {
-		return 0
-	}
-	return float64(s.Busy[k]) / float64(s.Makespan)
-}
-
-// Validate checks schedule invariants: no two items overlap on the same
-// engine kind, and program order holds within each sub-batch.
-func (s Schedule) Validate() error {
-	byKind := map[engine.Kind][]Scheduled{}
-	byChain := map[int][]Scheduled{}
-	for _, it := range s.Items {
-		byKind[it.Kind] = append(byKind[it.Kind], it)
-		byChain[it.SubBatch] = append(byChain[it.SubBatch], it)
-	}
-	for k, items := range byKind {
-		sort.Slice(items, func(a, b int) bool { return items[a].Start < items[b].Start })
-		for i := 1; i < len(items); i++ {
-			if items[i].Start < items[i-1].End {
-				return fmt.Errorf("trace: overlap on %s: %q [%v,%v) vs %q [%v,%v)",
-					k, items[i-1].Op.Name, items[i-1].Start, items[i-1].End,
-					items[i].Op.Name, items[i].Start, items[i].End)
-			}
-		}
-	}
-	for id, items := range byChain {
-		sort.Slice(items, func(a, b int) bool { return items[a].Seq < items[b].Seq })
-		for i := 1; i < len(items); i++ {
-			if items[i].Start < items[i-1].End {
-				return fmt.Errorf("trace: sub-batch %d order violation: %q starts %v before %q ends %v",
-					id, items[i].Op.Name, items[i].Start, items[i-1].Op.Name, items[i-1].End)
-			}
-		}
-	}
-	return nil
-}
+// Start returns when items[i] of the last Makespan call started, as an
+// offset from the schedule origin.
+func (s *Scheduler) Start(i int) simtime.Duration { return s.starts[i] }
 
 // Segments decomposes one transformer block's serial trace (single
 // sub-batch, homogeneous engine) into the three regions the graph
