@@ -195,13 +195,17 @@ type ClusterScenario struct {
 	// particular it cannot ride in a Sweep next to repeated runs.
 	TraceStream RequestStream
 
-	// StreamMetrics folds each request's metrics into constant-size
-	// accumulators at its terminal event instead of retaining a
-	// per-request record table: report memory stays flat in the request
-	// count, percentile fields (P50/P95/P99) come from a relative-error
-	// sketch with a 2.5% guarantee, and counts, rates, and means stay
-	// exact. The report's Records-dependent output (WriteRequestsTSV) is
-	// empty; use RequestsOut to stream rows instead.
+	// StreamMetrics drops the per-request record table. Every run folds
+	// each request's metrics into the same constant-size accumulators
+	// at its terminal event, so counts, rates, and means do not depend
+	// on it; it decides only two things. First, whether the report keeps
+	// one record per request (false) or none, holding report memory flat
+	// in the request count (true). Second, whether percentile fields
+	// (P50/P95/P99) are exact nearest-rank values over those records
+	// (false) or come from a relative-error sketch with a 2.5% guarantee
+	// (true). With it set the report's Records-dependent output
+	// (WriteRequestsTSV) is empty; use RequestsOut to stream rows
+	// instead.
 	StreamMetrics bool
 
 	// RequestsOut, when non-nil, receives the per-request TSV table

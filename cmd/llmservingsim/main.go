@@ -440,11 +440,16 @@ func main() {
 			StreamMetrics:      *stream,
 			Shards:             *shards,
 		}
-		if *stream && *shards <= 1 && *output != "" {
+		if *stream && *shards > 1 && *output != "" {
+			// Sharded runs complete requests out of ID order across
+			// shards, so they cannot stream the per-request table
+			// (Validate rejects RequestsOut with Shards > 1), and -stream
+			// retains no records to dump post-hoc.
+			fmt.Fprintf(os.Stderr, "llmservingsim: not writing %s-requests.tsv: -stream with -shards %d keeps no per-request records\n",
+				*output, *shards)
+		} else if *stream && *output != "" {
 			// Stream the per-request table as requests complete; the
 			// post-hoc dump has no retained records to write from.
-			// (Sharded runs complete out of ID order across shards, so
-			// they skip the table; Validate rejects the combination.)
 			f, err := os.Create(*output + "-requests.tsv")
 			if err != nil {
 				fatal(err)

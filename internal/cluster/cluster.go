@@ -154,14 +154,17 @@ type Config struct {
 	// land in one timeline.
 	Obs *obs.Recorder
 
-	// StreamMetrics folds each request's outcome into streaming
-	// accumulators (integer counters plus quantile sketches) at its
-	// terminal event instead of retaining a RequestRecord per arrival,
-	// so memory stays flat in the request count — the million-request
-	// mode. The report's counts, token totals, and means are exact;
-	// percentiles come from the sketch (within metrics.SketchRelError
-	// of the exact nearest-rank values) and Report.Records is nil.
-	// Leave false for golden runs, which pin exact percentiles.
+	// StreamMetrics drops the per-request record table. Every run folds
+	// each request's outcome into the same online accumulator at its
+	// terminal event, so counts, token totals, rates, and means do not
+	// depend on this flag; it decides only two things: whether
+	// Report.Records keeps one record per arrival (false) or is nil
+	// (true), and whether percentiles are exact nearest-rank values
+	// computed from those records (false) or come from the
+	// accumulator's sketch, within metrics.SketchRelError (true). With
+	// it set, no per-request state outlives its request — the
+	// million-request mode. Leave false for golden runs, which pin
+	// exact percentiles.
 	StreamMetrics bool
 
 	// OnRecord, when non-nil, receives each request's final record at
@@ -236,30 +239,30 @@ type Cluster struct {
 	minRep    int
 	maxRep    int
 	slos      map[string]metrics.SLO
-	records   []metrics.RequestRecord
 
-	// Streaming-metrics state (Config.StreamMetrics): retain is false
-	// when records are not kept, in-flight records then live in a
-	// recycled pool keyed by request ID, terminal outcomes fold into
-	// accum, and routedTo counts completed placements per slot (the
-	// per-replica Requests column the records loop would otherwise
-	// produce). prefillSrcM replaces the prefillOf slice for in-flight
-	// disaggregated requests.
-	retain      bool
-	accum       *metrics.RequestAccumulator
-	inflight    map[int]*metrics.RequestRecord
-	recFree     []*metrics.RequestRecord
-	routedTo    []int
-	prefillSrcM map[int]int32
+	// Request accounting, the same in both metric modes: in-flight
+	// records live in a recycled pool keyed by request ID until their
+	// terminal event folds them into accum; routedTo counts completed
+	// placements per slot (the per-replica Requests column) and
+	// prefillSrc holds each in-flight disaggregated request's prefill
+	// slot. Retained mode (StreamMetrics off) additionally copies every
+	// terminal record into records, indexed by request ID; hint sizes
+	// that table.
+	accum      *metrics.RequestAccumulator
+	inflight   map[int]*metrics.RequestRecord
+	recFree    []*metrics.RequestRecord
+	routedTo   []int
+	prefillSrc map[int]int32
+	hint       int
+	records    []metrics.RequestRecord
 
 	// shards is non-nil only while a sharded run (Config.Shards > 1) is
 	// in flight; replica event times then live in per-shard heaps.
 	shards []*clusterShard
 
 	// Disaggregation state: the stage-2 router, per-pool scalers and
-	// clamps, per-record prefill source slots (for handoff pricing on
-	// decode requeues), per-slot placement counters, and the handoff
-	// transfer rollup.
+	// clamps, per-slot placement counters, and the handoff transfer
+	// rollup.
 	disagg        bool
 	decodeRouter  Router
 	prefillScaler Autoscaler
@@ -268,7 +271,6 @@ type Cluster struct {
 	prefMax       int
 	decMin        int
 	decMax        int
-	prefillOf     []int32
 	placed        []int
 	handoffCount  int
 	handoffBytes  int64
@@ -480,12 +482,10 @@ func (c *Cluster) addReplica(t simtime.Time, state lifecycle, role Role) (*repli
 	}
 	sim.OnRequestComplete = c.complete
 	sim.OnRequestReject = c.reject
-	if c.cfg.StreamMetrics {
-		// The completion/rejection hooks above are the only consumers of
-		// per-request state in streaming mode, so each replica can drop
-		// its delivered records and per-iteration log as it goes.
-		sim.StreamMetrics()
-	}
+	// The completion/rejection hooks above are the only consumers of
+	// per-request state, so each replica can drop its delivered records
+	// and per-iteration log as it goes.
+	sim.StreamMetrics()
 	cost := 1.0
 	if c.cfg.ReplicaCost != nil {
 		cost = c.cfg.ReplicaCost(i, role)
@@ -493,39 +493,33 @@ func (c *Cluster) addReplica(t simtime.Time, state lifecycle, role Role) (*repli
 	rep := &replica{sim: sim, state: state, role: role, cost: cost, created: t}
 	c.replicas = append(c.replicas, rep)
 	c.placed = append(c.placed, 0)
-	if c.routedTo != nil {
-		c.routedTo = append(c.routedTo, 0)
-	}
+	c.routedTo = append(c.routedTo, 0)
 	if state == stateProvisioning {
 		c.provisioning++
 	}
 	return rep, nil
 }
 
-// newRecord opens one arrival's record. Retained mode appends to the
-// records slice (indexed by request ID, the report's Records order);
-// streaming mode recycles a record from the free pool and tracks it in
-// the in-flight map until its terminal event.
+// recordChunk is how many in-flight records the pool allocates at once.
+const recordChunk = 64
+
+// newRecord opens one arrival's record: a record recycled from the free
+// pool, tracked in the in-flight map until its terminal event. Retained
+// mode also appends an ID-ordered placeholder to the records table,
+// which finish overwrites with the terminal record; the coordinator
+// appends only while shard workers are parked, so the table never
+// grows under a concurrent write.
 func (c *Cluster) newRecord(r workload.Request) *metrics.RequestRecord {
-	if c.retain {
-		c.records = append(c.records, metrics.RequestRecord{
-			ID: r.ID, Class: r.Class, Replica: -1,
-			InputLen: r.InputLen, OutputLen: r.OutputLen,
-			Arrival: r.Arrival,
-			Session: r.Session, Turn: r.Turn, SessionTurns: r.SessionTurns,
-		})
-		if c.disagg {
-			c.prefillOf = append(c.prefillOf, 0)
+	if len(c.recFree) == 0 {
+		// Grow the pool a chunk at a time: saturated runs hold thousands
+		// of requests in flight, and one allocation each would show.
+		chunk := make([]metrics.RequestRecord, recordChunk)
+		for i := range chunk {
+			c.recFree = append(c.recFree, &chunk[i])
 		}
-		return &c.records[len(c.records)-1]
 	}
-	var rec *metrics.RequestRecord
-	if n := len(c.recFree); n > 0 {
-		rec = c.recFree[n-1]
-		c.recFree = c.recFree[:n-1]
-	} else {
-		rec = new(metrics.RequestRecord)
-	}
+	rec := c.recFree[len(c.recFree)-1]
+	c.recFree = c.recFree[:len(c.recFree)-1]
 	*rec = metrics.RequestRecord{
 		ID: r.ID, Class: r.Class, Replica: -1,
 		InputLen: r.InputLen, OutputLen: r.OutputLen,
@@ -533,55 +527,36 @@ func (c *Cluster) newRecord(r workload.Request) *metrics.RequestRecord {
 		Session: r.Session, Turn: r.Turn, SessionTurns: r.SessionTurns,
 	}
 	c.inflight[r.ID] = rec
+	if !c.cfg.StreamMetrics {
+		if c.records == nil {
+			c.records = make([]metrics.RequestRecord, 0, c.hint)
+		}
+		c.records = append(c.records, *rec)
+	}
 	return rec
 }
 
-// rec resolves a request ID to its open record; nil when unknown.
-func (c *Cluster) rec(id int) *metrics.RequestRecord {
-	if c.retain {
-		if id < 0 || id >= len(c.records) {
-			return nil
-		}
-		return &c.records[id]
-	}
-	return c.inflight[id]
-}
-
 // finish closes a record at its terminal event (completion or
-// rejection): fold it into the streaming accumulator, hand it to the
-// row sink, and — in streaming mode — recycle it.
+// rejection): fold it into the accumulator, hand it to the row sink,
+// keep it in the retained table, and recycle it.
 func (c *Cluster) finish(rec *metrics.RequestRecord) {
-	if c.accum != nil {
-		c.accum.Observe(rec)
-	}
+	c.accum.Observe(rec)
 	if c.cfg.OnRecord != nil {
 		c.cfg.OnRecord(rec)
 	}
-	if !c.retain {
-		delete(c.inflight, rec.ID)
-		if c.prefillSrcM != nil {
-			delete(c.prefillSrcM, rec.ID)
-		}
-		c.recFree = append(c.recFree, rec)
-	}
+	c.keep(rec)
+	delete(c.inflight, rec.ID)
+	delete(c.prefillSrc, rec.ID)
+	c.recFree = append(c.recFree, rec)
 }
 
-// setPrefillSrc records which prefill slot produced a disaggregated
-// request's KV cache (for handoff re-pricing on decode requeues).
-func (c *Cluster) setPrefillSrc(id int, from int32) {
-	if c.retain {
-		c.prefillOf[id] = from
-		return
+// keep copies a terminal record into the retained table at its ID (a
+// no-op with StreamMetrics). Shard workers call it too: each writes
+// only the indices of requests on its own replicas.
+func (c *Cluster) keep(rec *metrics.RequestRecord) {
+	if !c.cfg.StreamMetrics {
+		c.records[rec.ID] = *rec
 	}
-	c.prefillSrcM[id] = from
-}
-
-// prefillSrcOf returns the prefill slot recorded by setPrefillSrc.
-func (c *Cluster) prefillSrcOf(id int) int32 {
-	if c.retain {
-		return c.prefillOf[id]
-	}
-	return c.prefillSrcM[id]
 }
 
 // effShards returns the worker count a run will use: Config.Shards
@@ -620,7 +595,7 @@ func (c *Cluster) setEvent(i int, ev simtime.Time) {
 // decode completion finalizes the record.
 func (c *Cluster) complete(f sched.Finished) {
 	id := f.Req.ID
-	rec := c.rec(id)
+	rec := c.inflight[id]
 	if rec == nil {
 		return
 	}
@@ -656,9 +631,7 @@ func (c *Cluster) complete(f sched.Finished) {
 			c.intervalTPOT++
 		}
 	}
-	if c.routedTo != nil {
-		c.routedTo[rec.Replica]++
-	}
+	c.routedTo[rec.Replica]++
 	c.finish(rec)
 }
 
@@ -698,7 +671,7 @@ func (c *Cluster) handoff(f sched.Finished, rec *metrics.RequestRecord) {
 	c.handoffCount++
 	c.handoffBytes += bytes
 	c.handoffLink += dur
-	c.setPrefillSrc(id, int32(from))
+	c.prefillSrc[id] = int32(from)
 	if c.cfg.Obs != nil {
 		c.cfg.Obs.Handoff(from, target, id, rec.Class, f.Completed, dur, bytes)
 		c.recordRoute(f.Completed, dr, states, idx, c.decodeRouter.Name(), 2, false)
@@ -744,7 +717,7 @@ func (c *Cluster) pushTo(target int, r workload.Request) error {
 // rejection in the report instead of a request that never completed.
 func (c *Cluster) reject(r sched.Rejected) {
 	id := r.Req.ID
-	rec := c.rec(id)
+	rec := c.inflight[id]
 	if rec == nil {
 		return
 	}
@@ -822,8 +795,8 @@ func (c *Cluster) RunContext(ctx context.Context, reqs []workload.Request) (*Rep
 // RunStream simulates a pull-based arrival stream to completion
 // without materializing it. Combined with Config.StreamMetrics this is
 // the million-request mode: each request is drawn, routed, and folded
-// into the streaming accumulators at its terminal event, so memory
-// stays flat in the request count. The stream must yield non-
+// into the accumulators at its terminal event, so no per-request state
+// outlives its request. The stream must yield non-
 // decreasing arrival times (every generator in internal/workload
 // does); request IDs are reassigned to arrival order.
 func (c *Cluster) RunStream(ctx context.Context, s workload.Stream) (*Report, error) {
@@ -847,24 +820,13 @@ type arrivalSource struct {
 	hint   int
 }
 
-// run wires the metrics sink (retained records or streaming
-// accumulators), then executes the simulation sequentially or sharded.
+// run wires the request accounting, then executes the simulation
+// sequentially or sharded.
 func (c *Cluster) run(ctx context.Context, src arrivalSource) (*Report, error) {
-	c.retain = !c.cfg.StreamMetrics
-	if c.retain {
-		c.records = make([]metrics.RequestRecord, 0, src.hint)
-		if c.disagg {
-			c.prefillOf = make([]int32, 0, src.hint)
-		}
-	} else {
-		c.accum = metrics.NewRequestAccumulator(c.slos)
-		c.inflight = make(map[int]*metrics.RequestRecord)
-		if c.disagg {
-			c.prefillSrcM = make(map[int]int32)
-		} else {
-			c.routedTo = make([]int, len(c.replicas))
-		}
-	}
+	c.accum = metrics.NewRequestAccumulator(c.slos)
+	c.inflight = make(map[int]*metrics.RequestRecord)
+	c.prefillSrc = make(map[int]int32)
+	c.hint = src.hint
 	if c.scaler != nil || c.prefillScaler != nil {
 		c.nextTick = simtime.Time(c.cfg.ScaleTick)
 	}
@@ -1019,7 +981,7 @@ func (c *Cluster) routeArrival(r workload.Request) error {
 	if err := c.pushTo(target, r); err != nil {
 		return err
 	}
-	if c.shards != nil && !c.retain {
+	if c.shards != nil {
 		// Hand the in-flight record to the shard that owns the target
 		// replica, so its completion callback finds it locally.
 		delete(c.inflight, rec.ID)
@@ -1281,7 +1243,7 @@ func (c *Cluster) failReplica(t simtime.Time, ev workload.FleetEvent) error {
 
 	if ev.Reject {
 		for _, r := range outstanding {
-			rec := c.rec(r.ID)
+			rec := c.inflight[r.ID]
 			if rec == nil {
 				continue
 			}
@@ -1317,7 +1279,7 @@ func (c *Cluster) redistribute(t simtime.Time, reqs []workload.Request, role Rol
 		router = c.decodeRouter
 	}
 	for _, r := range reqs {
-		rec := c.rec(r.ID)
+		rec := c.inflight[r.ID]
 		states := c.routableRole(c.statesBuf[:0], r.CacheKey(), role)
 		c.statesBuf = states
 		if len(states) == 0 {
@@ -1342,7 +1304,7 @@ func (c *Cluster) redistribute(t simtime.Time, reqs []workload.Request, role Rol
 			c.handoffBytes += bytes
 			c.handoffLink += dur
 			if c.cfg.Obs != nil {
-				c.cfg.Obs.Handoff(int(c.prefillSrcOf(r.ID)), target, r.ID, r.Class, t, dur, bytes)
+				c.cfg.Obs.Handoff(int(c.prefillSrc[r.ID]), target, r.ID, r.Class, t, dur, bytes)
 			}
 		}
 		if c.cfg.Obs != nil {

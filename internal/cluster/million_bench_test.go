@@ -148,12 +148,16 @@ func BenchmarkSessionStream(b *testing.B) {
 // BenchmarkShardedCluster tracks the coordination cost of the
 // epoch-barrier sharded loop: the same saturated 16-replica roofline
 // run at 1, 2, and 8 shards. shards=1 takes the sequential path, so
-// the spread across sub-benchmarks is pure sharding overhead (epoch
-// barriers, worker wake-ups) and must stay within single-digit
-// percent. Wall-clock *speedup* from sharding needs a multi-core host
-// and a step-dominated backend (astra), neither of which CI
-// guarantees, so this guard pins the thing sharding must never
-// regress: the cost of turning it on.
+// the spread across sub-benchmarks is the sharding overhead (epoch
+// barriers, worker wake-ups) minus whatever the parallel stepping
+// saves. On this cheap roofline run the overhead wins: the 2-vCPU
+// baseline in BENCH_hotpath.json records 279 ms at shards=1, 408 ms at
+// shards=2 and 375 ms at shards=8. cmd/benchdiff compares each
+// sub-benchmark only with its own previous value, so this guards each
+// shard count against getting slower; nothing bounds the spread
+// between shard counts. Wall-clock speedup from sharding needs a
+// multi-core host and a step-dominated backend (astra), neither of
+// which CI guarantees.
 func BenchmarkShardedCluster(b *testing.B) {
 	const (
 		replicas = 16

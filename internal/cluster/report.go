@@ -91,7 +91,7 @@ type Report struct {
 	// Classes holds per-class latency/SLO aggregates, ordered by name.
 	Classes []metrics.ClassSummary
 	// Records is the full per-request pipeline, in cluster ID
-	// (arrival) order.
+	// (arrival) order; nil with Config.StreamMetrics.
 	Records []metrics.RequestRecord
 	// PerReplica summarises placement and replica-level counters.
 	PerReplica []ReplicaSummary
@@ -141,13 +141,12 @@ type Report struct {
 	Sessions *metrics.SessionSummary
 }
 
-// report assembles the final Report from the records and replicas.
+// report assembles the final Report from the accumulator and replicas.
 func (c *Cluster) report() *Report {
 	r := &Report{
 		Replicas:      len(c.replicas),
 		Router:        c.router.Name(),
 		Admission:     c.admission.Name(),
-		Requests:      len(c.records),
 		Requeued:      c.requeued,
 		Records:       c.records,
 		FleetTimeline: c.timeline,
@@ -216,52 +215,17 @@ func (c *Cluster) report() *Report {
 		r.CostProxy += secs * rep.cost
 	}
 
-	var samples []metrics.LatencySample
-	var promptTokens int64
-	var prefGoodToks, decGoodToks int64
-	if c.retain {
-		for _, rec := range c.records {
-			if rec.Rejected {
-				r.Rejected++
-				continue
-			}
-			r.Admitted++
-			if !c.disagg {
-				// A unified record's Replica is its (single) serving slot; a
-				// disaggregated one ends on its decode slot, so per-slot
-				// request counts come from placement counters instead.
-				perReplica[rec.Replica].Requests++
-			} else {
-				slo := c.slos[rec.Class]
-				if !(slo.TTFT > 0 && rec.TTFT() > slo.TTFT) {
-					prefGoodToks += int64(rec.InputLen)
-				}
-				if !(slo.TPOT > 0 && rec.TPOT() > slo.TPOT) {
-					decGoodToks += int64(rec.OutputLen)
-				}
-			}
-			promptTokens += int64(rec.InputLen)
-			samples = append(samples, metrics.LatencySample{
-				Arrival: rec.Arrival, FirstToken: rec.FirstToken,
-				Completed: rec.Completed, OutputTokens: rec.OutputLen,
-			})
-		}
-	} else {
-		// Streaming mode: the per-record loop already ran online; the
-		// accumulator holds exact counts and token totals.
-		r.Requests = c.accum.Requests()
-		r.Rejected = c.accum.Rejected()
-		r.Admitted = r.Requests - r.Rejected
-		promptTokens = c.accum.PromptTokens()
-		prefGoodToks = c.accum.AttainedPrefillTokens()
-		decGoodToks = c.accum.AttainedDecodeTokens()
-		if !c.disagg {
-			for i, n := range c.routedTo {
-				perReplica[i].Requests = n
-			}
-		}
+	// Every run's counts, token totals, and placements come from the
+	// online accumulator; only the distributions depend on the mode.
+	r.Requests = c.accum.Requests()
+	r.Rejected = c.accum.Rejected()
+	r.Admitted = r.Requests - r.Rejected
+	for i, n := range c.routedTo {
+		perReplica[i].Requests = n
 	}
 	if c.disagg {
+		// A disaggregated request completes on its decode slot, so per-slot
+		// request counts come from placement counters instead.
 		pools := []PoolStats{{Role: RolePrefill.String()}, {Role: RoleDecode.String()}}
 		for i, rep := range c.replicas {
 			p := &pools[0]
@@ -275,27 +239,22 @@ func (c *Cluster) report() *Report {
 			p.CostProxy += perReplica[i].ReplicaSeconds * rep.cost
 		}
 		if end := r.SimEnd.Seconds(); end > 0 {
-			pools[0].GoodputTPS = float64(prefGoodToks) / end
-			pools[1].GoodputTPS = float64(decGoodToks) / end
+			pools[0].GoodputTPS = float64(c.accum.AttainedPrefillTokens()) / end
+			pools[1].GoodputTPS = float64(c.accum.AttainedDecodeTokens()) / end
 		}
 		r.Pools = pools
 	}
 	r.PerReplica = perReplica
-	if c.retain {
-		r.Latency = metrics.Latency(samples)
-	} else {
-		r.Latency = c.accum.Latency()
-	}
 	if end := r.SimEnd.Seconds(); end > 0 {
-		r.PromptTPS = float64(promptTokens) / end
+		r.PromptTPS = float64(c.accum.PromptTokens()) / end
 	}
-
-	if c.retain {
-		r.Classes = metrics.SummarizeRequests(c.records, c.slos, r.SimEnd)
-		r.Sessions = metrics.SummarizeSessions(c.records, c.slos, r.SimEnd)
-	} else {
-		r.Classes = c.accum.Classes(r.SimEnd)
-		r.Sessions = c.accum.Sessions(r.SimEnd)
+	r.Classes = c.accum.Classes(r.SimEnd)
+	r.Sessions = c.accum.Sessions(r.SimEnd)
+	r.Latency = c.accum.Latency()
+	if !c.cfg.StreamMetrics {
+		// Retained mode swaps the sketched percentiles for exact ones
+		// over the ID-ordered record table.
+		r.Latency = metrics.ExactDistributions(c.records, r.Classes)
 	}
 	for _, cs := range r.Classes {
 		r.ThroughputTPS += cs.ThroughputTPS

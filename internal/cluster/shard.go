@@ -7,9 +7,10 @@
 // happens with all replicas advanced exactly to the arrival instant
 // behind an epoch barrier, and (c) per-shard metric state is integer
 // (counters and sketch buckets), so the end-of-run merge is exact and
-// order-free. New() rejects every configuration that would break one of
-// those properties (disaggregation, scalers, fleet events, Obs,
-// OnRecord).
+// order-free; retained records land at their own ID in a table the
+// coordinator only grows while the workers are parked. New() rejects
+// every configuration that would break one of those properties
+// (disaggregation, scalers, fleet events, Obs, OnRecord).
 
 package cluster
 
@@ -37,8 +38,8 @@ type clusterShard struct {
 	stride int
 	events eventHeap
 
-	// Streaming-metrics state (nil in retained mode, where completions
-	// write into the shared records slice at disjoint indices).
+	// Request accounting for the shard's replicas, merged into the
+	// cluster's at the end of the run.
 	accum    *metrics.RequestAccumulator
 	inflight map[int]*metrics.RequestRecord
 	free     []*metrics.RequestRecord
@@ -61,10 +62,8 @@ func (c *Cluster) runSharded(ctx context.Context, src arrivalSource, nShards int
 			target: make(chan simtime.Time), wg: &wg,
 		}
 		sh.events.init((len(c.replicas) - s + nShards - 1) / nShards)
-		if !c.retain {
-			sh.accum = metrics.NewRequestAccumulator(c.slos)
-			sh.inflight = make(map[int]*metrics.RequestRecord)
-		}
+		sh.accum = metrics.NewRequestAccumulator(c.slos)
+		sh.inflight = make(map[int]*metrics.RequestRecord)
 		c.shards[s] = sh
 	}
 	for i, rep := range c.replicas {
@@ -84,12 +83,10 @@ func (c *Cluster) runSharded(ctx context.Context, src arrivalSource, nShards int
 			rep.sim.OnRequestComplete = c.complete
 			rep.sim.OnRequestReject = c.reject
 		}
-		if !c.retain {
-			// Shard accumulators are integer-state, so merging in slot
-			// order reproduces the sequential run's aggregate exactly.
-			for _, sh := range c.shards {
-				c.accum.Merge(sh.accum)
-			}
+		// Shard accumulators are integer-state, so merging in slot order
+		// reproduces the sequential run's aggregate exactly.
+		for _, sh := range c.shards {
+			c.accum.Merge(sh.accum)
 		}
 		c.shards = nil
 	}()
@@ -211,53 +208,35 @@ func (sh *clusterShard) refresh(j, i int) {
 // event, minus the control-plane hooks (Obs, scalers, OnRecord) that
 // sharding forbids.
 func (sh *clusterShard) complete(f sched.Finished) {
-	c := sh.c
-	var rec *metrics.RequestRecord
-	if c.retain {
-		id := f.Req.ID
-		if id < 0 || id >= len(c.records) {
-			return
-		}
-		rec = &c.records[id]
-	} else if rec = sh.inflight[f.Req.ID]; rec == nil {
+	rec := sh.inflight[f.Req.ID]
+	if rec == nil {
 		return
 	}
 	rec.FirstToken = f.FirstToken
 	rec.Completed = f.Completed
 	rec.CachedTokens = f.CachedTokens
-	if c.retain {
-		return
-	}
-	if c.routedTo != nil {
-		// Disjoint writes: a completion fires on the owning shard, and
-		// each replica slot belongs to exactly one shard.
-		c.routedTo[rec.Replica]++
-	}
-	sh.accum.Observe(rec)
-	delete(sh.inflight, rec.ID)
-	sh.free = append(sh.free, rec)
+	// Disjoint writes: a completion fires on the owning shard, and each
+	// replica slot belongs to exactly one shard.
+	sh.c.routedTo[rec.Replica]++
+	sh.finish(rec)
 }
 
 // reject is the sharded unservable-rejection callback.
 func (sh *clusterShard) reject(r sched.Rejected) {
-	c := sh.c
-	var rec *metrics.RequestRecord
-	if c.retain {
-		id := r.Req.ID
-		if id < 0 || id >= len(c.records) {
-			return
-		}
-		rec = &c.records[id]
-	} else if rec = sh.inflight[r.Req.ID]; rec == nil {
+	rec := sh.inflight[r.Req.ID]
+	if rec == nil {
 		return
 	}
 	rec.Rejected = true
 	rec.Replica = -1
 	rec.RejectReason = obs.RejectUnservable.String()
-	if c.retain {
-		return
-	}
+	sh.finish(rec)
+}
+
+// finish is Cluster.finish against the shard's own accounting.
+func (sh *clusterShard) finish(rec *metrics.RequestRecord) {
 	sh.accum.Observe(rec)
+	sh.c.keep(rec)
 	delete(sh.inflight, rec.ID)
 	sh.free = append(sh.free, rec)
 }

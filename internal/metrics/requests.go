@@ -1,8 +1,9 @@
 // This file holds per-request accounting for cluster serving
 // simulations: every arrival becomes a RequestRecord (routed to a
-// replica or rejected at admission), records roll up into per-class
-// summaries with SLO attainment and goodput, and both levels have TSV
-// writers.
+// replica or rejected at admission), a RequestAccumulator (streaming.go)
+// rolls records up into per-class summaries with SLO attainment and
+// goodput, ExactDistributions swaps in exact percentiles when the
+// records are retained, and both levels have TSV writers.
 
 package metrics
 
@@ -149,74 +150,44 @@ func (c ClassSummary) AttainedFrac() float64 {
 	return float64(c.SLOAttained) / float64(c.Requests)
 }
 
-// SummarizeRequests rolls records up into per-class summaries, ordered
-// by class name. slos maps class name to its objective (missing classes
-// get the zero SLO, i.e. no objective); end is the simulated span the
-// throughput and goodput rates are computed over.
-func SummarizeRequests(records []RequestRecord, slos map[string]SLO, end simtime.Time) []ClassSummary {
-	byClass := map[string]*ClassSummary{}
-	names := []string{}
-	get := func(name string) *ClassSummary {
-		if s, ok := byClass[name]; ok {
-			return s
-		}
-		s := &ClassSummary{Class: name, SLO: slos[name]}
-		byClass[name] = s
-		names = append(names, name)
-		return s
+// ExactDistributions replaces the sketched TTFT, TPOT, and latency
+// distributions of an accumulator's class summaries with exact
+// nearest-rank ones computed from the retained records, and returns
+// the exact cluster-level latency statistics over them. records must
+// be in ID order (the cluster-level means sum in that order) and
+// classes must be the summaries an accumulator produced over the same
+// records; counts and rates are left as the accumulator computed them.
+func ExactDistributions(records []RequestRecord, classes []ClassSummary) LatencyStats {
+	idx := make(map[string]int, len(classes))
+	for i, c := range classes {
+		idx[c.Class] = i
 	}
-
-	ttft := map[string][]float64{}
-	tpot := map[string][]float64{}
-	lat := map[string][]float64{}
-	attainedTokens := map[string]int64{}
-
-	for _, r := range records {
-		s := get(r.Class)
-		s.Requests++
+	ttft := make([][]float64, len(classes))
+	tpot := make([][]float64, len(classes))
+	lat := make([][]float64, len(classes))
+	samples := make([]LatencySample, 0, len(records))
+	for i := range records {
+		r := &records[i]
 		if r.Rejected {
-			s.Rejected++
-			switch r.RejectReason {
-			case "admission":
-				s.RejectedAdmission++
-			case "no-replica":
-				s.RejectedNoReplica++
-			case "unservable":
-				s.RejectedUnservable++
-			case "failure":
-				s.RejectedFailure++
-			}
 			continue
 		}
-		s.Completed++
-		s.OutputTokens += int64(r.OutputLen)
-		s.CachedTokens += int64(r.CachedTokens)
-		ttft[r.Class] = append(ttft[r.Class], r.TTFT().Seconds())
-		lat[r.Class] = append(lat[r.Class], r.Latency().Seconds())
+		k := idx[r.Class]
+		ttft[k] = append(ttft[k], r.TTFT().Seconds())
+		lat[k] = append(lat[k], r.Latency().Seconds())
 		if r.OutputLen > 1 {
-			tpot[r.Class] = append(tpot[r.Class], r.TPOT().Seconds())
+			tpot[k] = append(tpot[k], r.TPOT().Seconds())
 		}
-		if r.MeetsSLO(s.SLO) {
-			s.SLOAttained++
-			attainedTokens[r.Class] += int64(r.OutputLen)
-		}
+		samples = append(samples, LatencySample{
+			Arrival: r.Arrival, FirstToken: r.FirstToken,
+			Completed: r.Completed, OutputTokens: r.OutputLen,
+		})
 	}
-
-	endSec := end.Seconds()
-	sort.Strings(names)
-	out := make([]ClassSummary, 0, len(names))
-	for _, name := range names {
-		s := byClass[name]
-		s.TTFT = NewDist(ttft[name])
-		s.TPOT = NewDist(tpot[name])
-		s.Latency = NewDist(lat[name])
-		if endSec > 0 {
-			s.GoodputTPS = float64(attainedTokens[name]) / endSec
-			s.ThroughputTPS = float64(s.OutputTokens) / endSec
-		}
-		out = append(out, *s)
+	for k := range classes {
+		classes[k].TTFT = NewDist(ttft[k])
+		classes[k].TPOT = NewDist(tpot[k])
+		classes[k].Latency = NewDist(lat[k])
 	}
-	return out
+	return Latency(samples)
 }
 
 // RequestsTSVWriter emits the cluster's *-requests.tsv format one row

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 
@@ -9,6 +10,79 @@ import (
 )
 
 func sec(s float64) simtime.Time { return simtime.AtSeconds(s) }
+
+// SummarizeRequests is the reference oracle for the production request
+// accounting (RequestAccumulator plus ExactDistributions): a direct
+// rollup of records into per-class summaries, ordered by class name,
+// with exact nearest-rank distributions. slos maps class name to its
+// objective (missing classes get the zero SLO, i.e. no objective); end
+// is the simulated span the throughput and goodput rates are computed
+// over.
+func SummarizeRequests(records []RequestRecord, slos map[string]SLO, end simtime.Time) []ClassSummary {
+	byClass := map[string]*ClassSummary{}
+	names := []string{}
+	get := func(name string) *ClassSummary {
+		if s, ok := byClass[name]; ok {
+			return s
+		}
+		s := &ClassSummary{Class: name, SLO: slos[name]}
+		byClass[name] = s
+		names = append(names, name)
+		return s
+	}
+
+	ttft := map[string][]float64{}
+	tpot := map[string][]float64{}
+	lat := map[string][]float64{}
+	attainedTokens := map[string]int64{}
+
+	for _, r := range records {
+		s := get(r.Class)
+		s.Requests++
+		if r.Rejected {
+			s.Rejected++
+			switch r.RejectReason {
+			case "admission":
+				s.RejectedAdmission++
+			case "no-replica":
+				s.RejectedNoReplica++
+			case "unservable":
+				s.RejectedUnservable++
+			case "failure":
+				s.RejectedFailure++
+			}
+			continue
+		}
+		s.Completed++
+		s.OutputTokens += int64(r.OutputLen)
+		s.CachedTokens += int64(r.CachedTokens)
+		ttft[r.Class] = append(ttft[r.Class], r.TTFT().Seconds())
+		lat[r.Class] = append(lat[r.Class], r.Latency().Seconds())
+		if r.OutputLen > 1 {
+			tpot[r.Class] = append(tpot[r.Class], r.TPOT().Seconds())
+		}
+		if r.MeetsSLO(s.SLO) {
+			s.SLOAttained++
+			attainedTokens[r.Class] += int64(r.OutputLen)
+		}
+	}
+
+	endSec := end.Seconds()
+	sort.Strings(names)
+	out := make([]ClassSummary, 0, len(names))
+	for _, name := range names {
+		s := byClass[name]
+		s.TTFT = NewDist(ttft[name])
+		s.TPOT = NewDist(tpot[name])
+		s.Latency = NewDist(lat[name])
+		if endSec > 0 {
+			s.GoodputTPS = float64(attainedTokens[name]) / endSec
+			s.ThroughputTPS = float64(s.OutputTokens) / endSec
+		}
+		out = append(out, *s)
+	}
+	return out
+}
 
 func TestRequestRecordDerived(t *testing.T) {
 	r := RequestRecord{

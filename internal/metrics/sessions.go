@@ -4,10 +4,10 @@
 // cached prefix, so the split is the direct measurement of what prefix
 // caching buys sessions) and scores session-level goodput — output
 // tokens of sessions whose every turn completed within SLO. The state
-// lives inside RequestAccumulator so the streaming and sharded paths
-// aggregate sessions exactly like classes: integer counters and sketch
-// buckets, exact order-free Merge even when a session's turns land on
-// different shards.
+// lives inside RequestAccumulator so every cluster run, sequential or
+// sharded, aggregates sessions exactly like classes: integer counters
+// and sketch buckets, exact order-free Merge even when a session's
+// turns land on different shards.
 
 package metrics
 
@@ -164,15 +164,4 @@ func (a *RequestAccumulator) Sessions(end simtime.Time) *SessionSummary {
 		out.GoodputTPS = float64(s.attainedTokens) / endSec
 	}
 	return out
-}
-
-// SummarizeSessions computes the session summary from retained records
-// by streaming them through an accumulator — one code path, so the
-// retained and streaming modes report bit-identical session metrics.
-func SummarizeSessions(records []RequestRecord, slos map[string]SLO, end simtime.Time) *SessionSummary {
-	a := NewRequestAccumulator(slos)
-	for i := range records {
-		a.observeSession(&records[i])
-	}
-	return a.Sessions(end)
 }

@@ -145,9 +145,11 @@ func TestSketchMergeOrderFree(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMatchesSummarize pins the streaming aggregation
-// against the exact batch path over the same synthetic records: counts
-// and token totals identical, distributions within the sketch contract.
+// TestAccumulatorMatchesSummarize pins the accumulator against the
+// reference rollup over the same synthetic records: counts and token
+// totals identical, distributions within the sketch contract, and
+// exactly equal once ExactDistributions swaps in the retained-mode
+// percentiles.
 func TestAccumulatorMatchesSummarize(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	slos := map[string]SLO{
@@ -250,6 +252,17 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 			t.Errorf("latency %s: %g vs exact %g", q.p, q.g, q.e)
 		}
 	}
+
+	// Retained mode: swapping in exact distributions over the ID-ordered
+	// records reproduces the reference rollup and metrics.Latency bit
+	// for bit.
+	if lat := ExactDistributions(records, got); !reflect.DeepEqual(lat, exactLat) {
+		t.Errorf("exact latency %+v, want %+v", lat, exactLat)
+	}
+	if !reflect.DeepEqual(got, exact) {
+		t.Errorf("exact distributions diverge from the reference rollup:\n%+v\nvs\n%+v", got, exact)
+	}
+	got = acc.Classes(end)
 
 	// Sharded aggregation: observing the records split across
 	// accumulators and merging must equal sequential observation exactly.

@@ -1,10 +1,14 @@
-// This file holds the streaming counterpart of SummarizeRequests and
-// Latency: a RequestAccumulator folds each request's terminal record
-// into per-class counters and quantile sketches as it completes, so a
-// cluster run never has to retain the records slice. All state is
-// integer (counters, 128-bit picosecond sums, sketch buckets), which
-// makes Merge exact and order-free — the property the sharded cluster
-// loop relies on for bit-identical per-shard aggregation.
+// This file holds the request accounting every cluster run uses: a
+// RequestAccumulator folds each request's terminal record into
+// per-class counters and quantile sketches as it completes. Counts,
+// token totals, rates, means, and session metrics come from it in both
+// metric modes. StreamMetrics decides only two things: whether the
+// cluster also keeps the records (retained mode) and whether the
+// sketched percentiles are replaced by exact ones computed from them
+// (ExactDistributions). All state is integer (counters, 128-bit
+// picosecond sums, sketch buckets), which makes Merge exact and
+// order-free — the property the sharded cluster loop relies on for
+// bit-identical per-shard aggregation.
 
 package metrics
 
@@ -39,9 +43,9 @@ type classAccum struct {
 
 // RequestAccumulator aggregates request outcomes online. Observe each
 // record exactly once at its terminal event (completion or rejection);
-// Classes and Latency then reproduce SummarizeRequests/Latency with
-// exact counts, token totals, and means, and sketched percentiles
-// (within SketchRelError of the exact nearest-rank values).
+// Classes and Latency then report exact counts, token totals, and
+// means, and sketched percentiles (within SketchRelError of the exact
+// nearest-rank values ExactDistributions computes from the records).
 type RequestAccumulator struct {
 	slos    map[string]SLO
 	classes map[string]*classAccum
@@ -207,7 +211,7 @@ func (a *RequestAccumulator) AttainedPrefillTokens() int64 { return a.attainedPr
 func (a *RequestAccumulator) AttainedDecodeTokens() int64 { return a.attainedDecode }
 
 // Classes rolls the aggregate up into per-class summaries ordered by
-// class name, mirroring SummarizeRequests over the same records.
+// class name.
 func (a *RequestAccumulator) Classes(end simtime.Time) []ClassSummary {
 	names := make([]string, 0, len(a.classes))
 	for name := range a.classes {

@@ -82,9 +82,9 @@ func TestGoldenStreamMetrics(t *testing.T) {
 	if w, g := exactFields(exact), exactFields(got); g != w {
 		t.Errorf("streaming metrics diverged on exact fields\n got %s\nwant %s", g, w)
 	}
-	// The accumulator's mean divides an exact integer nanosecond sum, so
-	// it can differ from the retained path's float64 summation by an ULP
-	// — but no more.
+	// The accumulator's mean divides an exact 128-bit picosecond sum,
+	// while the retained path sums float64 seconds, so the two can
+	// differ in the last bits; this pins them within 1e-9 s absolute.
 	if d := got.Latency.MeanSec - exact.Latency.MeanSec; d > 1e-9 || d < -1e-9 {
 		t.Errorf("latency mean %v diverged from %v", got.Latency.MeanSec, exact.Latency.MeanSec)
 	}
