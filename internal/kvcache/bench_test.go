@@ -1,6 +1,9 @@
 package kvcache
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // newBenchManager builds a paged manager sized to hold exactly `seqs`
 // sequences of `tokens` tokens.
@@ -148,5 +151,65 @@ func BenchmarkPrefixCacheHitRate(b *testing.B) {
 	b.StopTimer()
 	if st := m.Stats(); b.N > len(keys) && st.PrefixHits == 0 {
 		b.Fatal("warm keys never hit the prefix cache")
+	}
+}
+
+// BenchmarkPrefixSpillChurn measures the tiered prefix cache under
+// spill pressure: 2048 per-conversation keys of 8 prefix blocks each
+// cycle through a 4096-page device and a 1024-page host tier, so the
+// device holds thousands of idle blocks and each admit's key has long
+// since been dropped. Every op is one admit that recreates its 8 blocks
+// and takes 2 private pages, forcing 10 LRU spills and as many host-tier
+// drops, then a release that returns the blocks to the idle set.
+func BenchmarkPrefixSpillChurn(b *testing.B) {
+	const (
+		pageTokens = 16
+		devPages   = 4096
+		hostPages  = 1024
+		nkeys      = 2048
+		prefixLen  = 8 * pageTokens
+		tokens     = prefixLen + 2*pageTokens
+	)
+	m, err := New(Config{
+		Policy:        Paged,
+		Prefix:        PrefixTiered,
+		PageTokens:    pageTokens,
+		BytesPerToken: 1 << 10,
+		CapacityBytes: devPages * pageTokens << 10,
+		HostBytes:     hostPages * pageTokens << 10,
+		MaxSeqLen:     4096,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]string, nkeys)
+	for i := range keys {
+		keys[i] = "conv-" + strconv.Itoa(i)
+	}
+	admit := func(i int) PrefixAdmit {
+		res, err := m.AdmitWithPrefix(i, tokens, keys[i%nkeys], prefixLen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Release(i); err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	// Two warm-up passes fill the device and host tier and create every
+	// chain, so the timed loop recreates tombstones in place.
+	for i := 0; i < 2*nkeys; i++ {
+		admit(i)
+	}
+	before := m.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		admit(2*nkeys + i)
+	}
+	b.StopTimer()
+	if st := m.Stats(); st.PrefixSpills-before.PrefixSpills < int64(b.N) || st.PrefixHostBlocks != hostPages {
+		b.Fatalf("no spill pressure: %d spills over %d admits, %d host blocks",
+			st.PrefixSpills-before.PrefixSpills, b.N, st.PrefixHostBlocks)
 	}
 }

@@ -11,7 +11,11 @@
 // in an intrusive max-heap over resident sequences and a min-heap over
 // evicted ones, and occupancy statistics are maintained incrementally,
 // so EvictLast, OldestEvicted, ResidentCount, EvictedCount, and Stats
-// are O(log n) or O(1) rather than scans of the sequence map.
+// are O(log n) or O(1) rather than scans of the sequence map. Shared
+// prefix blocks get the same treatment: idle and host-tier blocks sit
+// in LRU min-heaps, so CanAdmitWithPrefix is O(prefix blocks), and
+// AdmitWithPrefix, Release and SpillIdlePrefix pay O(log n) per block
+// they acquire, release, spill or drop, never a scan of the cache.
 package kvcache
 
 import (
@@ -233,15 +237,17 @@ type Manager struct {
 	residentTokens int
 	fragTokens     int
 
-	// Shared-prefix cache state (see prefix.go). blocks lists every live
-	// (resident or host) block for LRU spill scans; chains keep dropped
-	// tombstones so recreation reuses the same lineage slot.
+	// Shared-prefix cache state (see prefix.go). Chains keep dropped
+	// tombstones so recreation reuses the same lineage slot; the live
+	// blocks are the prefixPages resident plus the hostPages spilled.
 	groups      map[string]*prefixGroup
-	blocks      []*prefixBlock
-	hostCap     int // host-tier pages: -1 unbounded, 0 none, >0 bounded
+	idle        blockHeap // resident blocks with refcount 0, LRU on top
+	host        blockHeap // host-tier blocks, LRU on top
+	hostCap     int       // host-tier pages: -1 unbounded, 0 none, >0 bounded
 	hostPages   int
 	prefixPages int // device pages held by prefix blocks
-	prefixStamp int // LRU clock, bumped per prefix admit
+	prefixStamp int // LRU clock, bumped per successful prefix admit
+	prefixBorn  int // counter stamped on each block joining the live set
 
 	prefixLookups     int64
 	prefixHits        int64
@@ -523,6 +529,9 @@ func (m *Manager) Release(id int) error {
 	}
 	for _, b := range s.prefix {
 		b.refcnt--
+		if b.refcnt == 0 {
+			m.idle.push(b)
+		}
 	}
 	if s.onHost {
 		m.evicted.remove(s.hidx)

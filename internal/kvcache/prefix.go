@@ -14,6 +14,17 @@
 // mode spilled blocks move to a bounded host tier and are reloaded over
 // the host link on the next hit; without a tier they are dropped and the
 // next request recomputes them.
+//
+// Spill order is least-recently-used, kept in two intrusive min-heaps:
+// idle holds the device-resident blocks at refcount zero (spill
+// candidates), host holds the host-tier blocks (drop candidates when
+// the tier is full). Both are keyed by (lastUse, born). lastUse is the
+// stamp of the block's last acquiring admit, so every block one admit
+// acquires shares it; born is stamped when the block joins the live set
+// (created, or recreated after a drop, but not reloaded from host), so
+// ties go to the block cached first. An admit first takes the blocks it
+// needs out of both heaps, then spills from the top of idle until its
+// pages fit; the heaps never hold a block the admit is about to use.
 package kvcache
 
 import (
@@ -62,7 +73,7 @@ func (p PrefixMode) String() string {
 	}
 }
 
-type blockState int
+type blockState uint8
 
 const (
 	blockDropped  blockState = iota // no memory anywhere; recomputed on next use
@@ -70,15 +81,89 @@ const (
 	blockHost                       // spilled to the host tier (one page of host bytes)
 )
 
-// prefixBlock is one page-sized span of a shared prefix chain.
+// prefixBlock is one page-sized span of a shared prefix chain. Fields
+// are ordered so the struct packs into 64 bytes.
 type prefixBlock struct {
 	key     string
-	index   int    // position in the chain, covering tokens [index*PageTokens, (index+1)*PageTokens)
 	hash    uint64 // token-range lineage hash (root = key hash, child = hash(parent, index))
+	refcnt  int    // sequences currently holding this block; spill only at zero
+	lastUse int    // admission stamp of the last acquire, for LRU spill order
+	born    int    // stamp taken when the block joined the live set: the LRU tie-break
+	hidx    int    // slot in the idle or host heap, -1 when in neither
+	index   int32  // position in the chain, covering tokens [index*PageTokens, (index+1)*PageTokens)
 	state   blockState
-	refcnt  int // sequences currently holding this block; spill only at zero
-	lastUse int // admission stamp of the last acquire, for LRU spill order
-	mark    int // stamp of the in-flight admit that needs this block (spill exclusion)
+}
+
+// blockHeap is an intrusive binary min-heap of prefix blocks keyed by
+// (lastUse, born): the least-recently-used block on top, ties to the
+// block that joined the live set first. Like orderHeap, every member's
+// hidx tracks its slot so arbitrary removal stays O(log n). Sifts move
+// a hole rather than swapping, writing each slot once.
+type blockHeap struct {
+	s []*prefixBlock
+}
+
+func (h *blockHeap) before(a, b *prefixBlock) bool {
+	if a.lastUse != b.lastUse {
+		return a.lastUse < b.lastUse
+	}
+	return a.born < b.born
+}
+
+func (h *blockHeap) len() int { return len(h.s) }
+
+func (h *blockHeap) push(x *prefixBlock) {
+	h.s = append(h.s, x)
+	h.up(x, len(h.s)-1)
+}
+
+// remove deletes the element at heap index i. The last element refills
+// the hole; having come from the bottom it usually belongs near it, so
+// the hole first walks down the smaller-child path to a leaf (one
+// comparison per level) and the element then sifts up from there.
+func (h *blockHeap) remove(i int) {
+	h.s[i].hidx = -1
+	n := len(h.s) - 1
+	last := h.s[n]
+	h.s[n] = nil
+	h.s = h.s[:n]
+	if i == n {
+		return
+	}
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h.before(h.s[c+1], h.s[c]) {
+			c++
+		}
+		h.s[i] = h.s[c]
+		h.s[i].hidx = i
+		i = c
+	}
+	h.up(last, i)
+}
+
+func (h *blockHeap) pop() *prefixBlock {
+	top := h.s[0]
+	h.remove(0)
+	return top
+}
+
+// up places x in the hole at index i and sifts it toward the root.
+func (h *blockHeap) up(x *prefixBlock, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.before(x, h.s[p]) {
+			break
+		}
+		h.s[i] = h.s[p]
+		h.s[i].hidx = i
+		i = p
+	}
+	h.s[i] = x
+	x.hidx = i
 }
 
 // prefixGroup is the chain of blocks for one prefix key.
@@ -137,10 +222,10 @@ func (m *Manager) alignedPrefix(key string, prefixLen, tokens int) int {
 	return prefixLen - prefixLen%m.cfg.PageTokens
 }
 
-// classify counts the chain blocks an admit would hit, reload, and
-// create, marking existing needed blocks with stamp so concurrent spill
-// decisions skip them.
-func (m *Manager) classify(g *prefixGroup, nblocks, stamp int) (hits, reloads, creates int) {
+// classify counts the chain blocks an admit would reload and create,
+// and the needed blocks it would hit that sit idle: those are in the
+// idle heap but may not be spilled to make room for the admit itself.
+func (m *Manager) classify(g *prefixGroup, nblocks int) (reloads, creates, idleHits int) {
 	for i := 0; i < nblocks; i++ {
 		if g == nil || i >= len(g.blocks) {
 			creates++
@@ -149,57 +234,65 @@ func (m *Manager) classify(g *prefixGroup, nblocks, stamp int) (hits, reloads, c
 		b := g.blocks[i]
 		switch b.state {
 		case blockResident:
-			hits++
-			b.mark = stamp
+			if b.refcnt == 0 {
+				idleHits++
+			}
 		case blockHost:
 			reloads++
-			b.mark = stamp
 		default:
 			creates++
 		}
 	}
-	return hits, reloads, creates
+	return reloads, creates, idleHits
 }
 
-// spillable counts idle device blocks an admit stamped `stamp` may
-// reclaim (refcount zero, not needed by the admit itself).
-func (m *Manager) spillable(stamp int) int {
-	n := 0
-	for _, b := range m.blocks {
-		if b.state == blockResident && b.refcnt == 0 && b.mark != stamp {
-			n++
+// pull takes the first nblocks blocks of a chain out of the idle and
+// host heaps, so the spills that make room for an admit cannot pick the
+// blocks it is about to acquire or reload.
+func (m *Manager) pull(g *prefixGroup, nblocks int) {
+	for i := 0; i < nblocks && i < len(g.blocks); i++ {
+		b := g.blocks[i]
+		if b.hidx < 0 {
+			continue
+		}
+		if b.state == blockHost {
+			m.host.remove(b.hidx)
+		} else {
+			m.idle.remove(b.hidx)
 		}
 	}
-	return n
+}
+
+// unpull returns blocks taken out by pull to the heaps their state
+// belongs in.
+func (m *Manager) unpull(g *prefixGroup, nblocks int) {
+	for i := 0; i < nblocks && i < len(g.blocks); i++ {
+		switch b := g.blocks[i]; {
+		case b.state == blockHost:
+			m.host.push(b)
+		case b.state == blockResident && b.refcnt == 0:
+			m.idle.push(b)
+		}
+	}
 }
 
 // spillOne spills the least-recently-used idle device block to the host
 // tier (or drops it when no tier has room), freeing one device page. It
 // returns the bytes moved to host; dropped blocks move nothing.
-func (m *Manager) spillOne(excludeStamp int) (bytes int64, ok bool) {
-	var victim *prefixBlock
-	for _, b := range m.blocks {
-		if b.state != blockResident || b.refcnt != 0 {
-			continue
-		}
-		if excludeStamp != 0 && b.mark == excludeStamp {
-			continue
-		}
-		if victim == nil || b.lastUse < victim.lastUse {
-			victim = b
-		}
-	}
-	if victim == nil {
+func (m *Manager) spillOne() (bytes int64, ok bool) {
+	if m.idle.len() == 0 {
 		return 0, false
 	}
+	victim := m.idle.pop()
 	m.free++
 	m.prefixPages--
 	if m.hostCap != 0 {
 		if m.hostCap > 0 && m.hostPages >= m.hostCap {
-			m.dropOldestHost(excludeStamp)
+			m.dropOldestHost()
 		}
 		if m.hostCap < 0 || m.hostPages < m.hostCap {
 			victim.state = blockHost
+			m.host.push(victim)
 			m.hostPages++
 			m.prefixSpills++
 			m.prefixSpillBytes += m.pageBytes
@@ -214,35 +307,19 @@ func (m *Manager) spillOne(excludeStamp int) (bytes int64, ok bool) {
 
 // dropOldestHost evicts the least-recently-used host-tier block that no
 // in-flight admit needs.
-func (m *Manager) dropOldestHost(excludeStamp int) {
-	var victim *prefixBlock
-	for _, b := range m.blocks {
-		if b.state != blockHost {
-			continue
-		}
-		if excludeStamp != 0 && b.mark == excludeStamp {
-			continue
-		}
-		if victim == nil || b.lastUse < victim.lastUse {
-			victim = b
-		}
+func (m *Manager) dropOldestHost() {
+	if m.host.len() == 0 {
+		return
 	}
-	if victim != nil {
-		m.hostPages--
-		m.removeBlock(victim)
-		m.observe(obs.EvPrefixDrop, -1, m.pageBytes)
-	}
+	victim := m.host.pop()
+	m.hostPages--
+	m.removeBlock(victim)
+	m.observe(obs.EvPrefixDrop, -1, m.pageBytes)
 }
 
-// removeBlock drops a block entirely: its chain slot becomes a tombstone
-// a later admit recreates in place.
+// removeBlock drops a block that is in neither heap: its chain slot
+// becomes a tombstone a later admit recreates in place.
 func (m *Manager) removeBlock(b *prefixBlock) {
-	for i, x := range m.blocks {
-		if x == b {
-			m.blocks = append(m.blocks[:i], m.blocks[i+1:]...)
-			break
-		}
-	}
 	b.state = blockDropped
 	b.refcnt = 0
 }
@@ -252,7 +329,7 @@ func (m *Manager) removeBlock(b *prefixBlock) {
 // returns the bytes moved to host and the number of pages freed.
 func (m *Manager) SpillIdlePrefix(n int) (bytes int64, freed int) {
 	for i := 0; i < n; i++ {
-		b, ok := m.spillOne(0)
+		b, ok := m.spillOne()
 		if !ok {
 			break
 		}
@@ -263,7 +340,8 @@ func (m *Manager) SpillIdlePrefix(n int) (bytes int64, freed int) {
 }
 
 // CanAdmitWithPrefix reports whether AdmitWithPrefix would succeed,
-// counting idle prefix blocks the admit may spill to make room.
+// counting idle prefix blocks the admit may spill to make room. It
+// mutates nothing.
 func (m *Manager) CanAdmitWithPrefix(tokens int, key string, prefixLen int) bool {
 	if m.cfg.Prefix == PrefixOff {
 		return m.CanAdmit(tokens)
@@ -273,11 +351,9 @@ func (m *Manager) CanAdmitWithPrefix(tokens int, key string, prefixLen int) bool
 	if aligned > 0 {
 		g = m.groups[key]
 	}
-	m.prefixStamp++
-	stamp := m.prefixStamp
-	_, reloads, creates := m.classify(g, aligned/m.cfg.PageTokens, stamp)
+	reloads, creates, idleHits := m.classify(g, aligned/m.cfg.PageTokens)
 	need := m.pagesFor(tokens-aligned) + reloads + creates
-	return need <= m.free+m.spillable(stamp)
+	return need <= m.free+m.idle.len()-idleHits
 }
 
 // AdmitWithPrefix admits a sequence whose leading prefixLen tokens are
@@ -285,7 +361,8 @@ func (m *Manager) CanAdmitWithPrefix(tokens int, key string, prefixLen int) bool
 // chain (cache hits skip their prefill compute), and idle blocks are
 // spilled as needed to make room. With prefix caching off it behaves
 // exactly like Admit. The result prices the admit's host-link traffic
-// and tells the scheduler how many prompt tokens the cache covered.
+// and tells the scheduler how many prompt tokens the cache covered. A
+// failed admit leaves the manager unchanged.
 func (m *Manager) AdmitWithPrefix(id, tokens int, key string, prefixLen int) (PrefixAdmit, error) {
 	var res PrefixAdmit
 	if m.cfg.Prefix == PrefixOff {
@@ -308,23 +385,23 @@ func (m *Manager) AdmitWithPrefix(id, tokens int, key string, prefixLen int) (Pr
 	var g *prefixGroup
 	if nblocks > 0 {
 		g = m.groups[key]
-		if g == nil {
-			g = &prefixGroup{key: key, root: keyHash(key)}
-			m.groups[key] = g
-		}
 	}
-	m.prefixStamp++
-	stamp := m.prefixStamp
-	_, reloads, creates := m.classify(g, nblocks, stamp)
+	reloads, creates, idleHits := m.classify(g, nblocks)
 	private := tokens - aligned
 	need := m.pagesFor(private) + reloads + creates
-	if need > m.free+m.spillable(stamp) {
+	if spillable := m.idle.len() - idleHits; need > m.free+spillable {
 		return res, fmt.Errorf("kvcache: seq %d needs %d pages, only %d free (+%d spillable)",
-			id, need, m.free, m.spillable(stamp))
+			id, need, m.free, spillable)
 	}
+	if nblocks > 0 && g == nil {
+		g = &prefixGroup{key: key, root: keyHash(key)}
+		m.groups[key] = g
+	}
+	m.pull(g, nblocks)
 	for need > m.free {
-		bytes, ok := m.spillOne(stamp)
+		bytes, ok := m.spillOne()
 		if !ok {
+			m.unpull(g, nblocks)
 			return res, fmt.Errorf("kvcache: seq %d needs %d pages, only %d free", id, need, m.free)
 		}
 		if bytes > 0 {
@@ -342,14 +419,20 @@ func (m *Manager) AdmitWithPrefix(id, tokens int, key string, prefixLen int) (Pr
 			}
 			b := &prefixBlock{
 				key:   g.key,
-				index: len(g.blocks),
+				index: int32(len(g.blocks)),
 				hash:  lineageHash(parent, len(g.blocks)),
+				hidx:  -1,
 			}
 			g.blocks = append(g.blocks, b)
 		}
 	}
 
+	m.prefixStamp++
+	stamp := m.prefixStamp
 	s := &seq{id: id, tokens: private, order: m.admitted, prefixTokens: aligned}
+	if nblocks > 0 {
+		s.prefix = make([]*prefixBlock, nblocks)
+	}
 	for i := 0; i < nblocks; i++ {
 		b := g.blocks[i]
 		switch b.state {
@@ -369,12 +452,13 @@ func (m *Manager) AdmitWithPrefix(id, tokens int, key string, prefixLen int) (Pr
 			m.free--
 			m.prefixPages++
 			b.state = blockResident
-			m.blocks = append(m.blocks, b)
+			m.prefixBorn++
+			b.born = m.prefixBorn
 			res.NewTokens += m.cfg.PageTokens
 		}
 		b.refcnt++
 		b.lastUse = stamp
-		s.prefix = append(s.prefix, b)
+		s.prefix[i] = b
 	}
 	pages := m.pagesFor(private)
 	m.free -= pages
@@ -436,10 +520,12 @@ func (m *Manager) DevicePrefixCachedTokens(key string) int {
 
 // prefixInvariant recounts the prefix-block bookkeeping: per-block
 // refcounts against the sequences holding them, chain lineage hashes,
-// block residency against the page counters, and host-tier occupancy.
+// block residency against the page counters, host-tier occupancy, and
+// the idle and host heaps against the chains. It is the only walk over
+// every prefix block.
 func (m *Manager) prefixInvariant() error {
 	if m.cfg.Prefix == PrefixOff {
-		if len(m.groups) != 0 || len(m.blocks) != 0 || m.prefixPages != 0 || m.hostPages != 0 {
+		if len(m.groups) != 0 || m.idle.len() != 0 || m.host.len() != 0 || m.prefixPages != 0 || m.hostPages != 0 {
 			return fmt.Errorf("kvcache: prefix state present with prefix caching off")
 		}
 	}
@@ -456,53 +542,53 @@ func (m *Manager) prefixInvariant() error {
 		}
 	}
 	inChain := make(map[*prefixBlock]bool)
+	resident, host, idle := 0, 0, 0
 	for key, g := range m.groups {
 		if g.key != key || g.root != keyHash(key) {
 			return fmt.Errorf("kvcache: prefix group %q mislabeled", key)
 		}
 		parent := g.root
 		for i, b := range g.blocks {
-			if b.key != key || b.index != i {
+			if b.key != key || int(b.index) != i {
 				return fmt.Errorf("kvcache: block %d/%q misplaced in chain %q at %d", b.index, b.key, key, i)
 			}
 			if want := lineageHash(parent, i); b.hash != want {
 				return fmt.Errorf("kvcache: block %d/%q lineage hash %x, want %x", i, key, b.hash, want)
 			}
 			parent = b.hash
-			if b.state != blockDropped {
-				inChain[b] = true
+			inChain[b] = true
+			if b.refcnt != refs[b] {
+				return fmt.Errorf("kvcache: block %d/%q refcount %d, recount %d", b.index, b.key, b.refcnt, refs[b])
+			}
+			var h *blockHeap
+			switch b.state {
+			case blockResident:
+				resident++
+				if b.refcnt == 0 {
+					idle++
+					h = &m.idle
+				}
+			case blockHost:
+				host++
+				h = &m.host
+				if b.refcnt != 0 {
+					return fmt.Errorf("kvcache: host block %d/%q has refcount %d", b.index, b.key, b.refcnt)
+				}
+			}
+			if h == nil {
+				if b.hidx != -1 {
+					return fmt.Errorf("kvcache: block %d/%q (state %d, refcount %d) has heap index %d outside any heap",
+						b.index, b.key, b.state, b.refcnt, b.hidx)
+				}
+			} else if b.hidx < 0 || b.hidx >= h.len() || h.s[b.hidx] != b {
+				return fmt.Errorf("kvcache: block %d/%q (state %d) missing from its heap at index %d",
+					b.index, b.key, b.state, b.hidx)
 			}
 		}
-	}
-	resident, host := 0, 0
-	live := make(map[*prefixBlock]bool)
-	for _, b := range m.blocks {
-		live[b] = true
-		if !inChain[b] {
-			return fmt.Errorf("kvcache: live block %d/%q missing from its chain", b.index, b.key)
-		}
-		delete(inChain, b)
-		if b.refcnt != refs[b] {
-			return fmt.Errorf("kvcache: block %d/%q refcount %d, recount %d", b.index, b.key, b.refcnt, refs[b])
-		}
-		switch b.state {
-		case blockResident:
-			resident++
-		case blockHost:
-			host++
-			if b.refcnt != 0 {
-				return fmt.Errorf("kvcache: host block %d/%q has refcount %d", b.index, b.key, b.refcnt)
-			}
-		default:
-			return fmt.Errorf("kvcache: dropped block %d/%q in live list", b.index, b.key)
-		}
-	}
-	if len(inChain) != 0 {
-		return fmt.Errorf("kvcache: %d chain blocks missing from live list", len(inChain))
 	}
 	for b := range refs {
-		if !live[b] {
-			return fmt.Errorf("kvcache: referenced block %d/%q not live", b.index, b.key)
+		if !inChain[b] {
+			return fmt.Errorf("kvcache: referenced block %d/%q not in its chain", b.index, b.key)
 		}
 	}
 	if resident != m.prefixPages {
@@ -513,6 +599,19 @@ func (m *Manager) prefixInvariant() error {
 	}
 	if m.hostCap >= 0 && host > m.hostCap {
 		return fmt.Errorf("kvcache: host tier holds %d pages, capacity %d", host, m.hostCap)
+	}
+	// Every chain block a heap should hold sits at the slot its hidx
+	// names, so equal sizes mean the heaps hold nothing else.
+	if idle != m.idle.len() || host != m.host.len() {
+		return fmt.Errorf("kvcache: heap sizes idle=%d host=%d, recount idle=%d host=%d",
+			m.idle.len(), m.host.len(), idle, host)
+	}
+	for _, h := range []*blockHeap{&m.idle, &m.host} {
+		for i := 1; i < h.len(); i++ {
+			if b := h.s[i]; h.before(b, h.s[(i-1)/2]) {
+				return fmt.Errorf("kvcache: block heap order violated at index %d (block %d/%q)", i, b.index, b.key)
+			}
+		}
 	}
 	return nil
 }
