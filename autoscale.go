@@ -32,29 +32,14 @@ const (
 	FleetDrain
 )
 
-func (k FleetEventKind) String() string { return k.internal().String() }
+var fleetEventKinds = newEnum[FleetEventKind]("FleetEventKind", "fleet event", "", nil,
+	enumConst[workload.FleetEventKind]{"fail", nil, workload.EventFail},
+	enumConst[workload.FleetEventKind]{"scale", nil, workload.EventScale},
+	enumConst[workload.FleetEventKind]{"drain", nil, workload.EventDrain})
 
-func (k FleetEventKind) internal() workload.FleetEventKind {
-	switch k {
-	case FleetScale:
-		return workload.EventScale
-	case FleetDrain:
-		return workload.EventDrain
-	default:
-		return workload.EventFail
-	}
-}
+func (k FleetEventKind) String() string { return fleetEventKinds.str(k) }
 
-func fleetEventKindFromInternal(k workload.FleetEventKind) FleetEventKind {
-	switch k {
-	case workload.EventScale:
-		return FleetScale
-	case workload.EventDrain:
-		return FleetDrain
-	default:
-		return FleetFail
-	}
-}
+func (k FleetEventKind) internal() workload.FleetEventKind { return fleetEventKinds.internal(k) }
 
 // FleetEvent is one scheduled change to a cluster scenario's fleet.
 type FleetEvent struct {
@@ -103,7 +88,7 @@ func ParseFleetEvents(spec string) ([]FleetEvent, error) {
 	for i, ev := range events {
 		out[i] = FleetEvent{
 			At:       simtime.Duration(ev.Time).Std(),
-			Kind:     fleetEventKindFromInternal(ev.Kind),
+			Kind:     fleetEventKinds.fromInternal(ev.Kind),
 			Replica:  ev.Replica,
 			Replicas: ev.Replicas,
 			Reject:   ev.Reject,

@@ -1125,18 +1125,12 @@ func Admissions() []string { return cluster.Admissions() }
 
 // SchedPolicies lists the batch scheduling policies (canonical CLI
 // spellings).
-func SchedPolicies() []string {
-	return []string{SchedOrca.String(), SchedStatic.String(), SchedChunked.String()}
-}
+func SchedPolicies() []string { return schedPolicies.names() }
 
 // PerfModels lists the performance-model backends (canonical CLI
 // spellings).
-func PerfModels() []string {
-	return []string{PerfModelAstra.String(), PerfModelRoofline.String()}
-}
+func PerfModels() []string { return perfModels.names() }
 
 // PrefixCacheModes lists the prefix-cache modes (canonical CLI
 // spellings).
-func PrefixCacheModes() []string {
-	return []string{PrefixCacheOff.String(), PrefixCacheGPU.String(), PrefixCacheTiered.String()}
-}
+func PrefixCacheModes() []string { return prefixCacheModes.names() }

@@ -19,7 +19,10 @@
 //
 // -update appends a fresh entry (the measured minima) to the baseline
 // file instead of comparing, for refreshing the baseline after an
-// intentional performance change.
+// intentional performance change. The entry records the host it was
+// measured on: the CPU model from the bench output's "cpu:" line,
+// GOMAXPROCS from the benchmark names' -N suffix, and benchdiff's own
+// Go version.
 package main
 
 import (
@@ -27,10 +30,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 type baseline struct {
@@ -40,8 +46,17 @@ type baseline struct {
 }
 
 type entry struct {
-	Label      string                 `json:"label"`
+	Label string `json:"label"`
+	// Host is absent from entries recorded before benchdiff kept it.
+	Host       *host                  `json:"host,omitempty"`
 	Benchmarks map[string]measurement `json:"benchmarks"`
+}
+
+// host is the machine and toolchain an entry was measured on.
+type host struct {
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
 }
 
 type measurement struct {
@@ -57,10 +72,11 @@ type measurement struct {
 
 // benchLine matches e.g.
 // "BenchmarkFoo/case=1-8   3   12345 ns/op   678 B/op   9 allocs/op";
-// the -N GOMAXPROCS suffix is optional and stripped, and the B/op and
-// allocs/op columns only appear under -benchmem/ReportAllocs.
+// the -N GOMAXPROCS suffix is optional (go test omits it at
+// GOMAXPROCS=1) and stripped from the name, and the B/op and allocs/op
+// columns only appear under -benchmem/ReportAllocs.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_hotpath.json", "baseline JSON file")
@@ -72,7 +88,7 @@ func main() {
 	label := flag.String("label", "updated", "entry label used with -update")
 	flag.Parse()
 
-	measured, err := parseBench(os.Stdin)
+	measured, h, err := parseBench(os.Stdin)
 	if err != nil {
 		fatal(err)
 	}
@@ -90,7 +106,8 @@ func main() {
 	}
 
 	if *update {
-		base.Entries = append(base.Entries, entry{Label: *label, Benchmarks: measured})
+		h.GoVersion = runtime.Version()
+		base.Entries = append(base.Entries, entry{Label: *label, Host: &h, Benchmarks: measured})
 		out, err := json.MarshalIndent(&base, "", "  ")
 		if err != nil {
 			fatal(err)
@@ -163,29 +180,41 @@ func main() {
 	fmt.Println("benchdiff: no regressions")
 }
 
-// parseBench extracts per-benchmark minima from go test output.
-func parseBench(f *os.File) (map[string]measurement, error) {
+// parseBench extracts per-benchmark minima from go test output, and
+// the host's CPU model and GOMAXPROCS from the first "cpu:" line and
+// the first benchmark line.
+func parseBench(r io.Reader) (map[string]measurement, host, error) {
 	out := map[string]measurement{}
-	sc := bufio.NewScanner(f)
+	var h host
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
+		if cpu, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok && h.CPU == "" {
+			h.CPU = strings.TrimSpace(cpu)
+		}
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		if h.GOMAXPROCS == 0 {
+			h.GOMAXPROCS = 1
+			if m[2] != "" {
+				h.GOMAXPROCS, _ = strconv.Atoi(m[2])
+			}
+		}
+		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
-			return nil, fmt.Errorf("parsing %q: %w", sc.Text(), err)
+			return nil, h, fmt.Errorf("parsing %q: %w", sc.Text(), err)
 		}
 		cur := measurement{NsPerOp: ns}
-		if m[3] != "" {
-			bytes, err := strconv.ParseFloat(m[3], 64)
+		if m[4] != "" {
+			bytes, err := strconv.ParseFloat(m[4], 64)
 			if err != nil {
-				return nil, fmt.Errorf("parsing %q: %w", sc.Text(), err)
+				return nil, h, fmt.Errorf("parsing %q: %w", sc.Text(), err)
 			}
-			allocs, err := strconv.ParseFloat(m[4], 64)
+			allocs, err := strconv.ParseFloat(m[5], 64)
 			if err != nil {
-				return nil, fmt.Errorf("parsing %q: %w", sc.Text(), err)
+				return nil, h, fmt.Errorf("parsing %q: %w", sc.Text(), err)
 			}
 			cur.BytesPerOp = &bytes
 			cur.AllocsPerOp = &allocs
@@ -206,7 +235,7 @@ func parseBench(f *os.File) (map[string]measurement, error) {
 		}
 		out[m[1]] = prev
 	}
-	return out, sc.Err()
+	return out, h, sc.Err()
 }
 
 func pickEntry(b *baseline, label string) (*entry, error) {

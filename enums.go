@@ -2,6 +2,8 @@ package llmservingsim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -11,13 +13,122 @@ import (
 )
 
 // The enum types below replace the artifact's stringly-typed simulation
-// parameters (parallel, scheduling, kv_manage, pim_type). Each has a
-// Parse function accepting the artifact's CLI spellings (the empty
-// string selects the artifact default) and a String method returning the
-// canonical spelling, so round-tripping through flags and TSV output is
-// lossless. All four implement flag.Value, so they can be bound to
-// command-line flags directly with flag.Var. The zero value of every
-// enum is the artifact default, making zero-valued Config fields safe.
+// parameters (parallel, scheduling, kv_manage, pim_type) and the cluster
+// policies added since. Each has a Parse function accepting the
+// artifact's CLI spellings (the empty string selects the artifact
+// default) and a String method returning the canonical spelling, so
+// round-tripping through flags and TSV output is lossless. All
+// implement flag.Value, so they can be bound to command-line flags
+// directly with flag.Var. The zero value of every enum is the artifact
+// default, making zero-valued Config fields safe.
+//
+// Every enum is one enumTable: its constants' spellings and internal
+// values in a slice indexed by the enum value. The table is the single
+// source for parsing, printing, validation, conversion to the internal
+// packages, the listing functions and PolicyChoices.
+
+// enumConst is one constant of a table-driven enum: its canonical
+// spelling, the other spellings Parse accepts, and the internal value
+// it converts to.
+type enumConst[I comparable] struct {
+	name     string
+	aliases  []string
+	internal I
+}
+
+// enumTable drives one enum. consts is indexed by the enum value, so
+// String, valid and internal are a bounds check and a slice index;
+// consts[0] is the zero value, which the empty string selects and
+// out-of-range values convert to internally. order holds the canonical
+// spellings in the order listings, help text and parse errors give
+// them.
+type enumTable[E ~int, I comparable] struct {
+	typ, noun string
+	consts    []enumConst[I]
+	order     []string
+}
+
+// policyChoices maps each CLI policy kind (its flag name) to its enum's
+// canonical spellings; see PolicyChoices.
+var policyChoices = map[string][]string{}
+
+// newEnum builds a table. typ names the Go type (printed for
+// out-of-range values), noun names the enum in parse errors, kind is
+// the CLI flag the enum backs ("" for none), and order lists the values
+// in display order (nil: value order).
+func newEnum[E ~int, I comparable](typ, noun, kind string, order []E, consts ...enumConst[I]) *enumTable[E, I] {
+	t := &enumTable[E, I]{typ: typ, noun: noun, consts: consts}
+	if order == nil {
+		for i := range consts {
+			order = append(order, E(i))
+		}
+	}
+	for _, v := range order {
+		t.order = append(t.order, consts[v].name)
+	}
+	if kind != "" {
+		policyChoices[kind] = t.order
+	}
+	return t
+}
+
+func (t *enumTable[E, I]) parse(s string) (E, error) {
+	if s == "" {
+		return 0, nil
+	}
+	for i, c := range t.consts {
+		if c.name == s || slices.Contains(c.aliases, s) {
+			return E(i), nil
+		}
+	}
+	return 0, fmt.Errorf("llmservingsim: unknown %s %q (want %s)", t.noun, s, strings.Join(t.order, "|"))
+}
+
+func (t *enumTable[E, I]) set(p *E, s string) error {
+	v, err := t.parse(s)
+	if err == nil {
+		*p = v
+	}
+	return err
+}
+
+func (t *enumTable[E, I]) valid(v E) bool { return v >= 0 && int(v) < len(t.consts) }
+
+func (t *enumTable[E, I]) str(v E) string {
+	if !t.valid(v) {
+		return fmt.Sprintf("%s(%d)", t.typ, int(v))
+	}
+	return t.consts[v].name
+}
+
+func (t *enumTable[E, I]) internal(v E) I {
+	if !t.valid(v) {
+		v = 0
+	}
+	return t.consts[v].internal
+}
+
+// fromInternal is the inverse of internal; unknown values map to the
+// zero value.
+func (t *enumTable[E, I]) fromInternal(in I) E {
+	for i, c := range t.consts {
+		if c.internal == in {
+			return E(i)
+		}
+	}
+	return 0
+}
+
+func (t *enumTable[E, I]) names() []string { return slices.Clone(t.order) }
+
+// PolicyChoices returns the canonical spellings of the enum behind a
+// CLI policy flag ("parallel", "scheduling", "kv-manage", "pim-type",
+// "prefix-cache", "perf-model", "router", "admission", "autoscaler" or
+// "trace-detail"), in the order the flag help lists them, or nil for
+// any other kind. Router, admission and autoscaler choices are the
+// built-in policies the enums name; Routers, Admissions and Autoscalers
+// list the registries, custom registrations included.
+func PolicyChoices(kind string) []string { return slices.Clone(policyChoices[kind]) }
 
 // Parallelism selects how the model is distributed across accelerators
 // (the artifact's "parallel" parameter). The zero value is
@@ -34,58 +145,24 @@ const (
 	ParallelismPipeline
 )
 
+var parallelisms = newEnum("Parallelism", "parallelism", "parallel",
+	[]Parallelism{ParallelismTensor, ParallelismPipeline, ParallelismHybrid},
+	enumConst[network.Parallelism]{"hybrid", nil, network.Hybrid},
+	enumConst[network.Parallelism]{"tensor", nil, network.Tensor},
+	enumConst[network.Parallelism]{"pipeline", nil, network.Pipeline})
+
 // ParseParallelism converts the artifact's CLI values ("tensor",
 // "pipeline", "hybrid"; "" selects the default, hybrid).
-func ParseParallelism(s string) (Parallelism, error) {
-	switch s {
-	case "hybrid", "":
-		return ParallelismHybrid, nil
-	case "tensor":
-		return ParallelismTensor, nil
-	case "pipeline":
-		return ParallelismPipeline, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown parallelism %q (want tensor|pipeline|hybrid)", s)
-	}
-}
+func ParseParallelism(s string) (Parallelism, error) { return parallelisms.parse(s) }
 
-func (p Parallelism) String() string {
-	switch p {
-	case ParallelismHybrid:
-		return "hybrid"
-	case ParallelismTensor:
-		return "tensor"
-	case ParallelismPipeline:
-		return "pipeline"
-	default:
-		return fmt.Sprintf("Parallelism(%d)", int(p))
-	}
-}
+func (p Parallelism) String() string { return parallelisms.str(p) }
 
 // Set implements flag.Value.
-func (p *Parallelism) Set(s string) error {
-	v, err := ParseParallelism(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *Parallelism) Set(s string) error { return parallelisms.set(p, s) }
 
-func (p Parallelism) valid() bool {
-	return p >= ParallelismHybrid && p <= ParallelismPipeline
-}
+func (p Parallelism) valid() bool { return parallelisms.valid(p) }
 
-func (p Parallelism) internal() network.Parallelism {
-	switch p {
-	case ParallelismTensor:
-		return network.Tensor
-	case ParallelismPipeline:
-		return network.Pipeline
-	default:
-		return network.Hybrid
-	}
-}
+func (p Parallelism) internal() network.Parallelism { return parallelisms.internal(p) }
 
 // SchedPolicy selects the batch scheduling policy (the artifact's
 // "scheduling" parameter). The zero value is SchedOrca, the artifact
@@ -105,57 +182,24 @@ const (
 	SchedChunked
 )
 
+var schedPolicies = newEnum[SchedPolicy]("SchedPolicy", "scheduling policy", "scheduling", nil,
+	enumConst[sched.Policy]{"orca", []string{"iteration"}, sched.Orca},
+	enumConst[sched.Policy]{"static", []string{"batch"}, sched.Static},
+	enumConst[sched.Policy]{"chunked", []string{"chunk"}, sched.Chunked})
+
 // ParseSchedPolicy converts the artifact's CLI values ("orca" or
 // "iteration", "static" or "batch", plus "chunked" or "chunk"; ""
 // selects the default, orca).
-func ParseSchedPolicy(s string) (SchedPolicy, error) {
-	switch s {
-	case "orca", "iteration", "":
-		return SchedOrca, nil
-	case "static", "batch":
-		return SchedStatic, nil
-	case "chunked", "chunk":
-		return SchedChunked, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown scheduling policy %q (want orca|static|chunked)", s)
-	}
-}
+func ParseSchedPolicy(s string) (SchedPolicy, error) { return schedPolicies.parse(s) }
 
-func (p SchedPolicy) String() string {
-	switch p {
-	case SchedOrca:
-		return "orca"
-	case SchedStatic:
-		return "static"
-	case SchedChunked:
-		return "chunked"
-	default:
-		return fmt.Sprintf("SchedPolicy(%d)", int(p))
-	}
-}
+func (p SchedPolicy) String() string { return schedPolicies.str(p) }
 
 // Set implements flag.Value.
-func (p *SchedPolicy) Set(s string) error {
-	v, err := ParseSchedPolicy(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *SchedPolicy) Set(s string) error { return schedPolicies.set(p, s) }
 
-func (p SchedPolicy) valid() bool { return p >= SchedOrca && p <= SchedChunked }
+func (p SchedPolicy) valid() bool { return schedPolicies.valid(p) }
 
-func (p SchedPolicy) internal() sched.Policy {
-	switch p {
-	case SchedStatic:
-		return sched.Static
-	case SchedChunked:
-		return sched.Chunked
-	default:
-		return sched.Orca
-	}
-}
+func (p SchedPolicy) internal() sched.Policy { return schedPolicies.internal(p) }
 
 // KVPolicy selects KV-cache memory management (the artifact's
 // "kv_manage" parameter). The zero value is KVPaged, the artifact
@@ -169,48 +213,22 @@ const (
 	KVMaxLen
 )
 
+var kvPolicies = newEnum[KVPolicy]("KVPolicy", "kv policy", "kv-manage", nil,
+	enumConst[kvcache.Policy]{"vllm", []string{"paged"}, kvcache.Paged},
+	enumConst[kvcache.Policy]{"maxlen", []string{"max"}, kvcache.MaxLen})
+
 // ParseKVPolicy converts the artifact's CLI values ("vllm" or "paged",
 // "maxlen" or "max"; "" selects the default, vllm).
-func ParseKVPolicy(s string) (KVPolicy, error) {
-	switch s {
-	case "vllm", "paged", "":
-		return KVPaged, nil
-	case "maxlen", "max":
-		return KVMaxLen, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown kv policy %q (want vllm|maxlen)", s)
-	}
-}
+func ParseKVPolicy(s string) (KVPolicy, error) { return kvPolicies.parse(s) }
 
-func (p KVPolicy) String() string {
-	switch p {
-	case KVPaged:
-		return "vllm"
-	case KVMaxLen:
-		return "maxlen"
-	default:
-		return fmt.Sprintf("KVPolicy(%d)", int(p))
-	}
-}
+func (p KVPolicy) String() string { return kvPolicies.str(p) }
 
 // Set implements flag.Value.
-func (p *KVPolicy) Set(s string) error {
-	v, err := ParseKVPolicy(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *KVPolicy) Set(s string) error { return kvPolicies.set(p, s) }
 
-func (p KVPolicy) valid() bool { return p == KVPaged || p == KVMaxLen }
+func (p KVPolicy) valid() bool { return kvPolicies.valid(p) }
 
-func (p KVPolicy) internal() kvcache.Policy {
-	if p == KVMaxLen {
-		return kvcache.MaxLen
-	}
-	return kvcache.Paged
-}
+func (p KVPolicy) internal() kvcache.Policy { return kvPolicies.internal(p) }
 
 // PrefixCacheMode selects whether (and where) the KV manager caches
 // shared prompt prefixes across requests. The zero value is
@@ -232,56 +250,23 @@ const (
 	PrefixCacheTiered
 )
 
+var prefixCacheModes = newEnum[PrefixCacheMode]("PrefixCacheMode", "prefix cache mode", "prefix-cache", nil,
+	enumConst[kvcache.PrefixMode]{"off", nil, kvcache.PrefixOff},
+	enumConst[kvcache.PrefixMode]{"gpu", []string{"device"}, kvcache.PrefixDevice},
+	enumConst[kvcache.PrefixMode]{"tiered", []string{"cpu"}, kvcache.PrefixTiered})
+
 // ParsePrefixCacheMode converts CLI values ("off", "gpu" or "device",
 // "tiered" or "cpu"; "" selects the default, off).
-func ParsePrefixCacheMode(s string) (PrefixCacheMode, error) {
-	switch s {
-	case "off", "":
-		return PrefixCacheOff, nil
-	case "gpu", "device":
-		return PrefixCacheGPU, nil
-	case "tiered", "cpu":
-		return PrefixCacheTiered, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown prefix cache mode %q (want off|gpu|tiered)", s)
-	}
-}
+func ParsePrefixCacheMode(s string) (PrefixCacheMode, error) { return prefixCacheModes.parse(s) }
 
-func (m PrefixCacheMode) String() string {
-	switch m {
-	case PrefixCacheOff:
-		return "off"
-	case PrefixCacheGPU:
-		return "gpu"
-	case PrefixCacheTiered:
-		return "tiered"
-	default:
-		return fmt.Sprintf("PrefixCacheMode(%d)", int(m))
-	}
-}
+func (m PrefixCacheMode) String() string { return prefixCacheModes.str(m) }
 
 // Set implements flag.Value.
-func (m *PrefixCacheMode) Set(s string) error {
-	v, err := ParsePrefixCacheMode(s)
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
+func (m *PrefixCacheMode) Set(s string) error { return prefixCacheModes.set(m, s) }
 
-func (m PrefixCacheMode) valid() bool { return m >= PrefixCacheOff && m <= PrefixCacheTiered }
+func (m PrefixCacheMode) valid() bool { return prefixCacheModes.valid(m) }
 
-func (m PrefixCacheMode) internal() kvcache.PrefixMode {
-	switch m {
-	case PrefixCacheGPU:
-		return kvcache.PrefixDevice
-	case PrefixCacheTiered:
-		return kvcache.PrefixTiered
-	default:
-		return kvcache.PrefixOff
-	}
-}
+func (m PrefixCacheMode) internal() kvcache.PrefixMode { return prefixCacheModes.internal(m) }
 
 // PIMMode selects how PIM devices participate (the artifact's
 // "pim_type" parameter). The zero value is PIMNone.
@@ -298,56 +283,23 @@ const (
 	PIMPool
 )
 
+var pimModes = newEnum[PIMMode]("PIMMode", "pim mode", "pim-type", nil,
+	enumConst[core.PIMMode]{"none", nil, core.PIMNone},
+	enumConst[core.PIMMode]{"local", nil, core.PIMLocal},
+	enumConst[core.PIMMode]{"pool", nil, core.PIMPool})
+
 // ParsePIMMode converts the artifact's CLI values ("none", "local",
 // "pool"; "" selects the default, none).
-func ParsePIMMode(s string) (PIMMode, error) {
-	switch s {
-	case "none", "":
-		return PIMNone, nil
-	case "local":
-		return PIMLocal, nil
-	case "pool":
-		return PIMPool, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown pim mode %q (want none|local|pool)", s)
-	}
-}
+func ParsePIMMode(s string) (PIMMode, error) { return pimModes.parse(s) }
 
-func (m PIMMode) String() string {
-	switch m {
-	case PIMNone:
-		return "none"
-	case PIMLocal:
-		return "local"
-	case PIMPool:
-		return "pool"
-	default:
-		return fmt.Sprintf("PIMMode(%d)", int(m))
-	}
-}
+func (m PIMMode) String() string { return pimModes.str(m) }
 
 // Set implements flag.Value.
-func (m *PIMMode) Set(s string) error {
-	v, err := ParsePIMMode(s)
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
+func (m *PIMMode) Set(s string) error { return pimModes.set(m, s) }
 
-func (m PIMMode) valid() bool { return m >= PIMNone && m <= PIMPool }
+func (m PIMMode) valid() bool { return pimModes.valid(m) }
 
-func (m PIMMode) internal() core.PIMMode {
-	switch m {
-	case PIMLocal:
-		return core.PIMLocal
-	case PIMPool:
-		return core.PIMPool
-	default:
-		return core.PIMNone
-	}
-}
+func (m PIMMode) internal() core.PIMMode { return pimModes.internal(m) }
 
 // PerfModel selects the performance-model backend that prices each
 // simulated iteration. The zero value is PerfModelAstra, the full
@@ -367,43 +319,22 @@ const (
 	PerfModelRoofline
 )
 
+// perfModels has no internal values: the backend is built by a switch
+// on the enum (see buildOptions).
+var perfModels = newEnum[PerfModel]("PerfModel", "perf model", "perf-model", nil,
+	enumConst[struct{}]{name: "astra"},
+	enumConst[struct{}]{name: "roofline", aliases: []string{"analytical"}})
+
 // ParsePerfModel converts CLI values ("astra", "roofline" or
 // "analytical"; "" selects the default, astra).
-func ParsePerfModel(s string) (PerfModel, error) {
-	switch s {
-	case "astra", "":
-		return PerfModelAstra, nil
-	case "roofline", "analytical":
-		return PerfModelRoofline, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown perf model %q (want astra|roofline)", s)
-	}
-}
+func ParsePerfModel(s string) (PerfModel, error) { return perfModels.parse(s) }
 
-func (p PerfModel) String() string {
-	switch p {
-	case PerfModelAstra:
-		return "astra"
-	case PerfModelRoofline:
-		return "roofline"
-	default:
-		return fmt.Sprintf("PerfModel(%d)", int(p))
-	}
-}
+func (p PerfModel) String() string { return perfModels.str(p) }
 
 // Set implements flag.Value.
-func (p *PerfModel) Set(s string) error {
-	v, err := ParsePerfModel(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *PerfModel) Set(s string) error { return perfModels.set(p, s) }
 
-func (p PerfModel) valid() bool {
-	return p >= PerfModelAstra && p <= PerfModelRoofline
-}
+func (p PerfModel) valid() bool { return perfModels.valid(p) }
 
 // RouterPolicy selects how a cluster routes admitted requests across
 // replicas. The zero value is RouterRoundRobin.
@@ -425,66 +356,26 @@ const (
 	RouterPrefixAffinity
 )
 
+// routerPolicies' internal values are internal/cluster registry names.
+var routerPolicies = newEnum[RouterPolicy]("RouterPolicy", "router", "router", nil,
+	enumConst[string]{"round-robin", []string{"rr"}, cluster.RouterRoundRobin},
+	enumConst[string]{"least-loaded", []string{"least"}, cluster.RouterLeastLoad},
+	enumConst[string]{"affinity", []string{"session"}, cluster.RouterAffinity},
+	enumConst[string]{"prefix-affinity", []string{"prefix"}, cluster.RouterPrefixAffinity})
+
 // ParseRouterPolicy converts CLI values ("round-robin" or "rr",
 // "least-loaded" or "least", "affinity" or "session", "prefix-affinity"
 // or "prefix"; "" selects the default, round-robin).
-func ParseRouterPolicy(s string) (RouterPolicy, error) {
-	switch s {
-	case "round-robin", "rr", "":
-		return RouterRoundRobin, nil
-	case "least-loaded", "least":
-		return RouterLeastLoaded, nil
-	case "affinity", "session":
-		return RouterAffinity, nil
-	case "prefix-affinity", "prefix":
-		return RouterPrefixAffinity, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown router %q (want round-robin|least-loaded|affinity|prefix-affinity)", s)
-	}
-}
+func ParseRouterPolicy(s string) (RouterPolicy, error) { return routerPolicies.parse(s) }
 
-func (p RouterPolicy) String() string {
-	switch p {
-	case RouterRoundRobin:
-		return "round-robin"
-	case RouterLeastLoaded:
-		return "least-loaded"
-	case RouterAffinity:
-		return "affinity"
-	case RouterPrefixAffinity:
-		return "prefix-affinity"
-	default:
-		return fmt.Sprintf("RouterPolicy(%d)", int(p))
-	}
-}
+func (p RouterPolicy) String() string { return routerPolicies.str(p) }
 
 // Set implements flag.Value.
-func (p *RouterPolicy) Set(s string) error {
-	v, err := ParseRouterPolicy(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *RouterPolicy) Set(s string) error { return routerPolicies.set(p, s) }
 
-func (p RouterPolicy) valid() bool {
-	return p >= RouterRoundRobin && p <= RouterPrefixAffinity
-}
+func (p RouterPolicy) valid() bool { return routerPolicies.valid(p) }
 
-// internal returns the internal/cluster registry name.
-func (p RouterPolicy) internal() string {
-	switch p {
-	case RouterLeastLoaded:
-		return cluster.RouterLeastLoad
-	case RouterAffinity:
-		return cluster.RouterAffinity
-	case RouterPrefixAffinity:
-		return cluster.RouterPrefixAffinity
-	default:
-		return cluster.RouterRoundRobin
-	}
-}
+func (p RouterPolicy) internal() string { return routerPolicies.internal(p) }
 
 // AdmissionPolicy selects how a cluster gates arrivals before routing.
 // The zero value is AdmitAll.
@@ -502,60 +393,26 @@ const (
 	AdmitTokenBudget
 )
 
+// admissionPolicies' internal values are internal/cluster registry
+// names.
+var admissionPolicies = newEnum[AdmissionPolicy]("AdmissionPolicy", "admission policy", "admission", nil,
+	enumConst[string]{"all", []string{"unbounded"}, cluster.AdmitAll},
+	enumConst[string]{"queue-cap", []string{"queue"}, cluster.AdmitQueueCap},
+	enumConst[string]{"token-budget", []string{"tokens"}, cluster.AdmitTokenBudget})
+
 // ParseAdmissionPolicy converts CLI values ("all" or "unbounded",
 // "queue-cap" or "queue", "token-budget" or "tokens"; "" selects the
 // default, all).
-func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) {
-	switch s {
-	case "all", "unbounded", "":
-		return AdmitAll, nil
-	case "queue-cap", "queue":
-		return AdmitQueueCap, nil
-	case "token-budget", "tokens":
-		return AdmitTokenBudget, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown admission policy %q (want all|queue-cap|token-budget)", s)
-	}
-}
+func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) { return admissionPolicies.parse(s) }
 
-func (p AdmissionPolicy) String() string {
-	switch p {
-	case AdmitAll:
-		return "all"
-	case AdmitQueueCap:
-		return "queue-cap"
-	case AdmitTokenBudget:
-		return "token-budget"
-	default:
-		return fmt.Sprintf("AdmissionPolicy(%d)", int(p))
-	}
-}
+func (p AdmissionPolicy) String() string { return admissionPolicies.str(p) }
 
 // Set implements flag.Value.
-func (p *AdmissionPolicy) Set(s string) error {
-	v, err := ParseAdmissionPolicy(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *AdmissionPolicy) Set(s string) error { return admissionPolicies.set(p, s) }
 
-func (p AdmissionPolicy) valid() bool {
-	return p >= AdmitAll && p <= AdmitTokenBudget
-}
+func (p AdmissionPolicy) valid() bool { return admissionPolicies.valid(p) }
 
-// internal returns the internal/cluster registry name.
-func (p AdmissionPolicy) internal() string {
-	switch p {
-	case AdmitQueueCap:
-		return cluster.AdmitQueueCap
-	case AdmitTokenBudget:
-		return cluster.AdmitTokenBudget
-	default:
-		return cluster.AdmitAll
-	}
-}
+func (p AdmissionPolicy) internal() string { return admissionPolicies.internal(p) }
 
 // AutoscalePolicy selects how a cluster resizes its fleet at runtime.
 // The zero value is ScaleNone (a static fleet).
@@ -576,67 +433,27 @@ const (
 	ScaleScheduled
 )
 
+// autoscalePolicies' internal values are internal/cluster registry
+// names; ScaleNone has none.
+var autoscalePolicies = newEnum[AutoscalePolicy]("AutoscalePolicy", "autoscaler", "autoscaler", nil,
+	enumConst[string]{"none", nil, ""},
+	enumConst[string]{"queue-depth", []string{"queue"}, cluster.ScaleQueueDepth},
+	enumConst[string]{"slo-target", []string{"slo"}, cluster.ScaleSLOTarget},
+	enumConst[string]{"scheduled", nil, cluster.ScaleScheduled})
+
 // ParseAutoscalePolicy converts CLI values ("none", "queue-depth" or
 // "queue", "slo-target" or "slo", "scheduled"; "" selects the default,
 // none).
-func ParseAutoscalePolicy(s string) (AutoscalePolicy, error) {
-	switch s {
-	case "none", "":
-		return ScaleNone, nil
-	case "queue-depth", "queue":
-		return ScaleQueueDepth, nil
-	case "slo-target", "slo":
-		return ScaleSLO, nil
-	case "scheduled":
-		return ScaleScheduled, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown autoscaler %q (want none|queue-depth|slo-target|scheduled)", s)
-	}
-}
+func ParseAutoscalePolicy(s string) (AutoscalePolicy, error) { return autoscalePolicies.parse(s) }
 
-func (p AutoscalePolicy) String() string {
-	switch p {
-	case ScaleNone:
-		return "none"
-	case ScaleQueueDepth:
-		return "queue-depth"
-	case ScaleSLO:
-		return "slo-target"
-	case ScaleScheduled:
-		return "scheduled"
-	default:
-		return fmt.Sprintf("AutoscalePolicy(%d)", int(p))
-	}
-}
+func (p AutoscalePolicy) String() string { return autoscalePolicies.str(p) }
 
 // Set implements flag.Value.
-func (p *AutoscalePolicy) Set(s string) error {
-	v, err := ParseAutoscalePolicy(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *AutoscalePolicy) Set(s string) error { return autoscalePolicies.set(p, s) }
 
-func (p AutoscalePolicy) valid() bool {
-	return p >= ScaleNone && p <= ScaleScheduled
-}
+func (p AutoscalePolicy) valid() bool { return autoscalePolicies.valid(p) }
 
-// internal returns the internal/cluster registry name; ScaleNone has
-// none.
-func (p AutoscalePolicy) internal() string {
-	switch p {
-	case ScaleQueueDepth:
-		return cluster.ScaleQueueDepth
-	case ScaleSLO:
-		return cluster.ScaleSLOTarget
-	case ScaleScheduled:
-		return cluster.ScaleScheduled
-	default:
-		return ""
-	}
-}
+func (p AutoscalePolicy) internal() string { return autoscalePolicies.internal(p) }
 
 // ReplicaRole assigns a fleet entry's replicas to a serving pool in a
 // disaggregated cluster. The zero value is RoleUnified: the replica
@@ -657,56 +474,20 @@ const (
 	RoleDecode
 )
 
+var replicaRoles = newEnum[ReplicaRole]("ReplicaRole", "replica role", "", nil,
+	enumConst[cluster.Role]{"unified", nil, cluster.RoleUnified},
+	enumConst[cluster.Role]{"prefill", nil, cluster.RolePrefill},
+	enumConst[cluster.Role]{"decode", nil, cluster.RoleDecode})
+
 // ParseReplicaRole converts fleet-grammar values ("unified", "prefill",
 // "decode"; "" selects the default, unified).
-func ParseReplicaRole(s string) (ReplicaRole, error) {
-	switch s {
-	case "unified", "":
-		return RoleUnified, nil
-	case "prefill":
-		return RolePrefill, nil
-	case "decode":
-		return RoleDecode, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown replica role %q (want unified|prefill|decode)", s)
-	}
-}
+func ParseReplicaRole(s string) (ReplicaRole, error) { return replicaRoles.parse(s) }
 
-func (p ReplicaRole) String() string {
-	switch p {
-	case RoleUnified:
-		return "unified"
-	case RolePrefill:
-		return "prefill"
-	case RoleDecode:
-		return "decode"
-	default:
-		return fmt.Sprintf("ReplicaRole(%d)", int(p))
-	}
-}
+func (p ReplicaRole) String() string { return replicaRoles.str(p) }
 
 // Set implements flag.Value.
-func (p *ReplicaRole) Set(s string) error {
-	v, err := ParseReplicaRole(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *ReplicaRole) Set(s string) error { return replicaRoles.set(p, s) }
 
-func (p ReplicaRole) valid() bool {
-	return p >= RoleUnified && p <= RoleDecode
-}
+func (p ReplicaRole) valid() bool { return replicaRoles.valid(p) }
 
-// internal returns the internal/cluster role.
-func (p ReplicaRole) internal() cluster.Role {
-	switch p {
-	case RolePrefill:
-		return cluster.RolePrefill
-	case RoleDecode:
-		return cluster.RoleDecode
-	default:
-		return cluster.RoleUnified
-	}
-}
+func (p ReplicaRole) internal() cluster.Role { return replicaRoles.internal(p) }

@@ -3,139 +3,258 @@ package llmservingsim
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/kvcache"
+	"repro/internal/network"
+	"repro/internal/obs"
+	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
-// TestEnumRoundTrips: every enum value survives String -> Parse, and the
-// artifact's alias spellings parse to the same values.
-func TestEnumRoundTrips(t *testing.T) {
-	for _, p := range []Parallelism{ParallelismHybrid, ParallelismTensor, ParallelismPipeline} {
-		got, err := ParseParallelism(p.String())
-		if err != nil || got != p {
-			t.Errorf("Parallelism %v round-trip: got %v, %v", p, got, err)
+// parser adapts a ParseX function to one signature and checks on every
+// call that the type's flag.Value Set agrees with it.
+func parser[E interface {
+	comparable
+	fmt.Stringer
+}, P interface {
+	*E
+	flag.Value
+}](t *testing.T, parse func(string) (E, error)) func(string) (fmt.Stringer, error) {
+	return func(s string) (fmt.Stringer, error) {
+		t.Helper()
+		v, err := parse(s)
+		var set E
+		if serr := P(&set).Set(s); set != v || (serr == nil) != (err == nil) {
+			t.Errorf("%T Set(%q) = %v, %v; Parse = %v, %v", set, s, set, serr, v, err)
 		}
-	}
-	for _, p := range []SchedPolicy{SchedOrca, SchedStatic} {
-		got, err := ParseSchedPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("SchedPolicy %v round-trip: got %v, %v", p, got, err)
-		}
-	}
-	for _, p := range []KVPolicy{KVPaged, KVMaxLen} {
-		got, err := ParseKVPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("KVPolicy %v round-trip: got %v, %v", p, got, err)
-		}
-	}
-	for _, m := range []PIMMode{PIMNone, PIMLocal, PIMPool} {
-		got, err := ParsePIMMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("PIMMode %v round-trip: got %v, %v", m, got, err)
-		}
-	}
-
-	if v, _ := ParseSchedPolicy("iteration"); v != SchedOrca {
-		t.Errorf("alias iteration: %v", v)
-	}
-	if v, _ := ParseSchedPolicy("batch"); v != SchedStatic {
-		t.Errorf("alias batch: %v", v)
-	}
-	if v, _ := ParseKVPolicy("paged"); v != KVPaged {
-		t.Errorf("alias paged: %v", v)
-	}
-	if v, _ := ParseKVPolicy("max"); v != KVMaxLen {
-		t.Errorf("alias max: %v", v)
-	}
-	for _, p := range []PerfModel{PerfModelAstra, PerfModelRoofline} {
-		got, err := ParsePerfModel(p.String())
-		if err != nil || got != p {
-			t.Errorf("PerfModel %v round-trip: got %v, %v", p, got, err)
-		}
-	}
-	if v, _ := ParsePerfModel("analytical"); v != PerfModelRoofline {
-		t.Errorf("alias analytical: %v", v)
-	}
-	if v, _ := ParsePerfModel(""); v != PerfModelAstra {
-		t.Errorf("empty perf model default: %v", v)
-	}
-	if _, err := ParsePerfModel("magic"); err == nil {
-		t.Error("ParsePerfModel accepted garbage")
-	}
-	var pm PerfModel
-	var _ flag.Value = &pm
-	if err := pm.Set("roofline"); err != nil || pm != PerfModelRoofline {
-		t.Errorf("PerfModel.Set: %v, %v", pm, err)
+		return v, err
 	}
 }
 
-// TestClusterEnumRoundTrips covers the cluster routing and admission
-// enums: String -> Parse round-trips, aliases, empty-string defaults,
-// invalid values, and the flag.Value contract.
+// TestEnumRoundTrips: every spelling each enum accepts parses to its
+// value (through Parse and flag.Value Set alike), every value prints
+// its canonical spelling and parses back, "" selects the default, and
+// an unknown spelling is rejected with the enum's noun and want-list.
+// The spellings are written out by hand, so dropping an alias fails.
+func TestEnumRoundTrips(t *testing.T) {
+	parse := map[string]func(string) (fmt.Stringer, error){
+		"parallel":     parser(t, ParseParallelism),
+		"scheduling":   parser(t, ParseSchedPolicy),
+		"kv-manage":    parser(t, ParseKVPolicy),
+		"prefix-cache": parser(t, ParsePrefixCacheMode),
+		"pim-type":     parser(t, ParsePIMMode),
+		"perf-model":   parser(t, ParsePerfModel),
+		"router":       parser(t, ParseRouterPolicy),
+		"admission":    parser(t, ParseAdmissionPolicy),
+		"autoscaler":   parser(t, ParseAutoscalePolicy),
+		"role":         parser(t, ParseReplicaRole),
+		"trace-detail": parser(t, ParseTraceDetail),
+		// Fleet event kinds are parsed by the -fleet-events grammar.
+		"fleet-event": func(s string) (fmt.Stringer, error) {
+			evs, err := ParseFleetEvents(s + "@1:1")
+			if err != nil {
+				return nil, err
+			}
+			return evs[0].Kind, nil
+		},
+	}
+	cases := []struct {
+		kind, in string
+		want     fmt.Stringer
+	}{
+		{"parallel", "", ParallelismHybrid},
+		{"parallel", "hybrid", ParallelismHybrid},
+		{"parallel", "tensor", ParallelismTensor},
+		{"parallel", "pipeline", ParallelismPipeline},
+
+		{"scheduling", "", SchedOrca},
+		{"scheduling", "orca", SchedOrca},
+		{"scheduling", "iteration", SchedOrca},
+		{"scheduling", "static", SchedStatic},
+		{"scheduling", "batch", SchedStatic},
+		{"scheduling", "chunked", SchedChunked},
+		{"scheduling", "chunk", SchedChunked},
+
+		{"kv-manage", "", KVPaged},
+		{"kv-manage", "vllm", KVPaged},
+		{"kv-manage", "paged", KVPaged},
+		{"kv-manage", "maxlen", KVMaxLen},
+		{"kv-manage", "max", KVMaxLen},
+
+		{"prefix-cache", "", PrefixCacheOff},
+		{"prefix-cache", "off", PrefixCacheOff},
+		{"prefix-cache", "gpu", PrefixCacheGPU},
+		{"prefix-cache", "device", PrefixCacheGPU},
+		{"prefix-cache", "tiered", PrefixCacheTiered},
+		{"prefix-cache", "cpu", PrefixCacheTiered},
+
+		{"pim-type", "", PIMNone},
+		{"pim-type", "none", PIMNone},
+		{"pim-type", "local", PIMLocal},
+		{"pim-type", "pool", PIMPool},
+
+		{"perf-model", "", PerfModelAstra},
+		{"perf-model", "astra", PerfModelAstra},
+		{"perf-model", "roofline", PerfModelRoofline},
+		{"perf-model", "analytical", PerfModelRoofline},
+
+		{"router", "", RouterRoundRobin},
+		{"router", "round-robin", RouterRoundRobin},
+		{"router", "rr", RouterRoundRobin},
+		{"router", "least-loaded", RouterLeastLoaded},
+		{"router", "least", RouterLeastLoaded},
+		{"router", "affinity", RouterAffinity},
+		{"router", "session", RouterAffinity},
+		{"router", "prefix-affinity", RouterPrefixAffinity},
+		{"router", "prefix", RouterPrefixAffinity},
+
+		{"admission", "", AdmitAll},
+		{"admission", "all", AdmitAll},
+		{"admission", "unbounded", AdmitAll},
+		{"admission", "queue-cap", AdmitQueueCap},
+		{"admission", "queue", AdmitQueueCap},
+		{"admission", "token-budget", AdmitTokenBudget},
+		{"admission", "tokens", AdmitTokenBudget},
+
+		{"autoscaler", "", ScaleNone},
+		{"autoscaler", "none", ScaleNone},
+		{"autoscaler", "queue-depth", ScaleQueueDepth},
+		{"autoscaler", "queue", ScaleQueueDepth},
+		{"autoscaler", "slo-target", ScaleSLO},
+		{"autoscaler", "slo", ScaleSLO},
+		{"autoscaler", "scheduled", ScaleScheduled},
+
+		{"role", "", RoleUnified},
+		{"role", "unified", RoleUnified},
+		{"role", "prefill", RolePrefill},
+		{"role", "decode", RoleDecode},
+
+		{"trace-detail", "", TraceSpans},
+		{"trace-detail", "spans", TraceSpans},
+		{"trace-detail", "decisions", TraceDecisions},
+		{"trace-detail", "full", TraceFull},
+
+		{"fleet-event", "fail", FleetFail},
+		{"fleet-event", "scale", FleetScale},
+		{"fleet-event", "drain", FleetDrain},
+	}
+	for _, tc := range cases {
+		got, err := parse[tc.kind](tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("%s %q: got %v, %v; want %v", tc.kind, tc.in, got, err, tc.want)
+			continue
+		}
+		if back, err := parse[tc.kind](got.String()); err != nil || back != got {
+			t.Errorf("%s %v: String %q parses back to %v, %v", tc.kind, got, got.String(), back, err)
+		}
+	}
+
+	// Unknown spellings name the enum and list the canonical choices.
+	bogus := map[string]string{
+		"parallel":     "parallelism %q (want tensor|pipeline|hybrid)",
+		"scheduling":   "scheduling policy %q (want orca|static|chunked)",
+		"kv-manage":    "kv policy %q (want vllm|maxlen)",
+		"prefix-cache": "prefix cache mode %q (want off|gpu|tiered)",
+		"pim-type":     "pim mode %q (want none|local|pool)",
+		"perf-model":   "perf model %q (want astra|roofline)",
+		"router":       "router %q (want round-robin|least-loaded|affinity|prefix-affinity)",
+		"admission":    "admission policy %q (want all|queue-cap|token-budget)",
+		"autoscaler":   "autoscaler %q (want none|queue-depth|slo-target|scheduled)",
+		"role":         "replica role %q (want unified|prefill|decode)",
+		"trace-detail": "trace detail %q (want decisions|spans|full)",
+	}
+	for kind, msg := range bogus {
+		want := "llmservingsim: unknown " + fmt.Sprintf(msg, "bogus")
+		if _, err := parse[kind]("bogus"); err == nil || err.Error() != want {
+			t.Errorf("%s bogus: error %v, want %q", kind, err, want)
+		}
+		// Every canonical choice the CLI advertises is in the cases.
+		for _, name := range PolicyChoices(kind) {
+			found := false
+			for _, tc := range cases {
+				found = found || (tc.kind == kind && tc.in == name)
+			}
+			if !found {
+				t.Errorf("%s choice %q has no case", kind, name)
+			}
+		}
+	}
+	if _, err := parse["fleet-event"]("bogus"); err == nil {
+		t.Error("bogus fleet event kind accepted")
+	}
+}
+
+// TestEnumOutOfRange: an out-of-range value prints as Type(n), fails
+// valid, and converts to the zero value's internal value.
+func TestEnumOutOfRange(t *testing.T) {
+	const bad = 99
+	for _, tc := range []struct {
+		v     fmt.Stringer
+		valid bool
+		want  string
+	}{
+		{Parallelism(bad), Parallelism(bad).valid(), "Parallelism(99)"},
+		{SchedPolicy(bad), SchedPolicy(bad).valid(), "SchedPolicy(99)"},
+		{KVPolicy(bad), KVPolicy(bad).valid(), "KVPolicy(99)"},
+		{PrefixCacheMode(bad), PrefixCacheMode(bad).valid(), "PrefixCacheMode(99)"},
+		{PIMMode(-1), PIMMode(-1).valid(), "PIMMode(-1)"},
+		{PerfModel(bad), PerfModel(bad).valid(), "PerfModel(99)"},
+		{RouterPolicy(bad), RouterPolicy(bad).valid(), "RouterPolicy(99)"},
+		{AdmissionPolicy(bad), AdmissionPolicy(bad).valid(), "AdmissionPolicy(99)"},
+		{AutoscalePolicy(bad), AutoscalePolicy(bad).valid(), "AutoscalePolicy(99)"},
+		{ReplicaRole(bad), ReplicaRole(bad).valid(), "ReplicaRole(99)"},
+		{TraceDetail(bad), false, "TraceDetail(99)"},
+		{FleetEventKind(bad), false, "FleetEventKind(99)"},
+	} {
+		if tc.valid || tc.v.String() != tc.want {
+			t.Errorf("%s: valid=%v String=%q", tc.want, tc.valid, tc.v.String())
+		}
+	}
+	if Parallelism(bad).internal() != network.Hybrid ||
+		SchedPolicy(bad).internal() != sched.Orca ||
+		KVPolicy(bad).internal() != kvcache.Paged ||
+		PrefixCacheMode(bad).internal() != kvcache.PrefixOff ||
+		PIMMode(-1).internal() != core.PIMNone ||
+		RouterPolicy(bad).internal() != cluster.RouterRoundRobin ||
+		AdmissionPolicy(bad).internal() != cluster.AdmitAll ||
+		AutoscalePolicy(bad).internal() != "" ||
+		ReplicaRole(bad).internal() != cluster.RoleUnified ||
+		TraceDetail(bad).internal() != obs.DetailSpans ||
+		FleetEventKind(bad).internal() != workload.EventFail {
+		t.Error("an out-of-range value must convert to the zero value's internal value")
+	}
+	for _, k := range []FleetEventKind{FleetFail, FleetScale, FleetDrain} {
+		if got := fleetEventKinds.fromInternal(k.internal()); got != k {
+			t.Errorf("fromInternal(%v.internal()) = %v", k, got)
+		}
+	}
+}
+
+// TestEnumMethodsDoNotAllocate: String, valid and internal index the
+// table; they sit on per-request paths (TSV rows, validation).
+func TestEnumMethodsDoNotAllocate(t *testing.T) {
+	r := RouterPrefixAffinity
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = r.String()
+		_ = r.valid()
+		_ = r.internal()
+		_ = TraceFull.String()
+	})
+	if allocs != 0 {
+		t.Errorf("enum methods allocate %v times per call", allocs)
+	}
+}
+
+// TestClusterEnumRoundTrips: the cluster policy enums bind to flags
+// through flag.Value, and the registry listings are non-empty.
 func TestClusterEnumRoundTrips(t *testing.T) {
-	for _, p := range []RouterPolicy{RouterRoundRobin, RouterLeastLoaded, RouterAffinity} {
-		got, err := ParseRouterPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("RouterPolicy %v round-trip: got %v, %v", p, got, err)
-		}
-	}
-	for _, p := range []AdmissionPolicy{AdmitAll, AdmitQueueCap, AdmitTokenBudget} {
-		got, err := ParseAdmissionPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("AdmissionPolicy %v round-trip: got %v, %v", p, got, err)
-		}
-	}
-	if v, _ := ParseRouterPolicy("rr"); v != RouterRoundRobin {
-		t.Errorf("alias rr: %v", v)
-	}
-	if v, _ := ParseRouterPolicy("least"); v != RouterLeastLoaded {
-		t.Errorf("alias least: %v", v)
-	}
-	if v, _ := ParseRouterPolicy("session"); v != RouterAffinity {
-		t.Errorf("alias session: %v", v)
-	}
-	if v, _ := ParseAdmissionPolicy("unbounded"); v != AdmitAll {
-		t.Errorf("alias unbounded: %v", v)
-	}
-	if v, _ := ParseAdmissionPolicy("queue"); v != AdmitQueueCap {
-		t.Errorf("alias queue: %v", v)
-	}
-	if v, _ := ParseAdmissionPolicy("tokens"); v != AdmitTokenBudget {
-		t.Errorf("alias tokens: %v", v)
-	}
-	if v, err := ParseRouterPolicy(""); err != nil || v != RouterRoundRobin {
-		t.Errorf("empty router: %v, %v", v, err)
-	}
-	if v, err := ParseAdmissionPolicy(""); err != nil || v != AdmitAll {
-		t.Errorf("empty admission: %v, %v", v, err)
-	}
-	if _, err := ParseRouterPolicy("bogus"); err == nil {
-		t.Error("bogus router must fail")
-	}
-	if _, err := ParseAdmissionPolicy("bogus"); err == nil {
-		t.Error("bogus admission must fail")
-	}
-	for _, p := range []AutoscalePolicy{ScaleNone, ScaleQueueDepth, ScaleSLO, ScaleScheduled} {
-		got, err := ParseAutoscalePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("AutoscalePolicy %v round-trip: got %v, %v", p, got, err)
-		}
-	}
-	if v, _ := ParseAutoscalePolicy("queue"); v != ScaleQueueDepth {
-		t.Errorf("alias queue: %v", v)
-	}
-	if v, _ := ParseAutoscalePolicy("slo"); v != ScaleSLO {
-		t.Errorf("alias slo: %v", v)
-	}
-	if v, err := ParseAutoscalePolicy(""); err != nil || v != ScaleNone {
-		t.Errorf("empty autoscaler: %v, %v", v, err)
-	}
-	if _, err := ParseAutoscalePolicy("bogus"); err == nil {
-		t.Error("bogus autoscaler must fail")
-	}
 	var as AutoscalePolicy
 	asFS := flag.NewFlagSet("t", flag.ContinueOnError)
 	asFS.SetOutput(io.Discard)
@@ -165,35 +284,6 @@ func TestClusterEnumRoundTrips(t *testing.T) {
 	// The registry-facing names resolve for every enum value.
 	if Routers() == nil || Admissions() == nil {
 		t.Error("registry listings must be non-empty")
-	}
-}
-
-// TestEnumDefaultsAndErrors: the empty string selects the artifact
-// default (matching the enums' zero values), and garbage is rejected.
-func TestEnumDefaultsAndErrors(t *testing.T) {
-	if v, err := ParseParallelism(""); err != nil || v != ParallelismHybrid {
-		t.Errorf("empty parallelism: %v, %v", v, err)
-	}
-	if v, err := ParseSchedPolicy(""); err != nil || v != SchedOrca {
-		t.Errorf("empty scheduling: %v, %v", v, err)
-	}
-	if v, err := ParseKVPolicy(""); err != nil || v != KVPaged {
-		t.Errorf("empty kv: %v, %v", v, err)
-	}
-	if v, err := ParsePIMMode(""); err != nil || v != PIMNone {
-		t.Errorf("empty pim: %v, %v", v, err)
-	}
-	if _, err := ParseParallelism("nope"); err == nil {
-		t.Error("bad parallelism accepted")
-	}
-	if _, err := ParseSchedPolicy("nope"); err == nil {
-		t.Error("bad scheduling accepted")
-	}
-	if _, err := ParseKVPolicy("nope"); err == nil {
-		t.Error("bad kv accepted")
-	}
-	if _, err := ParsePIMMode("nope"); err == nil {
-		t.Error("bad pim accepted")
 	}
 }
 

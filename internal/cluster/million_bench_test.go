@@ -150,14 +150,17 @@ func BenchmarkSessionStream(b *testing.B) {
 // run at 1, 2, and 8 shards. shards=1 takes the sequential path, so
 // the spread across sub-benchmarks is the sharding overhead (epoch
 // barriers, worker wake-ups) minus whatever the parallel stepping
-// saves. On this cheap roofline run the overhead wins: the 2-vCPU
-// baseline in BENCH_hotpath.json records 279 ms at shards=1, 408 ms at
-// shards=2 and 375 ms at shards=8. cmd/benchdiff compares each
-// sub-benchmark only with its own previous value, so this guards each
-// shard count against getting slower; nothing bounds the spread
+// saves. On this cheap roofline run the overhead wins: the newest
+// 2-vCPU baseline in BENCH_hotpath.json records 350 ms at shards=1,
+// 482 ms at shards=2 and 476 ms at shards=8. cmd/benchdiff compares
+// each sub-benchmark only with its own previous value, so this guards
+// each shard count against getting slower; nothing bounds the spread
 // between shard counts. Wall-clock speedup from sharding needs a
-// multi-core host and a step-dominated backend (astra), neither of
-// which CI guarantees.
+// multi-core host and a step-dominated backend, neither of which CI
+// guarantees. The one measured case where it pays: the same 16
+// replicas on astra with 2000 requests, on the same 2-vCPU Intel Xeon
+// host, ran in 407-545 ms (median 486 ms) at shards=2 against
+// 456-1070 ms (median 695 ms) at shards=1, 8 runs each.
 func BenchmarkShardedCluster(b *testing.B) {
 	const (
 		replicas = 16

@@ -6,7 +6,6 @@
 package llmservingsim
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/obs"
@@ -28,60 +27,26 @@ const (
 	TraceFull
 )
 
+var traceDetails = newEnum("TraceDetail", "trace detail", "trace-detail",
+	[]TraceDetail{TraceDecisions, TraceSpans, TraceFull},
+	enumConst[obs.Detail]{"spans", nil, obs.DetailSpans},
+	enumConst[obs.Detail]{"decisions", nil, obs.DetailDecisions},
+	enumConst[obs.Detail]{"full", nil, obs.DetailFull})
+
 // ParseTraceDetail converts CLI values ("spans", "decisions" or
 // "full"; "" selects the default, spans).
-func ParseTraceDetail(s string) (TraceDetail, error) {
-	switch s {
-	case "spans", "":
-		return TraceSpans, nil
-	case "decisions":
-		return TraceDecisions, nil
-	case "full":
-		return TraceFull, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown trace detail %q (want decisions|spans|full)", s)
-	}
-}
+func ParseTraceDetail(s string) (TraceDetail, error) { return traceDetails.parse(s) }
 
-func (d TraceDetail) String() string {
-	switch d {
-	case TraceSpans:
-		return "spans"
-	case TraceDecisions:
-		return "decisions"
-	case TraceFull:
-		return "full"
-	default:
-		return fmt.Sprintf("TraceDetail(%d)", int(d))
-	}
-}
+func (d TraceDetail) String() string { return traceDetails.str(d) }
 
 // Set implements flag.Value.
-func (d *TraceDetail) Set(s string) error {
-	v, err := ParseTraceDetail(s)
-	if err != nil {
-		return err
-	}
-	*d = v
-	return nil
-}
+func (d *TraceDetail) Set(s string) error { return traceDetails.set(d, s) }
 
-func (d TraceDetail) internal() obs.Detail {
-	switch d {
-	case TraceDecisions:
-		return obs.DetailDecisions
-	case TraceFull:
-		return obs.DetailFull
-	default:
-		return obs.DetailSpans
-	}
-}
+func (d TraceDetail) internal() obs.Detail { return traceDetails.internal(d) }
 
 // TraceDetails lists the trace detail levels (canonical CLI
 // spellings).
-func TraceDetails() []string {
-	return []string{TraceDecisions.String(), TraceSpans.String(), TraceFull.String()}
-}
+func TraceDetails() []string { return traceDetails.names() }
 
 // TelemetryConfig sizes a Telemetry recorder. The zero value captures
 // spans with the default ring capacities.
