@@ -199,7 +199,7 @@ func parseBench(r io.Reader) (map[string]measurement, host, error) {
 		if h.GOMAXPROCS == 0 {
 			h.GOMAXPROCS = 1
 			if m[2] != "" {
-				h.GOMAXPROCS, _ = strconv.Atoi(m[2])
+				h.GOMAXPROCS, _ = strconv.Atoi(m[2]) // digits, per benchLine
 			}
 		}
 		ns, err := strconv.ParseFloat(m[3], 64)
