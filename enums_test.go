@@ -191,6 +191,33 @@ func TestEnumRoundTrips(t *testing.T) {
 	}
 }
 
+func TestEnumDefaultsAndErrors(t *testing.T) {
+	if v, err := ParseParallelism(""); err != nil || v != ParallelismHybrid {
+		t.Errorf("empty parallelism: %v, %v", v, err)
+	}
+	if v, err := ParseSchedPolicy(""); err != nil || v != SchedOrca {
+		t.Errorf("empty scheduling: %v, %v", v, err)
+	}
+	if v, err := ParseKVPolicy(""); err != nil || v != KVPaged {
+		t.Errorf("empty kv: %v, %v", v, err)
+	}
+	if v, err := ParsePIMMode(""); err != nil || v != PIMNone {
+		t.Errorf("empty pim: %v, %v", v, err)
+	}
+	if _, err := ParseParallelism("nope"); err == nil {
+		t.Error("bad parallelism accepted")
+	}
+	if _, err := ParseSchedPolicy("nope"); err == nil {
+		t.Error("bad scheduling accepted")
+	}
+	if _, err := ParseKVPolicy("nope"); err == nil {
+		t.Error("bad kv accepted")
+	}
+	if _, err := ParsePIMMode("nope"); err == nil {
+		t.Error("bad pim accepted")
+	}
+}
+
 // TestEnumOutOfRange: an out-of-range value prints as Type(n), fails
 // valid, and converts to the zero value's internal value.
 func TestEnumOutOfRange(t *testing.T) {
