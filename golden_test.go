@@ -614,3 +614,74 @@ func TestGoldenSubBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenAstraPlacement pins single-instance astra runs off the
+// 1-stage TP2 shape the other goldens use: pipeline and hybrid
+// pipeline x tensor parallelism, selective batching (request-split
+// attention), a PIM pool without sub-batches (per-request round-robin
+// over pool devices) and a single NPU. These are the graph shapes block
+// folding and the executor's time shift have to reproduce exactly.
+func TestGoldenAstraPlacement(t *testing.T) {
+	goldens := map[string]string{
+		"pipeline/pp4":   "iters=1425 finished=48 end_ps=1529356650002 evict=61 reload=61 gen_tps=3232.7318810779257 p99=1.312492610002",
+		"hybrid/tp2xpp2": "iters=1453 finished=48 end_ps=880695510000 evict=85 reload=85 gen_tps=5613.7449820767224 p99=0.64836910699999994",
+		"selective/tp2":  "iters=885 finished=48 end_ps=838790960000 evict=61 reload=61 gen_tps=5894.1980013709253 p99=0.63412599199999997",
+		"pim-pool/tp2":   "iters=955 finished=48 end_ps=386141926000 evict=46 reload=46 gen_tps=12803.582483814513 p99=0.18922289875000001",
+		"single/tp1":     "iters=810 finished=48 end_ps=1333665655000 evict=51 reload=51 gen_tps=3707.076043733015 p99=1.123771466",
+	}
+
+	cases := []struct {
+		name string
+		edit func(*sim.Config)
+	}{
+		{"pipeline/pp4", func(c *sim.Config) {
+			c.NPUs = 4
+			c.Parallelism = sim.ParallelismPipeline
+			c.NPU.MemoryBytes = 72 << 20
+		}},
+		{"hybrid/tp2xpp2", func(c *sim.Config) {
+			c.NPUs = 4
+			c.NPUGroups = 2
+			c.Parallelism = sim.ParallelismHybrid
+			c.NPU.MemoryBytes = 72 << 20
+		}},
+		{"selective/tp2", func(c *sim.Config) { c.SelectiveBatching = true }},
+		{"pim-pool/tp2", func(c *sim.Config) {
+			c.PIMType = sim.PIMPool
+			c.PIMPoolSize = 3
+		}},
+		{"single/tp1", func(c *sim.Config) {
+			c.NPUs = 1
+			c.NPU.MemoryBytes = 330 << 20
+		}},
+	}
+	trace := goldenTrace(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := goldenConfig(sim.SchedOrca, sim.KVPaged)
+			tc.edit(&cfg)
+			s, err := sim.NewFromConfig(cfg, trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("iters=%d finished=%d end_ps=%d evict=%d reload=%d gen_tps=%s p99=%s",
+				rep.Iterations, rep.Latency.Count, int64(rep.SimEndSec*1e12+0.5),
+				rep.KV.Evictions, rep.KV.Reloads, g17(rep.GenTPS), g17(rep.Latency.P99Sec))
+			if os.Getenv("GOLDEN_PRINT") != "" {
+				t.Logf("golden: %q: %q,", tc.name, got)
+				return
+			}
+			want, ok := goldens[tc.name]
+			if !ok {
+				t.Fatalf("no golden pinned for %s; run with GOLDEN_PRINT=1", tc.name)
+			}
+			if got != want {
+				t.Errorf("behaviour drifted from pinned golden\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
