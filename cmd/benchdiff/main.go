@@ -22,7 +22,10 @@
 // intentional performance change. The entry records the host it was
 // measured on: the CPU model from the bench output's "cpu:" line,
 // GOMAXPROCS from the benchmark names' -N suffix, and benchdiff's own
-// Go version.
+// Go version. Machine-stable metrics cannot drift silently: -update
+// refuses an entry whose allocs/op or B/op exceed the newest entry's
+// beyond tolerance, unless -accept-regression gives the reason, which
+// the entry then records.
 package main
 
 import (
@@ -48,8 +51,11 @@ type baseline struct {
 type entry struct {
 	Label string `json:"label"`
 	// Host is absent from entries recorded before benchdiff kept it.
-	Host       *host                  `json:"host,omitempty"`
-	Benchmarks map[string]measurement `json:"benchmarks"`
+	Host *host `json:"host,omitempty"`
+	// AcceptedRegression is the reason an -update accepted allocs/op or
+	// B/op growth over the previous entry.
+	AcceptedRegression string                 `json:"accepted_regression,omitempty"`
+	Benchmarks         map[string]measurement `json:"benchmarks"`
 }
 
 // host is the machine and toolchain an entry was measured on.
@@ -79,105 +85,163 @@ var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_hotpath.json", "baseline JSON file")
-	entryLabel := flag.String("entry", "", "baseline entry label to compare against (default: newest)")
-	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional ns/op slowdown before failing")
-	allocTolerance := flag.Float64("alloc-tolerance", 0.20, "allowed fractional allocs/op growth before failing")
-	byteTolerance := flag.Float64("byte-tolerance", 0.20, "allowed fractional B/op growth before failing")
-	update := flag.Bool("update", false, "append measured results as a new baseline entry instead of comparing")
-	label := flag.String("label", "updated", "entry label used with -update")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		os.Exit(1)
+	}
+}
 
-	measured, h, err := parseBench(os.Stdin)
+// tolerances are the allowed fractional growths per metric.
+type tolerances struct{ ns, allocs, bytes float64 }
+
+// run is the command: it reads benchmark output from stdin and compares
+// it with, or appends it to, the baseline file.
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	baselinePath := fs.String("baseline", "BENCH_hotpath.json", "baseline JSON file")
+	entryLabel := fs.String("entry", "", "baseline entry label to compare against (default: newest)")
+	var tol tolerances
+	fs.Float64Var(&tol.ns, "tolerance", 0.20, "allowed fractional ns/op slowdown before failing")
+	fs.Float64Var(&tol.allocs, "alloc-tolerance", 0.20, "allowed fractional allocs/op growth before failing")
+	fs.Float64Var(&tol.bytes, "byte-tolerance", 0.20, "allowed fractional B/op growth before failing")
+	update := fs.Bool("update", false, "append measured results as a new baseline entry instead of comparing")
+	label := fs.String("label", "updated", "entry label used with -update")
+	accept := fs.String("accept-regression", "", "with -update, the reason to record allocs/op or B/op growth over the newest entry instead of refusing it")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *accept != "" && !*update {
+		return fmt.Errorf("-accept-regression only applies to -update")
+	}
+
+	measured, h, err := parseBench(stdin)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(measured) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found on stdin"))
+		return fmt.Errorf("no benchmark lines found on stdin")
 	}
 
 	raw, err := os.ReadFile(*baselinePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var base baseline
 	if err := json.Unmarshal(raw, &base); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", *baselinePath, err))
+		return fmt.Errorf("parsing %s: %w", *baselinePath, err)
 	}
 
 	if *update {
+		if len(base.Entries) > 0 {
+			newest := &base.Entries[len(base.Entries)-1]
+			var grew []string
+			for _, name := range sortedNames(newest.Benchmarks) {
+				if got, ok := measured[name]; ok {
+					if r := memoryRegression(newest.Benchmarks[name], got, tol); r != "" {
+						grew = append(grew, name+" "+r)
+					}
+				}
+			}
+			if len(grew) > 0 && *accept == "" {
+				return fmt.Errorf("refusing -update: %d benchmark(s) grew beyond tolerance over %q (pass -accept-regression \"<reason>\" to record them):\n  %s",
+					len(grew), newest.Label, strings.Join(grew, "\n  "))
+			}
+			if len(grew) == 0 && *accept != "" {
+				fmt.Fprintln(stdout, "benchdiff: nothing grew beyond tolerance; -accept-regression not recorded")
+				*accept = ""
+			}
+		}
 		h.GoVersion = runtime.Version()
-		base.Entries = append(base.Entries, entry{Label: *label, Host: &h, Benchmarks: measured})
+		base.Entries = append(base.Entries, entry{Label: *label, Host: &h, AcceptedRegression: *accept, Benchmarks: measured})
 		out, err := json.MarshalIndent(&base, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := os.WriteFile(*baselinePath, append(out, '\n'), 0o644); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("benchdiff: appended entry %q (%d benchmarks) to %s\n", *label, len(measured), *baselinePath)
-		return
+		fmt.Fprintf(stdout, "benchdiff: appended entry %q (%d benchmarks) to %s\n", *label, len(measured), *baselinePath)
+		return nil
 	}
 
 	ref, err := pickEntry(&base, *entryLabel)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	names := make([]string, 0, len(ref.Benchmarks))
-	for name := range ref.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	fmt.Printf("benchdiff: comparing against %q (ns/op %+.0f%%, allocs/op %+.0f%%, B/op %+.0f%%)\n",
-		ref.Label, *tolerance*100, *allocTolerance*100, *byteTolerance*100)
+	fmt.Fprintf(stdout, "benchdiff: comparing against %q (ns/op %+.0f%%, allocs/op %+.0f%%, B/op %+.0f%%)\n",
+		ref.Label, tol.ns*100, tol.allocs*100, tol.bytes*100)
 	failed, missing := 0, 0
-	for _, name := range names {
+	for _, name := range sortedNames(ref.Benchmarks) {
 		want := ref.Benchmarks[name]
 		got, ok := measured[name]
 		if !ok {
-			fmt.Printf("  MISSING  %-55s (in baseline, not measured)\n", name)
+			fmt.Fprintf(stdout, "  MISSING  %-55s (in baseline, not measured)\n", name)
 			missing++
 			continue
 		}
 		status := "ok"
 		nsRatio := got.NsPerOp / want.NsPerOp
-		if nsRatio > 1+*tolerance {
+		if nsRatio > 1+tol.ns {
 			status = "TIME-REGRESSION"
 			failed++
 		}
-		wantAllocs, gotAllocs := 0.0, 0.0
-		if want.AllocsPerOp != nil && got.AllocsPerOp != nil {
-			wantAllocs, gotAllocs = *want.AllocsPerOp, *got.AllocsPerOp
-			// The small absolute slack keeps near-zero baselines from
-			// failing on measurement jitter while still gating a
-			// regression away from an allocation-free steady state.
-			if gotAllocs > wantAllocs*(1+*allocTolerance)+16 {
-				status = "ALLOC-REGRESSION"
-				failed++
-			}
+		if r := memoryRegression(want, got, tol); r != "" {
+			status = r
+			failed++
 		}
-		wantBytes, gotBytes := 0.0, 0.0
-		if want.BytesPerOp != nil && got.BytesPerOp != nil {
-			wantBytes, gotBytes = *want.BytesPerOp, *got.BytesPerOp
-			// Wider absolute slack than allocs: a single extra slice
-			// header or map bucket is tens-to-thousands of bytes.
-			if gotBytes > wantBytes*(1+*byteTolerance)+4096 {
-				status = "BYTE-REGRESSION"
-				failed++
-			}
-		}
-		fmt.Printf("  %-16s %-55s %14.0f -> %14.0f ns/op (%+.1f%%)  %10.0f -> %10.0f allocs/op  %12.0f -> %12.0f B/op\n",
-			status, name, want.NsPerOp, got.NsPerOp, (nsRatio-1)*100, wantAllocs, gotAllocs, wantBytes, gotBytes)
+		fmt.Fprintf(stdout, "  %-16s %-55s %14.0f -> %14.0f ns/op (%+.1f%%)  %10.0f -> %10.0f allocs/op  %12.0f -> %12.0f B/op\n",
+			status, name, want.NsPerOp, got.NsPerOp, (nsRatio-1)*100,
+			deref(want.AllocsPerOp, got.AllocsPerOp), deref(got.AllocsPerOp, want.AllocsPerOp),
+			deref(want.BytesPerOp, got.BytesPerOp), deref(got.BytesPerOp, want.BytesPerOp))
 	}
 	if missing > 0 {
-		fatal(fmt.Errorf("%d baseline benchmark(s) were not measured — run the full bench command", missing))
+		return fmt.Errorf("%d baseline benchmark(s) were not measured — run the full bench command", missing)
 	}
 	if failed > 0 {
-		fatal(fmt.Errorf("%d benchmark metric(s) regressed beyond tolerance", failed))
+		return fmt.Errorf("%d benchmark metric(s) regressed beyond tolerance", failed)
 	}
-	fmt.Println("benchdiff: no regressions")
+	fmt.Fprintln(stdout, "benchdiff: no regressions")
+	return nil
+}
+
+// memoryRegression reports "ALLOC-REGRESSION" or "BYTE-REGRESSION"
+// when got's allocs/op or B/op exceed want's beyond tolerance, and ""
+// otherwise (including when either side has no memory data).
+func memoryRegression(want, got measurement, tol tolerances) string {
+	// The small absolute slack keeps near-zero baselines from failing on
+	// measurement jitter while still gating a regression away from an
+	// allocation-free steady state.
+	if want.AllocsPerOp != nil && got.AllocsPerOp != nil &&
+		*got.AllocsPerOp > *want.AllocsPerOp*(1+tol.allocs)+16 {
+		return "ALLOC-REGRESSION"
+	}
+	// Wider absolute slack than allocs: a single extra slice header or
+	// map bucket is tens-to-thousands of bytes.
+	if want.BytesPerOp != nil && got.BytesPerOp != nil &&
+		*got.BytesPerOp > *want.BytesPerOp*(1+tol.bytes)+4096 {
+		return "BYTE-REGRESSION"
+	}
+	return ""
+}
+
+// deref returns *p when both p and other are set, else 0: a metric is
+// printed only when both sides of the comparison have it.
+func deref(p, other *float64) float64 {
+	if p == nil || other == nil {
+		return 0
+	}
+	return *p
+}
+
+// sortedNames returns the benchmark names of an entry in order.
+func sortedNames(m map[string]measurement) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // parseBench extracts per-benchmark minima from go test output, and
@@ -251,9 +315,4 @@ func pickEntry(b *baseline, label string) (*entry, error) {
 		}
 	}
 	return nil, fmt.Errorf("baseline entry %q not found", label)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
 }

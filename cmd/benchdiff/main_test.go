@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,5 +42,99 @@ cpu: some other line
 	// go test omits the suffix at GOMAXPROCS=1.
 	if _, h, err := parseBench(strings.NewReader("BenchmarkFoo    10    5 ns/op\n")); err != nil || h.GOMAXPROCS != 1 || h.CPU != "" {
 		t.Errorf("no suffix: %+v, %v", h, err)
+	}
+}
+
+// writeBaseline writes a one-entry baseline whose benchmark recorded
+// 100 allocs/op and 100000 B/op, and returns its path.
+func writeBaseline(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bench.json")
+	const base = `{"entries": [{"label": "before", "benchmarks": {"BenchmarkFoo": {"ns_per_op": 1000, "allocs_per_op": 100, "bytes_per_op": 100000}}}]}`
+	if err := os.WriteFile(path, []byte(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func readBaseline(t *testing.T, path string) baseline {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b baseline
+	if err := json.Unmarshal(raw, &b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestUpdateRefusesMemoryRegression: -update will not append an entry
+// whose B/op or allocs/op grew beyond tolerance over the newest entry
+// unless -accept-regression gives a reason, which the entry records.
+func TestUpdateRefusesMemoryRegression(t *testing.T) {
+	for _, tc := range []struct {
+		name, line string
+	}{
+		{"bytes", "BenchmarkFoo-2    1    900 ns/op    200000 B/op    100 allocs/op\n"},
+		{"allocs", "BenchmarkFoo-2    1    900 ns/op    100000 B/op    200 allocs/op\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := writeBaseline(t)
+			var out bytes.Buffer
+			err := run([]string{"-baseline", path, "-update", "-label", "after"}, strings.NewReader(tc.line), &out)
+			if err == nil || !strings.Contains(err.Error(), "BenchmarkFoo") || !strings.Contains(err.Error(), "-accept-regression") {
+				t.Fatalf("update over a regression: err %v", err)
+			}
+			if n := len(readBaseline(t, path).Entries); n != 1 {
+				t.Fatalf("refused update still wrote the file: %d entries", n)
+			}
+
+			const reason = "cache entries carry their shape key"
+			err = run([]string{"-baseline", path, "-update", "-label", "after", "-accept-regression", reason}, strings.NewReader(tc.line), &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := readBaseline(t, path)
+			if len(b.Entries) != 2 || b.Entries[1].Label != "after" || b.Entries[1].AcceptedRegression != reason {
+				t.Fatalf("accepted update: %+v", b.Entries)
+			}
+		})
+	}
+}
+
+// TestUpdateWithinTolerance: growth inside tolerance, and improvement,
+// append without a reason; a reason given needlessly is not recorded.
+func TestUpdateWithinTolerance(t *testing.T) {
+	path := writeBaseline(t)
+	var out bytes.Buffer
+	in := "BenchmarkFoo-2    1    5000 ns/op    110000 B/op    90 allocs/op\n"
+	if err := run([]string{"-baseline", path, "-update"}, strings.NewReader(in), &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-baseline", path, "-update", "-accept-regression", "unneeded"}, strings.NewReader(in), &out); err != nil {
+		t.Fatal(err)
+	}
+	b := readBaseline(t, path)
+	if len(b.Entries) != 3 || b.Entries[1].AcceptedRegression != "" || b.Entries[2].AcceptedRegression != "" {
+		t.Fatalf("entries %+v", b.Entries)
+	}
+	if err := run([]string{"-baseline", path, "-accept-regression", "x"}, strings.NewReader(in), &out); err == nil {
+		t.Fatal("-accept-regression without -update must be rejected")
+	}
+}
+
+// TestCompare: the comparison mode passes within tolerance and fails on
+// a memory regression.
+func TestCompare(t *testing.T) {
+	path := writeBaseline(t)
+	var out bytes.Buffer
+	if err := run([]string{"-baseline", path}, strings.NewReader("BenchmarkFoo    1    1100 ns/op    100000 B/op    100 allocs/op\n"), &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	err := run([]string{"-baseline", path}, strings.NewReader("BenchmarkFoo    1    1100 ns/op    100000 B/op    200 allocs/op\n"), &out)
+	if err == nil || !strings.Contains(out.String(), "ALLOC-REGRESSION") {
+		t.Fatalf("alloc regression not reported: %v\n%s", err, out.String())
 	}
 }

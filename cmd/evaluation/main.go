@@ -308,21 +308,24 @@ func eval4() error {
 		return err
 	}
 
-	rows := "strategy\treuse\tscheduler_ms\tengine_ms\tconverter_ms\tastra_ms\ttotal_ms\n"
+	rows := "strategy\treuse\tscheduler_ms\tengine_ms\tconverter_ms\tastra_ms\ttotal_ms\tblocks_simulated\tblocks_shifted\n"
 	i := 0
 	for _, s := range strategies {
 		for _, reuse := range []bool{false, true} {
-			h := rep.Results[i].Report.SimTime
+			r := rep.Results[i].Report
+			h := r.SimTime
 			i++
 			label := "w/o"
 			if reuse {
 				label = "w/"
 			}
-			rows += fmt.Sprintf("TP%d PP%d\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n",
+			rows += fmt.Sprintf("TP%d PP%d\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d\n",
 				s.tp, s.pp, label, ms(h.Scheduler), ms(h.ExecutionEngine),
-				ms(h.GraphConverter), ms(h.AstraSim), ms(h.Total))
-			fmt.Printf("TP%-3d PP%-3d %-4s engine %7.0fms  convert %6.0fms  astra %6.0fms  total %7.0fms\n",
-				s.tp, s.pp, label, ms(h.ExecutionEngine), ms(h.GraphConverter), ms(h.AstraSim), ms(h.Total))
+				ms(h.GraphConverter), ms(h.AstraSim), ms(h.Total),
+				r.BlocksSimulated, r.BlocksShifted)
+			fmt.Printf("TP%-3d PP%-3d %-4s engine %7.0fms  convert %6.0fms  astra %6.0fms  total %7.0fms  blocks %d simulated, %d shifted\n",
+				s.tp, s.pp, label, ms(h.ExecutionEngine), ms(h.GraphConverter), ms(h.AstraSim), ms(h.Total),
+				r.BlocksSimulated, r.BlocksShifted)
 		}
 	}
 	return writeString("eval4-simulation-time.tsv", rows)

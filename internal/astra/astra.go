@@ -7,6 +7,18 @@
 // at a time. Among ready nodes the engine dispatches the one with the
 // earliest feasible start, so independent work overlaps across devices and
 // communication overlaps compute exactly as in ASTRA-sim's queue model.
+//
+// A graph may store a pipeline stage's identical decoder blocks once, as
+// a repeat span (graph.Span). The executor runs such a span block by
+// block and compares the state at each block boundary — every template
+// resource's free time and the exit's end, taken relative to the
+// boundary — with the previous boundary's. Once two match, the schedule
+// has reached its steady state: every remaining block is the last one
+// shifted by the same period, so the executor adds (remaining x period)
+// instead of simulating them. Makespan, ComputeTime, CommTime and Busy
+// equal those of the unrolled graph exactly (Executor.Execute gives the
+// argument). Blocks run in full when the state never repeats or another
+// node is ready at a boundary.
 package astra
 
 import (
@@ -24,11 +36,18 @@ type NodeTiming struct {
 // Result is the outcome of executing a graph.
 type Result struct {
 	Makespan simtime.Duration
-	Timings  []NodeTiming // indexed by node ID
+	// Timings is indexed by node ID; a repeat span's template nodes hold
+	// their last repetition's timing.
+	Timings []NodeTiming
 
 	// ComputeTime and CommTime aggregate node durations by class.
 	ComputeTime simtime.Duration
 	CommTime    simtime.Duration
+
+	// BlocksRun counts repeat-span repetitions executed node by node,
+	// and BlocksShifted those advanced by the steady-state time shift.
+	// Both are zero for an unrolled graph.
+	BlocksRun, BlocksShifted int
 
 	// busy and used hold each resource's busy time and whether any node
 	// ran on it, indexed class-major (int(Class)*devices + Device).
@@ -131,6 +150,31 @@ type Executor struct {
 	done    []bool
 	heap    candidateHeap
 	timings []NodeTiming
+
+	// Repeat-span state (see Execute): per-node repetition metadata,
+	// per-span progress, each template's resources, and the boundary
+	// snapshots the steady-state test compares.
+	reindeg  []int   // a template node's dependency count in repetitions after the first
+	entryDep []bool  // template node waits on the block's entry
+	exitOf   []int32 // 1 + the span whose exit the node is, else 0
+	spans    []spanState
+	spanRes  []int
+	snap     []simtime.Duration
+	mark     []bool
+}
+
+// spanState tracks one repeat span while its repetitions execute.
+type spanState struct {
+	rep    int // repetition currently executing
+	lo, hi int // the template's resources: Executor.spanRes[lo:hi]
+
+	// The previous block boundary, when no other node was ready there:
+	// its exit's end, the compute and communication totals, and per
+	// template resource the relative free time (Executor.snap[2lo:][:n])
+	// and busy time (Executor.snap[2lo+n:][:n]), n = hi-lo.
+	have                  bool
+	prevT                 simtime.Time
+	prevCompute, prevComm simtime.Duration
 }
 
 // Execute runs the graph to completion and returns the schedule. The
@@ -138,6 +182,26 @@ type Executor struct {
 // and per-resource state in a dense slice keyed by (class, device). The
 // returned Result's Timings alias executor-owned storage, valid until
 // the next Execute call, and so do its busy times.
+//
+// # Repeat spans
+//
+// A span's template runs once per repetition on the template's own node
+// state, which is sound because repetition r+1 waits only on r's exit
+// and r's exit waits on every node of r: the repetitions never overlap.
+// Each exit is a block boundary. At a boundary where no node outside the
+// span is ready, the future of the span depends only on the state
+// relative to the boundary time T: each template resource's free time
+// minus T, clamped at zero (every later node is ready no earlier than
+// T, so an earlier free time cannot delay it). Dispatch order among the
+// template's nodes depends only on relative times and node IDs, which
+// every repetition shares. So when two consecutive boundaries have equal
+// relative states, the next repetition repeats the last one shifted by
+// the period P between them, and so does every one after: the executor
+// adds (remaining x P) to the template timings, resource free times and
+// exit time, and (remaining x the last repetition's increments) to busy,
+// compute and communication times. In integer picoseconds this is the
+// unrolled graph's schedule exactly. If another node is ready at a
+// boundary, or the state never repeats, every repetition runs.
 func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	if err := g.Validate(); err != nil {
 		return Result{}, err
@@ -193,6 +257,7 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	}
 
 	readyAt := growZero(&e.readyAt, n) // max end time of dependencies
+	exitOf := e.prepareSpans(g, ridx, nRes)
 
 	feasible := func(id int) simtime.Time {
 		t := readyAt[id]
@@ -247,6 +312,33 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 		if d := end.Sub(0); d > res.Makespan {
 			res.Makespan = d
 		}
+		if k := exitOf[c.node]; k > 0 {
+			sp, st := g.Spans[k-1], &e.spans[k-1]
+			res.BlocksRun++
+			if st.rep < sp.Count-1 {
+				if shifted, ok := e.boundary(sp, st, &res, end); ok {
+					end = shifted
+				} else {
+					// Start the next repetition on the template's node
+					// state; its entry is the exit that just ran.
+					st.rep++
+					scheduled -= sp.Len
+					for id := sp.First; id <= sp.Exit(); id++ {
+						indeg[id], readyAt[id], done[id] = e.reindeg[id], 0, false
+					}
+					for id := sp.First; id <= sp.Exit(); id++ {
+						if !e.entryDep[id] {
+							continue
+						}
+						readyAt[id] = end
+						if indeg[id]--; indeg[id] == 0 {
+							h.push(candidate{node: id, start: feasible(id)})
+						}
+					}
+					continue
+				}
+			}
+		}
 		for _, s := range succBuf[succOff[c.node]:succOff[c.node+1]] {
 			if readyAt[s] < end {
 				readyAt[s] = end
@@ -262,6 +354,102 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	}
 	res.busy, res.used, res.devices = resBusy, resUsed, stride
 	return res, nil
+}
+
+// prepareSpans sets up the repeat-span metadata of g and returns the
+// per-node exit marks (all zero for an unrolled graph).
+func (e *Executor) prepareSpans(g *graph.Graph, ridx func(graph.Resource) int, nRes int) []int32 {
+	n := len(g.Nodes)
+	exitOf := growZero(&e.exitOf, n)
+	if len(g.Spans) == 0 {
+		return exitOf
+	}
+	reindeg := growZero(&e.reindeg, n)
+	entryDep := growZero(&e.entryDep, n)
+	mark := growZero(&e.mark, nRes)
+	spans := growZero(&e.spans, len(g.Spans))
+	e.spanRes = e.spanRes[:0]
+	for k, sp := range g.Spans {
+		exitOf[sp.Exit()] = int32(k + 1)
+		st := &spans[k]
+		st.lo = len(e.spanRes)
+		for id := sp.First; id <= sp.Exit(); id++ {
+			node := g.Nodes[id]
+			for _, d := range node.Deps {
+				if d < sp.First {
+					entryDep[id] = true
+				} else {
+					reindeg[id]++
+				}
+			}
+			if entryDep[id] {
+				// All entry dependencies become the previous exit.
+				reindeg[id]++
+			}
+			for _, r := range node.Resources {
+				if i := ridx(r); !mark[i] {
+					mark[i] = true
+					e.spanRes = append(e.spanRes, i)
+				}
+			}
+		}
+		st.hi = len(e.spanRes)
+		for _, i := range e.spanRes[st.lo:st.hi] {
+			mark[i] = false
+		}
+	}
+	growZero(&e.snap, 2*len(e.spanRes))
+	return exitOf
+}
+
+// boundary runs at the exit of a span repetition that is not the last.
+// It records the boundary state, and when the state repeats the previous
+// boundary's it time-shifts the span to its last repetition: it returns
+// the last exit's end and true. See Execute for why the shift is exact.
+func (e *Executor) boundary(sp graph.Span, st *spanState, res *Result, end simtime.Time) (simtime.Time, bool) {
+	if len(e.heap) > 0 {
+		// Another node is ready: the next repetition is not isolated.
+		st.have = false
+		return end, false
+	}
+	resIdx := e.spanRes[st.lo:st.hi]
+	nr := len(resIdx)
+	rel, busy := e.snap[2*st.lo:][:nr], e.snap[2*st.lo+nr:][:nr]
+	same := st.have
+	for i, r := range resIdx {
+		d := max(e.resFree[r].Sub(end), 0)
+		same = same && d == rel[i]
+		rel[i] = d
+	}
+	if !same {
+		for i, r := range resIdx {
+			busy[i] = e.resBusy[r]
+		}
+		st.have, st.prevT = true, end
+		st.prevCompute, st.prevComm = res.ComputeTime, res.CommTime
+		return end, false
+	}
+
+	// Repetitions rep+1 .. Count-1 each repeat repetition rep, shifted.
+	m := simtime.Duration(sp.Count - 1 - st.rep)
+	shift := m * end.Sub(st.prevT)
+	for id := sp.First; id <= sp.Exit(); id++ {
+		t := &res.Timings[id]
+		t.Start, t.End = t.Start.Add(shift), t.End.Add(shift)
+	}
+	for i, r := range resIdx {
+		e.resFree[r] = e.resFree[r].Add(shift)
+		e.resBusy[r] += m * (e.resBusy[r] - busy[i])
+	}
+	res.ComputeTime += m * (res.ComputeTime - st.prevCompute)
+	res.CommTime += m * (res.CommTime - st.prevComm)
+	res.BlocksShifted += int(m)
+	st.rep = sp.Count - 1
+	end = end.Add(shift)
+	if d := end.Sub(0); d > res.Makespan {
+		res.Makespan = d
+	}
+	return end, true
 }
 
 // Execute runs the graph on a throwaway Executor. Hot loops should hold
@@ -284,7 +472,10 @@ func growZero[T any](buf *[]T, n int) []T {
 }
 
 // CriticalPath returns the node IDs of one longest finish-time chain, for
-// diagnosing what bounds an iteration.
+// diagnosing what bounds an iteration. On a graph with repeat spans the
+// walk skips the folded repetitions (a template's entry dependencies
+// lead back to the block before the first one), so diagnose an unrolled
+// graph for a complete path.
 func CriticalPath(g *graph.Graph, r Result) []int {
 	if len(g.Nodes) == 0 || len(r.Timings) != len(g.Nodes) {
 		return nil

@@ -1,0 +1,209 @@
+package astra
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/graph"
+	"repro/internal/network"
+	"repro/internal/simtime"
+)
+
+// randomParams draws one iteration's conversion inputs: topology,
+// layer count, attention placement, block durations and KV paging
+// transfers, including paging on later-stage devices, which stays
+// pending while earlier stages run their blocks.
+func randomParams(t *testing.T, rng *rand.Rand) graph.Params {
+	t.Helper()
+	mode := network.Parallelism(rng.Intn(3))
+	npus, groups := 1+rng.Intn(4), 1
+	if mode == network.Hybrid {
+		groups = 1 + rng.Intn(2)
+		npus = groups * (1 + rng.Intn(2))
+	}
+	topo, err := network.Build(mode, npus, groups, config.DefaultLink(), config.DefaultLink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dur := func(max int) simtime.Duration { return simtime.Duration(1+rng.Intn(max)) * simtime.Microsecond }
+	p := graph.Params{
+		Topo:            topo,
+		Layers:          1 + rng.Intn(12),
+		EmbedDur:        dur(20),
+		HeadDur:         dur(40),
+		ActBytes:        int64(1+rng.Intn(64)) << 14,
+		HeadGatherBytes: int64(rng.Intn(4)) << 12,
+		Placement:       graph.AttentionPlacement(rng.Intn(3)),
+		Block:           graph.BlockWork{Pre: dur(50), Post: dur(80)},
+		ReqBytes:        map[int]int64{},
+	}
+	if p.Placement == graph.PIMPool {
+		p.Topo.PIMPool = 1 + rng.Intn(3)
+	}
+	if rng.Intn(4) == 0 {
+		p.Block.Monolithic = dur(300)
+	} else {
+		p.Block.Attn, p.Block.PIMAttn = map[int]simtime.Duration{}, map[int]simtime.Duration{}
+		for r := range 1 + rng.Intn(6) {
+			id := 3*r + rng.Intn(3)
+			p.Block.Attn[id] = dur(60)
+			p.Block.PIMAttn[id] = dur(90)
+			p.ReqBytes[id] = int64(1+rng.Intn(16)) << 12
+		}
+	}
+	for range rng.Intn(5) {
+		p.MemOps = append(p.MemOps, graph.MemOp{
+			Device: rng.Intn(topo.NPUNodes()),
+			Bytes:  int64(1+rng.Intn(256)) << 16,
+			Load:   rng.Intn(2) == 0,
+			Label:  "page",
+		})
+	}
+	return p
+}
+
+// TestRepeatSpansMatchUnrolled is the executor's exactness contract:
+// an iteration converted with repeat spans executes to the same
+// makespan, compute and communication totals and per-resource busy
+// times as the same iteration fully unrolled, whether the executor
+// time-shifts a span or has to run every block.
+func TestRepeatSpansMatchUnrolled(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var folded, unrolled Executor
+	gf, gu := graph.New(), graph.New()
+	var shifted, fullRuns int
+	for i := range 400 {
+		p := randomParams(t, rng)
+		gu.Reset()
+		if err := graph.ConvertInto(gu, p); err != nil {
+			t.Fatal(err)
+		}
+		p.RepeatBlocks = true
+		gf.Reset()
+		if err := graph.ConvertInto(gf, p); err != nil {
+			t.Fatal(err)
+		}
+		want, err := unrolled.Execute(gu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := folded.Execute(gf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := fmt.Sprintf("case %d (%v TP%d PP%d pool %d, %v, %d layers, %d memops, mono %v)",
+			i, p.Topo.Mode, p.Topo.TP, p.Topo.Stages, p.Topo.PIMPool, p.Placement, p.Layers, len(p.MemOps), p.Block.Monolithic > 0)
+		if got.Makespan != want.Makespan || got.ComputeTime != want.ComputeTime || got.CommTime != want.CommTime {
+			t.Fatalf("%s: folded makespan/compute/comm %v/%v/%v, unrolled %v/%v/%v", tag,
+				got.Makespan, got.ComputeTime, got.CommTime, want.Makespan, want.ComputeTime, want.CommTime)
+		}
+		for dev := range p.Topo.Nodes() {
+			for class := graph.ResCompute; class <= graph.ResHostDMA; class++ {
+				r := graph.Resource{Class: class, Device: dev}
+				if got.Busy(r) != want.Busy(r) {
+					t.Fatalf("%s: busy %+v folded %v, unrolled %v", tag, r, got.Busy(r), want.Busy(r))
+				}
+			}
+		}
+		// The last node (LM head or logit gather) is the same node in
+		// both graphs.
+		if g, w := got.Timings[len(gf.Nodes)-1], want.Timings[len(gu.Nodes)-1]; g != w {
+			t.Fatalf("%s: last node timing folded %+v, unrolled %+v", tag, g, w)
+		}
+		blocks := 0
+		for _, sp := range gf.Spans {
+			blocks += sp.Count
+		}
+		if got.BlocksRun+got.BlocksShifted != blocks {
+			t.Fatalf("%s: %d blocks run + %d shifted, spans hold %d", tag, got.BlocksRun, got.BlocksShifted, blocks)
+		}
+		if want.BlocksRun != 0 || want.BlocksShifted != 0 {
+			t.Fatalf("%s: unrolled graph reports block counts", tag)
+		}
+		if got.BlocksShifted > 0 {
+			shifted++
+		}
+		if got.BlocksRun > 2*len(gf.Spans) {
+			fullRuns++
+		}
+	}
+	if shifted == 0 || fullRuns == 0 {
+		t.Fatalf("cases with a shift %d, with blocks run past the second %d: both paths must be covered", shifted, fullRuns)
+	}
+}
+
+// TestSpanSteadyStateAfterStall: a node outside the span takes one of
+// the template's resources during the first block and holds it past the
+// first block boundary, so the boundary states only start to repeat
+// from the second block on; the shifted schedule must still equal the
+// unrolled one.
+func TestSpanSteadyStateAfterStall(t *testing.T) {
+	build := func(blocks int, fold bool) *graph.Graph {
+		g := graph.New()
+		entry := g.AddCompute("entry", 0, us)
+		pre := g.AddCompute("pre", 2, 2*us)
+		g.AddCompute("stall", 1, 25*us, pre) // runs on device 1 right after the first block's b
+		reps := blocks
+		if fold {
+			reps = 1
+		}
+		first := len(g.Nodes)
+		for range reps {
+			a := g.AddCompute("a", 0, 10*us, entry)
+			b := g.AddCompute("b", 1, 4*us, entry)
+			entry = g.AddAllReduce("x", []int{0, 1}, 2*us, 0, a, b)
+		}
+		if fold {
+			g.Spans = append(g.Spans, graph.Span{First: first, Len: len(g.Nodes) - first, Count: blocks})
+		}
+		g.AddCompute("tail", 1, us, entry)
+		return g
+	}
+	for _, blocks := range []int{1, 2, 3, 8} {
+		want, err := Execute(build(blocks, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Execute(build(blocks, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Makespan != want.Makespan || got.ComputeTime != want.ComputeTime || got.CommTime != want.CommTime {
+			t.Fatalf("%d blocks: folded %v/%v/%v, unrolled %v/%v/%v", blocks,
+				got.Makespan, got.ComputeTime, got.CommTime, want.Makespan, want.ComputeTime, want.CommTime)
+		}
+		for _, r := range []graph.Resource{{Class: graph.ResCompute, Device: 1}, {Class: graph.ResNetwork, Device: 0}} {
+			if got.Busy(r) != want.Busy(r) {
+				t.Fatalf("%d blocks: busy %+v folded %v, unrolled %v", blocks, r, got.Busy(r), want.Busy(r))
+			}
+		}
+		if blocks == 8 && (got.BlocksRun != 3 || got.BlocksShifted != 5) {
+			t.Fatalf("8 blocks: run %d, shifted %d; want 3 run (the stall breaks the first repeat), 5 shifted",
+				got.BlocksRun, got.BlocksShifted)
+		}
+	}
+}
+
+// TestExecutorSpansAllocationFree: a warmed executor running a folded
+// graph allocates nothing, like an unrolled one.
+func TestExecutorSpansAllocationFree(t *testing.T) {
+	p := randomParams(t, rand.New(rand.NewSource(3)))
+	p.Layers, p.RepeatBlocks = 12, true
+	g := graph.New()
+	if err := graph.ConvertInto(g, p); err != nil {
+		t.Fatal(err)
+	}
+	var e Executor
+	if _, err := e.Execute(g); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := e.Execute(g); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("warmed Execute on a folded graph allocates %v times", n)
+	}
+}

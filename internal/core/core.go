@@ -145,6 +145,11 @@ type Report struct {
 	WallClock time.Duration
 	NPUStats  engine.StackStats // zero unless the backend is engine-backed
 	PIMStats  engine.StackStats
+
+	// BlocksSimulated and BlocksShifted count the decoder blocks the
+	// backend simulated and time-shifted (zero unless it is a
+	// perfmodel.BlockCounter).
+	BlocksSimulated, BlocksShifted int64
 }
 
 // Simulator is one configured LLMServingSim instance.
@@ -286,4 +291,13 @@ func (s *Simulator) PIMStack() *engine.Stack {
 		return p.PIMStack()
 	}
 	return nil
+}
+
+// BlockCounts reports the decoder blocks the backend simulated and
+// time-shifted (zero unless it is a perfmodel.BlockCounter).
+func (s *Simulator) BlockCounts() (simulated, shifted int64) {
+	if bc, ok := s.backend.(perfmodel.BlockCounter); ok {
+		return bc.BlockCounts()
+	}
+	return 0, 0
 }

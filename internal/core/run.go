@@ -209,6 +209,7 @@ func (s *Simulator) report(wall time.Duration) *Report {
 	if pim := s.PIMStack(); pim != nil {
 		r.PIMStats = pim.Stats()
 	}
+	r.BlocksSimulated, r.BlocksShifted = s.BlockCounts()
 	return r
 }
 

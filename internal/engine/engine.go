@@ -118,25 +118,68 @@ func (s StackStats) HitRate() float64 {
 // iterations re-simulate only the attention operators whose context length
 // changed (computation reuse). With reuse disabled, every call re-runs the
 // engine, reproducing the behaviour of conventional per-layer simulators.
+//
+// Each shape owns one cache entry holding both phases' results, found by
+// a single probe of a map keyed by the shape's 64-bit hash. A Stack is
+// safe for concurrent use.
 type Stack struct {
 	eng   Engine
 	reuse bool
 
-	mu       sync.Mutex
-	compiled map[model.ShapeID]Compiled
-	results  map[model.ShapeID]Result
-	stats    StackStats
+	mu    sync.Mutex
+	cache map[uint64]*cacheEntry // by shapeHash; equal hashes chain via next
+	arena []cacheEntry           // the block new entries are carved from
+	stats StackStats             // slow-path counters; fast hits are folded in by Stats
+
+	// Double hits (both phases cached) count here only: each advances
+	// every call/hit counter and OpsSimulated by one, and SimulatedBusy
+	// by its latency.
+	hits    int64
+	hitBusy simtime.Duration
 }
+
+// cacheEntry is one shape's cached compilation and, once simulated, its
+// result (less the Op, which every call supplies). Entries never move,
+// and once simulated is set under the stack's lock the result fields
+// never change, so a caller that saw simulated under the lock may read
+// them after releasing it.
+type cacheEntry struct {
+	key       model.ShapeID
+	next      *cacheEntry // another shape with the same hash
+	compiled  Compiled
+	simulated bool
+
+	latency                                 simtime.Duration
+	computeCycles, memoryCycles, bytesMoved int64
+	bound                                   string
+}
+
+// shapeHash folds a shape into the cache's 64-bit map key. Distinct
+// shapes may collide; their entries chain, so a collision costs a probe,
+// never a wrong result.
+func shapeHash(k model.ShapeID) uint64 {
+	h := uint64(k.Kind)<<8 | uint64(k.Phase)
+	for _, v := range [...]int{k.M, k.N, k.K, k.Heads, k.Context} {
+		h = h*0x9E3779B97F4A7C15 + uint64(v)
+	}
+	return h
+}
+
+// result rebuilds the cached Result under the caller's op identity.
+func (e *cacheEntry) result(op model.Op) Result {
+	return Result{Op: op, Latency: e.latency, ComputeCycles: e.computeCycles,
+		MemoryCycles: e.memoryCycles, BytesMoved: e.bytesMoved, Bound: e.bound}
+}
+
+// arenaBlock is how many cache entries one arena allocation holds:
+// entries never move once handed out, so the cache map holds pointers
+// without a growing table being copied.
+const arenaBlock = 64
 
 // NewStack wraps an engine. reuse enables the compilation/simulation
 // caches.
 func NewStack(eng Engine, reuse bool) *Stack {
-	return &Stack{
-		eng:      eng,
-		reuse:    reuse,
-		compiled: make(map[model.ShapeID]Compiled),
-		results:  make(map[model.ShapeID]Result),
-	}
+	return &Stack{eng: eng, reuse: reuse, cache: make(map[uint64]*cacheEntry)}
 }
 
 // Engine returns the wrapped engine.
@@ -145,57 +188,89 @@ func (s *Stack) Engine() Engine { return s.eng }
 // ReuseEnabled reports whether result reuse is on.
 func (s *Stack) ReuseEnabled() bool { return s.reuse }
 
-// tryCached is the double-hit fast path: with reuse on and both phases
-// cached (the steady state of an iteration loop), it advances all the
-// counters in one critical section and returns the cached result with
-// no engine calls.
-func (s *Stack) tryCached(key model.ShapeID) (Result, bool) {
+// lookup returns the shape's cache entry, or nil. The caller holds s.mu.
+func (s *Stack) lookup(key model.ShapeID) *cacheEntry {
+	e := s.cache[shapeHash(key)]
+	for e != nil && e.key != key {
+		e = e.next
+	}
+	return e
+}
+
+// hit is the double-hit fast path: with reuse on and both phases of the
+// shape cached (the steady state of an iteration loop), it counts the
+// hit and returns the entry, with no engine calls. It returns nil on a
+// miss.
+func (s *Stack) hit(key model.ShapeID) *cacheEntry {
 	if !s.reuse {
-		return Result{}, false
+		return nil
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.results[key]
-	if !ok {
-		return Result{}, false
+	e := s.lookup(key)
+	if e == nil || !e.simulated {
+		s.mu.Unlock()
+		return nil
 	}
-	if _, compiled := s.compiled[key]; !compiled {
-		return Result{}, false
-	}
-	s.stats.CompileCalls++
-	s.stats.CompileHits++
-	s.stats.SimulateCalls++
-	s.stats.SimulateHits++
-	s.stats.OpsSimulated++
-	s.stats.SimulatedBusy += r.Latency
-	return r, true
+	s.hits++
+	s.hitBusy += e.latency
+	s.mu.Unlock()
+	return e
 }
 
 // Run compiles and simulates one operator, consulting the caches.
 func (s *Stack) Run(op model.Op) (Result, error) {
 	key := op.ShapeID()
-	if r, ok := s.tryCached(key); ok {
-		// Return the cached latency under the caller's op identity.
-		r.Op = op
-		return r, nil
+	if e := s.hit(key); e != nil {
+		return e.result(op), nil
 	}
-	return s.runSlow(op, key)
+	return s.runSlow(&op, key)
+}
+
+// RunLatency is Run for hot loops that need only the simulated latency:
+// the cached fast path is one map probe and copies only the latency,
+// neither the Result nor the op. op is only read.
+func (s *Stack) RunLatency(op *model.Op) (simtime.Duration, error) {
+	key := op.ShapeID()
+	if e := s.hit(key); e != nil {
+		return e.latency, nil
+	}
+	r, err := s.runSlow(op, key)
+	return r.Latency, err
+}
+
+// entry returns the shape's cache entry, adding an empty one if needed.
+// The caller holds s.mu.
+func (s *Stack) entry(key model.ShapeID) *cacheEntry {
+	if e := s.lookup(key); e != nil {
+		return e
+	}
+	if len(s.arena) == cap(s.arena) {
+		s.arena = make([]cacheEntry, 0, arenaBlock)
+	}
+	h := shapeHash(key)
+	s.arena = append(s.arena, cacheEntry{key: key, next: s.cache[h]})
+	e := &s.arena[len(s.arena)-1]
+	s.cache[h] = e
+	return e
 }
 
 // runSlow is the cache-missing path of Run.
-func (s *Stack) runSlow(op model.Op, key model.ShapeID) (Result, error) {
+func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (Result, error) {
+	var c Compiled
 	s.mu.Lock()
 	s.stats.CompileCalls++
-	c, haveCompiled := s.compiled[key]
-	if haveCompiled && s.reuse {
-		s.stats.CompileHits++
+	if s.reuse {
+		if e := s.lookup(key); e != nil && e.compiled != nil {
+			c = e.compiled
+			s.stats.CompileHits++
+		}
 	}
 	s.mu.Unlock()
 
-	if !haveCompiled || !s.reuse {
+	if c == nil {
 		start := time.Now()
 		var err error
-		c, err = s.eng.Compile(op)
+		c, err = s.eng.Compile(*op)
 		elapsed := time.Since(start)
 		if err != nil {
 			return Result{}, fmt.Errorf("engine %s: compiling %s: %w", s.eng.Name(), op.Name, err)
@@ -203,22 +278,22 @@ func (s *Stack) runSlow(op model.Op, key model.ShapeID) (Result, error) {
 		s.mu.Lock()
 		s.stats.CompileHost += elapsed
 		if s.reuse {
-			s.compiled[key] = c
+			s.entry(key).compiled = c
 		}
 		s.mu.Unlock()
 	}
 
 	s.mu.Lock()
 	s.stats.SimulateCalls++
-	r, haveResult := s.results[key]
-	if haveResult && s.reuse {
-		s.stats.SimulateHits++
-		s.stats.OpsSimulated++
-		s.stats.SimulatedBusy += r.Latency
-		s.mu.Unlock()
-		// Return the cached latency under the caller's op identity.
-		r.Op = op
-		return r, nil
+	if s.reuse {
+		if e := s.lookup(key); e != nil && e.simulated {
+			s.stats.SimulateHits++
+			s.stats.OpsSimulated++
+			s.stats.SimulatedBusy += e.latency
+			r := e.result(*op)
+			s.mu.Unlock()
+			return r, nil
+		}
 	}
 	s.mu.Unlock()
 
@@ -233,38 +308,38 @@ func (s *Stack) runSlow(op model.Op, key model.ShapeID) (Result, error) {
 	s.stats.OpsSimulated++
 	s.stats.SimulatedBusy += r.Latency
 	if s.reuse {
-		s.results[key] = r
+		// A concurrent miss on the same shape may have stored it first;
+		// stored results are never rewritten.
+		if e := s.entry(key); !e.simulated {
+			e.simulated = true
+			e.latency, e.bound = r.Latency, r.Bound
+			e.computeCycles, e.memoryCycles, e.bytesMoved = r.ComputeCycles, r.MemoryCycles, r.BytesMoved
+		}
 	}
 	s.mu.Unlock()
-	r.Op = op
+	r.Op = *op
 	return r, nil
-}
-
-// RunLatency is Run for hot loops that need only the simulated latency:
-// the cached fast path returns without copying the full Result (whose
-// embedded Op makes the copy measurable at one call per operator per
-// iteration). Counters advance exactly as in Run.
-func (s *Stack) RunLatency(op model.Op) (simtime.Duration, error) {
-	key := op.ShapeID()
-	if r, ok := s.tryCached(key); ok {
-		return r.Latency, nil
-	}
-	r, err := s.runSlow(op, key)
-	return r.Latency, err
 }
 
 // Stats returns a snapshot of the stack's instrumentation.
 func (s *Stack) Stats() StackStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.CompileCalls += s.hits
+	st.CompileHits += s.hits
+	st.SimulateCalls += s.hits
+	st.SimulateHits += s.hits
+	st.OpsSimulated += s.hits
+	st.SimulatedBusy += s.hitBusy
+	return st
 }
 
 // ResetStats zeroes the instrumentation counters (the caches persist).
 func (s *Stack) ResetStats() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats = StackStats{}
+	s.stats, s.hits, s.hitBusy = StackStats{}, 0, 0
 }
 
 // ClearCaches drops all cached compilation and simulation results, e.g.
@@ -273,13 +348,23 @@ func (s *Stack) ResetStats() {
 func (s *Stack) ClearCaches() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.compiled = make(map[model.ShapeID]Compiled)
-	s.results = make(map[model.ShapeID]Result)
+	s.cache = make(map[uint64]*cacheEntry)
+	s.arena = nil
 }
 
 // CacheSizes returns the number of cached compiled artifacts and results.
 func (s *Stack) CacheSizes() (compiled, results int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.compiled), len(s.results)
+	for _, e := range s.cache {
+		for ; e != nil; e = e.next {
+			if e.compiled != nil {
+				compiled++
+			}
+			if e.simulated {
+				results++
+			}
+		}
+	}
+	return compiled, results
 }

@@ -90,6 +90,13 @@ type Params struct {
 
 	Placement AttentionPlacement
 	MemOps    []MemOp
+
+	// RepeatBlocks stores each pipeline stage's decoder blocks once, as
+	// a repeat span (see Span), instead of emitting every block: the
+	// graph-level form of model-redundancy reuse. A stage whose blocks
+	// differ — a PIM pool whose per-request round-robin does not return
+	// to the same device each block — stays unrolled.
+	RepeatBlocks bool
 }
 
 // Node labels repeat across iterations (the same stages, layers, and
@@ -270,6 +277,16 @@ func ConvertInto(g *Graph, p Params) error {
 			}
 		}
 
+		if n := layersOf[s]; p.RepeatBlocks && n > 1 && cv.blocksRepeat() {
+			// Every block of the stage is the same, and its one exit (the
+			// group all-reduce, or the single worker's last node) is the
+			// next block's whole entry: store block 0 as a span.
+			first := len(g.Nodes)
+			cv.emitLayer(s, 0, devs)
+			g.Spans = append(g.Spans, Span{First: first, Len: len(g.Nodes) - first, Count: n})
+			cv.pimRR += (n - 1) * len(cv.reqIDs)
+			continue
+		}
 		for l := 0; l < layersOf[s]; l++ {
 			cv.emitLayer(s, l, devs)
 		}
@@ -380,11 +397,10 @@ func (cv *converter) emitLayer(s, l int, devs []int) {
 	case PIMPool:
 		multi = true
 		cv.resetMulti(len(devs))
-		pims := topo.PIMNodes()
 		for i, r := range cv.reqIDs {
 			w := i % len(devs)
 			owner := devs[w]
-			pimDev := pims[cv.pimRR%len(pims)]
+			pimDev := topo.NPUNodes() + cv.pimRR%topo.PIMPool // next pool device, round-robin
 			cv.pimRR++
 			bytes := p.ReqBytes[r]
 			out := g.AddP2P(reqLabel(attnLabel, r, ".toPIM"),
@@ -424,6 +440,18 @@ func (cv *converter) emitLayer(s, l int, devs []int) {
 			cv.entry[i] = id
 		}
 	}
+}
+
+// blocksRepeat reports whether consecutive blocks of a stage are
+// identical. Only the PIM pool placement varies: each request's
+// attention goes to the next pool device round-robin, which returns to
+// the same assignment every block only when the request count is a
+// multiple of the pool size.
+func (cv *converter) blocksRepeat() bool {
+	if cv.p.Placement != PIMPool || cv.p.Block.Monolithic > 0 {
+		return true
+	}
+	return len(cv.reqIDs)%cv.topo.PIMPool == 0
 }
 
 // resetMulti clears the per-worker multi-dependency lists.

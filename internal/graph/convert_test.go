@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -268,3 +270,88 @@ func ones(n int) []int {
 }
 
 func zeros(n int) []int { return make([]int, n) }
+
+// TestConvertRepeatBlocks: with RepeatBlocks each stage holding two or
+// more layers stores its first block once as a span whose count is the
+// stage's layer count, and the folded graph summarises exactly like the
+// unrolled one.
+func TestConvertRepeatBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tp     network.Topology
+		layers int
+		place  AttentionPlacement
+		spans  []int // span count per folded stage
+	}{
+		{"tp2", topo(t, network.Tensor, 2, 0, 0), 4, HeadSplit, []int{4}},
+		{"pp3", topo(t, network.Pipeline, 3, 0, 0), 7, HeadSplit, []int{3, 2, 2}},
+		{"pp4-one-layer-stages", topo(t, network.Pipeline, 4, 0, 0), 5, HeadSplit, []int{2}},
+		{"request-split", topo(t, network.Tensor, 2, 0, 0), 4, RequestSplit, []int{4}},
+		// Two requests over two pool devices: every block assigns them alike.
+		{"pim-pool-even", topo(t, network.Tensor, 2, 0, 2), 4, PIMPool, []int{4}},
+		// Two requests over three pool devices: blocks differ, no span.
+		{"pim-pool-odd", topo(t, network.Tensor, 2, 0, 3), 4, PIMPool, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := baseParams(t, tc.tp)
+			p.Layers, p.Placement = tc.layers, tc.place
+			p.Block.PIMAttn = p.Block.Attn
+			unrolled, err := Convert(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.RepeatBlocks = true
+			folded, err := Convert(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := folded.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			var counts []int
+			for _, sp := range folded.Spans {
+				counts = append(counts, sp.Count)
+			}
+			if !slices.Equal(counts, tc.spans) {
+				t.Fatalf("span counts %v, want %v", counts, tc.spans)
+			}
+			if got, want := folded.Summarize(), unrolled.Summarize(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("folded summary %+v, unrolled %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestValidateSpans: spans must be in range and disjoint, have an
+// entry, reach their exit from every node, and be depended on from
+// outside only through the exit.
+func TestValidateSpans(t *testing.T) {
+	us := simtime.Microsecond
+	build := func() *Graph {
+		g := New()
+		e := g.AddCompute("entry", 0, us)
+		a := g.AddCompute("a", 0, us, e)
+		b := g.AddCompute("b", 1, us, e)
+		x := g.AddAllReduce("x", []int{0, 1}, us, 0, a, b)
+		g.AddCompute("tail", 0, us, x)
+		g.Spans = []Span{{First: 1, Len: 3, Count: 4}}
+		return g
+	}
+	if err := build().Validate(); err != nil {
+		t.Fatalf("well-formed span rejected: %v", err)
+	}
+	for name, edit := range map[string]func(g *Graph){
+		"past the graph":   func(g *Graph) { g.Spans[0].Len = 9 },
+		"zero count":       func(g *Graph) { g.Spans[0].Count = 0 },
+		"overlapping":      func(g *Graph) { g.Spans = append(g.Spans, Span{First: 2, Len: 1, Count: 2}) },
+		"no entry":         func(g *Graph) { g.Spans[0] = Span{First: 0, Len: 1, Count: 2} },
+		"exit not reached": func(g *Graph) { g.Spans[0].Len = 2 },
+		"interior escapes": func(g *Graph) { g.Nodes[4].Deps = []int{1, 3} },
+	} {
+		g := build()
+		edit(g)
+		if err := g.Validate(); err == nil {
+			t.Errorf("%s: malformed span accepted", name)
+		}
+	}
+}

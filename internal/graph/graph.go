@@ -10,6 +10,23 @@
 // come from the execution engines' traces, communication durations from
 // the network cost models — and the system simulator resolves resource
 // contention and overlap.
+//
+// # Repeat spans
+//
+// The decoder blocks of one pipeline stage are identical: the same
+// operators with the same durations on the same devices, each block
+// waiting on the one before. A graph may store such a run once, as a
+// Span: the template nodes of the first block plus a repeat count. The
+// template's dependencies on nodes before it are the block's entry;
+// repetition r+1 waits on repetition r's exit (the template's last node)
+// in their place, and nodes after the span that depend on the exit wait
+// on the last repetition's exit. A graph with spans therefore denotes
+// the unrolled graph in which the template is copied Count times, the
+// copies chained exit to entry, and every later node ID shifted past
+// the copies — the graph the converter emits when folding is off.
+// Validate checks the shape that makes this well defined: every
+// template node reaches the exit, and nothing outside the template
+// depends on a template node other than the exit.
 package graph
 
 import (
@@ -89,12 +106,30 @@ type Node struct {
 type Graph struct {
 	Nodes []*Node
 
+	// Spans lists the graph's repeat spans in node order (see the
+	// package documentation); empty for a fully unrolled graph.
+	Spans []Span
+
 	nodeArena []Node
 	depArena  []int
 	resArena  []Resource
 
-	conv convScratch // ConvertInto's reused buffers
+	conv  convScratch // ConvertInto's reused buffers
+	owner []int32     // Validate's scratch: 1 + the span owning each template node
 }
+
+// Span is a run of Count identical blocks stored once: nodes
+// [First, First+Len) are the first block, and the executor runs them
+// Count times, each repetition waiting on the previous one's exit.
+type Span struct {
+	First, Len, Count int
+}
+
+// Exit returns the template's last node, the block's one exit.
+func (s Span) Exit() int { return s.First + s.Len - 1 }
+
+// Contains reports whether node id belongs to the template.
+func (s Span) Contains(id int) bool { return id >= s.First && id < s.First+s.Len }
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
@@ -106,6 +141,7 @@ func New() *Graph { return &Graph{} }
 // invalidated.
 func (g *Graph) Reset() {
 	g.Nodes = g.Nodes[:0]
+	g.Spans = g.Spans[:0]
 	g.nodeArena = g.nodeArena[:0]
 	g.depArena = g.depArena[:0]
 	g.resArena = g.resArena[:0]
@@ -252,7 +288,69 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
+	if len(g.Spans) > 0 {
+		return g.validateSpans()
+	}
 	return nil
+}
+
+// validateSpans checks the repeat spans against the shape the package
+// documentation defines: in order, disjoint, and within the graph; each
+// template has an entry and a single exit every template node reaches;
+// and no node outside a template depends on its interior (the
+// repetitions would leave such a dependency undefined).
+func (g *Graph) validateSpans() error {
+	owner := growZero32(&g.owner, len(g.Nodes))
+	next := 0
+	for k, sp := range g.Spans {
+		if sp.Len < 1 || sp.Count < 1 || sp.First < next || sp.First+sp.Len > len(g.Nodes) {
+			return fmt.Errorf("graph: span %d %+v is empty, overlaps or runs past the graph", k, sp)
+		}
+		next = sp.First + sp.Len
+		for id := sp.First; id < sp.Exit(); id++ {
+			owner[id] = int32(k + 1)
+		}
+	}
+	for k, sp := range g.Spans {
+		entry := false
+		for id := sp.First; id <= sp.Exit(); id++ {
+			for _, d := range g.Nodes[id].Deps {
+				if d < sp.First {
+					entry = true
+				} else if owner[d] == int32(k+1) {
+					owner[d] = -int32(k + 1) // reached by a later template node
+				}
+			}
+		}
+		if !entry {
+			return fmt.Errorf("graph: span %d has no entry dependency", k)
+		}
+		for id := sp.First; id < sp.Exit(); id++ {
+			if owner[id] != -int32(k+1) {
+				return fmt.Errorf("graph: span %d node %d (%s) does not reach the span's exit", k, id, g.Nodes[id].Label)
+			}
+		}
+	}
+	// Every interior template node is now marked -(its span + 1).
+	for _, n := range g.Nodes {
+		for _, d := range n.Deps {
+			if o := owner[d]; o != 0 && !g.Spans[-o-1].Contains(n.ID) {
+				return fmt.Errorf("graph: node %d (%s) depends on node %d inside another span's block", n.ID, n.Label, d)
+			}
+		}
+	}
+	return nil
+}
+
+// growZero32 returns (*buf)[:n] zeroed, growing the backing array as
+// needed.
+func growZero32(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	s := (*buf)[:n]
+	clear(s)
+	return s
 }
 
 // Stats summarises a graph.
@@ -264,17 +362,28 @@ type Stats struct {
 	TotalBytes int64            // communication + paging payload
 }
 
-// Summarize computes graph statistics.
+// Summarize computes graph statistics. Template nodes of a repeat span
+// count once per repetition, so a folded graph summarises like its
+// unrolled form.
 func (g *Graph) Summarize() Stats {
-	s := Stats{Nodes: len(g.Nodes), ByKind: map[NodeKind]int{}}
+	s := Stats{ByKind: map[NodeKind]int{}}
+	spans := g.Spans
 	for _, n := range g.Nodes {
-		s.ByKind[n.Kind]++
+		for len(spans) > 0 && n.ID > spans[0].Exit() {
+			spans = spans[1:]
+		}
+		reps := 1
+		if len(spans) > 0 && spans[0].Contains(n.ID) {
+			reps = spans[0].Count
+		}
+		s.Nodes += reps
+		s.ByKind[n.Kind] += reps
 		switch n.Kind {
 		case Compute:
-			s.TotalWork += n.Duration
+			s.TotalWork += simtime.Duration(reps) * n.Duration
 		default:
-			s.TotalComm += n.Duration
-			s.TotalBytes += n.Bytes
+			s.TotalComm += simtime.Duration(reps) * n.Duration
+			s.TotalBytes += int64(reps) * n.Bytes
 		}
 	}
 	return s

@@ -7,6 +7,14 @@
 // ran before latency estimation became pluggable, and the golden
 // determinism suite pins it bit-for-bit. The roofline backend trades this
 // fidelity for speed.
+//
+// Model-redundancy reuse runs through all three phases: the engines
+// price one decoder block, graph conversion emits each pipeline stage's
+// block once as a repeat span, and the event simulation time-shifts the
+// repeats once their schedule is steady (see internal/graph and
+// internal/astra). With it off, every block is priced, emitted and
+// simulated, the paper's conventional-simulator baseline; iteration
+// latencies are identical either way.
 package astra
 
 import (
@@ -45,6 +53,10 @@ type Backend struct {
 	npu  *engine.Stack
 	pim  *engine.Stack
 	host metrics.ComponentTimes
+
+	// Decoder blocks simulated event by event and advanced by the
+	// executor's steady-state time shift (see BlockCounts).
+	blocksSimulated, blocksShifted int64
 
 	// Reusable per-iteration scratch: the execution graph and its
 	// conversion inputs are rebuilt every iteration, so their storage is
@@ -104,10 +116,20 @@ func (b *Backend) DeviceMemoryBytes() int64 { return b.npu.Engine().MemoryBytes(
 // Host returns the adapter's accumulated host-time breakdown.
 func (b *Backend) Host() metrics.ComponentTimes { return b.host }
 
-// ResetStats zeroes host-time and engine-cache instrumentation; the
-// result caches persist.
+// BlockCounts reports the decoder blocks priced since the last
+// ResetStats: those the system simulator executed node by node, and
+// those it advanced by an exact time shift once a stage's block
+// schedule repeated (model-redundancy reuse carried into the graph).
+// With reuse off every block is simulated.
+func (b *Backend) BlockCounts() (simulated, shifted int64) {
+	return b.blocksSimulated, b.blocksShifted
+}
+
+// ResetStats zeroes host-time, block and engine-cache instrumentation;
+// the result caches persist.
 func (b *Backend) ResetStats() {
 	b.host = metrics.ComponentTimes{}
+	b.blocksSimulated, b.blocksShifted = 0, 0
 	b.npu.ResetStats()
 	if b.pim != nil {
 		b.pim.ResetStats()
@@ -156,6 +178,8 @@ func (b *Backend) IterationLatency(batch *sched.Batch) (simtime.Duration, perfmo
 	if err != nil {
 		return 0, perfmodel.Breakdown{}, err
 	}
+	b.blocksShifted += int64(res.BlocksShifted)
+	b.blocksSimulated += int64(b.cfg.Model.Layers - res.BlocksShifted)
 	return res.Makespan, perfmodel.Breakdown{}, nil
 }
 
@@ -189,15 +213,15 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 		totalNew += it.TotalNewTokens
 
 		for rep := 0; rep < reps; rep++ {
-			for i, op := range it.Block {
-				stack, runOp := b.mapOperator(op, pool)
-				latency, err := stack.RunLatency(runOp)
+			for i := range it.Block {
+				op := &it.Block[i]
+				stack, latency, err := b.runOperator(op, pool)
 				if err != nil {
 					return zero, 0, 0, 0, err
 				}
 				if rep == 0 {
 					allItems = append(allItems, trace.Item{
-						Op:       op,
+						Op:       *op,
 						Engine:   stack.Engine().Name(),
 						Kind:     stack.Engine().Kind(),
 						Latency:  latency,
@@ -207,11 +231,11 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 				}
 			}
 		}
-		eDur, err := b.npu.RunLatency(it.Embed)
+		eDur, err := b.npu.RunLatency(&it.Embed)
 		if err != nil {
 			return zero, 0, 0, 0, err
 		}
-		hDur, err := b.npu.RunLatency(it.Head)
+		hDur, err := b.npu.RunLatency(&it.Head)
 		if err != nil {
 			return zero, 0, 0, 0, err
 		}
@@ -226,18 +250,23 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 	return work, embedDur, headDur, totalNew, nil
 }
 
-// mapOperator implements the operator-mapping strategy: attention-core
-// operators go to the PIM stack when one is configured; with a PIM pool,
-// attention runs at full head count on the pool devices (the group's head
-// shards gather there), so the operator is widened accordingly.
-func (b *Backend) mapOperator(op model.Op, pool bool) (*engine.Stack, model.Op) {
+// runOperator maps one operator to an engine stack and runs it there.
+// The operator-mapping strategy: attention-core operators go to the PIM
+// stack when one is configured; with a PIM pool, attention runs at full
+// head count on the pool devices (the group's head shards gather
+// there), so the operator is widened accordingly.
+func (b *Backend) runOperator(op *model.Op, pool bool) (*engine.Stack, simtime.Duration, error) {
 	if b.pim == nil || !op.Kind.IsAttention() {
-		return b.npu, op
+		lat, err := b.npu.RunLatency(op)
+		return b.npu, lat, err
 	}
 	if pool {
-		op.Heads *= b.cfg.Topo.TP
+		wide := *op
+		wide.Heads *= b.cfg.Topo.TP
+		op = &wide
 	}
-	return b.pim, op
+	lat, err := b.pim.RunLatency(op)
+	return b.pim, lat, err
 }
 
 // assembleBlockWork reduces the merged engine trace into the graph
@@ -248,9 +277,6 @@ func (b *Backend) assembleBlockWork(items []trace.Item, nSub int) (graph.BlockWo
 		return work, fmt.Errorf("astra backend: engine phase produced no trace items")
 	}
 
-	if b.attnBuf == nil {
-		b.attnBuf = map[int]simtime.Duration{}
-	}
 	if nSub > 1 {
 		// Sub-batch interleaving: the execution engine stack's operator
 		// scheduler overlaps sub-batches across the heterogeneous engines
@@ -259,18 +285,15 @@ func (b *Backend) assembleBlockWork(items []trace.Item, nSub int) (graph.BlockWo
 		if err != nil {
 			return work, err
 		}
+		// The fused span replaces the per-request attention placement, so
+		// the graph converter needs no Attn map.
 		work.Monolithic = makespan
-		// Attention identities are still needed for placement bookkeeping.
-		clear(b.attnBuf)
-		work.Attn = b.attnBuf
-		for _, it := range items {
-			if it.Op.Kind.IsAttention() {
-				work.Attn[it.Op.ReqID] += it.Latency
-			}
-		}
 		return work, nil
 	}
 
+	if b.attnBuf == nil {
+		b.attnBuf = map[int]simtime.Duration{}
+	}
 	seg := trace.SplitSegmentsInto(items, b.attnBuf)
 	work.Pre, work.Post = seg.Pre, seg.Post
 	work.Attn = seg.Attn
@@ -328,6 +351,7 @@ func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, he
 		ReqBytes:        b.reqBytes,
 		Placement:       b.placement(),
 		MemOps:          memOps,
+		RepeatBlocks:    b.cfg.Reuse.ModelRedundancy,
 	})
 	if err != nil {
 		return nil, err

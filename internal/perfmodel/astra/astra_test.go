@@ -30,12 +30,12 @@ func testConfig(t *testing.T, npus int) perfmodel.Config {
 // firstBatch forms the first scheduler batch of the given trace under
 // the config's model — the unit IterationLatency prices.
 func firstBatch(t *testing.T, cfg perfmodel.Config, reqs []workload.Request) *sched.Batch {
-	return firstSubBatched(t, cfg, reqs, 1)
+	return firstSubBatched(t, cfg, reqs, sched.Config{SubBatches: 1})
 }
 
-// firstSubBatched is firstBatch with the batch split into subBatches
-// NeuPIMs-style sub-batches.
-func firstSubBatched(t *testing.T, cfg perfmodel.Config, reqs []workload.Request, subBatches int) *sched.Batch {
+// firstSubBatched is firstBatch under the given scheduler configuration,
+// e.g. with the batch split into NeuPIMs-style sub-batches.
+func firstSubBatched(t testing.TB, cfg perfmodel.Config, reqs []workload.Request, sc sched.Config) *sched.Batch {
 	t.Helper()
 	kv, err := kvcache.New(kvcache.Config{
 		Policy:        kvcache.Paged,
@@ -47,7 +47,7 @@ func firstSubBatched(t *testing.T, cfg perfmodel.Config, reqs []workload.Request
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sched.New(sched.Config{SubBatches: subBatches}, kv, reqs)
+	s, err := sched.New(sc, kv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +60,11 @@ func firstSubBatched(t *testing.T, cfg perfmodel.Config, reqs []workload.Request
 
 // TestCriticalPathCoversIteration: the critical path through a converted
 // graph accounts for the whole makespan on a contention-free single
-// device.
+// device. The path is a walk over the unrolled graph, so model-redundancy
+// reuse is off and every block is emitted.
 func TestCriticalPathCoversIteration(t *testing.T) {
 	cfg := testConfig(t, 1)
+	cfg.Reuse.ModelRedundancy = false
 	b, err := New(cfg, Options{NPU: config.DefaultNPU()})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +139,7 @@ func TestSubBatchIterationAllocs(t *testing.T) {
 	for i := range 6 {
 		reqs = append(reqs, workload.Request{ID: i, InputLen: 32 + 16*i, OutputLen: 4})
 	}
-	batch := firstSubBatched(t, cfg, reqs, 2)
+	batch := firstSubBatched(t, cfg, reqs, sched.Config{SubBatches: 2})
 	if len(b.groupSeqs(batch)) != 2 {
 		t.Fatalf("batch is not split into 2 sub-batches: %v", batch.SubBatch)
 	}

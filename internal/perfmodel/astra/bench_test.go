@@ -1,0 +1,61 @@
+package astra
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/model"
+	"repro/internal/network"
+	"repro/internal/perfmodel"
+	"repro/internal/sched"
+	"repro/internal/workload"
+)
+
+// BenchmarkAstraIteration prices one warmed decode iteration of the
+// paper's NPU+PIM system — gpt3-7b on 8 NPUs as TP4 x PP2, a PIM device
+// beside each NPU, 24 requests in two interleaved sub-batches — through
+// the whole astra pipeline: engine-cache hits, graph conversion and
+// event simulation. With model-redundancy reuse on, each pipeline stage
+// converts one block and the executor time-shifts the other 15; with it
+// off, all 32 blocks are run through the engines, converted and
+// simulated, the paper's "conventional simulator" baseline.
+func BenchmarkAstraIteration(b *testing.B) {
+	topo, err := network.Build(network.Hybrid, 8, 2, config.DefaultLink(), config.DefaultLink())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var reqs []workload.Request
+	for i := range 24 {
+		reqs = append(reqs, workload.Request{ID: i, InputLen: 64 + 37*i, OutputLen: 64})
+	}
+	for _, reuse := range []bool{true, false} {
+		b.Run(fmt.Sprintf("reuse=%v", reuse), func(b *testing.B) {
+			cfg := perfmodel.Config{
+				Model:   model.MustLookup("gpt3-7b"),
+				Topo:    topo,
+				PIMMode: perfmodel.PIMLocal,
+				Reuse:   perfmodel.ReuseOptions{ModelRedundancy: reuse, ComputationReuse: true},
+			}
+			be, err := New(cfg, Options{NPU: config.DefaultNPU(), PIM: config.DefaultPIM()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := firstSubBatched(b, cfg, reqs, sched.Config{SubBatches: 2, SkipPrefill: true})
+			// Two warm-up calls: the engine caches fill on the first, and
+			// the reused graph's node arena settles on one block by the
+			// second, so even -benchtime=1x measures the steady state.
+			for range 2 {
+				if _, _, err := be.IterationLatency(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := be.IterationLatency(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

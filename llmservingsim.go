@@ -434,6 +434,11 @@ type Report struct {
 	KV                 KVStats
 	SimTime            SimulationTime
 	EngineCacheHitRate float64
+	// BlocksSimulated counts the decoder blocks the system simulator
+	// executed node by node, and BlocksShifted those it advanced by an
+	// exact time shift once a pipeline stage's block schedule repeated
+	// (ModelRedundancyReuse). Both are zero on the roofline backend.
+	BlocksSimulated, BlocksShifted int64
 
 	inner *core.Report
 }
@@ -560,6 +565,8 @@ func wrapReport(rep *core.Report) *Report {
 			Total:           rep.Host.Total(),
 		},
 		EngineCacheHitRate: rep.NPUStats.HitRate(),
+		BlocksSimulated:    rep.BlocksSimulated,
+		BlocksShifted:      rep.BlocksShifted,
 		inner:              rep,
 	}
 	for _, b := range rep.Buckets {
