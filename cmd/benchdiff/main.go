@@ -190,10 +190,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			status = r
 			failed++
 		}
+		wantAllocs, gotAllocs := both(want.AllocsPerOp, got.AllocsPerOp)
+		wantBytes, gotBytes := both(want.BytesPerOp, got.BytesPerOp)
 		fmt.Fprintf(stdout, "  %-16s %-55s %14.0f -> %14.0f ns/op (%+.1f%%)  %10.0f -> %10.0f allocs/op  %12.0f -> %12.0f B/op\n",
 			status, name, want.NsPerOp, got.NsPerOp, (nsRatio-1)*100,
-			deref(want.AllocsPerOp, got.AllocsPerOp), deref(got.AllocsPerOp, want.AllocsPerOp),
-			deref(want.BytesPerOp, got.BytesPerOp), deref(got.BytesPerOp, want.BytesPerOp))
+			wantAllocs, gotAllocs, wantBytes, gotBytes)
 	}
 	if missing > 0 {
 		return fmt.Errorf("%d baseline benchmark(s) were not measured — run the full bench command", missing)
@@ -225,13 +226,13 @@ func memoryRegression(want, got measurement, tol tolerances) string {
 	return ""
 }
 
-// deref returns *p when both p and other are set, else 0: a metric is
+// both returns *a and *b when both are set, else zeros: a metric is
 // printed only when both sides of the comparison have it.
-func deref(p, other *float64) float64 {
-	if p == nil || other == nil {
-		return 0
+func both(a, b *float64) (float64, float64) {
+	if a == nil || b == nil {
+		return 0, 0
 	}
-	return *p
+	return *a, *b
 }
 
 // sortedNames returns the benchmark names of an entry in order.

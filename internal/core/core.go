@@ -147,8 +147,8 @@ type Report struct {
 	PIMStats  engine.StackStats
 
 	// BlocksSimulated and BlocksShifted count the decoder blocks the
-	// backend simulated and time-shifted (zero unless it is a
-	// perfmodel.BlockCounter).
+	// backend simulated and time-shifted (zero unless it counts blocks,
+	// as the astra adapter does).
 	BlocksSimulated, BlocksShifted int64
 }
 
@@ -275,6 +275,13 @@ type stackProvider interface {
 	PIMStack() *engine.Stack
 }
 
+// blockCounter is implemented by backends that simulate a model's
+// decoder blocks one by one and may time-shift repeats (the astra
+// adapter): the blocks simulated and shifted since the last ResetStats.
+type blockCounter interface {
+	BlockCounts() (simulated, shifted int64)
+}
+
 // NPUStack exposes the NPU execution engine stack of an engine-backed
 // performance model (nil for analytical backends such as roofline).
 func (s *Simulator) NPUStack() *engine.Stack {
@@ -291,13 +298,4 @@ func (s *Simulator) PIMStack() *engine.Stack {
 		return p.PIMStack()
 	}
 	return nil
-}
-
-// BlockCounts reports the decoder blocks the backend simulated and
-// time-shifted (zero unless it is a perfmodel.BlockCounter).
-func (s *Simulator) BlockCounts() (simulated, shifted int64) {
-	if bc, ok := s.backend.(perfmodel.BlockCounter); ok {
-		return bc.BlockCounts()
-	}
-	return 0, 0
 }

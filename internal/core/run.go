@@ -209,7 +209,9 @@ func (s *Simulator) report(wall time.Duration) *Report {
 	if pim := s.PIMStack(); pim != nil {
 		r.PIMStats = pim.Stats()
 	}
-	r.BlocksSimulated, r.BlocksShifted = s.BlockCounts()
+	if bc, ok := s.backend.(blockCounter); ok {
+		r.BlocksSimulated, r.BlocksShifted = bc.BlockCounts()
+	}
 	return r
 }
 

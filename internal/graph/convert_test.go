@@ -322,8 +322,8 @@ func TestConvertRepeatBlocks(t *testing.T) {
 	}
 }
 
-// TestValidateSpans: spans must be in range and disjoint, have an
-// entry, reach their exit from every node, and be depended on from
+// TestValidateSpans: spans must be in range and disjoint, wait on their
+// entry and reach their exit from every node, and be depended on from
 // outside only through the exit.
 func TestValidateSpans(t *testing.T) {
 	us := simtime.Microsecond
@@ -346,6 +346,7 @@ func TestValidateSpans(t *testing.T) {
 		"overlapping":      func(g *Graph) { g.Spans = append(g.Spans, Span{First: 2, Len: 1, Count: 2}) },
 		"no entry":         func(g *Graph) { g.Spans[0] = Span{First: 0, Len: 1, Count: 2} },
 		"exit not reached": func(g *Graph) { g.Spans[0].Len = 2 },
+		"entry not waited": func(g *Graph) { g.Nodes[2].Deps = nil },
 		"interior escapes": func(g *Graph) { g.Nodes[4].Deps = []int{1, 3} },
 	} {
 		g := build()

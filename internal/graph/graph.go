@@ -114,8 +114,12 @@ type Graph struct {
 	depArena  []int
 	resArena  []Resource
 
-	conv  convScratch // ConvertInto's reused buffers
-	owner []int32     // Validate's scratch: 1 + the span owning each template node
+	conv convScratch // ConvertInto's reused buffers
+
+	// Validate's scratch for repeat spans: the span owning each template
+	// node, and whether a template node waits on its span's entry.
+	owner []int32
+	fed   []bool
 }
 
 // Span is a run of Count identical blocks stored once: nodes
@@ -295,12 +299,16 @@ func (g *Graph) Validate() error {
 }
 
 // validateSpans checks the repeat spans against the shape the package
-// documentation defines: in order, disjoint, and within the graph; each
-// template has an entry and a single exit every template node reaches;
-// and no node outside a template depends on its interior (the
-// repetitions would leave such a dependency undefined).
+// documentation defines: in order, disjoint, and within the graph; every
+// template node waits, directly or through other template nodes, on the
+// block's entry, and reaches its single exit; and no node outside a
+// template depends on its interior (the repetitions would leave such a
+// dependency undefined). Together these keep repetitions from
+// overlapping: repetition r+1 starts after r's exit, which waits on all
+// of r.
 func (g *Graph) validateSpans() error {
-	owner := growZero32(&g.owner, len(g.Nodes))
+	owner := growZero(&g.owner, len(g.Nodes))
+	fed := growZero(&g.fed, len(g.Nodes))
 	next := 0
 	for k, sp := range g.Spans {
 		if sp.Len < 1 || sp.Count < 1 || sp.First < next || sp.First+sp.Len > len(g.Nodes) {
@@ -312,18 +320,16 @@ func (g *Graph) validateSpans() error {
 		}
 	}
 	for k, sp := range g.Spans {
-		entry := false
 		for id := sp.First; id <= sp.Exit(); id++ {
 			for _, d := range g.Nodes[id].Deps {
-				if d < sp.First {
-					entry = true
-				} else if owner[d] == int32(k+1) {
+				fed[id] = fed[id] || d < sp.First || fed[d]
+				if owner[d] == int32(k+1) {
 					owner[d] = -int32(k + 1) // reached by a later template node
 				}
 			}
-		}
-		if !entry {
-			return fmt.Errorf("graph: span %d has no entry dependency", k)
+			if !fed[id] {
+				return fmt.Errorf("graph: span %d node %d (%s) does not wait on the span's entry", k, id, g.Nodes[id].Label)
+			}
 		}
 		for id := sp.First; id < sp.Exit(); id++ {
 			if owner[id] != -int32(k+1) {
@@ -342,11 +348,11 @@ func (g *Graph) validateSpans() error {
 	return nil
 }
 
-// growZero32 returns (*buf)[:n] zeroed, growing the backing array as
+// growZero returns (*buf)[:n] zeroed, growing the backing array as
 // needed.
-func growZero32(buf *[]int32, n int) []int32 {
+func growZero[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]int32, n)
+		*buf = make([]T, n)
 	}
 	s := (*buf)[:n]
 	clear(s)

@@ -166,14 +166,6 @@ type Backend interface {
 	ResetStats()
 }
 
-// BlockCounter is implemented by backends that simulate a model's
-// decoder blocks one by one and may skip repeats (the astra adapter).
-// BlockCounts returns the blocks simulated and the blocks advanced by a
-// time shift since the last ResetStats.
-type BlockCounter interface {
-	BlockCounts() (simulated, shifted int64)
-}
-
 // Factory builds a fresh Backend instance. Cluster simulations call it
 // once per replica so backend state (caches, host times) stays
 // replica-local.
