@@ -9,7 +9,9 @@ import (
 
 // Admission gates arrivals before routing: a rejected request is dropped
 // and recorded, never reaching a replica — the back-pressure mechanism
-// that keeps tail latency bounded under overload.
+// that keeps tail latency bounded under overload. Admit sees the same
+// cluster-owned slice the stage-1 router is offered next, under the
+// same rule: read it, never modify or retain it.
 type Admission interface {
 	Name() string
 	Admit(req workload.Request, replicas []ReplicaState) bool

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sched"
@@ -227,6 +228,12 @@ type replica struct {
 	created simtime.Time // provisioning start; cost accrues from here
 	readyAt simtime.Time // provisioning -> active transition time
 	retired simtime.Time // retirement/failure instant, once reached
+
+	// Routing-view bookkeeping (see view.go): the slot's position in its
+	// role's view (-1 when not routable) and whether its load signals
+	// changed since the views last read them.
+	viewPos int32
+	dirty   bool
 }
 
 // Cluster is one configured multi-replica serving simulation.
@@ -257,7 +264,7 @@ type Cluster struct {
 	records    []metrics.RequestRecord
 
 	// shards is non-nil only while a sharded run (Config.Shards > 1) is
-	// in flight; replica event times then live in per-shard heaps.
+	// in flight; replica event times then live in per-shard event trees.
 	shards []*clusterShard
 
 	// Disaggregation state: the stage-2 router, per-pool scalers and
@@ -276,10 +283,10 @@ type Cluster struct {
 	handoffBytes  int64
 	handoffLink   simtime.Duration
 
-	// Replica stepping is driven off a min-heap of next-event times, so
-	// advancing the cluster to an instant touches only replicas with
+	// Replica stepping is driven off a winner tree of next-event times,
+	// so advancing the cluster to an instant touches only replicas with
 	// events before it instead of scanning all of them.
-	events eventHeap
+	events eventTree
 
 	// Control-event state: fleet events (sorted, cursor-consumed),
 	// the next autoscaler tick, and the count of replicas cold-starting
@@ -303,8 +310,14 @@ type Cluster struct {
 	intervalTTFT      int
 	intervalTPOT      int
 
-	statesBuf []ReplicaState
-	candBuf   []obs.Candidate
+	// Routing views, one per Role (see view.go): dirty lists the slots
+	// stepped or pushed since the views last re-read them, and
+	// prefixProbe is set once any replica caches prefixes.
+	views       [3]routeView
+	dirty       []int32
+	prefixProbe bool
+
+	candBuf []obs.Candidate
 }
 
 // New validates the configuration and builds the initial replicas.
@@ -414,6 +427,7 @@ func New(cfg Config) (*Cluster, error) {
 		maxRep:        maxRep,
 		slos:          map[string]metrics.SLO{},
 		disagg:        disagg,
+		dirty:         make([]int32, 0, cfg.Replicas),
 		decodeRouter:  cfg.DecodeRouter,
 		prefillScaler: cfg.PrefillScaler,
 		decodeScaler:  cfg.DecodeScaler,
@@ -490,10 +504,14 @@ func (c *Cluster) addReplica(t simtime.Time, state lifecycle, role Role) (*repli
 	if c.cfg.ReplicaCost != nil {
 		cost = c.cfg.ReplicaCost(i, role)
 	}
-	rep := &replica{sim: sim, state: state, role: role, cost: cost, created: t}
+	rep := &replica{sim: sim, role: role, cost: cost, created: t, viewPos: -1}
 	c.replicas = append(c.replicas, rep)
 	c.placed = append(c.placed, 0)
 	c.routedTo = append(c.routedTo, 0)
+	c.setState(i, state)
+	if sim.KV().Config().Prefix != kvcache.PrefixOff {
+		c.prefixProbe = true
+	}
 	if state == stateProvisioning {
 		c.provisioning++
 	}
@@ -572,8 +590,8 @@ func (c *Cluster) effShards() int {
 	return n
 }
 
-// setEvent records replica i's next event time in whichever heap owns
-// it: the shard heap during a sharded run, the global heap otherwise.
+// setEvent records replica i's next event time in whichever event tree
+// owns it: the shard's during a sharded run, the global one otherwise.
 func (c *Cluster) setEvent(i int, ev simtime.Time) {
 	if c.shards != nil {
 		c.shards[i%len(c.shards)].events.update(i/len(c.shards), ev)
@@ -646,8 +664,7 @@ func (c *Cluster) handoff(f sched.Finished, rec *metrics.RequestRecord) {
 	rec.CachedTokens = f.CachedTokens
 	from := rec.Replica
 
-	states := c.routableRole(c.statesBuf[:0], rec.Class, RoleDecode)
-	c.statesBuf = states
+	states := c.routable(rec.Class, RoleDecode)
 	if len(states) == 0 {
 		rec.Rejected = true
 		rec.Replica = -1
@@ -943,8 +960,7 @@ func (c *Cluster) routeArrival(r workload.Request) error {
 	if c.disagg {
 		stage1 = RolePrefill
 	}
-	states := c.routableRole(c.statesBuf[:0], r.CacheKey(), stage1)
-	c.statesBuf = states
+	states := c.routable(r.CacheKey(), stage1)
 
 	rec := c.newRecord(r)
 	// With no routable replica (all failed, draining, or still cold-
@@ -952,7 +968,7 @@ func (c *Cluster) routeArrival(r workload.Request) error {
 	// cluster-level 503. A disaggregated arrival also needs a live
 	// decode pool: prefilling a prompt whose cache can never be
 	// handed off would only burn capacity.
-	if len(states) == 0 || (c.disagg && !c.hasActive(RoleDecode)) {
+	if len(states) == 0 || (c.disagg && len(c.view(RoleDecode)) == 0) {
 		c.rejectArrival(rec, r, "cluster", obs.RejectNoReplica)
 		return nil
 	}
@@ -1018,7 +1034,7 @@ func (c *Cluster) applyControls(t simtime.Time) error {
 	if c.provisioning > 0 {
 		for i, rep := range c.replicas {
 			if rep.state == stateProvisioning && !rep.readyAt.After(t) {
-				rep.state = stateActive
+				c.setState(i, stateActive)
 				c.provisioning--
 				c.refreshEvent(i)
 			}
@@ -1202,12 +1218,12 @@ func (c *Cluster) drainReplica(t simtime.Time, i int) error {
 	rep := c.replicas[i]
 	switch rep.state {
 	case stateProvisioning:
-		rep.state = stateRetired
+		c.setState(i, stateRetired)
 		rep.retired = t
 		c.provisioning--
 	case stateActive:
-		rep.state = stateDraining
-		if len(c.routableRole(c.statesBuf[:0], "", rep.role)) > 0 {
+		c.setState(i, stateDraining)
+		if len(c.view(rep.role)) > 0 {
 			if err := c.redistribute(t, rep.sim.TakePending(), rep.role); err != nil {
 				return err
 			}
@@ -1215,7 +1231,7 @@ func (c *Cluster) drainReplica(t simtime.Time, i int) error {
 		if _, busy := rep.sim.NextEventTime(); busy {
 			c.refreshEvent(i)
 		} else {
-			rep.state = stateRetired
+			c.setState(i, stateRetired)
 			rep.retired = t
 			c.events.update(i, simtime.Forever)
 		}
@@ -1237,7 +1253,7 @@ func (c *Cluster) failReplica(t simtime.Time, ev workload.FleetEvent) error {
 		c.provisioning--
 	}
 	outstanding := rep.sim.Outstanding()
-	rep.state = stateFailed
+	c.setState(ev.Replica, stateFailed)
 	rep.retired = t
 	c.refreshEvent(ev.Replica)
 
@@ -1280,8 +1296,7 @@ func (c *Cluster) redistribute(t simtime.Time, reqs []workload.Request, role Rol
 	}
 	for _, r := range reqs {
 		rec := c.inflight[r.ID]
-		states := c.routableRole(c.statesBuf[:0], r.CacheKey(), role)
-		c.statesBuf = states
+		states := c.routable(r.CacheKey(), role)
 		if len(states) == 0 {
 			rec.Rejected = true
 			rec.Replica = -1
@@ -1372,19 +1387,21 @@ func (c *Cluster) advanceTo(ctx context.Context, t simtime.Time) error {
 	}
 }
 
-// refreshEvent re-reads replica i's next event time into the heap.
-// Failed and retired replicas sit at Forever; a draining replica whose
-// work has run dry retires here.
+// refreshEvent re-reads replica i's next event time into the event
+// tree and marks its routing state dirty; every Step and Push ends
+// here. Failed and retired replicas sit at Forever; a draining replica
+// whose work has run dry retires here.
 func (c *Cluster) refreshEvent(i int) {
 	rep := c.replicas[i]
 	if rep.state == stateRetired || rep.state == stateFailed {
 		c.setEvent(i, simtime.Forever)
 		return
 	}
+	c.markDirty(i)
 	ev, ok := rep.sim.NextEventTime()
 	if !ok {
 		if rep.state == stateDraining {
-			rep.state = stateRetired
+			c.setState(i, stateRetired)
 			rep.retired = rep.sim.Clock()
 			c.mark(rep.retired)
 		}
@@ -1404,132 +1421,82 @@ func clampReplicas(n, lo, hi int) int {
 	return n
 }
 
-// eventHeap is a positioned min-heap over replica next-event times,
-// tie-broken by replica index for determinism. Drained replicas sit at
-// simtime.Forever.
-type eventHeap struct {
-	t    []simtime.Time
-	heap []int // replica indices, heap-ordered
-	pos  []int // replica index -> position in heap
+// eventTree is a winner (tournament) tree over replica next-event
+// times. Leaf i holds slot i's time; every internal node holds a copy
+// of the leaf that wins its subtree on (time, slot index), so the root
+// is the earliest event, tie-broken by replica index for determinism.
+// A left subtree's slots all precede its right sibling's, so a match
+// goes to the right only on a strictly earlier time. Drained replicas
+// and the unused leaves past the last slot sit at simtime.Forever;
+// those leaves lose every tie to real slots. Nodes carry their time, so
+// replaying a match reads two adjacent nodes and nothing else.
+type eventTree struct {
+	node   []treeNode // node[1] is the root, node[leaves+i] is slot i's leaf
+	leaves int        // a power of two
+	n      int        // slots in use
 }
 
-func (h *eventHeap) init(n int) {
-	h.t = make([]simtime.Time, n)
-	h.heap = make([]int, n)
-	h.pos = make([]int, n)
-	for i := 0; i < n; i++ {
-		h.t[i] = simtime.Forever
-		h.heap[i] = i
-		h.pos[i] = i
+type treeNode struct {
+	t simtime.Time
+	i int32
+}
+
+func (h *eventTree) init(n int) {
+	*h = eventTree{}
+	h.grow(n)
+	h.n = n
+}
+
+// grow rebuilds the tree with at least n leaves, keeping the times set.
+func (h *eventTree) grow(n int) {
+	leaves := 1
+	for leaves < n {
+		leaves <<= 1
 	}
+	node := make([]treeNode, 2*leaves)
+	for i := range leaves {
+		node[leaves+i] = treeNode{t: simtime.Forever, i: int32(i)}
+		if i < h.leaves {
+			node[leaves+i].t = h.node[h.leaves+i].t
+		}
+	}
+	h.node, h.leaves = node, leaves
+	for p := leaves - 1; p >= 1; p-- {
+		h.play(p)
+	}
+}
+
+// play replays the match at internal node p from its children.
+func (h *eventTree) play(p int) {
+	l, r := h.node[2*p], h.node[2*p+1]
+	if r.t < l.t {
+		l = r
+	}
+	h.node[p] = l
 }
 
 // push appends a new replica slot with the given event time.
-func (h *eventHeap) push(t simtime.Time) {
-	i := len(h.t)
-	h.t = append(h.t, t)
-	h.pos = append(h.pos, len(h.heap))
-	h.heap = append(h.heap, i)
-	h.up(h.pos[i])
-}
-
-func (h *eventHeap) before(a, b int) bool {
-	if h.t[a] != h.t[b] {
-		return h.t[a] < h.t[b]
+func (h *eventTree) push(t simtime.Time) {
+	i := h.n
+	h.n++
+	if h.n > h.leaves {
+		h.grow(h.n)
 	}
-	return a < b
+	h.update(i, t)
 }
 
 // min returns the replica with the earliest next event.
-func (h *eventHeap) min() (idx int, t simtime.Time) {
-	i := h.heap[0]
-	return i, h.t[i]
+func (h *eventTree) min() (idx int, t simtime.Time) {
+	root := h.node[1]
+	return int(root.i), root.t
 }
 
-// update sets replica i's event time and restores heap order.
-func (h *eventHeap) update(i int, t simtime.Time) {
-	h.t[i] = t
-	p := h.pos[i]
-	h.down(p)
-	h.up(p)
-}
-
-func (h *eventHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.before(h.heap[i], h.heap[p]) {
-			break
-		}
-		h.swap(i, p)
-		i = p
+// update sets replica i's event time and replays the matches on its
+// path to the root.
+func (h *eventTree) update(i int, t simtime.Time) {
+	p := h.leaves + i
+	h.node[p].t = t
+	for p >>= 1; p >= 1; p >>= 1 {
+		h.play(p)
 	}
-}
-
-func (h *eventHeap) down(i int) {
-	n := len(h.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.before(h.heap[l], h.heap[best]) {
-			best = l
-		}
-		if r < n && h.before(h.heap[r], h.heap[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		h.swap(i, best)
-		i = best
-	}
-}
-
-func (h *eventHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
-}
-
-// hasActive reports whether any active replica serves the given role.
-func (c *Cluster) hasActive(role Role) bool {
-	for _, rep := range c.replicas {
-		if rep.state == stateActive && rep.role == role {
-			return true
-		}
-	}
-	return false
-}
-
-// routableRole appends the routing- and admission-visible state of
-// every active replica of the given role to states, in slot order.
-// ReplicaState.Index carries the global slot, so routers index the
-// returned slice and the cluster maps the choice back. cacheKey is the
-// arriving request's prefix cache key (Request.CacheKey: the session
-// key for conversation traffic, the class name otherwise), used to
-// surface per-replica cached-prefix depth to prefix-affinity routers.
-//
-// Slots are append-only, so this scan is O(slots ever created), not
-// O(active) — fine for the fleets the scale benchmarks pin (hundreds
-// of slots over a run); an active-index list would pay bookkeeping on
-// every lifecycle transition to speed up a loop of cheap field reads.
-func (c *Cluster) routableRole(states []ReplicaState, cacheKey string, role Role) []ReplicaState {
-	for i, rep := range c.replicas {
-		if rep.state != stateActive || rep.role != role {
-			continue
-		}
-		s := ReplicaState{
-			Index:          i,
-			QueuedTokens:   rep.sim.QueuedTokens(),
-			QueuedRequests: rep.sim.QueuedRequests(),
-			Clock:          rep.sim.Clock(),
-		}
-		if cacheKey != "" {
-			s.PrefixTokens = rep.sim.PrefixCachedTokens(cacheKey)
-			if c.cfg.Obs != nil {
-				s.DevicePrefixTokens = rep.sim.DevicePrefixCachedTokens(cacheKey)
-			}
-		}
-		states = append(states, s)
-	}
-	return states
 }

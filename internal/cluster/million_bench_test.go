@@ -68,12 +68,18 @@ func runStreamCluster(b *testing.B, backend string, replicas, n, shards int, cla
 // streaming arrivals and streaming metrics over a 256-replica roofline
 // fleet. The 100k sub-benchmark is the flatness reference — allocs/op
 // and B/op must grow ~10x between the runs (i.e. stay constant per
-// request), or the streaming path has regrown a per-run term.
+// request), or the streaming path has regrown a per-run term. The
+// 1024-replica run is the width reference: the same 100k arrivals over
+// 4x the fleet must cost about the same per request, or per-arrival
+// work has regrown a term in fleet width.
 func BenchmarkMillionRequest(b *testing.B) {
-	const replicas = 256
-	for _, n := range []int{100000, 1000000} {
-		b.Run(fmt.Sprintf("replicas=%d/reqs=%d", replicas, n), func(b *testing.B) {
-			runStreamCluster(b, "roofline", replicas, n, 0, millionClasses())
+	for _, tc := range []struct{ replicas, n int }{
+		{256, 100000},
+		{256, 1000000},
+		{1024, 100000},
+	} {
+		b.Run(fmt.Sprintf("replicas=%d/reqs=%d", tc.replicas, tc.n), func(b *testing.B) {
+			runStreamCluster(b, "roofline", tc.replicas, tc.n, 0, millionClasses())
 		})
 	}
 }
@@ -151,8 +157,8 @@ func BenchmarkSessionStream(b *testing.B) {
 // the spread across sub-benchmarks is the sharding overhead (epoch
 // barriers, worker wake-ups) minus whatever the parallel stepping
 // saves. On this cheap roofline run the overhead wins: the newest
-// 2-vCPU baseline in BENCH_hotpath.json records 350 ms at shards=1,
-// 482 ms at shards=2 and 476 ms at shards=8. cmd/benchdiff compares
+// 2-vCPU baseline in BENCH_hotpath.json records 179 ms at shards=1,
+// 266 ms at shards=2 and 281 ms at shards=8. cmd/benchdiff compares
 // each sub-benchmark only with its own previous value, so this guards
 // each shard count against getting slower; nothing bounds the spread
 // between shard counts. Wall-clock speedup from sharding needs a

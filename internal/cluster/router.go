@@ -36,6 +36,8 @@ type ReplicaState struct {
 // In a dynamic fleet only active replicas are offered, so replicas is
 // the routable subset: Route returns an index into that slice, and the
 // cluster maps it back through ReplicaState.Index to the global slot.
+// The slice belongs to the cluster, which updates it in place between
+// calls: Route must neither modify it nor retain it past the call.
 type Router interface {
 	Name() string
 	// Route returns the chosen position, 0 <= idx < len(replicas).

@@ -26,7 +26,7 @@ import (
 )
 
 // clusterShard owns the replicas in slots id, id+stride, id+2*stride,
-// ...: their event heap (local index j maps to global slot id +
+// ...: their event tree (local index j maps to global slot id +
 // j*stride), the in-flight records and accumulator for requests placed
 // on them, and a worker goroutine parked on target that advances the
 // owned replicas to each epoch's time. Two shards never touch the same
@@ -36,7 +36,7 @@ type clusterShard struct {
 	c      *Cluster
 	id     int
 	stride int
-	events eventHeap
+	events eventTree
 
 	// Request accounting for the shard's replicas, merged into the
 	// cluster's at the end of the run.
@@ -136,12 +136,15 @@ func (c *Cluster) advanceShards(ctx context.Context, t simtime.Time) error {
 			solo = sh
 		}
 	}
-	switch {
-	case busy == 0:
+	if busy == 0 {
 		return nil
-	case busy == 1:
+	}
+	// Shards step replicas without marking them dirty, so a barrier
+	// that stepped any leaves every routing view stale.
+	c.invalidateViews()
+	if busy == 1 {
 		solo.advance(t)
-	default:
+	} else {
 		wg := c.shards[0].wg
 		wg.Add(busy)
 		for _, sh := range c.shards {
@@ -193,7 +196,7 @@ func (sh *clusterShard) advance(t simtime.Time) {
 	}
 }
 
-// refresh re-reads replica i's next event time into the shard heap.
+// refresh re-reads replica i's next event time into the shard event tree.
 // Sharded replicas are always active, so the lifecycle handling in
 // Cluster.refreshEvent is unnecessary here.
 func (sh *clusterShard) refresh(j, i int) {

@@ -87,6 +87,13 @@ func TestRunStreamMatchesRun(t *testing.T) {
 // with the given prefix-cache mode; decode-pool replicas skip prefill,
 // since their prompts arrive as handed-off KV caches.
 func contractReplicaFactory(t testing.TB, prefix kvcache.PrefixMode) func(int, Role) (*core.Simulator, error) {
+	return rooflineReplicaFactory(t, func(o *core.Options) { o.KVPrefix = prefix })
+}
+
+// rooflineReplicaFactory is contractReplicaFactory with the replica
+// options adjusted by tweak before the backend is priced from them.
+// Each replica's telemetry is labelled with its slot.
+func rooflineReplicaFactory(t testing.TB, tweak func(*core.Options)) func(int, Role) (*core.Simulator, error) {
 	t.Helper()
 	topo, err := network.Build(network.Tensor, 2, 1, config.DefaultLink(), config.DefaultLink())
 	if err != nil {
@@ -97,14 +104,15 @@ func contractReplicaFactory(t testing.TB, prefix kvcache.PrefixMode) func(int, R
 		Topo:     topo,
 		NPU:      config.DefaultNPU(),
 		KVPolicy: kvcache.Paged,
-		KVPrefix: prefix,
 		Reuse:    core.ReuseAll(),
 	}
+	tweak(&opts)
 	pc := perfmodel.Config{Model: opts.Model, Topo: topo, Reuse: opts.Reuse}
 	hw := perfmodel.HardwareFromNPU(opts.NPU)
 	opts.Backend = func() (perfmodel.Backend, error) { return roofline.New(pc, hw) }
-	return func(_ int, role Role) (*core.Simulator, error) {
+	return func(i int, role Role) (*core.Simulator, error) {
 		o := opts
+		o.ObsReplica = i
 		o.Sched.SkipPrefill = role == RoleDecode
 		return core.New(o, nil)
 	}

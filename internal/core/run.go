@@ -22,6 +22,9 @@ type IterationStats struct {
 	Latency      simtime.Duration // simulated iteration latency
 }
 
+// hostEpoch is the fixed origin Step measures host time from.
+var hostEpoch = time.Now()
+
 // Run drives the simulator until every request completes, executing the
 // Fig. 4 cycle each iteration: scheduler -> performance-model backend ->
 // scheduler feedback.
@@ -56,12 +59,14 @@ func (s *Simulator) RunContext(ctx context.Context) (*Report, error) {
 // and exit — and attributes the step's wall time minus whatever the
 // backend metered for itself to the scheduler bucket. At hundreds of
 // thousands of steps per run, per-segment clock reads were themselves a
-// profile-visible cost of the analytical backends.
+// profile-visible cost of the analytical backends, so both reads are
+// offsets from hostEpoch: time.Since reads only the monotonic clock,
+// where time.Now also reads the wall clock.
 func (s *Simulator) Step() (done bool, err error) {
-	stepStart := time.Now()
+	stepStart := time.Since(hostEpoch)
 	backendBefore := s.backend.Host().Total()
 	defer func() {
-		d := time.Since(stepStart)
+		d := time.Since(hostEpoch) - stepStart
 		s.wall += d
 		if own := d - (s.backend.Host().Total() - backendBefore); own > 0 {
 			s.schedHost += own
