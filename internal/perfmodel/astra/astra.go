@@ -191,6 +191,9 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 	defer func() { b.host.ExecutionEngine += time.Since(t0) }()
 
 	var zero graph.BlockWork
+	if batch.SubBatch != nil && len(batch.SubBatch) != len(batch.Seqs) {
+		return zero, 0, 0, 0, fmt.Errorf("astra: %d sub-batch indices for %d sequences", len(batch.SubBatch), len(batch.Seqs))
+	}
 	subBatches := b.groupSeqs(batch)
 	reps := 1
 	if !b.cfg.Reuse.ModelRedundancy {
@@ -397,8 +400,8 @@ func (b *Backend) groupSeqs(batch *sched.Batch) [][]model.Seq {
 	for i := range groups {
 		groups[i] = groups[i][:0]
 	}
-	for _, q := range batch.Seqs {
-		sb := batch.SubBatch[q.ReqID]
+	for i, q := range batch.Seqs {
+		sb := batch.SubBatch[i]
 		groups[sb] = append(groups[sb], q)
 	}
 	// Drop empty groups (possible when eviction removed all of one

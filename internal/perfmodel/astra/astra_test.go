@@ -97,7 +97,7 @@ func TestGroupSeqs(t *testing.T) {
 		Seqs: []model.Seq{
 			{ReqID: 0, NewTokens: 1}, {ReqID: 1, NewTokens: 1}, {ReqID: 2, NewTokens: 1},
 		},
-		SubBatch: map[int]int{0: 0, 1: 1, 2: 0},
+		SubBatch: []int{0, 1, 0},
 	}
 	var be Backend
 	groups := be.groupSeqs(b)
@@ -108,18 +108,35 @@ func TestGroupSeqs(t *testing.T) {
 	// An unpartitioned batch is returned as itself; a partitioned batch
 	// grouped afterwards must not write into it through the reused
 	// buffers.
-	whole := &sched.Batch{Seqs: []model.Seq{{ReqID: 7}, {ReqID: 8}}, SubBatch: map[int]int{7: 0, 8: 0}}
+	whole := &sched.Batch{Seqs: []model.Seq{{ReqID: 7}, {ReqID: 8}}, SubBatch: []int{0, 0}}
 	if g := be.groupSeqs(whole); len(g) != 1 || &g[0][0] != &whole.Seqs[0] {
 		t.Fatalf("unpartitioned groups %v", g)
 	}
 	// Sub-batch 1 is empty here and must be dropped.
-	b.SubBatch = map[int]int{0: 2, 1: 0, 2: 2}
+	b.SubBatch = []int{2, 0, 2}
 	groups = be.groupSeqs(b)
 	if len(groups) != 2 || groups[0][0].ReqID != 1 || len(groups[1]) != 2 || groups[1][1].ReqID != 2 {
 		t.Fatalf("regrouped %v", groups)
 	}
 	if whole.Seqs[0].ReqID != 7 || whole.Seqs[1].ReqID != 8 {
 		t.Fatalf("grouping wrote into an unpartitioned batch: %v", whole.Seqs)
+	}
+}
+
+// TestRejectsMisalignedSubBatch: a batch whose SubBatch does not give
+// one index per sequence is refused rather than grouped out of range.
+func TestRejectsMisalignedSubBatch(t *testing.T) {
+	cfg := testConfig(t, 2)
+	b, err := New(cfg, Options{NPU: config.DefaultNPU(), PIM: config.DefaultPIM()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := &sched.Batch{
+		Seqs:     []model.Seq{{ReqID: 0, NewTokens: 8}, {ReqID: 1, NewTokens: 8}},
+		SubBatch: []int{1},
+	}
+	if _, _, err := b.IterationLatency(batch); err == nil {
+		t.Fatal("misaligned sub-batch indices accepted")
 	}
 }
 

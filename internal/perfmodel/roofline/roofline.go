@@ -36,15 +36,6 @@ type Stats struct {
 	AttnMisses int64
 }
 
-// baseKey identifies the batch-shape-dependent (attention-independent)
-// share of an iteration's cost: every non-attention operator shape
-// depends only on the batch's total new tokens, and the LM head on the
-// sequence count.
-type baseKey struct {
-	totalNew int
-	nseqs    int
-}
-
 // cost is a latency decomposed into roofline sides.
 type cost struct {
 	total   simtime.Duration
@@ -63,13 +54,20 @@ func (c cost) times(n int) cost {
 	return cost{total: c.total * d, compute: c.compute * d, memory: c.memory * d}
 }
 
-// attnKey identifies one request's attention-core cost: the triple
-// Score/Softmax/Attend depends only on the new-token count and the
-// post-iteration context length.
-type attnKey struct {
-	newTokens int
-	context   int
+// baseEntry is the batch-shape-dependent (attention-independent) share
+// of an iteration's cost. Every non-attention operator shape and every
+// collective depends only on the batch's total new tokens, and the LM
+// head and its gather on the sequence count.
+type baseEntry struct {
+	ops cost
+	net simtime.Duration // networkCost for the same shape
 }
+
+// packKey packs two non-negative counts below 1<<32 into one cache key.
+// Base entries are keyed (totalNew, nseqs); attention entries
+// (newTokens, post-iteration context), the only inputs of the
+// Score/Softmax/Attend triple.
+func packKey(hi, lo int) uint64 { return uint64(hi)<<32 | uint64(lo) }
 
 // Backend prices iterations analytically for one simulator instance.
 type Backend struct {
@@ -80,8 +78,8 @@ type Backend struct {
 	headDim    int
 
 	itBuf model.IterationOps
-	base  map[baseKey]cost
-	attn  map[attnKey]cost
+	base  map[uint64]baseEntry // packKey(totalNew, nseqs)
+	attn  map[uint64]cost      // packKey(newTokens, context)
 
 	stats Stats
 }
@@ -98,14 +96,17 @@ func New(cfg perfmodel.Config, hw perfmodel.Hardware) (*Backend, error) {
 	if cfg.PIMMode != perfmodel.PIMNone {
 		return nil, fmt.Errorf("roofline: PIM operator mapping is not modelled analytically (use the astra backend)")
 	}
+	if uint64(cfg.Model.MaxSeqLen) >= 1<<32 {
+		return nil, fmt.Errorf("roofline: max sequence length %d exceeds the cache key range", cfg.Model.MaxSeqLen)
+	}
 	tp := cfg.Topo.TP
 	return &Backend{
 		cfg:        cfg,
 		hw:         hw,
 		localHeads: max((cfg.Model.Heads+tp-1)/tp, 1),
 		headDim:    cfg.Model.HeadDim(),
-		base:       map[baseKey]cost{},
-		attn:       map[attnKey]cost{},
+		base:       map[uint64]baseEntry{},
+		attn:       map[uint64]cost{},
 	}, nil
 }
 
@@ -151,17 +152,23 @@ func (b *Backend) IterationLatency(batch *sched.Batch) (simtime.Duration, perfmo
 	if len(batch.Seqs) == 0 {
 		return 0, perfmodel.Breakdown{}, fmt.Errorf("roofline: empty batch")
 	}
+	// Each half of a packed cache key holds 32 bits. Sequence lengths
+	// are already bounded by MaxSeqLen (New keeps it below 1<<32).
+	if uint64(totalNew) >= 1<<32 || uint64(len(batch.Seqs)) >= 1<<32 {
+		return 0, perfmodel.Breakdown{}, fmt.Errorf("roofline: batch of %d sequences and %d new tokens exceeds the cache key range",
+			len(batch.Seqs), totalNew)
+	}
 
-	total, err := b.baseCost(batch, totalNew)
+	base, err := b.baseCost(batch, totalNew)
 	if err != nil {
 		return 0, perfmodel.Breakdown{}, err
 	}
+	total := base.ops
 	for _, s := range batch.Seqs {
 		total.add(b.attnCost(s.NewTokens, s.TotalLen()).times(m.Layers))
 	}
 
-	net := b.networkCost(len(batch.Seqs), totalNew)
-	net += b.pagingCost(batch.PageOps)
+	net := base.net + b.pagingCost(batch.PageOps)
 
 	return total.total + net, perfmodel.Breakdown{
 		Compute: total.compute,
@@ -171,13 +178,13 @@ func (b *Backend) IterationLatency(batch *sched.Batch) (simtime.Duration, perfmo
 }
 
 // baseCost returns the attention-independent operator cost of the batch
-// (embed + Layers x non-attention block ops + LM head), cached by batch
-// shape.
-func (b *Backend) baseCost(batch *sched.Batch, totalNew int) (cost, error) {
-	key := baseKey{totalNew: totalNew, nseqs: len(batch.Seqs)}
-	if c, ok := b.base[key]; ok {
+// (embed + Layers x non-attention block ops + LM head) and its
+// collective cost, cached by batch shape.
+func (b *Backend) baseCost(batch *sched.Batch, totalNew int) (baseEntry, error) {
+	key := packKey(totalNew, len(batch.Seqs))
+	if e, ok := b.base[key]; ok {
 		b.stats.BaseHits++
-		return c, nil
+		return e, nil
 	}
 	b.stats.BaseMisses++
 
@@ -185,7 +192,7 @@ func (b *Backend) baseCost(batch *sched.Batch, totalNew int) (cost, error) {
 	// operator shapes (padded TP sharding, MoE widening, gated FFNs).
 	it := &b.itBuf
 	if err := model.BuildIterationInto(it, b.cfg.Model, batch.Seqs, b.cfg.Topo.TP); err != nil {
-		return cost{}, err
+		return baseEntry{}, err
 	}
 	var perLayer cost
 	for _, op := range it.Block {
@@ -197,15 +204,16 @@ func (b *Backend) baseCost(batch *sched.Batch, totalNew int) (cost, error) {
 	c := perLayer.times(it.Layers)
 	c.add(b.opCost(it.Embed))
 	c.add(b.opCost(it.Head))
-	b.base[key] = c
-	return c, nil
+	e := baseEntry{ops: c, net: b.networkCost(len(batch.Seqs), totalNew)}
+	b.base[key] = e
+	return e, nil
 }
 
 // attnCost returns the cached cost of one request's attention triple
 // (Score, Softmax, Attend) in one transformer block, using the same
 // shapes model.BuildIteration emits.
 func (b *Backend) attnCost(newTokens, ctx int) cost {
-	key := attnKey{newTokens: newTokens, context: ctx}
+	key := packKey(newTokens, ctx)
 	if c, ok := b.attn[key]; ok {
 		b.stats.AttnHits++
 		return c

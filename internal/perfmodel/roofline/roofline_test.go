@@ -11,7 +11,7 @@ import (
 	"repro/internal/simtime"
 )
 
-func testConfig(t *testing.T, npus int) perfmodel.Config {
+func testConfig(t testing.TB, npus int) perfmodel.Config {
 	t.Helper()
 	topo, err := network.Build(network.Tensor, npus, 0, config.DefaultLink(), config.DefaultLink())
 	if err != nil {
@@ -24,7 +24,7 @@ func testConfig(t *testing.T, npus int) perfmodel.Config {
 	}
 }
 
-func testHardware(t *testing.T, name string) perfmodel.Hardware {
+func testHardware(t testing.TB, name string) perfmodel.Hardware {
 	t.Helper()
 	hw, err := perfmodel.LookupHardware(name)
 	if err != nil {
@@ -33,7 +33,7 @@ func testHardware(t *testing.T, name string) perfmodel.Hardware {
 	return hw
 }
 
-func newBackend(t *testing.T, npus int, hw string) *Backend {
+func newBackend(t testing.TB, npus int, hw string) *Backend {
 	t.Helper()
 	b, err := New(testConfig(t, npus), testHardware(t, hw))
 	if err != nil {
@@ -173,6 +173,26 @@ func TestRejectsOversizedSeq(t *testing.T) {
 	}
 	if _, _, err := b.IterationLatency(genBatch()); err == nil {
 		t.Fatal("expected empty batch to be rejected")
+	}
+}
+
+// TestRejectsKeyOverflow: the pricing caches pack two 32-bit counts
+// into one key, so a model whose sequences could reach 1<<32 tokens is
+// refused, and so is a batch whose new tokens reach 1<<32 in total.
+func TestRejectsKeyOverflow(t *testing.T) {
+	cfg := testConfig(t, 2)
+	cfg.Model.MaxSeqLen = 1 << 32
+	if _, err := New(cfg, testHardware(t, "a100")); err == nil {
+		t.Fatal("max sequence length 1<<32 accepted")
+	}
+	cfg.Model.MaxSeqLen = 1<<32 - 1
+	b, err := New(cfg, testHardware(t, "a100"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := model.Seq{NewTokens: 1 << 31, Phase: model.Initiation}
+	if _, _, err := b.IterationLatency(genBatch(half, half)); err == nil {
+		t.Fatal("batch of 1<<32 new tokens accepted")
 	}
 }
 

@@ -101,21 +101,26 @@ type PageOp struct {
 
 // Batch is one iteration's scheduled work.
 //
-// To keep the per-iteration hot loop allocation-free, Seqs, PageOps, and
-// SubBatch alias buffers owned by the Scheduler that are recycled on the
-// following Next call: a Batch is valid until the next call to Next.
-// Drivers that need to retain one longer must copy it.
+// Next returns a pointer to one scheduler-owned Batch whose fields it
+// rewrites on every call, and Seqs, PageOps and SubBatch alias buffers
+// recycled the same way: a Batch is valid until the next call to Next,
+// and Complete must be given the batch the last Next returned. Drivers
+// that need to retain one longer must copy it.
 type Batch struct {
 	Time    simtime.Time // iteration start (scheduler clock)
 	Seqs    []model.Seq
 	PageOps []PageOp
-	// SubBatch maps request ID to its sub-batch index (all zero when
-	// partitioning is off).
-	SubBatch map[int]int
+	// SubBatch[i] is the sub-batch index of Seqs[i]. It is nil when
+	// partitioning is off: the whole batch is sub-batch 0.
+	SubBatch []int
 	// PromptTokens counts prompt tokens processed this iteration;
 	// DecodeSeqs counts generation-phase sequences.
 	PromptTokens int
 	DecodeSeqs   int
+
+	// states[i] is the request Seqs[i] belongs to, so Complete needs no
+	// ID lookup.
+	states []*reqState
 }
 
 // Finished records one completed request.
@@ -189,10 +194,9 @@ type Scheduler struct {
 	// Iteration-scoped buffers recycled across Next calls (see Batch).
 	batchBuf Batch
 	seqBuf   []model.Seq
+	stateBuf []*reqState
 	opsBuf   []PageOp
-	iterEvic map[int]bool
-	subBuf   map[int]int
-	orderBuf []model.Seq
+	subBuf   []int // SubBatch, then partition's sort order
 	loadBuf  []int
 }
 
@@ -226,7 +230,6 @@ func New(cfg Config, kv *kvcache.Manager, reqs []workload.Request) (*Scheduler, 
 		kv:       kv,
 		pending:  sorted,
 		byID:     make(map[int]*reqState),
-		iterEvic: make(map[int]bool),
 		obsSpans: cfg.Obs.Spans(),
 		obsFull:  cfg.Obs.Full(),
 	}
@@ -417,22 +420,26 @@ func (s *Scheduler) Next() (b *Batch, ok bool) {
 
 	// Grow every resident running sequence by one token slot; on memory
 	// exhaustion, evict the most recently admitted sequences until the
-	// growth fits (the paper's eviction policy).
-	batchSeqs := s.seqBuf[:0]
+	// growth fits (the paper's eviction policy). A victim is moved to the
+	// host, so it fails the Resident test when the loop reaches it.
+	// States are sized for every resident sequence up front, which keeps
+	// their growth to one allocation per doubling of the resident set.
+	if n := s.kv.ResidentCount(); cap(s.stateBuf) < n {
+		s.stateBuf = make([]*reqState, 0, max(2*cap(s.stateBuf), n, 2))
+	}
+	batchSeqs, states := s.seqBuf[:0], s.stateBuf[:0]
 	var promptTokens, decodeSeqs int
-	clear(s.iterEvic)
-	count := 0
 	for st := s.head; st != nil; st = st.next {
-		if s.cfg.MaxBatch > 0 && count >= s.cfg.MaxBatch {
+		if s.cfg.MaxBatch > 0 && len(batchSeqs) >= s.cfg.MaxBatch {
 			break
 		}
 		id := st.req.ID
-		if s.iterEvic[id] || !s.kv.Resident(id) {
+		if !s.kv.Resident(id) {
 			continue
 		}
 		if st.prefilled {
 			// Reserve the KV slot for the token produced this iteration.
-			if !s.growOrEvict(id, &ops, s.iterEvic) {
+			if !s.growOrEvict(id, &ops) {
 				continue
 			}
 			ctx := st.req.InputLen + st.generated - 1
@@ -445,11 +452,11 @@ func (s *Scheduler) Next() (b *Batch, ok bool) {
 			batchSeqs = append(batchSeqs, q)
 			promptTokens += q.NewTokens
 		}
-		count++
+		states = append(states, st)
 	}
 
 	if len(batchSeqs) == 0 {
-		s.seqBuf, s.opsBuf = batchSeqs, ops
+		s.seqBuf, s.stateBuf, s.opsBuf = batchSeqs, states, ops
 		// Everything resident was evicted or nothing is runnable yet;
 		// advance to the next arrival and retry with fresh admissions.
 		if s.cursor < len(s.pending) {
@@ -474,22 +481,29 @@ func (s *Scheduler) Next() (b *Batch, ok bool) {
 		return nil, false
 	}
 
-	s.seqBuf, s.opsBuf = batchSeqs, ops
-	s.batchBuf = Batch{
-		Time:         s.clock,
-		Seqs:         batchSeqs,
-		PageOps:      ops,
-		SubBatch:     s.partition(batchSeqs),
-		PromptTokens: promptTokens,
-		DecodeSeqs:   decodeSeqs,
-	}
-	return &s.batchBuf, true
+	s.opsBuf = ops
+	return s.fill(batchSeqs, states, ops, promptTokens, decodeSeqs), true
+}
+
+// fill writes the iteration's batch into the scheduler-owned batchBuf
+// in place and keeps seqs and states as the recycled buffers.
+func (s *Scheduler) fill(seqs []model.Seq, states []*reqState, ops []PageOp, promptTokens, decodeSeqs int) *Batch {
+	s.seqBuf, s.stateBuf = seqs, states
+	b := &s.batchBuf
+	b.Time = s.clock
+	b.Seqs = seqs
+	b.PageOps = ops
+	b.SubBatch = s.partition(seqs)
+	b.PromptTokens = promptTokens
+	b.DecodeSeqs = decodeSeqs
+	b.states = states
+	return b
 }
 
 // retryAfterAdmit rebuilds a batch right after late admissions; used when
 // the first pass found nothing runnable.
 func (s *Scheduler) retryAfterAdmit(ops []PageOp) (*Batch, bool) {
-	batchSeqs := s.seqBuf[:0]
+	batchSeqs, states := s.seqBuf[:0], s.stateBuf[:0]
 	promptTokens := 0
 	for st := s.head; st != nil; st = st.next {
 		if st.prefilled || !s.kv.Resident(st.req.ID) {
@@ -497,23 +511,17 @@ func (s *Scheduler) retryAfterAdmit(ops []PageOp) (*Batch, bool) {
 		}
 		q := s.prefillSeq(st)
 		batchSeqs = append(batchSeqs, q)
+		states = append(states, st)
 		promptTokens += q.NewTokens
 		if s.cfg.MaxBatch > 0 && len(batchSeqs) >= s.cfg.MaxBatch {
 			break
 		}
 	}
-	s.seqBuf = batchSeqs
 	if len(batchSeqs) == 0 {
+		s.seqBuf, s.stateBuf = batchSeqs, states
 		return nil, false
 	}
-	s.batchBuf = Batch{
-		Time:         s.clock,
-		Seqs:         batchSeqs,
-		PageOps:      ops,
-		SubBatch:     s.partition(batchSeqs),
-		PromptTokens: promptTokens,
-	}
-	return &s.batchBuf, true
+	return s.fill(batchSeqs, states, ops, promptTokens, 0), true
 }
 
 // buildSingle runs one sequence alone (thrash-recovery path).
@@ -524,22 +532,7 @@ func (s *Scheduler) buildSingle(st *reqState, ops []PageOp) *Batch {
 		seq = s.prefillSeq(st)
 		promptTokens = seq.NewTokens
 	}
-	batchSeqs := append(s.seqBuf[:0], seq)
-	s.seqBuf = batchSeqs
-	if s.subBuf == nil {
-		s.subBuf = make(map[int]int, 1)
-	}
-	clear(s.subBuf)
-	s.subBuf[st.req.ID] = 0
-	s.batchBuf = Batch{
-		Time:         s.clock,
-		Seqs:         batchSeqs,
-		PageOps:      ops,
-		SubBatch:     s.subBuf,
-		PromptTokens: promptTokens,
-		DecodeSeqs:   boolToInt(st.prefilled),
-	}
-	return &s.batchBuf
+	return s.fill(append(s.seqBuf[:0], seq), append(s.stateBuf[:0], st), ops, promptTokens, boolToInt(st.prefilled))
 }
 
 // prefillSeq emits st's next prefill slice: the whole remaining prompt,
@@ -649,7 +642,7 @@ func (s *Scheduler) admit(ops *[]PageOp) {
 
 // growOrEvict extends seq id by one token, evicting newest-admitted other
 // sequences on demand. Returns false if id itself was evicted.
-func (s *Scheduler) growOrEvict(id int, ops *[]PageOp, evicted map[int]bool) bool {
+func (s *Scheduler) growOrEvict(id int, ops *[]PageOp) bool {
 	for {
 		if _, err := s.kv.Extend(id, 1); err == nil {
 			return true
@@ -667,7 +660,6 @@ func (s *Scheduler) growOrEvict(id int, ops *[]PageOp, evicted map[int]bool) boo
 			return false
 		}
 		*ops = append(*ops, PageOp{ReqID: vid, Bytes: bytes, Load: false})
-		evicted[vid] = true
 		if vid == id {
 			return false
 		}
@@ -695,6 +687,8 @@ func (s *Scheduler) forceReload(ops *[]PageOp) (int, bool) {
 // by the iteration latency, every scheduled sequence emits one token, and
 // finished requests release their KV pages (Fig. 4's feedback edge from
 // ASTRA-sim back to the scheduler).
+// b must be the batch the last Next returned, unaltered and not yet
+// completed.
 func (s *Scheduler) Complete(b *Batch, latency simtime.Duration) error {
 	if b == nil {
 		return fmt.Errorf("sched: nil batch")
@@ -702,14 +696,17 @@ func (s *Scheduler) Complete(b *Batch, latency simtime.Duration) error {
 	if latency < 0 {
 		return fmt.Errorf("sched: negative iteration latency %v", latency)
 	}
+	if b != &s.batchBuf || len(b.states) != len(b.Seqs) {
+		return fmt.Errorf("sched: batch of %d sequences is not the uncompleted batch from this scheduler's last Next", len(b.Seqs))
+	}
+	// Consume the batch, so completing it twice is refused too.
+	states := b.states
+	b.states = nil
 	s.clock = b.Time.Add(latency)
 	s.iterations++
 
-	for _, seq := range b.Seqs {
-		st := s.byID[seq.ReqID]
-		if st == nil {
-			return fmt.Errorf("sched: completed unknown request %d", seq.ReqID)
-		}
+	for i, seq := range b.Seqs {
+		st := states[i]
 		if !st.prefilled {
 			st.prefillDone += seq.NewTokens
 			if s.obsFull {
@@ -746,27 +743,25 @@ func (s *Scheduler) Complete(b *Batch, latency simtime.Duration) error {
 
 // partition splits the batch into SubBatches groups balanced by new-token
 // load (longest-processing-time assignment), the paper's "fairness of
-// computation load" criteria. The returned map aliases a scheduler-owned
-// buffer recycled on the next Next call.
-func (s *Scheduler) partition(seqs []model.Seq) map[int]int {
-	if s.subBuf == nil {
-		s.subBuf = make(map[int]int, len(seqs))
-	}
-	clear(s.subBuf)
-	out := s.subBuf
+// computation load" criteria. The result is indexed like seqs, nil
+// when partitioning is off, and aliases a scheduler-owned buffer
+// recycled on the next Next call.
+func (s *Scheduler) partition(seqs []model.Seq) []int {
 	n := s.cfg.SubBatches
 	if n <= 1 {
-		for _, q := range seqs {
-			out[q.ReqID] = 0
-		}
-		return out
+		return nil
 	}
-	// Sort by descending work (new tokens, then context), assign each to
-	// the lightest bucket.
-	order := append(s.orderBuf[:0], seqs...)
-	s.orderBuf = order
-	slices.SortStableFunc(order, func(a, b model.Seq) int {
-		return cmp.Compare(b.NewTokens*1024+b.Context, a.NewTokens*1024+a.Context)
+	// One buffer holds the result and, behind it, the positions sorted
+	// by descending work (new tokens, then context), stable so ties keep
+	// batch order. Each position goes to the lightest bucket.
+	m := len(seqs)
+	s.subBuf = slices.Grow(s.subBuf[:0], 2*m)[:2*m]
+	out, order := s.subBuf[:m:m], s.subBuf[m:]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(work(seqs[b]), work(seqs[a]))
 	})
 	if cap(s.loadBuf) < n {
 		s.loadBuf = make([]int, n)
@@ -775,18 +770,21 @@ func (s *Scheduler) partition(seqs []model.Seq) map[int]int {
 	for i := range load {
 		load[i] = 0
 	}
-	for _, q := range order {
+	for _, i := range order {
 		best := 0
-		for i := 1; i < n; i++ {
-			if load[i] < load[best] {
-				best = i
+		for k := 1; k < n; k++ {
+			if load[k] < load[best] {
+				best = k
 			}
 		}
-		load[best] += q.NewTokens*1024 + q.Context
-		out[q.ReqID] = best
+		load[best] += work(seqs[i])
+		out[i] = best
 	}
 	return out
 }
+
+// work is a sequence's partitioning weight: new tokens, then context.
+func work(q model.Seq) int { return q.NewTokens*1024 + q.Context }
 
 func boolToInt(b bool) int {
 	if b {

@@ -255,8 +255,8 @@ func TestSubBatchPartition(t *testing.T) {
 	b, _ := s.Next()
 	counts := map[int]int{}
 	load := map[int]int{}
-	for _, q := range b.Seqs {
-		sb := b.SubBatch[q.ReqID]
+	for i, q := range b.Seqs {
+		sb := b.SubBatch[i]
 		counts[sb]++
 		load[sb] += q.NewTokens
 	}
