@@ -2,6 +2,7 @@ package llmservingsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -334,205 +335,193 @@ func (sc ClusterScenario) WithDisaggregation(prefill, decode int) ClusterScenari
 	)
 }
 
-// disaggregated reports whether any fleet spec carries a non-unified
-// role.
-func (sc ClusterScenario) disaggregated() bool {
-	for _, rs := range sc.Fleet {
-		if rs.Role != RoleUnified {
-			return true
-		}
+// Validate checks the scenario without building it. The rules about the
+// public types are checked here: fleet specs and replica counts, policy
+// enums, the trace, classes, autoscaler parameters, fleet events, and
+// each replica configuration. Every cluster rule (fleet shape, replica
+// and per-pool scaling bounds, scale tick, provision delay, sharding)
+// lives in internal/cluster and is checked there. Validate returns nil
+// or the same *ConfigError Run would return for the scenario.
+func (sc ClusterScenario) Validate() error {
+	var sink func(*metrics.RequestRecord)
+	if sc.RequestsOut != nil {
+		sink = func(*metrics.RequestRecord) {} // stands in for Run's row writer
 	}
-	return false
+	cfg, err := sc.clusterConfig(sink)
+	if err != nil {
+		return err
+	}
+	return configError(cfg.Validate())
 }
 
-// Validate checks the scenario without building it.
-func (sc ClusterScenario) Validate() error {
+// clusterConfig assembles the internal cluster configuration, without
+// the replica factory and costs, checking the rules about the public
+// types on the way. It allocates nothing per replica except the role
+// list of a disaggregated fleet.
+func (sc ClusterScenario) clusterConfig(onRecord func(*metrics.RequestRecord)) (cluster.Config, error) {
+	replicas, disagg := sc.Replicas, false
 	if len(sc.Fleet) > 0 {
 		for _, rs := range sc.Fleet {
 			if err := rs.Validate(); err != nil {
-				return err
+				return cluster.Config{}, err
 			}
+			disagg = disagg || rs.Role != RoleUnified
 		}
-		total := FleetReplicas(sc.Fleet)
-		if total > MaxFleetReplicas {
-			return &ConfigError{Field: "Fleet", Value: total,
+		replicas = FleetReplicas(sc.Fleet)
+		if replicas > MaxFleetReplicas {
+			return cluster.Config{}, &ConfigError{Field: "Fleet", Value: replicas,
 				Reason: fmt.Sprintf("fleet total exceeds the %d replica maximum", MaxFleetReplicas)}
 		}
-		if sc.Replicas != 0 && sc.Replicas != total {
-			return &ConfigError{Field: "Replicas", Value: sc.Replicas,
-				Reason: fmt.Sprintf("does not match the fleet's %d replicas (leave 0 to derive)", total)}
+		if sc.Replicas != 0 && sc.Replicas != replicas {
+			return cluster.Config{}, &ConfigError{Field: "Replicas", Value: sc.Replicas,
+				Reason: fmt.Sprintf("does not match the fleet's %d replicas (leave 0 to derive)", replicas)}
 		}
-	} else if sc.Replicas < 1 {
-		return &ConfigError{Field: "Replicas", Value: sc.Replicas, Reason: "must be >= 1"}
-	}
-	if !sc.Router.valid() {
-		return &ConfigError{Field: "Router", Value: sc.Router, Reason: "unknown router policy"}
-	}
-	if !sc.DecodeRouter.valid() {
-		return &ConfigError{Field: "DecodeRouter", Value: sc.DecodeRouter, Reason: "unknown router policy"}
-	}
-	if !sc.Admission.valid() {
-		return &ConfigError{Field: "Admission", Value: sc.Admission, Reason: "unknown admission policy"}
-	}
-	if err := sc.validateDisaggregation(); err != nil {
-		return err
-	}
-	if len(sc.Trace) == 0 && sc.TraceStream == nil {
-		return &ConfigError{Field: "Trace", Value: len(sc.Trace), Reason: "cluster scenario needs a trace or a trace stream"}
-	}
-	if len(sc.Trace) > 0 && sc.TraceStream != nil {
-		return &ConfigError{Field: "TraceStream", Value: sc.TraceStream,
-			Reason: "set either Trace or TraceStream, not both"}
-	}
-	if err := sc.validateSharding(); err != nil {
-		return err
-	}
-	if _, err := internalClasses(sc.Classes); err != nil {
-		return &ConfigError{Field: "Classes", Value: len(sc.Classes), Reason: "invalid traffic class", Err: err}
-	}
-	if !sc.Autoscaler.valid() {
-		return &ConfigError{Field: "Autoscaler", Value: sc.Autoscaler, Reason: "unknown autoscale policy"}
-	}
-	if sc.MinReplicas < 0 || sc.MaxReplicas < 0 {
-		return &ConfigError{Field: "MinReplicas", Value: sc.MinReplicas, Reason: "replica bounds must not be negative"}
 	}
 	if sc.MaxReplicas > MaxFleetReplicas {
-		return &ConfigError{Field: "MaxReplicas", Value: sc.MaxReplicas,
+		return cluster.Config{}, &ConfigError{Field: "MaxReplicas", Value: sc.MaxReplicas,
 			Reason: fmt.Sprintf("exceeds the %d replica maximum", MaxFleetReplicas)}
 	}
-	if sc.ProvisionDelay < 0 {
-		return &ConfigError{Field: "ProvisionDelay", Value: sc.ProvisionDelay, Reason: "must not be negative"}
-	}
-	initial := sc.Replicas
-	if len(sc.Fleet) > 0 {
-		initial = FleetReplicas(sc.Fleet)
-	}
-	effMin := max(sc.MinReplicas, 1)
-	effMax := sc.MaxReplicas
-	if effMax == 0 {
-		effMax = max(initial, effMin)
-	}
-	if effMax < effMin {
-		return &ConfigError{Field: "MaxReplicas", Value: sc.MaxReplicas,
-			Reason: fmt.Sprintf("below MinReplicas %d", sc.MinReplicas)}
-	}
-	if initial > effMax {
-		return &ConfigError{Field: "Replicas", Value: initial,
-			Reason: fmt.Sprintf("initial fleet exceeds MaxReplicas %d", sc.MaxReplicas)}
-	}
-	if sc.Autoscaler != ScaleNone {
-		if sc.ScaleTick <= 0 {
-			return &ConfigError{Field: "ScaleTick", Value: sc.ScaleTick,
-				Reason: "autoscaling needs a positive evaluation tick"}
-		}
-		if _, err := sc.buildAutoscaler(); err != nil {
-			return &ConfigError{Field: "Autoscaler", Value: sc.Autoscaler.String(), Reason: "invalid policy parameters", Err: err}
-		}
-	}
-	if _, err := fleetEventsInternal(sc.FleetEvents); err != nil {
-		return &ConfigError{Field: "FleetEvents", Value: len(sc.FleetEvents), Reason: "invalid fleet event", Err: err}
-	}
-	// Replica configs are validated once per homogeneous group, not
-	// once per replica.
-	if len(sc.Fleet) == 0 {
-		return sc.Config.Validate()
-	}
-	for _, rs := range sc.Fleet {
-		if err := rs.apply(sc.Config).Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateSharding checks that a sharded scenario stays inside the
-// configuration space whose sequential bit-identity the sharded loop
-// guarantees (see internal/cluster/shard.go).
-func (sc ClusterScenario) validateSharding() error {
-	if sc.Shards < 0 {
-		return &ConfigError{Field: "Shards", Value: sc.Shards, Reason: "must not be negative"}
-	}
-	if sc.Shards <= 1 {
-		return nil
-	}
-	reason := ""
 	switch {
-	case sc.disaggregated():
-		reason = "sharding requires a unified fleet (no prefill/decode pools)"
-	case sc.Autoscaler != ScaleNone:
-		reason = "sharding requires a static fleet (no autoscaler)"
-	case len(sc.FleetEvents) > 0:
-		reason = "sharding requires a static fleet (no fleet events)"
-	case sc.telemetry() != nil:
-		reason = "sharding is incompatible with telemetry recording"
-	case sc.RequestsOut != nil:
-		reason = "sharding is incompatible with a per-request row sink (completion order is nondeterministic across shards)"
-	}
-	if reason != "" {
-		return &ConfigError{Field: "Shards", Value: sc.Shards, Reason: reason}
-	}
-	return nil
-}
-
-// validateDisaggregation checks the role structure of the fleet and
-// the per-pool scaling bounds.
-func (sc ClusterScenario) validateDisaggregation() error {
-	if !sc.disaggregated() {
-		if sc.PrefillMinReplicas != 0 || sc.PrefillMaxReplicas != 0 ||
-			sc.DecodeMinReplicas != 0 || sc.DecodeMaxReplicas != 0 {
-			return &ConfigError{Field: "PrefillMinReplicas", Value: sc.PrefillMinReplicas,
-				Reason: "per-pool replica bounds need a disaggregated fleet (specs with #prefill/#decode roles)"}
-		}
-		return nil
-	}
-	prefillN, decodeN := 0, 0
-	for _, rs := range sc.Fleet {
-		switch rs.Role {
-		case RolePrefill:
-			prefillN += rs.Count
-		case RoleDecode:
-			decodeN += rs.Count
-		default:
-			return &ConfigError{Field: "Fleet", Value: rs.String(),
-				Reason: "a disaggregated fleet cannot mix unified replicas with prefill/decode pools"}
-		}
-	}
-	if prefillN == 0 || decodeN == 0 {
-		return &ConfigError{Field: "Fleet", Value: FleetString(sc.Fleet),
-			Reason: "a disaggregated fleet needs at least one prefill and one decode replica"}
-	}
-	if sc.Config.SkipInitiation {
-		return &ConfigError{Field: "Config.SkipInitiation", Value: true,
+	case !sc.Router.valid():
+		return cluster.Config{}, &ConfigError{Field: "Router", Value: sc.Router, Reason: "unknown router policy"}
+	case !sc.DecodeRouter.valid():
+		return cluster.Config{}, &ConfigError{Field: "DecodeRouter", Value: sc.DecodeRouter, Reason: "unknown router policy"}
+	case !sc.Admission.valid():
+		return cluster.Config{}, &ConfigError{Field: "Admission", Value: sc.Admission, Reason: "unknown admission policy"}
+	case !sc.Autoscaler.valid():
+		return cluster.Config{}, &ConfigError{Field: "Autoscaler", Value: sc.Autoscaler, Reason: "unknown autoscale policy"}
+	case len(sc.Trace) == 0 && sc.TraceStream == nil:
+		return cluster.Config{}, &ConfigError{Field: "Trace", Value: len(sc.Trace), Reason: "cluster scenario needs a trace or a trace stream"}
+	case len(sc.Trace) > 0 && sc.TraceStream != nil:
+		return cluster.Config{}, &ConfigError{Field: "TraceStream", Value: sc.TraceStream,
+			Reason: "set either Trace or TraceStream, not both"}
+	case disagg && sc.Config.SkipInitiation:
+		return cluster.Config{}, &ConfigError{Field: "Config.SkipInitiation", Value: true,
 			Reason: "incompatible with disaggregation (decode replicas are built generation-only internally)"}
 	}
-	for _, ev := range sc.FleetEvents {
-		if ev.Kind == FleetScale {
-			return &ConfigError{Field: "FleetEvents", Value: ev.String(),
-				Reason: "scale events are ambiguous on a disaggregated fleet (use the per-pool autoscaler)"}
+	classes, err := internalClasses(sc.Classes)
+	if err != nil {
+		return cluster.Config{}, &ConfigError{Field: "Classes", Value: len(sc.Classes), Reason: "invalid traffic class", Err: err}
+	}
+	admission, err := cluster.NewAdmission(sc.Admission.internal(), sc.AdmissionLimit)
+	if err != nil {
+		return cluster.Config{}, &ConfigError{Field: "AdmissionLimit", Value: sc.AdmissionLimit,
+			Reason: "invalid limit for the admission policy", Err: err}
+	}
+	router, err := cluster.NewRouter(sc.Router.internal())
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	var decodeRouter cluster.Router
+	if disagg {
+		if decodeRouter, err = cluster.NewRouter(sc.DecodeRouter.internal()); err != nil {
+			return cluster.Config{}, err
 		}
 	}
-	check := func(field string, lo, hi, initial int) error {
-		if lo < 0 || hi < 0 {
-			return &ConfigError{Field: field, Value: lo, Reason: "pool replica bounds must not be negative"}
+	// A disaggregated fleet scales per pool: the same policy is
+	// instantiated twice so each pool's hysteresis state is its own.
+	var scaler, prefillScaler, decodeScaler cluster.Autoscaler
+	if disagg {
+		if prefillScaler, err = sc.buildAutoscaler(); err == nil {
+			decodeScaler, err = sc.buildAutoscaler()
 		}
-		effMin := max(lo, 1)
-		effMax := hi
-		if effMax == 0 {
-			effMax = max(initial, effMin)
-		}
-		if effMax < effMin {
-			return &ConfigError{Field: field, Value: hi, Reason: fmt.Sprintf("pool max below min %d", lo)}
-		}
-		if initial > effMax {
-			return &ConfigError{Field: field, Value: initial,
-				Reason: fmt.Sprintf("initial pool size exceeds pool max %d", hi)}
-		}
-		return nil
+	} else {
+		scaler, err = sc.buildAutoscaler()
 	}
-	if err := check("PrefillMaxReplicas", sc.PrefillMinReplicas, sc.PrefillMaxReplicas, prefillN); err != nil {
+	if err != nil {
+		return cluster.Config{}, &ConfigError{Field: "Autoscaler", Value: sc.Autoscaler.String(), Reason: "invalid policy parameters", Err: err}
+	}
+	events, err := fleetEventsInternal(sc.FleetEvents)
+	if err != nil {
+		return cluster.Config{}, &ConfigError{Field: "FleetEvents", Value: len(sc.FleetEvents), Reason: "invalid fleet event", Err: err}
+	}
+	// Replica configs are validated once per fleet spec, not once per
+	// replica.
+	var roles []cluster.Role
+	if disagg {
+		roles = make([]cluster.Role, 0, replicas)
+	}
+	for _, rs := range sc.specs() {
+		if err := replicaConfigError(rs.apply(sc.Config).Validate()); err != nil {
+			return cluster.Config{}, err
+		}
+		if disagg {
+			for range rs.Count {
+				roles = append(roles, rs.Role.internal())
+			}
+		}
+	}
+	return cluster.Config{
+		Replicas:       replicas,
+		Roles:          roles,
+		Router:         router,
+		DecodeRouter:   decodeRouter,
+		Admission:      admission,
+		Classes:        classes,
+		Autoscaler:     scaler,
+		PrefillScaler:  prefillScaler,
+		DecodeScaler:   decodeScaler,
+		ScaleTick:      simtime.FromStd(sc.ScaleTick),
+		MinReplicas:    sc.MinReplicas,
+		MaxReplicas:    sc.MaxReplicas,
+		PrefillMin:     sc.PrefillMinReplicas,
+		PrefillMax:     sc.PrefillMaxReplicas,
+		DecodeMin:      sc.DecodeMinReplicas,
+		DecodeMax:      sc.DecodeMaxReplicas,
+		ProvisionDelay: simtime.FromStd(sc.ProvisionDelay),
+		Events:         events,
+		Obs:            sc.telemetry().recorder(),
+		StreamMetrics:  sc.StreamMetrics,
+		OnRecord:       onRecord,
+		Shards:         sc.Shards,
+	}, nil
+}
+
+// specs returns the fleet's specs, a homogeneous fleet being one spec
+// of Replicas copies of Config.
+func (sc ClusterScenario) specs() []ReplicaSpec {
+	if len(sc.Fleet) > 0 {
+		return sc.Fleet
+	}
+	return []ReplicaSpec{{Count: sc.Replicas}}
+}
+
+// replicaConfigError names the field of a replica configuration's
+// *ConfigError by its path in the scenario, Config.<field>.
+func replicaConfigError(err error) error {
+	ce, ok := err.(*ConfigError)
+	if !ok {
 		return err
 	}
-	return check("DecodeMaxReplicas", sc.DecodeMinReplicas, sc.DecodeMaxReplicas, decodeN)
+	scoped := *ce
+	scoped.Field = "Config." + ce.Field
+	return &scoped
+}
+
+// publicFields names the ClusterScenario field behind each cluster.Config
+// field a cluster rule can reject under a different name.
+var publicFields = map[string]string{
+	"Roles":      "Fleet",
+	"Events":     "FleetEvents",
+	"PrefillMin": "PrefillMinReplicas",
+	"PrefillMax": "PrefillMaxReplicas",
+	"DecodeMin":  "DecodeMinReplicas",
+	"DecodeMax":  "DecodeMaxReplicas",
+}
+
+// configError turns a cluster rule's *cluster.FieldError into the
+// *ConfigError naming the scenario field at fault; other errors pass
+// through.
+func configError(err error) error {
+	var fe *cluster.FieldError
+	if !errors.As(err, &fe) {
+		return err
+	}
+	field := fe.Field
+	if f, ok := publicFields[field]; ok {
+		field = f
+	}
+	return &ConfigError{Field: field, Value: fe.Value, Reason: fe.Reason}
 }
 
 // buildAutoscaler constructs the internal autoscaling policy, nil for
@@ -569,157 +558,83 @@ func replicaCost(cfg Config) float64 {
 	return hw.Cost()
 }
 
+// specOptions is one fleet spec's replica options, cost weight and
+// initial replica count.
+type specOptions struct {
+	opts  core.Options
+	cost  float64
+	count int
+}
+
 // build assembles the internal cluster. onRecord, when non-nil, is the
 // streaming per-request row sink (RunContext wires RequestsOut through
 // it).
 func (sc ClusterScenario) build(onRecord func(*metrics.RequestRecord)) (*cluster.Cluster, error) {
-	if err := sc.Validate(); err != nil {
+	cfg, err := sc.clusterConfig(onRecord)
+	if err != nil {
 		return nil, err
 	}
-	// One buildOptions call per homogeneous replica group; the lists
-	// then map replica index -> options. Backend factories inside the
-	// options build per-replica state, so sharing an Options value
-	// across a group is safe.
-	disagg := sc.disaggregated()
-	var optsList []core.Options
-	var costList []float64
-	var roles []cluster.Role
-	if len(sc.Fleet) == 0 {
-		opts, err := buildOptions(sc.Config)
+	// One buildOptions call per fleet spec, a homogeneous fleet being one
+	// spec. Backend factories inside the options build per-replica
+	// state, so sharing an Options value across a spec's replicas is
+	// safe.
+	pools := map[cluster.Role][]specOptions{}
+	poolSize := map[cluster.Role]int{}
+	for _, rs := range sc.specs() {
+		rcfg := rs.apply(sc.Config)
+		if rs.Role == RoleDecode {
+			// Decode replicas never run a prompt phase: their KV caches
+			// arrive from the prefill pool, so requests enter generation
+			// directly and prefix caching has nothing to serve.
+			rcfg.SkipInitiation = true
+			rcfg.PrefixCache = PrefixCacheOff
+		}
+		opts, err := buildOptions(rcfg)
 		if err != nil {
 			return nil, err
 		}
-		optsList = make([]core.Options, sc.Replicas)
-		costList = make([]float64, sc.Replicas)
-		roles = make([]cluster.Role, sc.Replicas)
-		for i := range optsList {
-			optsList[i] = opts
-			costList[i] = replicaCost(sc.Config)
-		}
-	} else {
-		optsList = make([]core.Options, 0, FleetReplicas(sc.Fleet))
-		costList = make([]float64, 0, FleetReplicas(sc.Fleet))
-		roles = make([]cluster.Role, 0, FleetReplicas(sc.Fleet))
-		for _, rs := range sc.Fleet {
-			cfg := rs.apply(sc.Config)
-			if rs.Role == RoleDecode {
-				// Decode replicas never run a prompt phase: their KV
-				// caches arrive from the prefill pool, so requests enter
-				// generation directly and prefix caching has nothing to
-				// serve.
-				cfg.SkipInitiation = true
-				cfg.PrefixCache = PrefixCacheOff
-			}
-			opts, err := buildOptions(cfg)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < rs.Count; i++ {
-				optsList = append(optsList, opts)
-				costList = append(costList, replicaCost(cfg))
-				roles = append(roles, rs.Role.internal())
-			}
-		}
+		role := rs.Role.internal()
+		pools[role] = append(pools[role], specOptions{opts: opts, cost: replicaCost(rcfg), count: rs.Count})
+		poolSize[role] += rs.Count
 	}
 	// Autoscaled slots beyond the initial fleet cycle through their
-	// pool's initial configurations, so a heterogeneous fleet (or pool)
-	// scales up in its own proportions. Creation order indexes the
+	// pool's initial replicas in spec order, so a heterogeneous fleet (or
+	// pool) scales up in its own proportions. Creation order indexes the
 	// cycle: for a unified fleet the per-role counter equals the slot
 	// index, preserving the classic round-robin.
-	poolOpts := map[cluster.Role][]core.Options{}
-	poolCosts := map[cluster.Role][]float64{}
-	for i := range optsList {
-		poolOpts[roles[i]] = append(poolOpts[roles[i]], optsList[i])
-		poolCosts[roles[i]] = append(poolCosts[roles[i]], costList[i])
-	}
-	router, err := cluster.NewRouter(sc.Router.internal())
-	if err != nil {
-		return nil, err
-	}
-	var decodeRouter cluster.Router
-	if disagg {
-		if decodeRouter, err = cluster.NewRouter(sc.DecodeRouter.internal()); err != nil {
-			return nil, err
-		}
-	}
-	admission, err := cluster.NewAdmission(sc.Admission.internal(), sc.AdmissionLimit)
-	if err != nil {
-		return nil, err
-	}
-	classes, err := internalClasses(sc.Classes)
-	if err != nil {
-		return nil, err
-	}
-	// A disaggregated fleet scales per pool: the same policy is
-	// instantiated twice so each pool's hysteresis state is its own.
-	var scaler, prefillScaler, decodeScaler cluster.Autoscaler
-	if disagg {
-		if prefillScaler, err = sc.buildAutoscaler(); err != nil {
-			return nil, err
-		}
-		if decodeScaler, err = sc.buildAutoscaler(); err != nil {
-			return nil, err
-		}
-	} else if scaler, err = sc.buildAutoscaler(); err != nil {
-		return nil, err
-	}
-	events, err := fleetEventsInternal(sc.FleetEvents)
-	if err != nil {
-		return nil, err
-	}
 	hook := sc.Config.OnIteration
-	rec := sc.telemetry().recorder()
-	poolSeen := map[cluster.Role]int{}
-	slotCost := map[int]float64{}
-	return cluster.New(cluster.Config{
-		Replicas: len(optsList),
-		Roles:    roles,
-		NewReplica: func(i int, role cluster.Role) (*core.Simulator, error) {
-			list := poolOpts[role]
-			if len(list) == 0 {
-				return nil, fmt.Errorf("llmservingsim: no replica configuration for role %s", role)
+	created := map[cluster.Role]int{}
+	var slotCost []float64
+	cfg.NewReplica = func(i int, role cluster.Role) (*core.Simulator, error) {
+		k := created[role] % poolSize[role]
+		created[role]++
+		var spec specOptions
+		for _, spec = range pools[role] {
+			if k < spec.count {
+				break
 			}
-			k := poolSeen[role] % len(list)
-			poolSeen[role]++
-			slotCost[i] = poolCosts[role][k]
-			opts := list[k]
-			// All replicas share the cluster's recorder; each tags its
-			// events with its own fleet slot.
-			opts.Obs = rec
-			opts.ObsReplica = i
-			inner, err := core.New(opts, nil)
-			if err != nil {
-				return nil, err
-			}
-			// Iteration indices are per replica; events from all
-			// replicas interleave on the goroutine driving the cluster.
-			attachIterationHook(inner, hook)
-			return inner, nil
-		},
-		// The cluster builds slot i before pricing it, so the cost map
-		// is always populated by the time this runs.
-		ReplicaCost:    func(i int, role cluster.Role) float64 { return slotCost[i] },
-		Router:         router,
-		DecodeRouter:   decodeRouter,
-		Admission:      admission,
-		Classes:        classes,
-		Autoscaler:     scaler,
-		PrefillScaler:  prefillScaler,
-		DecodeScaler:   decodeScaler,
-		ScaleTick:      simtime.FromStd(sc.ScaleTick),
-		MinReplicas:    sc.MinReplicas,
-		MaxReplicas:    sc.MaxReplicas,
-		PrefillMin:     sc.PrefillMinReplicas,
-		PrefillMax:     sc.PrefillMaxReplicas,
-		DecodeMin:      sc.DecodeMinReplicas,
-		DecodeMax:      sc.DecodeMaxReplicas,
-		ProvisionDelay: simtime.FromStd(sc.ProvisionDelay),
-		Events:         events,
-		Obs:            rec,
-		StreamMetrics:  sc.StreamMetrics,
-		OnRecord:       onRecord,
-		Shards:         sc.Shards,
-	})
+			k -= spec.count
+		}
+		// All replicas share the cluster's recorder; each tags its
+		// events with its own fleet slot.
+		opts := spec.opts
+		opts.Obs = cfg.Obs
+		opts.ObsReplica = i
+		inner, err := core.New(opts, nil)
+		if err != nil {
+			return nil, err
+		}
+		// Iteration indices are per replica; events from all replicas
+		// interleave on the goroutine driving the cluster.
+		attachIterationHook(inner, hook)
+		slotCost = append(slotCost, spec.cost)
+		return inner, nil
+	}
+	// The cluster builds slots in index order and prices slot i right
+	// after building it.
+	cfg.ReplicaCost = func(i int, role cluster.Role) float64 { return slotCost[i] }
+	c, err := cluster.New(cfg)
+	return c, configError(err)
 }
 
 // Run simulates the cluster scenario to completion.

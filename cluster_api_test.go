@@ -2,6 +2,7 @@ package llmservingsim
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -87,57 +88,87 @@ func TestClusterScenarioRun(t *testing.T) {
 	}
 }
 
+// RequireScenarioRejected checks that Validate rejects sc with a
+// *ConfigError naming a real ClusterScenario field, or a replica Config
+// field as Config.<field>, and that Run fails with a *ConfigError on the
+// same field, which it returns. It is exported for the external test
+// package.
+func RequireScenarioRejected(t testing.TB, name string, sc ClusterScenario) string {
+	t.Helper()
+	verr := sc.Validate()
+	ce, ok := AsConfigError(verr)
+	if !ok {
+		t.Fatalf("%s: Validate returned %T %v, want a *ConfigError", name, verr, verr)
+	}
+	if !scenarioField(ce.Field) {
+		t.Fatalf("%s: Field %q names no ClusterScenario field or Config.<field> (%v)", name, ce.Field, verr)
+	}
+	_, err := sc.Run()
+	if re, ok := AsConfigError(err); !ok || re.Field != ce.Field {
+		t.Fatalf("%s: Validate rejected %s (%v), but Run returned %T %v", name, ce.Field, verr, err, err)
+	}
+	return ce.Field
+}
+
+// scenarioField reports whether field names a ClusterScenario field, or
+// a replica Config field as Config.<field>.
+func scenarioField(field string) bool {
+	if sub, ok := strings.CutPrefix(field, "Config."); ok {
+		_, ok = reflect.TypeOf(Config{}).FieldByName(sub)
+		return ok
+	}
+	_, ok := reflect.TypeOf(ClusterScenario{}).FieldByName(field)
+	return ok
+}
+
 func TestClusterScenarioValidate(t *testing.T) {
 	good := apiClusterScenario(t, "v", RouterRoundRobin)
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cases := []func(*ClusterScenario){
-		func(sc *ClusterScenario) { sc.Replicas = 0 },
-		func(sc *ClusterScenario) { sc.Router = RouterPolicy(99) },
-		func(sc *ClusterScenario) { sc.Admission = AdmissionPolicy(99) },
-		func(sc *ClusterScenario) { sc.Trace = nil },
-		func(sc *ClusterScenario) { sc.Classes = []TrafficClass{{Name: "x", Dist: "bogus", RatePerSec: 1}} },
-		func(sc *ClusterScenario) {
+	cases := []struct {
+		field  string
+		mutate func(*ClusterScenario)
+	}{
+		{"Replicas", func(sc *ClusterScenario) { sc.Replicas = 0 }},
+		{"Router", func(sc *ClusterScenario) { sc.Router = RouterPolicy(99) }},
+		{"Admission", func(sc *ClusterScenario) { sc.Admission = AdmissionPolicy(99) }},
+		{"Trace", func(sc *ClusterScenario) { sc.Trace = nil }},
+		{"Classes", func(sc *ClusterScenario) { sc.Classes = []TrafficClass{{Name: "x", Dist: "bogus", RatePerSec: 1}} }},
+		{"Classes", func(sc *ClusterScenario) {
 			// Duplicate names would silently collapse into one SLO entry.
 			sc.Classes = []TrafficClass{
 				{Name: "x", Dist: "alpaca", RatePerSec: 1},
 				{Name: "x", Dist: "alpaca", RatePerSec: 2},
 			}
-		},
-		func(sc *ClusterScenario) { sc.Config.Model = "bogus" },
-		func(sc *ClusterScenario) { sc.Autoscaler = AutoscalePolicy(99) },
-		func(sc *ClusterScenario) { sc.Autoscaler = ScaleQueueDepth }, // no ScaleTick
-		func(sc *ClusterScenario) {
+		}},
+		{"Config.Model", func(sc *ClusterScenario) { sc.Config.Model = "bogus" }},
+		{"Autoscaler", func(sc *ClusterScenario) { sc.Autoscaler = AutoscalePolicy(99) }},
+		{"ScaleTick", func(sc *ClusterScenario) { sc.Autoscaler = ScaleQueueDepth; sc.ScaleQueueTarget = 4 }},
+		{"Autoscaler", func(sc *ClusterScenario) {
 			// Policy parameters are validated through the registry.
 			sc.Autoscaler = ScaleSLO
 			sc.ScaleTick = time.Second
 			sc.ScaleSLOTarget = 1.5
-		},
-		func(sc *ClusterScenario) { sc.MinReplicas = -1 },
-		func(sc *ClusterScenario) { sc.MinReplicas = 3; sc.MaxReplicas = 2 },
-		func(sc *ClusterScenario) { sc.MaxReplicas = 2 }, // 4 initial replicas above the cap
-		func(sc *ClusterScenario) { sc.ProvisionDelay = -time.Second },
-		func(sc *ClusterScenario) {
+		}},
+		{"MinReplicas", func(sc *ClusterScenario) { sc.MinReplicas = -1 }},
+		{"MaxReplicas", func(sc *ClusterScenario) { sc.MinReplicas = 3; sc.MaxReplicas = 2 }},
+		{"MaxReplicas", func(sc *ClusterScenario) { sc.MaxReplicas = 2 }}, // 4 initial replicas above the cap
+		{"MaxReplicas", func(sc *ClusterScenario) { sc.MaxReplicas = MaxFleetReplicas + 1 }},
+		{"ProvisionDelay", func(sc *ClusterScenario) { sc.ProvisionDelay = -time.Second }},
+		{"FleetEvents", func(sc *ClusterScenario) {
 			sc.FleetEvents = []FleetEvent{{At: time.Second, Kind: FleetScale, Replicas: 0}}
-		},
+		}},
+		{"Replicas", func(sc *ClusterScenario) { sc.Fleet = []ReplicaSpec{{Count: 3}} }}, // 4 != fleet total
+		{"AdmissionLimit", func(sc *ClusterScenario) { sc.Admission = AdmitQueueCap }},
+		{"AdmissionLimit", func(sc *ClusterScenario) { sc.Admission = AdmitTokenBudget; sc.AdmissionLimit = -1 }},
 	}
-	for i, mutate := range cases {
+	for i, tc := range cases {
 		sc := apiClusterScenario(t, "v", RouterRoundRobin)
-		mutate(&sc)
-		err := sc.Validate()
-		if err == nil {
-			t.Fatalf("case %d must fail validation", i)
+		tc.mutate(&sc)
+		if got := RequireScenarioRejected(t, fmt.Sprintf("case %d", i), sc); got != tc.field {
+			t.Errorf("case %d: rejected field %s, want %s", i, got, tc.field)
 		}
-		if _, ok := AsConfigError(err); !ok {
-			t.Fatalf("case %d: want *ConfigError, got %T %v", i, err, err)
-		}
-	}
-	// Admission limits are enforced at build time.
-	sc := apiClusterScenario(t, "v", RouterRoundRobin)
-	sc.Admission = AdmitQueueCap
-	if _, err := sc.Run(); err == nil {
-		t.Fatal("queue-cap without AdmissionLimit must fail")
 	}
 }
 

@@ -328,44 +328,63 @@ func TestDisaggValidate(t *testing.T) {
 	base := func() sim.ClusterScenario {
 		return disaggScenario(t, "guard")
 	}
-	cases := map[string]func() sim.ClusterScenario{
-		"mixed roles": func() sim.ClusterScenario {
+	cases := map[string]struct {
+		field string
+		mk    func() sim.ClusterScenario
+	}{
+		"mixed roles": {"Fleet", func() sim.ClusterScenario {
 			sc := base()
 			sc.Fleet[0].Role = sim.RoleUnified
 			return sc
-		},
-		"empty decode pool": func() sim.ClusterScenario {
+		}},
+		"empty decode pool": {"Fleet", func() sim.ClusterScenario {
 			sc := base()
 			sc.Fleet[1].Role = sim.RolePrefill
 			return sc
-		},
-		"skip-initiation": func() sim.ClusterScenario {
+		}},
+		"skip-initiation": {"Config.SkipInitiation", func() sim.ClusterScenario {
 			sc := base()
 			sc.Config.SkipInitiation = true
 			return sc
-		},
-		"scale event": func() sim.ClusterScenario {
+		}},
+		"scale event": {"FleetEvents", func() sim.ClusterScenario {
 			sc := base()
 			sc.FleetEvents = []sim.FleetEvent{{At: time.Second, Kind: sim.FleetScale, Replicas: 6}}
 			return sc
-		},
-		"pool bounds on unified fleet": func() sim.ClusterScenario {
+		}},
+		"pool bounds on unified fleet": {"PrefillMinReplicas", func() sim.ClusterScenario {
 			sc := base()
 			sc.Fleet = nil
 			sc.Replicas = 2
 			sc.PrefillMinReplicas = 2
 			return sc
-		},
-		"pool max below min": func() sim.ClusterScenario {
+		}},
+		"pool max below min": {"DecodeMaxReplicas", func() sim.ClusterScenario {
 			sc := base()
 			sc.DecodeMinReplicas = 4
 			sc.DecodeMaxReplicas = 2
 			return sc
-		},
+		}},
+		"negative pool min": {"DecodeMinReplicas", func() sim.ClusterScenario {
+			sc := base()
+			sc.DecodeMinReplicas = -1
+			return sc
+		}},
+		"pool max below initial pool": {"PrefillMaxReplicas", func() sim.ClusterScenario {
+			sc := base()
+			sc.PrefillMaxReplicas = 1
+			return sc
+		}},
+		"sharded disaggregation": {"Shards", func() sim.ClusterScenario {
+			sc := base()
+			sc.Telemetry = nil
+			sc.Shards = 2
+			return sc
+		}},
 	}
-	for name, mk := range cases {
-		if err := mk().Validate(); err == nil {
-			t.Errorf("%s: Validate accepted an invalid disaggregated scenario", name)
+	for name, tc := range cases {
+		if got := sim.RequireScenarioRejected(t, name, tc.mk()); got != tc.field {
+			t.Errorf("%s: rejected field %s, want %s", name, got, tc.field)
 		}
 	}
 	if err := base().Validate(); err != nil {

@@ -133,7 +133,8 @@ type Config struct {
 	MaxReplicas int
 
 	// Per-pool clamps for disaggregated scaling. Zero values default to
-	// 1 and max(initial pool size, min) respectively.
+	// 1 and max(initial pool size, min) respectively; a unified fleet
+	// must leave all four zero.
 	PrefillMin int
 	PrefillMax int
 	DecodeMin  int
@@ -181,12 +182,136 @@ type Config struct {
 	// admission stays on the coordinator in arrival order, and replica
 	// stepping between arrivals fans out with an epoch barrier per
 	// arrival instant, so the report is bit-identical to the sequential
-	// (Shards <= 1) run. Only static unified fleets qualify: no
-	// disaggregation, autoscaling, fleet events, telemetry recorder, or
-	// OnRecord sink — and the replica factory must build fully
-	// independent replicas (no shared mutable state such as a common
-	// engine instance). Counts above the replica count are clamped.
+	// (Shards <= 1) run. Both run the same arrival loop; only replica
+	// stepping differs. Only static unified fleets qualify, and Validate
+	// rejects a negative count and any Shards > 1 with disaggregation,
+	// an autoscaler, fleet events, an Obs recorder, or an OnRecord sink.
+	// The replica factory must also build fully independent replicas (no
+	// shared mutable state such as a common engine instance), which
+	// Validate cannot check. Counts above the replica count are clamped.
 	Shards int
+}
+
+// FieldError reports a Config field that breaks a cluster rule.
+type FieldError struct {
+	Field  string // Config field name, e.g. "Shards"
+	Value  any    // the offending value
+	Reason string // the rule it breaks
+}
+
+func (e *FieldError) Error() string {
+	return fmt.Sprintf("cluster: %s=%v: %s", e.Field, e.Value, e.Reason)
+}
+
+// Validate checks the configuration against every rule New enforces,
+// except that a replica factory is set, without building anything: the
+// fleet shape, the replica and per-pool scaling bounds, the scalers'
+// tick, the fleet events, and the configurations sharding cannot run.
+// It returns nil or a *FieldError naming the first offending field.
+func (cfg *Config) Validate() error {
+	if cfg.Replicas < 1 {
+		return &FieldError{"Replicas", cfg.Replicas, "must be >= 1"}
+	}
+	if cfg.Roles != nil && len(cfg.Roles) != cfg.Replicas {
+		return &FieldError{"Roles", len(cfg.Roles), fmt.Sprintf("need one role per initial replica (%d)", cfg.Replicas)}
+	}
+	if (cfg.PrefillScaler == nil) != (cfg.DecodeScaler == nil) {
+		return &FieldError{"PrefillScaler", cfg.PrefillScaler != nil, "per-pool autoscaling needs both a prefill and a decode scaler"}
+	}
+	if (cfg.Autoscaler != nil || cfg.PrefillScaler != nil) && cfg.ScaleTick <= 0 {
+		return &FieldError{"ScaleTick", cfg.ScaleTick, "autoscaling needs a positive evaluation tick"}
+	}
+	prefillN, decodeN, unifiedN := cfg.poolSizes()
+	if prefillN > 0 || decodeN > 0 {
+		switch {
+		case unifiedN > 0:
+			return &FieldError{"Roles", unifiedN, "a disaggregated fleet cannot mix unified replicas with prefill/decode pools"}
+		case prefillN == 0 || decodeN == 0:
+			return &FieldError{"Roles", fmt.Sprintf("%d/%d", prefillN, decodeN),
+				"a disaggregated fleet needs at least one prefill and one decode replica"}
+		case cfg.Autoscaler != nil:
+			return &FieldError{"Autoscaler", cfg.Autoscaler.Name(),
+				"a disaggregated fleet scales per pool (set PrefillScaler and DecodeScaler)"}
+		}
+		for _, ev := range cfg.Events {
+			if ev.Kind == workload.EventScale {
+				return &FieldError{"Events", ev.String(),
+					"scale events are ambiguous on a disaggregated fleet (use the per-pool autoscaler)"}
+			}
+		}
+		if _, _, err := poolClamps("PrefillMin", "PrefillMax", cfg.PrefillMin, cfg.PrefillMax, prefillN); err != nil {
+			return err
+		}
+		if _, _, err := poolClamps("DecodeMin", "DecodeMax", cfg.DecodeMin, cfg.DecodeMax, decodeN); err != nil {
+			return err
+		}
+	} else {
+		if cfg.PrefillScaler != nil {
+			return &FieldError{"PrefillScaler", cfg.PrefillScaler.Name(), "per-pool autoscalers require a disaggregated fleet"}
+		}
+		for _, b := range []struct {
+			field string
+			n     int
+		}{{"PrefillMin", cfg.PrefillMin}, {"PrefillMax", cfg.PrefillMax}, {"DecodeMin", cfg.DecodeMin}, {"DecodeMax", cfg.DecodeMax}} {
+			if b.n != 0 {
+				return &FieldError{b.field, b.n, "per-pool replica bounds need a disaggregated fleet (prefill and decode roles)"}
+			}
+		}
+	}
+	if _, _, err := poolClamps("MinReplicas", "MaxReplicas", cfg.MinReplicas, cfg.MaxReplicas, cfg.Replicas); err != nil {
+		return err
+	}
+	if cfg.ProvisionDelay < 0 {
+		return &FieldError{"ProvisionDelay", cfg.ProvisionDelay, "must not be negative"}
+	}
+	for _, ev := range cfg.Events {
+		if err := ev.Validate(); err != nil {
+			return &FieldError{"Events", ev.String(), err.Error()}
+		}
+	}
+	if cfg.Shards < 0 {
+		return &FieldError{"Shards", cfg.Shards, "must not be negative"}
+	}
+	if cfg.Shards <= 1 {
+		return nil
+	}
+	// Sharding's bit-identity argument (see shard.go) needs replicas that
+	// never interact mid-epoch and controls that never fire: static
+	// unified fleets with no cross-replica observer or row sink.
+	reason := ""
+	switch {
+	case prefillN > 0:
+		reason = "sharding requires a unified fleet (disaggregated handoffs cross shards)"
+	case cfg.Autoscaler != nil:
+		reason = "sharding requires a static fleet (no autoscaler)"
+	case len(cfg.Events) > 0:
+		reason = "sharding requires a static fleet (no fleet events)"
+	case cfg.Obs != nil:
+		reason = "sharding cannot preserve the telemetry recorder's global event order"
+	case cfg.OnRecord != nil:
+		reason = "sharding cannot order the per-request row stream (completion order differs across shards)"
+	default:
+		return nil
+	}
+	return &FieldError{"Shards", cfg.Shards, reason}
+}
+
+// poolSizes counts the initial slots of each role.
+func (cfg *Config) poolSizes() (prefill, decode, unified int) {
+	if cfg.Roles == nil {
+		return 0, 0, cfg.Replicas
+	}
+	for _, role := range cfg.Roles {
+		switch role {
+		case RolePrefill:
+			prefill++
+		case RoleDecode:
+			decode++
+		default:
+			unified++
+		}
+	}
+	return prefill, decode, unified
 }
 
 // lifecycle is a replica's position in the dynamic-fleet state machine.
@@ -322,115 +447,31 @@ type Cluster struct {
 
 // New validates the configuration and builds the initial replicas.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.Replicas < 1 {
-		return nil, fmt.Errorf("cluster: replica count must be >= 1, got %d", cfg.Replicas)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.NewReplica == nil {
 		return nil, fmt.Errorf("cluster: nil replica factory")
 	}
-	if cfg.Autoscaler != nil && cfg.ScaleTick <= 0 {
-		return nil, fmt.Errorf("cluster: autoscaler %s needs a positive scale tick", cfg.Autoscaler.Name())
-	}
-	if (cfg.PrefillScaler == nil) != (cfg.DecodeScaler == nil) {
-		return nil, fmt.Errorf("cluster: per-pool autoscaling needs both a prefill and a decode scaler")
-	}
-	if cfg.PrefillScaler != nil && cfg.ScaleTick <= 0 {
-		return nil, fmt.Errorf("cluster: per-pool autoscalers need a positive scale tick")
-	}
-	if cfg.Roles != nil && len(cfg.Roles) != cfg.Replicas {
-		return nil, fmt.Errorf("cluster: %d roles for %d replicas", len(cfg.Roles), cfg.Replicas)
-	}
-	prefillN, decodeN, unifiedN := 0, 0, cfg.Replicas
-	if cfg.Roles != nil {
-		unifiedN = 0
-		for _, role := range cfg.Roles {
-			switch role {
-			case RolePrefill:
-				prefillN++
-			case RoleDecode:
-				decodeN++
-			default:
-				unifiedN++
-			}
-		}
-	}
-	disagg := prefillN > 0 || decodeN > 0
-	if disagg {
-		if unifiedN > 0 {
-			return nil, fmt.Errorf("cluster: cannot mix unified replicas with prefill/decode pools")
-		}
-		if prefillN == 0 || decodeN == 0 {
-			return nil, fmt.Errorf("cluster: disaggregation needs at least one prefill and one decode replica, got %d/%d", prefillN, decodeN)
-		}
-		if cfg.Autoscaler != nil {
-			return nil, fmt.Errorf("cluster: a disaggregated fleet scales per pool; set PrefillScaler/DecodeScaler instead of Autoscaler")
-		}
-		for _, ev := range cfg.Events {
-			if ev.Kind == workload.EventScale {
-				return nil, fmt.Errorf("cluster: scale fleet events are ambiguous on a disaggregated fleet; drain or fail per-pool replicas instead")
-			}
-		}
-	} else if cfg.PrefillScaler != nil {
-		return nil, fmt.Errorf("cluster: per-pool autoscalers require a disaggregated fleet")
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: negative shard count %d", cfg.Shards)
-	}
-	if cfg.Shards > 1 {
-		// Sharding's bit-identity argument needs replicas that never
-		// interact mid-epoch and controls that never fire: static
-		// unified fleets with no cross-replica observer or row sink.
-		switch {
-		case disagg:
-			return nil, fmt.Errorf("cluster: sharding requires a unified fleet (disaggregated handoffs cross shards)")
-		case cfg.Autoscaler != nil || cfg.PrefillScaler != nil:
-			return nil, fmt.Errorf("cluster: sharding requires a static fleet (no autoscaler)")
-		case len(cfg.Events) > 0:
-			return nil, fmt.Errorf("cluster: sharding requires a static fleet (no fleet events)")
-		case cfg.Obs != nil:
-			return nil, fmt.Errorf("cluster: sharding cannot preserve the telemetry recorder's global event order; run with Shards <= 1 or without Obs")
-		case cfg.OnRecord != nil:
-			return nil, fmt.Errorf("cluster: sharding cannot order the OnRecord row stream; run with Shards <= 1")
-		}
-	}
-	if cfg.MinReplicas < 0 || cfg.MaxReplicas < 0 {
-		return nil, fmt.Errorf("cluster: negative replica bounds [%d, %d]", cfg.MinReplicas, cfg.MaxReplicas)
-	}
-	minRep := cfg.MinReplicas
-	if minRep == 0 {
-		minRep = 1
-	}
-	maxRep := cfg.MaxReplicas
-	if maxRep == 0 {
-		maxRep = max(cfg.Replicas, minRep)
-	}
-	if maxRep < minRep {
-		return nil, fmt.Errorf("cluster: max replicas %d below min %d", maxRep, minRep)
-	}
-	if cfg.Replicas > maxRep {
-		return nil, fmt.Errorf("cluster: initial replicas %d exceed max %d", cfg.Replicas, maxRep)
-	}
-	if cfg.ProvisionDelay < 0 {
-		return nil, fmt.Errorf("cluster: negative provision delay %v", cfg.ProvisionDelay)
-	}
-	for _, ev := range cfg.Events {
-		if err := ev.Validate(); err != nil {
-			return nil, err
-		}
-	}
+	prefillN, decodeN, _ := cfg.poolSizes()
+	disagg := prefillN > 0
 	c := &Cluster{
 		cfg:           cfg,
 		router:        cfg.Router,
 		admission:     cfg.Admission,
 		scaler:        cfg.Autoscaler,
-		minRep:        minRep,
-		maxRep:        maxRep,
 		slos:          map[string]metrics.SLO{},
 		disagg:        disagg,
 		dirty:         make([]int32, 0, cfg.Replicas),
 		decodeRouter:  cfg.DecodeRouter,
 		prefillScaler: cfg.PrefillScaler,
 		decodeScaler:  cfg.DecodeScaler,
+	}
+	// Validate has checked every bound, so the clamps cannot fail here.
+	c.minRep, c.maxRep, _ = poolClamps("MinReplicas", "MaxReplicas", cfg.MinReplicas, cfg.MaxReplicas, cfg.Replicas)
+	if disagg {
+		c.prefMin, c.prefMax, _ = poolClamps("PrefillMin", "PrefillMax", cfg.PrefillMin, cfg.PrefillMax, prefillN)
+		c.decMin, c.decMax, _ = poolClamps("DecodeMin", "DecodeMax", cfg.DecodeMin, cfg.DecodeMax, decodeN)
 	}
 	if c.router == nil {
 		c.router = &roundRobin{}
@@ -440,15 +481,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if c.admission == nil {
 		c.admission = admitAll{}
-	}
-	if disagg {
-		var err error
-		if c.prefMin, c.prefMax, err = poolClamps("prefill", cfg.PrefillMin, cfg.PrefillMax, prefillN); err != nil {
-			return nil, err
-		}
-		if c.decMin, c.decMax, err = poolClamps("decode", cfg.DecodeMin, cfg.DecodeMax, decodeN); err != nil {
-			return nil, err
-		}
 	}
 	for _, cl := range cfg.Classes {
 		c.slos[cl.Name] = metrics.SLO{TTFT: cl.TTFT, TPOT: cl.TPOT}
@@ -467,22 +499,25 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// poolClamps validates and defaults one pool's scaling bounds.
-func poolClamps(pool string, lo, hi, initial int) (int, int, error) {
-	if lo < 0 || hi < 0 {
-		return 0, 0, fmt.Errorf("cluster: negative %s replica bounds [%d, %d]", pool, lo, hi)
+// poolClamps validates and defaults one pool's scaling bounds [lo, hi]
+// around its initial size: a zero lo means 1, a zero hi max(initial,
+// lo). loField and hiField name the bounds' Config fields.
+func poolClamps(loField, hiField string, lo, hi, initial int) (int, int, error) {
+	if lo < 0 {
+		return 0, 0, &FieldError{loField, lo, "replica bound must not be negative"}
 	}
-	if lo == 0 {
-		lo = 1
+	if hi < 0 {
+		return 0, 0, &FieldError{hiField, hi, "replica bound must not be negative"}
 	}
+	lo = max(lo, 1)
 	if hi == 0 {
 		hi = max(initial, lo)
 	}
 	if hi < lo {
-		return 0, 0, fmt.Errorf("cluster: max %s replicas %d below min %d", pool, hi, lo)
+		return 0, 0, &FieldError{hiField, hi, fmt.Sprintf("below the minimum %d", lo)}
 	}
 	if initial > hi {
-		return 0, 0, fmt.Errorf("cluster: initial %s replicas %d exceed max %d", pool, initial, hi)
+		return 0, 0, &FieldError{hiField, hi, fmt.Sprintf("below the %d initial replicas", initial)}
 	}
 	return lo, hi, nil
 }
@@ -837,8 +872,8 @@ type arrivalSource struct {
 	hint   int
 }
 
-// run wires the request accounting, then executes the simulation
-// sequentially or sharded.
+// run wires the request accounting, starts the shard workers of a
+// sharded run, and executes the arrival loop.
 func (c *Cluster) run(ctx context.Context, src arrivalSource) (*Report, error) {
 	c.accum = metrics.NewRequestAccumulator(c.slos)
 	c.inflight = make(map[int]*metrics.RequestRecord)
@@ -848,25 +883,19 @@ func (c *Cluster) run(ctx context.Context, src arrivalSource) (*Report, error) {
 		c.nextTick = simtime.Time(c.cfg.ScaleTick)
 	}
 	c.mark(0)
-	if n := c.effShards(); n > 1 {
-		if err := c.runSharded(ctx, src, n); err != nil {
-			return nil, err
-		}
-	} else {
-		c.events.init(len(c.replicas))
-		for i := range c.replicas {
-			c.refreshEvent(i)
-		}
-		if err := c.runSequential(ctx, src); err != nil {
-			return nil, err
-		}
+	stop := c.startShards()
+	err := c.loop(ctx, src)
+	stop()
+	if err != nil {
+		return nil, err
 	}
 	return c.report(), nil
 }
 
-// runSequential is the single-goroutine simulation loop: arrivals
-// interleaved with control events, then a drain.
-func (c *Cluster) runSequential(ctx context.Context, src arrivalSource) error {
+// loop is the simulation loop: arrivals interleaved with control
+// events, then a drain. A sharded run never has control events (Validate
+// rules out every source of them), so its drain is one epoch to the end.
+func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
 	var (
 		pending workload.Request
 		have    bool
@@ -895,7 +924,7 @@ func (c *Cluster) runSequential(ctx context.Context, src arrivalSource) error {
 		// sees the fleet the controls produced.
 		r := pending
 		if ct, ok := c.nextControl(); ok && !r.Arrival.Before(ct) {
-			if err := c.advanceTo(ctx, ct); err != nil {
+			if err := c.advance(ctx, ct); err != nil {
 				return err
 			}
 			if err := c.applyControls(ct); err != nil {
@@ -906,7 +935,7 @@ func (c *Cluster) runSequential(ctx context.Context, src arrivalSource) error {
 		have = false
 		// Advance every replica to the arrival instant so the routing
 		// and admission signals are exact at time r.Arrival.
-		if err := c.advanceTo(ctx, r.Arrival); err != nil {
+		if err := c.advance(ctx, r.Arrival); err != nil {
 			return err
 		}
 		if err := c.routeArrival(r); err != nil {
@@ -915,6 +944,9 @@ func (c *Cluster) runSequential(ctx context.Context, src arrivalSource) error {
 	}
 	if err := src.finish(); err != nil {
 		return err
+	}
+	if c.shards != nil {
+		return c.advanceShards(ctx, simtime.Forever)
 	}
 
 	// All arrivals placed: drain every replica in event order, still
@@ -948,6 +980,15 @@ func (c *Cluster) runSequential(ctx context.Context, src arrivalSource) error {
 		c.refreshEvent(i)
 	}
 	return nil
+}
+
+// advance steps every replica to t (exclusive): behind an epoch barrier
+// in a sharded run, in global event order otherwise.
+func (c *Cluster) advance(ctx context.Context, t simtime.Time) error {
+	if c.shards != nil {
+		return c.advanceShards(ctx, t)
+	}
+	return c.advanceTo(ctx, t)
 }
 
 // routeArrival opens one arrival's record and takes it through

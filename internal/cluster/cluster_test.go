@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -220,12 +222,80 @@ func TestClusterContextCancel(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{Replicas: 0, NewReplica: newReplicaFactory(t)}); err == nil {
-		t.Fatal("zero replicas must fail")
+// requireFieldError checks that Validate and New both reject cfg with
+// a *FieldError naming the same real Config field, which it returns.
+func requireFieldError(t *testing.T, name string, cfg Config) string {
+	t.Helper()
+	verr := cfg.Validate()
+	var fe *FieldError
+	if !errors.As(verr, &fe) {
+		t.Fatalf("%s: Validate returned %T %v, want a *FieldError", name, verr, verr)
 	}
+	if _, ok := reflect.TypeOf(Config{}).FieldByName(fe.Field); !ok {
+		t.Fatalf("%s: Field %q names no Config field (%v)", name, fe.Field, verr)
+	}
+	_, err := New(cfg)
+	var ne *FieldError
+	if !errors.As(err, &ne) || ne.Field != fe.Field {
+		t.Fatalf("%s: Validate rejected %s (%v), but New returned %T %v", name, fe.Field, verr, err, err)
+	}
+	return fe.Field
+}
+
+func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Replicas: 2}); err == nil {
 		t.Fatal("nil factory must fail")
+	}
+	scaler := func() Autoscaler {
+		a, err := NewAutoscaler(ScaleQueueDepth, AutoscalerConfig{QueueTarget: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	pd := []Role{RolePrefill, RoleDecode}
+	drain := workload.FleetEvent{Time: simtime.Time(simtime.Second), Kind: workload.EventDrain, Replica: 1}
+	cases := []struct {
+		name, field string
+		mutate      func(*Config)
+	}{
+		{"zero replicas", "Replicas", func(c *Config) { c.Replicas = 0 }},
+		{"roles per replica", "Roles", func(c *Config) { c.Roles = []Role{RolePrefill} }},
+		{"mixed roles", "Roles", func(c *Config) { c.Replicas = 3; c.Roles = []Role{RolePrefill, RoleDecode, RoleUnified} }},
+		{"empty decode pool", "Roles", func(c *Config) { c.Roles = []Role{RolePrefill, RolePrefill} }},
+		{"unified scaler on pools", "Autoscaler", func(c *Config) { c.Roles = pd; c.Autoscaler = scaler(); c.ScaleTick = simtime.Second }},
+		{"scale event on pools", "Events", func(c *Config) {
+			c.Roles = pd
+			c.Events = []workload.FleetEvent{{Time: simtime.Time(simtime.Second), Kind: workload.EventScale, Replicas: 3}}
+		}},
+		{"half of the pool scalers", "PrefillScaler", func(c *Config) { c.Roles = pd; c.PrefillScaler = scaler(); c.ScaleTick = simtime.Second }},
+		{"pool scalers on a unified fleet", "PrefillScaler", func(c *Config) {
+			c.PrefillScaler, c.DecodeScaler, c.ScaleTick = scaler(), scaler(), simtime.Second
+		}},
+		{"pool scalers without a tick", "ScaleTick", func(c *Config) { c.Roles = pd; c.PrefillScaler, c.DecodeScaler = scaler(), scaler() }},
+		{"autoscaler without a tick", "ScaleTick", func(c *Config) { c.Autoscaler = scaler() }},
+		{"per-pool bounds on a unified fleet", "DecodeMax", func(c *Config) { c.DecodeMax = 2 }},
+		{"pool max below min", "PrefillMax", func(c *Config) { c.Roles = pd; c.PrefillMin = 3; c.PrefillMax = 2 }},
+		{"negative pool min", "DecodeMin", func(c *Config) { c.Roles = pd; c.DecodeMin = -1 }},
+		{"initial pool above max", "DecodeMax", func(c *Config) {
+			c.Replicas = 3
+			c.Roles = []Role{RolePrefill, RoleDecode, RoleDecode}
+			c.DecodeMax = 1
+		}},
+		{"negative min", "MinReplicas", func(c *Config) { c.MinReplicas = -1 }},
+		{"negative max", "MaxReplicas", func(c *Config) { c.MaxReplicas = -1 }},
+		{"max below min", "MaxReplicas", func(c *Config) { c.MinReplicas = 3; c.MaxReplicas = 2 }},
+		{"initial above max", "MaxReplicas", func(c *Config) { c.MaxReplicas = 1 }},
+		{"negative provision delay", "ProvisionDelay", func(c *Config) { c.ProvisionDelay = -1 }},
+		{"invalid fleet event", "Events", func(c *Config) { c.Events = []workload.FleetEvent{{Kind: workload.EventDrain, Replica: -1}} }},
+		{"sharded fleet events", "Shards", func(c *Config) { c.Shards = 2; c.Events = []workload.FleetEvent{drain} }},
+	}
+	for _, tc := range cases {
+		cfg := Config{Replicas: 2, NewReplica: newReplicaFactory(t)}
+		tc.mutate(&cfg)
+		if got := requireFieldError(t, tc.name, cfg); got != tc.field {
+			t.Errorf("%s: rejected field %s, want %s", tc.name, got, tc.field)
+		}
 	}
 	if _, err := NewRouter("bogus"); err == nil {
 		t.Fatal("unknown router must fail")

@@ -8,8 +8,8 @@
 // behind an epoch barrier, and (c) per-shard metric state is integer
 // (counters and sketch buckets), so the end-of-run merge is exact and
 // order-free; retained records land at their own ID in a table the
-// coordinator only grows while the workers are parked. New() rejects
-// every configuration that would break one of those properties
+// coordinator only grows while the workers are parked. Config.Validate
+// rejects every configuration that would break one of those properties
 // (disaggregation, scalers, fleet events, Obs, OnRecord).
 
 package cluster
@@ -49,11 +49,21 @@ type clusterShard struct {
 	err    error
 }
 
-// runSharded executes the arrival loop with replica stepping fanned
-// out across nShards workers. Control events never fire here (New
-// forbids every source of them under sharding), so the loop is pull,
-// advance to the arrival behind the epoch barrier, route.
-func (c *Cluster) runSharded(ctx context.Context, src arrivalSource, nShards int) error {
+// startShards prepares the run's replica stepping and returns the step
+// that ends it. A sequential run (Shards <= 1) fills the global event
+// tree and ends with nothing to do. A sharded run moves each replica's
+// event time and completion callbacks to its shard and starts one
+// worker per shard; the returned step stops the workers, restores the
+// callbacks, and merges the shard accumulators.
+func (c *Cluster) startShards() (stop func()) {
+	nShards := c.effShards()
+	if nShards <= 1 {
+		c.events.init(len(c.replicas))
+		for i := range c.replicas {
+			c.refreshEvent(i)
+		}
+		return func() {}
+	}
 	var wg sync.WaitGroup
 	c.shards = make([]*clusterShard, nShards)
 	for s := range c.shards {
@@ -75,7 +85,7 @@ func (c *Cluster) runSharded(ctx context.Context, src arrivalSource, nShards int
 	for _, sh := range c.shards {
 		go sh.run()
 	}
-	defer func() {
+	return func() {
 		for _, sh := range c.shards {
 			close(sh.target)
 		}
@@ -89,34 +99,7 @@ func (c *Cluster) runSharded(ctx context.Context, src arrivalSource, nShards int
 			c.accum.Merge(sh.accum)
 		}
 		c.shards = nil
-	}()
-
-	var (
-		nextID int
-		last   simtime.Time
-	)
-	for {
-		r, ok := src.pull()
-		if !ok {
-			break
-		}
-		if r.Arrival.Before(last) {
-			return fmt.Errorf("cluster: stream arrivals out of order: %v after %v", r.Arrival, last)
-		}
-		last = r.Arrival
-		r.ID = nextID
-		nextID++
-		if err := c.advanceShards(ctx, r.Arrival); err != nil {
-			return err
-		}
-		if err := c.routeArrival(r); err != nil {
-			return err
-		}
 	}
-	if err := src.finish(); err != nil {
-		return err
-	}
-	return c.advanceShards(ctx, simtime.Forever)
 }
 
 // advanceShards steps every shard's replicas to t (exclusive) behind

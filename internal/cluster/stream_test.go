@@ -16,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/perfmodel/roofline"
 	"repro/internal/simtime"
@@ -422,36 +423,29 @@ func TestShardedRunMatchesSequential(t *testing.T) {
 // TestShardConfigValidation pins the restrictions sharding's
 // bit-identity argument depends on.
 func TestShardConfigValidation(t *testing.T) {
-	base := func() Config {
-		return Config{Replicas: 2, NewReplica: newReplicaFactory(t), Shards: 2}
-	}
-	if _, err := New(Config{Replicas: 2, NewReplica: newReplicaFactory(t), Shards: -1}); err == nil {
-		t.Fatal("negative shard count must fail")
-	}
-	cfg := base()
 	scaler, err := NewAutoscaler(ScaleQueueDepth, AutoscalerConfig{QueueTarget: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Autoscaler = scaler
-	cfg.ScaleTick = simtime.Second
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sharding with an autoscaler must fail")
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"negative shard count", func(c *Config) { c.Shards = -1 }},
+		{"autoscaler", func(c *Config) { c.Autoscaler = scaler; c.ScaleTick = simtime.Second }},
+		{"fleet events", func(c *Config) {
+			c.Events = []workload.FleetEvent{{Time: simtime.Time(simtime.Second), Kind: workload.EventDrain, Replica: 1}}
+		}},
+		{"telemetry recorder", func(c *Config) { c.Obs = obs.New(obs.Config{}) }},
+		{"OnRecord sink", func(c *Config) { c.OnRecord = func(*metrics.RequestRecord) {} }},
+		{"disaggregated fleet", func(c *Config) { c.Roles = []Role{RolePrefill, RoleDecode} }},
 	}
-	cfg = base()
-	cfg.Events = []workload.FleetEvent{{Time: simtime.Time(simtime.Second), Kind: workload.EventDrain, Replica: 1}}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sharding with fleet events must fail")
-	}
-	cfg = base()
-	cfg.OnRecord = func(*metrics.RequestRecord) {}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sharding with an OnRecord sink must fail")
-	}
-	cfg = base()
-	cfg.Roles = []Role{RolePrefill, RoleDecode}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sharding a disaggregated fleet must fail")
+	for _, tc := range cases {
+		cfg := Config{Replicas: 2, NewReplica: newReplicaFactory(t), Shards: 2}
+		tc.mutate(&cfg)
+		if got := requireFieldError(t, "sharding with "+tc.name, cfg); got != "Shards" {
+			t.Errorf("sharding with %s: rejected field %s, want Shards", tc.name, got)
+		}
 	}
 }
 

@@ -188,42 +188,52 @@ func TestStreamScenarioValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := goldenStreamScenario(t)
-	if err := sc.Validate(); err == nil {
-		t.Error("scenario without trace or stream must fail")
+	// traced returns the base scenario over the materialized trace,
+	// sharded over the given worker count.
+	traced := func(shards int) sim.ClusterScenario {
+		sc := goldenStreamScenario(t)
+		sc.Trace = goldenTrace(t)
+		sc.Shards = shards
+		return sc
 	}
-	sc = goldenStreamScenario(t)
-	sc.Trace = goldenTrace(t)
-	sc.TraceStream = stream
-	if err := sc.Validate(); err == nil {
-		t.Error("scenario with both trace and stream must fail")
+	cases := []struct {
+		name, field string
+		sc          func() sim.ClusterScenario
+	}{
+		{"scenario without trace or stream", "Trace", func() sim.ClusterScenario { return goldenStreamScenario(t) }},
+		{"scenario with both trace and stream", "TraceStream", func() sim.ClusterScenario {
+			sc := traced(0)
+			sc.TraceStream = stream
+			return sc
+		}},
+		{"negative shard count", "Shards", func() sim.ClusterScenario { return traced(-1) }},
+		{"sharding with telemetry", "Shards", func() sim.ClusterScenario {
+			return traced(2).WithTelemetry(sim.NewTelemetry(sim.TelemetryConfig{}))
+		}},
+		{"sharding with replica-config telemetry", "Shards", func() sim.ClusterScenario {
+			sc := traced(2)
+			sc.Config.Telemetry = sim.NewTelemetry(sim.TelemetryConfig{})
+			return sc
+		}},
+		{"sharding with a request row sink", "Shards", func() sim.ClusterScenario {
+			sc := traced(2)
+			sc.RequestsOut = &bytes.Buffer{}
+			return sc
+		}},
+		{"sharding with an autoscaler", "Shards", func() sim.ClusterScenario {
+			sc := traced(2).WithAutoscaler(sim.ScaleQueueDepth, 50*time.Millisecond, 1, 4)
+			sc.ScaleQueueTarget = 4
+			return sc
+		}},
+		{"sharding with fleet events", "Shards", func() sim.ClusterScenario {
+			sc := traced(2)
+			sc.FleetEvents = []sim.FleetEvent{{At: time.Second, Kind: sim.FleetDrain, Replica: 1}}
+			return sc
+		}},
 	}
-	sc = goldenStreamScenario(t)
-	sc.Trace = goldenTrace(t)
-	sc.Shards = -1
-	if err := sc.Validate(); err == nil {
-		t.Error("negative shard count must fail")
-	}
-	sc = goldenStreamScenario(t)
-	sc.Trace = goldenTrace(t)
-	sc.Shards = 2
-	sc.Telemetry = sim.NewTelemetry(sim.TelemetryConfig{})
-	if err := sc.Validate(); err == nil {
-		t.Error("sharding with telemetry must fail")
-	}
-	sc = goldenStreamScenario(t)
-	sc.Trace = goldenTrace(t)
-	sc.Shards = 2
-	sc.RequestsOut = &bytes.Buffer{}
-	if err := sc.Validate(); err == nil {
-		t.Error("sharding with a request row sink must fail")
-	}
-	sc = goldenStreamScenario(t)
-	sc.Trace = goldenTrace(t)
-	sc.Shards = 2
-	sc = sc.WithAutoscaler(sim.ScaleQueueDepth, 50*time.Millisecond, 1, 4)
-	sc.ScaleQueueTarget = 4
-	if err := sc.Validate(); err == nil {
-		t.Error("sharding with an autoscaler must fail")
+	for _, tc := range cases {
+		if got := sim.RequireScenarioRejected(t, tc.name, tc.sc()); got != tc.field {
+			t.Errorf("%s: rejected field %s, want %s", tc.name, got, tc.field)
+		}
 	}
 }
