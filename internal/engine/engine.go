@@ -14,7 +14,9 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/model"
 	"repro/internal/simtime"
@@ -136,6 +138,10 @@ type Stack struct {
 	// by its latency.
 	hits    int64
 	hitBusy simtime.Duration
+
+	// gen counts ClearCaches calls, so a Memo in front of the stack
+	// notices that what it remembers was dropped.
+	gen atomic.Uint64
 }
 
 // cacheEntry is one shape's cached compilation and, once simulated, its
@@ -173,8 +179,10 @@ func (e *cacheEntry) result(op model.Op) Result {
 
 // arenaBlock is how many cache entries one arena allocation holds:
 // entries never move once handed out, so the cache map holds pointers
-// without a growing table being copied.
-const arenaBlock = 64
+// without a growing table being copied. A cold serving run adds
+// thousands of entries (one per new attention context); a block fills
+// one 16 KiB allocation, a size the allocator serves without rounding.
+const arenaBlock = 16 << 10 / int(unsafe.Sizeof(cacheEntry{}))
 
 // NewStack wraps an engine. reuse enables the compilation/simulation
 // caches.
@@ -254,14 +262,17 @@ func (s *Stack) entry(key model.ShapeID) *cacheEntry {
 	return e
 }
 
-// runSlow is the cache-missing path of Run.
+// runSlow is the cache-missing path of Run. With reuse on it finds or
+// adds the shape's entry once; entries never move, so later steps use
+// it under the lock without probing the map again.
 func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (Result, error) {
+	var e *cacheEntry // nil without reuse
 	var c Compiled
 	s.mu.Lock()
 	s.stats.CompileCalls++
 	if s.reuse {
-		if e := s.lookup(key); e != nil && e.compiled != nil {
-			c = e.compiled
+		e = s.entry(key)
+		if c = e.compiled; c != nil {
 			s.stats.CompileHits++
 		}
 	}
@@ -277,23 +288,19 @@ func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (Result, error) {
 		}
 		s.mu.Lock()
 		s.stats.CompileHost += elapsed
-		if s.reuse {
-			s.entry(key).compiled = c
+		if e != nil {
+			e.compiled = c
 		}
-		s.mu.Unlock()
+	} else {
+		s.mu.Lock()
 	}
-
-	s.mu.Lock()
 	s.stats.SimulateCalls++
-	if s.reuse {
-		if e := s.lookup(key); e != nil && e.simulated {
-			s.stats.SimulateHits++
-			s.stats.OpsSimulated++
-			s.stats.SimulatedBusy += e.latency
-			r := e.result(*op)
-			s.mu.Unlock()
-			return r, nil
-		}
+	if e != nil && e.simulated {
+		s.stats.SimulateHits++
+		s.stats.OpsSimulated++
+		s.stats.SimulatedBusy += e.latency
+		s.mu.Unlock()
+		return e.result(*op), nil
 	}
 	s.mu.Unlock()
 
@@ -307,18 +314,24 @@ func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (Result, error) {
 	s.stats.SimulateHost += elapsed
 	s.stats.OpsSimulated++
 	s.stats.SimulatedBusy += r.Latency
-	if s.reuse {
-		// A concurrent miss on the same shape may have stored it first;
-		// stored results are never rewritten.
-		if e := s.entry(key); !e.simulated {
-			e.simulated = true
-			e.latency, e.bound = r.Latency, r.Bound
-			e.computeCycles, e.memoryCycles, e.bytesMoved = r.ComputeCycles, r.MemoryCycles, r.BytesMoved
-		}
+	// A concurrent miss on the same shape may have stored it first;
+	// stored results are never rewritten.
+	if e != nil && !e.simulated {
+		e.simulated = true
+		e.latency, e.bound = r.Latency, r.Bound
+		e.computeCycles, e.memoryCycles, e.bytesMoved = r.ComputeCycles, r.MemoryCycles, r.BytesMoved
 	}
 	s.mu.Unlock()
 	r.Op = *op
 	return r, nil
+}
+
+// foldHits adds n double hits of total latency busy, counted by a Memo.
+func (s *Stack) foldHits(n int64, busy simtime.Duration) {
+	s.mu.Lock()
+	s.hits += n
+	s.hitBusy += busy
+	s.mu.Unlock()
 }
 
 // Stats returns a snapshot of the stack's instrumentation.
@@ -350,6 +363,7 @@ func (s *Stack) ClearCaches() {
 	defer s.mu.Unlock()
 	s.cache = make(map[uint64]*cacheEntry)
 	s.arena = nil
+	s.gen.Add(1)
 }
 
 // CacheSizes returns the number of cached compiled artifacts and results.

@@ -131,72 +131,36 @@ func BuildIterationInto(it *IterationOps, cfg Config, batch []Seq, tp int) error
 	vocabShard := ceilShard(cfg.Vocab, tp)
 	phase := batchPhase(batch)
 
-	*it = IterationOps{
-		Model:          cfg,
-		TP:             tp,
-		Layers:         cfg.Layers,
-		TotalNewTokens: totalNew,
-		Seqs:           append(it.Seqs[:0], batch...),
-		Block:          it.Block[:0],
-		attnNames:      it.attnNames,
-	}
+	// The operators are written field by field into recycled storage:
+	// assigning an Op composite literal copies the 104-byte Op through
+	// a temporary.
+	it.Model, it.TP, it.Layers = cfg, tp, cfg.Layers
+	it.TotalNewTokens = totalNew
+	it.Seqs = append(it.Seqs[:0], batch...)
+	it.Embed.setBatched(OpEmbed, "Embed", phase, totalNew, h, 1, 0)
 
-	it.Embed = Op{
-		Kind: OpEmbed, Name: "Embed", Phase: phase,
-		M: totalNew, N: h, K: 1, Heads: 1, ReqID: -1, Batched: true,
+	w := opWriter{ops: it.Block[:0]}
+	n := 8 + 3*len(batch)
+	if cfg.IsMoE() {
+		n++ // the router
 	}
-
-	block := it.Block
-	if cap(block) < 8+3*len(batch) {
-		block = make([]Op, 0, 8+3*len(batch))
+	if cap(w.ops) < n {
+		w.ops = make([]Op, 0, n)
 	}
-	block = append(block, Op{
-		Kind: OpLayerNorm, Name: "LayerNorm1", Phase: phase,
-		M: totalNew, N: h, K: 1, Heads: 1, ReqID: -1, Batched: true,
-	})
-	block = append(block, Op{
-		Kind: OpQKVGen, Name: "QKVGen", Phase: phase,
-		M: totalNew, N: qkvN, K: h, Heads: 1, ReqID: -1, Batched: true,
-		Weights: int64(qkvN) * int64(h) * int64(d),
-	})
+	w.batched(OpLayerNorm, "LayerNorm1", phase, totalNew, h, 1, 0)
+	w.batched(OpQKVGen, "QKVGen", phase, totalNew, qkvN, h, int64(qkvN)*int64(h)*int64(d))
 	// Attention core: one Score/Softmax/Attend triple per request, covering
 	// this worker's localHeads heads (selective batching).
 	for _, s := range batch {
 		ctx := s.TotalLen()
 		nm := it.attnNamesFor(s.ReqID)
-		block = append(block,
-			Op{
-				Kind: OpScore, Name: nm.score, Phase: phase,
-				M: s.NewTokens, N: ctx, K: headDim,
-				Heads: localHeads, ReqID: s.ReqID, Context: ctx,
-			},
-			Op{
-				Kind: OpSoftmax, Name: nm.softmax, Phase: phase,
-				M: s.NewTokens, N: ctx, K: 1,
-				Heads: localHeads, ReqID: s.ReqID, Context: ctx,
-			},
-			Op{
-				Kind: OpAttend, Name: nm.attend, Phase: phase,
-				M: s.NewTokens, N: headDim, K: ctx,
-				Heads: localHeads, ReqID: s.ReqID, Context: ctx,
-			},
-		)
+		w.attention(OpScore, nm.score, phase, s, ctx, headDim, localHeads)
+		w.attention(OpSoftmax, nm.softmax, phase, s, ctx, 1, localHeads)
+		w.attention(OpAttend, nm.attend, phase, s, headDim, ctx, localHeads)
 	}
-	block = append(block,
-		Op{
-			Kind: OpProj, Name: "Proj", Phase: phase,
-			M: totalNew, N: h, K: projK, Heads: 1, ReqID: -1, Batched: true,
-			Weights: int64(h) * int64(projK) * int64(d),
-		},
-		Op{
-			Kind: OpResidue, Name: "Residual1", Phase: phase,
-			M: totalNew, N: h, K: 1, Heads: 1, ReqID: -1, Batched: true,
-		},
-		Op{
-			Kind: OpLayerNorm, Name: "LayerNorm2", Phase: phase,
-			M: totalNew, N: h, K: 1, Heads: 1, ReqID: -1, Batched: true,
-		},
-	)
+	w.batched(OpProj, "Proj", phase, totalNew, h, projK, int64(h)*int64(projK)*int64(d))
+	w.batched(OpResidue, "Residual1", phase, totalNew, h, 1, 0)
+	w.batched(OpLayerNorm, "LayerNorm2", phase, totalNew, h, 1, 0)
 	// Feed-forward: dense, or mixture-of-experts with a router GEMM and
 	// TopK-activated expert FFNs (the Section V-B extension). Each token
 	// is processed by TopK experts, so the FFN GEMMs widen by TopK rows;
@@ -204,11 +168,7 @@ func BuildIterationInto(it *IterationOps, cfg Config, batch []Seq, tp int) error
 	ffnM := totalNew
 	activeExperts := int64(1)
 	if cfg.IsMoE() {
-		block = append(block, Op{
-			Kind: OpGate, Name: "Gate", Phase: phase,
-			M: totalNew, N: cfg.Experts, K: h, Heads: 1, ReqID: -1, Batched: true,
-			Weights: int64(cfg.Experts) * int64(h) * int64(d),
-		})
+		w.batched(OpGate, "Gate", phase, totalNew, cfg.Experts, h, int64(cfg.Experts)*int64(h)*int64(d))
 		ffnM = totalNew * cfg.TopK
 		if totalNew*cfg.TopK < cfg.Experts {
 			activeExperts = int64(totalNew * cfg.TopK)
@@ -216,33 +176,48 @@ func BuildIterationInto(it *IterationOps, cfg Config, batch []Seq, tp int) error
 			activeExperts = int64(cfg.Experts)
 		}
 	}
-	block = append(block,
-		Op{
-			Kind: OpFFN1, Name: "FFN1", Phase: phase,
-			// Gated (SwiGLU) FFNs fuse the gate and up projections into one
-			// doubled-width GEMM, as LLaMA deployments do.
-			M: ffnM, N: ffn1N, K: h, Heads: 1, ReqID: -1, Batched: true,
-			Weights: activeExperts * int64(ffn1N) * int64(h) * int64(d),
-		},
-		Op{
-			Kind: OpFFN2, Name: "FFN2", Phase: phase,
-			M: ffnM, N: h, K: ffnShard, Heads: 1, ReqID: -1, Batched: true,
-			Weights: activeExperts * int64(h) * int64(ffnShard) * int64(d),
-		},
-		Op{
-			Kind: OpResidue, Name: "Residual2", Phase: phase,
-			M: totalNew, N: h, K: 1, Heads: 1, ReqID: -1, Batched: true,
-		},
-	)
-	it.Block = block
+	// Gated (SwiGLU) FFNs fuse the gate and up projections into one
+	// doubled-width GEMM, as LLaMA deployments do.
+	w.batched(OpFFN1, "FFN1", phase, ffnM, ffn1N, h, activeExperts*int64(ffn1N)*int64(h)*int64(d))
+	w.batched(OpFFN2, "FFN2", phase, ffnM, h, ffnShard, activeExperts*int64(h)*int64(ffnShard)*int64(d))
+	w.batched(OpResidue, "Residual2", phase, totalNew, h, 1, 0)
+	it.Block = w.ops
 
 	// LM head computes logits for the last position of each sequence only.
-	it.Head = Op{
-		Kind: OpLMHead, Name: "LMHead", Phase: phase,
-		M: len(batch), N: vocabShard, K: h, Heads: 1, ReqID: -1, Batched: true,
-		Weights: int64(vocabShard) * int64(h) * int64(d),
-	}
+	it.Head.setBatched(OpLMHead, "LMHead", phase, len(batch), vocabShard, h, int64(vocabShard)*int64(h)*int64(d))
 	return nil
+}
+
+// opWriter appends operators to a block, each written in place.
+type opWriter struct{ ops []Op }
+
+// next appends a zero operator and returns it.
+func (w *opWriter) next() *Op {
+	w.ops = append(w.ops, Op{})
+	return &w.ops[len(w.ops)-1]
+}
+
+// batched appends a batch-wide operator (see setBatched).
+func (w *opWriter) batched(kind OpKind, name string, phase Phase, m, n, k int, weights int64) {
+	w.next().setBatched(kind, name, phase, m, n, k, weights)
+}
+
+// attention appends one of request s's attention-core operators: M is
+// its new tokens, and it runs against its whole context.
+func (w *opWriter) attention(kind OpKind, name string, phase Phase, s Seq, n, k, heads int) {
+	o := w.next()
+	o.Kind, o.Name, o.Phase = kind, name, phase
+	o.M, o.N, o.K = s.NewTokens, n, k
+	o.Heads, o.ReqID, o.Context = heads, s.ReqID, s.TotalLen()
+}
+
+// setBatched overwrites o with a single-head operator covering every
+// request of the batch.
+func (o *Op) setBatched(kind OpKind, name string, phase Phase, m, n, k int, weights int64) {
+	o.Kind, o.Name, o.Phase = kind, name, phase
+	o.M, o.N, o.K = m, n, k
+	o.Heads, o.ReqID, o.Context = 1, -1, 0
+	o.Batched, o.Weights = true, weights
 }
 
 // batchPhase labels a mixed batch: Initiation if any sequence is in its

@@ -177,8 +177,10 @@ type ShapeID struct {
 	Context int
 }
 
-// ShapeID returns the op's caching identity (see ShapeKey).
-func (o Op) ShapeID() ShapeID {
+// ShapeID returns the op's caching identity (see ShapeKey). It has a
+// pointer receiver because hot loops call it on every priced operator
+// and Op is large.
+func (o *Op) ShapeID() ShapeID {
 	return ShapeID{Kind: o.Kind, Phase: o.Phase, M: o.M, N: o.N, K: o.K, Heads: o.Heads, Context: o.Context}
 }
 

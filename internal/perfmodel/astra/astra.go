@@ -54,6 +54,12 @@ type Backend struct {
 	pim  *engine.Stack
 	host metrics.ComponentTimes
 
+	// Operators are priced through owner-local memos in front of the
+	// stacks (nil pimMemo when pim is nil); runEngines folds their hits
+	// into the stacks' counters before it returns.
+	npuMemo, pimMemo *engine.Memo
+	npuKind, pimKind engine.Kind
+
 	// Decoder blocks simulated event by event and advanced by the
 	// executor's steady-state time shift (see BlockCounts).
 	blocksSimulated, blocksShifted int64
@@ -96,6 +102,8 @@ func New(cfg perfmodel.Config, opts Options) (*Backend, error) {
 		return nil, err
 	}
 	b.npu = engine.NewStack(eng, cfg.Reuse.ComputationReuse)
+	b.npuMemo = engine.NewMemo(b.npu, cfg.Model.MaxSeqLen)
+	b.npuKind = eng.Kind()
 
 	if cfg.PIMMode != perfmodel.PIMNone {
 		p, err := pim.New(opts.PIM)
@@ -103,6 +111,8 @@ func New(cfg perfmodel.Config, opts Options) (*Backend, error) {
 			return nil, err
 		}
 		b.pim = engine.NewStack(p, cfg.Reuse.ComputationReuse)
+		b.pimMemo = engine.NewMemo(b.pim, cfg.Model.MaxSeqLen)
+		b.pimKind = p.Kind()
 	}
 	return b, nil
 }
@@ -188,7 +198,13 @@ func (b *Backend) IterationLatency(batch *sched.Batch) (simtime.Duration, perfmo
 // the compiler/simulator stacks, and merge the traces.
 func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Duration, simtime.Duration, int, error) {
 	t0 := time.Now()
-	defer func() { b.host.ExecutionEngine += time.Since(t0) }()
+	defer func() {
+		b.npuMemo.Flush()
+		if b.pimMemo != nil {
+			b.pimMemo.Flush()
+		}
+		b.host.ExecutionEngine += time.Since(t0)
+	}()
 
 	var zero graph.BlockWork
 	if batch.SubBatch != nil && len(batch.SubBatch) != len(batch.Seqs) {
@@ -206,7 +222,12 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 	defer func() { b.itemsBuf = allItems[:0] }()
 	var embedDur, headDur simtime.Duration
 	totalNew := 0
-	pool := b.cfg.PIMMode == perfmodel.PIMPool
+	widen := 1
+	if b.pim != nil && b.cfg.PIMMode == perfmodel.PIMPool {
+		// A PIM pool runs attention at full head count on the pool
+		// devices (the group's head shards gather there).
+		widen = b.cfg.Topo.TP
+	}
 
 	for sbIdx, seqs := range subBatches {
 		it := &b.itBuf
@@ -214,31 +235,37 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 			return zero, 0, 0, 0, err
 		}
 		totalNew += it.TotalNewTokens
+		if widen > 1 {
+			for i := range it.Block {
+				if op := &it.Block[i]; op.Kind.IsAttention() {
+					op.Heads *= widen
+				}
+			}
+		}
 
 		for rep := 0; rep < reps; rep++ {
 			for i := range it.Block {
 				op := &it.Block[i]
-				stack, latency, err := b.runOperator(op, pool)
+				kind, latency, err := b.runOperator(op)
 				if err != nil {
 					return zero, 0, 0, 0, err
 				}
 				if rep == 0 {
-					allItems = append(allItems, trace.Item{
-						Op:       *op,
-						Engine:   stack.Engine().Name(),
-						Kind:     stack.Engine().Kind(),
-						Latency:  latency,
-						SubBatch: sbIdx,
-						Seq:      i,
-					})
+					// Written in place: a composite literal goes through
+					// a stack temporary first.
+					allItems = append(allItems, trace.Item{})
+					item := &allItems[len(allItems)-1]
+					item.OpKind, item.ReqID, item.Name = op.Kind, op.ReqID, op.Name
+					item.Kind, item.Latency = kind, latency
+					item.SubBatch, item.Seq = sbIdx, i
 				}
 			}
 		}
-		eDur, err := b.npu.RunLatency(&it.Embed)
+		eDur, err := b.npuMemo.RunLatency(&it.Embed)
 		if err != nil {
 			return zero, 0, 0, 0, err
 		}
-		hDur, err := b.npu.RunLatency(&it.Head)
+		hDur, err := b.npuMemo.RunLatency(&it.Head)
 		if err != nil {
 			return zero, 0, 0, 0, err
 		}
@@ -253,23 +280,16 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 	return work, embedDur, headDur, totalNew, nil
 }
 
-// runOperator maps one operator to an engine stack and runs it there.
-// The operator-mapping strategy: attention-core operators go to the PIM
-// stack when one is configured; with a PIM pool, attention runs at full
-// head count on the pool devices (the group's head shards gather
-// there), so the operator is widened accordingly.
-func (b *Backend) runOperator(op *model.Op, pool bool) (*engine.Stack, simtime.Duration, error) {
-	if b.pim == nil || !op.Kind.IsAttention() {
-		lat, err := b.npu.RunLatency(op)
-		return b.npu, lat, err
+// runOperator maps one operator to an engine and prices it there,
+// returning the engine's kind. The operator-mapping strategy:
+// attention-core operators go to the PIM engine when one is configured.
+func (b *Backend) runOperator(op *model.Op) (engine.Kind, simtime.Duration, error) {
+	if b.pimMemo == nil || !op.Kind.IsAttention() {
+		lat, err := b.npuMemo.RunLatency(op)
+		return b.npuKind, lat, err
 	}
-	if pool {
-		wide := *op
-		wide.Heads *= b.cfg.Topo.TP
-		op = &wide
-	}
-	lat, err := b.pim.RunLatency(op)
-	return b.pim, lat, err
+	lat, err := b.pimMemo.RunLatency(op)
+	return b.pimKind, lat, err
 }
 
 // assembleBlockWork reduces the merged engine trace into the graph

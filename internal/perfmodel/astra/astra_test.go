@@ -1,10 +1,13 @@
 package astra
 
 import (
+	"errors"
 	"testing"
 
 	astrasim "repro/internal/astra"
 	"repro/internal/config"
+	"repro/internal/engine"
+	"repro/internal/engine/npu"
 	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/network"
@@ -37,6 +40,16 @@ func firstBatch(t *testing.T, cfg perfmodel.Config, reqs []workload.Request) *sc
 // e.g. with the batch split into NeuPIMs-style sub-batches.
 func firstSubBatched(t testing.TB, cfg perfmodel.Config, reqs []workload.Request, sc sched.Config) *sched.Batch {
 	t.Helper()
+	b, ok := newScheduler(t, cfg, reqs, sc).Next()
+	if !ok {
+		t.Fatal("no batch")
+	}
+	return b
+}
+
+// newScheduler builds a scheduler over a paged KV cache for the trace.
+func newScheduler(t testing.TB, cfg perfmodel.Config, reqs []workload.Request, sc sched.Config) *sched.Scheduler {
+	t.Helper()
 	kv, err := kvcache.New(kvcache.Config{
 		Policy:        kvcache.Paged,
 		PageTokens:    16,
@@ -51,11 +64,7 @@ func firstSubBatched(t testing.TB, cfg perfmodel.Config, reqs []workload.Request
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ok := s.Next()
-	if !ok {
-		t.Fatal("no batch")
-	}
-	return b
+	return s
 }
 
 // TestCriticalPathCoversIteration: the critical path through a converted
@@ -199,4 +208,64 @@ func TestHostTimesAccumulate(t *testing.T) {
 	if got := b.Host(); got.Total() != 0 {
 		t.Fatalf("ResetStats left host times: %+v", got)
 	}
+}
+
+// headFailingEngine fails to compile the LM head once armed.
+type headFailingEngine struct {
+	engine.Engine
+	armed bool
+}
+
+func (f *headFailingEngine) Compile(op model.Op) (engine.Compiled, error) {
+	if f.armed && op.Kind == model.OpLMHead {
+		return nil, errors.New("injected compile failure")
+	}
+	return f.Engine.Compile(op)
+}
+
+// TestMemoHitsReachStackStats: operators priced from the backend's
+// memos count in the stacks' Stats as the double hits they stand for,
+// by the end of every IterationLatency, including one that fails
+// part-way.
+func TestMemoHitsReachStackStats(t *testing.T) {
+	cfg := testConfig(t, 2)
+	cfg.PIMMode = perfmodel.PIMLocal
+	eng := &headFailingEngine{}
+	b, err := New(cfg, Options{PIM: config.DefaultPIM(), EngineFactory: func() (engine.Engine, error) {
+		e, err := npu.New(config.DefaultNPU())
+		eng.Engine = e
+		return eng, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(id, ctx int) model.Seq {
+		return model.Seq{ReqID: id, NewTokens: 1, Context: ctx, Phase: model.Generation}
+	}
+	two := &sched.Batch{Seqs: []model.Seq{decode(0, 100), decode(1, 200)}}
+	// Per iteration: 2 x 3 attention operators on PIM; 8 block operators,
+	// the embedding and the LM head on the NPU. The block's two
+	// LayerNorms share a shape, and so do its two residual adds.
+	const pimOps, npuOps, npuRepeats = 6, 10, 2
+	check := func(at string, s *engine.Stack, calls, hits int64) {
+		t.Helper()
+		if st := s.Stats(); st.SimulateCalls != calls || st.SimulateHits != hits ||
+			st.CompileCalls != calls || st.CompileHits != hits || st.OpsSimulated != calls {
+			t.Fatalf("%s: %s stats %+v, want %d calls with %d hits", at, s.Engine().Kind(), st, calls, hits)
+		}
+	}
+	for i := int64(1); i <= 3; i++ {
+		if _, _, err := b.IterationLatency(two); err != nil {
+			t.Fatal(err)
+		}
+		check("warm-up", b.PIMStack(), pimOps*i, pimOps*(i-1))
+		check("warm-up", b.NPUStack(), npuOps*i, npuOps*(i-1)+npuRepeats)
+	}
+	// Request 0 alone reuses its attention shapes, then fails on its new
+	// LM head shape: the attention hits still count.
+	eng.armed = true
+	if _, _, err := b.IterationLatency(&sched.Batch{Seqs: two.Seqs[:1]}); err == nil {
+		t.Fatal("injected failure not reported")
+	}
+	check("failed iteration", b.PIMStack(), 3*pimOps+3, 2*pimOps+3)
 }

@@ -59,3 +59,47 @@ func BenchmarkAstraIteration(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAstraRun serves a short trace from a cold start: a fresh
+// backend for the paper's NPU+PIM system (as in BenchmarkAstraIteration)
+// prices every iteration of 16 requests, from their prefills to their
+// last tokens. Unlike the warm iteration above it covers the engine
+// cache misses, since decode attention meets a new context length on
+// almost every iteration.
+func BenchmarkAstraRun(b *testing.B) {
+	topo, err := network.Build(network.Hybrid, 8, 2, config.DefaultLink(), config.DefaultLink())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := perfmodel.Config{
+		Model:   model.MustLookup("gpt3-7b"),
+		Topo:    topo,
+		PIMMode: perfmodel.PIMLocal,
+		Reuse:   perfmodel.ReuseAll(),
+	}
+	var reqs []workload.Request
+	for i := range 16 {
+		reqs = append(reqs, workload.Request{ID: i, InputLen: 64 + 37*i, OutputLen: 48 + 5*i})
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		be, err := New(cfg, Options{NPU: config.DefaultNPU(), PIM: config.DefaultPIM()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := newScheduler(b, cfg, reqs, sched.Config{SubBatches: 2})
+		for {
+			batch, ok := s.Next()
+			if !ok {
+				break
+			}
+			lat, _, err := be.IterationLatency(batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Complete(batch, lat); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -2,12 +2,12 @@
 // scheduler that merges them (Algorithm 1, line 14).
 //
 // Each execution engine simulates the operators mapped to it and emits
-// trace items carrying the operator, the engine that ran it, and the
-// simulated latency. The operator scheduler reconstructs a single device
-// timeline from multiple engines' items using a greedy list-scheduling
-// heuristic that respects program order within a sub-batch while letting
-// independent sub-batches overlap across heterogeneous engines — the
-// NPU+PIM sub-batch interleaving of NeuPIMs.
+// trace items carrying the operator's identity, the kind of engine that
+// ran it, and the simulated latency. The operator scheduler reconstructs
+// a single device timeline from multiple engines' items using a greedy
+// list-scheduling heuristic that respects program order within a
+// sub-batch while letting independent sub-batches overlap across
+// heterogeneous engines — the NPU+PIM sub-batch interleaving of NeuPIMs.
 package trace
 
 import (
@@ -19,10 +19,13 @@ import (
 	"repro/internal/simtime"
 )
 
-// Item is one simulated operator occurrence in an engine trace.
+// Item is one simulated operator occurrence in an engine trace. It
+// carries only what the scheduler and SplitSegments read of the
+// operator: its kind, its request and its name for error messages.
 type Item struct {
-	Op       model.Op
-	Engine   string      // engine instance name
+	OpKind   model.OpKind
+	ReqID    int         // owning request of a per-request op, -1 for batched ops
+	Name     string      // operator name
 	Kind     engine.Kind // accelerator class (the scheduling resource)
 	Latency  simtime.Duration
 	SubBatch int // sub-batch the op belongs to (0 if unpartitioned)
@@ -64,9 +67,9 @@ func (s *Scheduler) Makespan(items []Item) (simtime.Duration, error) {
 		it := &items[i]
 		switch {
 		case it.Kind < 0 || it.Kind >= engine.NumKinds:
-			return 0, fmt.Errorf("trace: item %d (%q) has unknown engine kind %v", i, it.Op.Name, it.Kind)
+			return 0, fmt.Errorf("trace: item %d (%q) has unknown engine kind %v", i, it.Name, it.Kind)
 		case it.Latency < 0:
-			return 0, fmt.Errorf("trace: item %d (%q) has negative latency %v", i, it.Op.Name, it.Latency)
+			return 0, fmt.Errorf("trace: item %d (%q) has negative latency %v", i, it.Name, it.Latency)
 		case i == 0 || it.SubBatch > items[i-1].SubBatch:
 			s.bounds = append(s.bounds, i)
 		case it.SubBatch < items[i-1].SubBatch:
@@ -143,9 +146,9 @@ func SplitSegmentsInto(items []Item, attn map[int]simtime.Duration) Segments {
 	seenAttention := false
 	for _, it := range items {
 		switch {
-		case it.Op.Kind.IsAttention():
+		case it.OpKind.IsAttention():
 			seenAttention = true
-			seg.Attn[it.Op.ReqID] += it.Latency
+			seg.Attn[it.ReqID] += it.Latency
 		case !seenAttention:
 			seg.Pre += it.Latency
 		default:

@@ -14,8 +14,9 @@ import (
 
 func item(kind engine.Kind, sub, seq int, d simtime.Duration, opKind model.OpKind, req int) Item {
 	return Item{
-		Op:       model.Op{Kind: opKind, Name: "op", ReqID: req, M: 1, N: 1, K: 1, Heads: 1},
-		Engine:   kind.String(),
+		OpKind:   opKind,
+		ReqID:    req,
+		Name:     "op",
 		Kind:     kind,
 		Latency:  d,
 		SubBatch: sub,
@@ -146,8 +147,8 @@ func (s Schedule) Validate() error {
 		for i := 1; i < len(items); i++ {
 			if items[i].Start < items[i-1].End {
 				return fmt.Errorf("trace: overlap on %s: %q [%v,%v) vs %q [%v,%v)",
-					k, items[i-1].Op.Name, items[i-1].Start, items[i-1].End,
-					items[i].Op.Name, items[i].Start, items[i].End)
+					k, items[i-1].Name, items[i-1].Start, items[i-1].End,
+					items[i].Name, items[i].Start, items[i].End)
 			}
 		}
 	}
@@ -156,7 +157,7 @@ func (s Schedule) Validate() error {
 		for i := 1; i < len(items); i++ {
 			if items[i].Start < items[i-1].End {
 				return fmt.Errorf("trace: sub-batch %d order violation: %q starts %v before %q ends %v",
-					id, items[i].Op.Name, items[i].Start, items[i-1].Op.Name, items[i-1].End)
+					id, items[i].Name, items[i].Start, items[i-1].Name, items[i-1].End)
 			}
 		}
 	}
@@ -189,7 +190,7 @@ func TestSerialOrder(t *testing.T) {
 	if s.Makespan != 15 {
 		t.Fatalf("makespan %v", s.Makespan)
 	}
-	if s.Items[0].Op.Kind != model.OpQKVGen || s.Items[0].Start != 0 || s.Items[1].Start != 5 {
+	if s.Items[0].OpKind != model.OpQKVGen || s.Items[0].Start != 0 || s.Items[1].Start != 5 {
 		t.Fatal("serial order broken")
 	}
 	if err := s.Validate(); err != nil {

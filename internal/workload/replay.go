@@ -80,6 +80,7 @@ func parseReplayHeader(line string) (generator string, err error) {
 // no-op, so callers check Close once (the RequestsTSVWriter convention).
 type ReplayWriter struct {
 	bw   *bufio.Writer
+	row  []byte // the row being formatted, reused across Write calls
 	err  error
 	last simtime.Time
 	any  bool
@@ -114,9 +115,28 @@ func (w *ReplayWriter) Write(r Request) {
 	if key == "" {
 		key = replayEmpty
 	}
-	_, w.err = fmt.Fprintf(w.bw, "%d\t%d\t%d\t%s\t%d\t%s\t%d\t%d\t%d\n",
-		r.InputLen, r.OutputLen, int64(r.Arrival), class, r.PrefixLen, key,
-		r.Session, r.Turn, r.SessionTurns)
+	// Formatted with strconv into a reused buffer: fmt's reflection made
+	// up most of the cost of recording a large trace.
+	b := strconv.AppendInt(w.row[:0], int64(r.InputLen), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.OutputLen), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Arrival), 10)
+	b = append(b, '\t')
+	b = append(b, class...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.PrefixLen), 10)
+	b = append(b, '\t')
+	b = append(b, key...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Session), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Turn), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.SessionTurns), 10)
+	b = append(b, '\n')
+	w.row = b
+	_, w.err = w.bw.Write(b)
 }
 
 // Close flushes buffered rows and returns the first error encountered.

@@ -2,9 +2,13 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,6 +192,65 @@ func TestReplayCompat(t *testing.T) {
 		}
 		if !bytes.Equal(bytes.TrimRight(data, "\n"), bytes.TrimRight(buf.Bytes(), "\n")) {
 			t.Fatalf("%s: current writer does not reproduce the checked-in bytes", path)
+		}
+	}
+}
+
+// TestReplayWriterRows: every row the writer formats is byte for byte
+// the row of the format's original fmt rendering, on random requests
+// that include empty class and prefix-key fields, sessions, and
+// arrivals up to the largest picosecond time.
+func TestReplayWriterRows(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	words := []string{"", "", "chat", "code-assist", "s17/t3", "x"}
+	// Arrivals from zero to the largest picosecond time, some repeated,
+	// sorted into the writer's non-decreasing order.
+	arrivals := make([]simtime.Time, 2000)
+	for i := range arrivals {
+		switch r.Intn(4) {
+		case 0:
+			arrivals[i] = simtime.Time(r.Int63n(1e6))
+		case 1:
+			arrivals[i] = simtime.Time(r.Int63())
+		default:
+			arrivals[i] = simtime.Time(r.Int63n(1e15))
+		}
+	}
+	arrivals[0], arrivals[1] = 0, math.MaxInt64
+	slices.Sort(arrivals)
+	var reqs []Request
+	for i, at := range arrivals {
+		in := 1 + r.Intn(1<<20)
+		q := Request{ID: i, InputLen: in, OutputLen: 1 + r.Intn(1<<20), Arrival: at,
+			Class: words[r.Intn(len(words))], PrefixLen: r.Intn(in + 1), PrefixKey: words[r.Intn(len(words))]}
+		if r.Intn(2) == 0 {
+			q.SessionTurns = 1 + r.Intn(64)
+			q.Session, q.Turn = 1+r.Intn(1<<30), 1+r.Intn(q.SessionTurns)
+		}
+		reqs = append(reqs, q)
+	}
+
+	var buf bytes.Buffer
+	if err := WriteReplayTrace(&buf, reqs, "g"); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.SplitAfter(buf.String(), "\n")
+	rows = rows[2 : len(rows)-1] // the header and column lines; the empty tail
+	if len(rows) != len(reqs) {
+		t.Fatalf("%d rows for %d requests", len(rows), len(reqs))
+	}
+	orDash := func(s string) string {
+		if s == "" {
+			return "-"
+		}
+		return s
+	}
+	for i, q := range reqs {
+		want := fmt.Sprintf("%d\t%d\t%d\t%s\t%d\t%s\t%d\t%d\t%d\n",
+			q.InputLen, q.OutputLen, int64(q.Arrival), orDash(q.Class), q.PrefixLen, orDash(q.PrefixKey),
+			q.Session, q.Turn, q.SessionTurns)
+		if rows[i] != want {
+			t.Fatalf("row %d: %q, want %q", i, rows[i], want)
 		}
 	}
 }
