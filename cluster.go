@@ -216,15 +216,6 @@ type ClusterScenario struct {
 	// retaining records.
 	RequestsOut io.Writer
 
-	// Shards fans the replica-stepping half of the simulation loop out
-	// over this many worker goroutines (slot i belongs to shard i mod
-	// Shards), with routing and admission kept on the coordinating
-	// goroutine in arrival order. Results are byte-identical to the
-	// sequential run. 0 or 1 means sequential; sharding requires a
-	// static unified fleet (no disaggregation, autoscaling, fleet
-	// events, telemetry, or RequestsOut).
-	Shards int
-
 	// Autoscaler makes the fleet dynamic: the policy re-evaluates the
 	// fleet size every ScaleTick of simulated time, clamped to
 	// [MinReplicas, MaxReplicas]. ScaleNone (the zero value) keeps the
@@ -339,15 +330,11 @@ func (sc ClusterScenario) WithDisaggregation(prefill, decode int) ClusterScenari
 // public types are checked here: fleet specs and replica counts, policy
 // enums, the trace, classes, autoscaler parameters, fleet events, and
 // each replica configuration. Every cluster rule (fleet shape, replica
-// and per-pool scaling bounds, scale tick, provision delay, sharding)
+// and per-pool scaling bounds, scale tick, provision delay)
 // lives in internal/cluster and is checked there. Validate returns nil
 // or the same *ConfigError Run would return for the scenario.
 func (sc ClusterScenario) Validate() error {
-	var sink func(*metrics.RequestRecord)
-	if sc.RequestsOut != nil {
-		sink = func(*metrics.RequestRecord) {} // stands in for Run's row writer
-	}
-	cfg, err := sc.clusterConfig(sink)
+	cfg, err := sc.clusterConfig()
 	if err != nil {
 		return err
 	}
@@ -358,7 +345,7 @@ func (sc ClusterScenario) Validate() error {
 // the replica factory and costs, checking the rules about the public
 // types on the way. It allocates nothing per replica except the role
 // list of a disaggregated fleet.
-func (sc ClusterScenario) clusterConfig(onRecord func(*metrics.RequestRecord)) (cluster.Config, error) {
+func (sc ClusterScenario) clusterConfig() (cluster.Config, error) {
 	replicas, disagg := sc.Replicas, false
 	if len(sc.Fleet) > 0 {
 		for _, rs := range sc.Fleet {
@@ -472,8 +459,6 @@ func (sc ClusterScenario) clusterConfig(onRecord func(*metrics.RequestRecord)) (
 		Events:         events,
 		Obs:            sc.telemetry().recorder(),
 		StreamMetrics:  sc.StreamMetrics,
-		OnRecord:       onRecord,
-		Shards:         sc.Shards,
 	}, nil
 }
 
@@ -570,10 +555,11 @@ type specOptions struct {
 // streaming per-request row sink (RunContext wires RequestsOut through
 // it).
 func (sc ClusterScenario) build(onRecord func(*metrics.RequestRecord)) (*cluster.Cluster, error) {
-	cfg, err := sc.clusterConfig(onRecord)
+	cfg, err := sc.clusterConfig()
 	if err != nil {
 		return nil, err
 	}
+	cfg.OnRecord = onRecord
 	// One buildOptions call per fleet spec, a homogeneous fleet being one
 	// spec. Backend factories inside the options build per-replica
 	// state, so sharing an Options value across a spec's replicas is

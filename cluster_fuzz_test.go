@@ -14,14 +14,14 @@ import (
 )
 
 func FuzzClusterScenarioValidate(f *testing.F) {
-	// Arguments: replicas, fleet shape, shards, autoscaler, Min/Max and
+	// Arguments: replicas, fleet shape, autoscaler, Min/Max and
 	// the four pool bounds, provision-delay sign, fleet-event mask,
 	// telemetry, RequestsOut, admission policy and limit.
-	f.Add(uint8(4), uint8(0), int8(1), uint8(0), int8(1), int8(1), int8(1), int8(1), int8(1), int8(1), false, uint8(0), false, false, uint8(0), int8(0))
-	f.Add(uint8(4), uint8(5), int8(1), uint8(2), int8(3), int8(6), int8(2), int8(4), int8(2), int8(4), false, uint8(3), true, false, uint8(1), int8(8))
-	f.Add(uint8(4), uint8(0), int8(3), uint8(0), int8(1), int8(1), int8(1), int8(1), int8(1), int8(1), false, uint8(0), false, true, uint8(0), int8(0))
-	f.Add(uint8(3), uint8(6), int8(1), uint8(1), int8(1), int8(1), int8(4), int8(3), int8(0), int8(1), true, uint8(4), false, false, uint8(1), int8(-1))
-	f.Add(uint8(2), uint8(3), int8(2), uint8(5), int8(0), int8(9), int8(1), int8(1), int8(1), int8(1), false, uint8(7), true, true, uint8(0), int8(0))
+	f.Add(uint8(4), uint8(0), uint8(0), int8(1), int8(1), int8(1), int8(1), int8(1), int8(1), false, uint8(0), false, false, uint8(0), int8(0))
+	f.Add(uint8(4), uint8(5), uint8(2), int8(3), int8(6), int8(2), int8(4), int8(2), int8(4), false, uint8(3), true, false, uint8(1), int8(8))
+	f.Add(uint8(4), uint8(0), uint8(0), int8(1), int8(1), int8(1), int8(1), int8(1), int8(1), false, uint8(0), false, true, uint8(0), int8(0))
+	f.Add(uint8(3), uint8(6), uint8(1), int8(1), int8(1), int8(4), int8(3), int8(0), int8(1), true, uint8(4), false, false, uint8(1), int8(-1))
+	f.Add(uint8(2), uint8(3), uint8(5), int8(0), int8(9), int8(1), int8(1), int8(1), int8(1), false, uint8(7), true, true, uint8(0), int8(0))
 
 	cfg := DefaultConfig()
 	cfg.Model = "gpt2"
@@ -35,7 +35,7 @@ func FuzzClusterScenarioValidate(f *testing.F) {
 	tel := NewTelemetry(TelemetryConfig{EventCapacity: 16, DecisionCapacity: 16})
 	bound := func(b int8) int { return int(uint8(b)%10) - 1 } // -1..8
 
-	f.Fuzz(func(t *testing.T, replicas, shape uint8, shards int8, scaler uint8,
+	f.Fuzz(func(t *testing.T, replicas, shape, scaler uint8,
 		minR, maxR, pMin, pMax, dMin, dMax int8, negDelay bool, events uint8,
 		telemetry, rows bool, admission uint8, limit int8) {
 		n := int(replicas % 7)
@@ -43,7 +43,6 @@ func FuzzClusterScenarioValidate(f *testing.F) {
 			Config:             cfg,
 			Classes:            apiClasses(),
 			Trace:              trace,
-			Shards:             int(uint8(shards)%5) - 1,
 			Autoscaler:         AutoscalePolicy(scaler % 4),
 			ScaleQueueTarget:   4,
 			ScaleSLOTarget:     0.9,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -17,8 +18,8 @@ func TestParseBench(t *testing.T) {
 goarch: amd64
 pkg: repro/internal/cluster
 cpu: Intel(R) Xeon(R) Processor
-BenchmarkShardedCluster/replicas=16/reqs=20000/shards=2-2    1    482241986 ns/op    7353368 B/op    41017 allocs/op
-BenchmarkShardedCluster/replicas=16/reqs=20000/shards=2-2    1    450000000 ns/op    7353400 B/op    41000 allocs/op
+BenchmarkMillionRequest/replicas=256/reqs=100000-2    1    482241986 ns/op    7353368 B/op    41017 allocs/op
+BenchmarkMillionRequest/replicas=256/reqs=100000-2    1    450000000 ns/op    7353400 B/op    41000 allocs/op
 BenchmarkRooflineLargeSweep-2    3    1200 ns/op
 PASS
 pkg: repro/internal/kvcache
@@ -31,9 +32,9 @@ cpu: some other line
 	if h.CPU != "Intel(R) Xeon(R) Processor" || h.GOMAXPROCS != 2 || h.GoVersion != "" {
 		t.Errorf("host %+v", h)
 	}
-	m, ok := got["BenchmarkShardedCluster/replicas=16/reqs=20000/shards=2"]
+	m, ok := got["BenchmarkMillionRequest/replicas=256/reqs=100000"]
 	if !ok || m.NsPerOp != 450000000 || *m.BytesPerOp != 7353368 || *m.AllocsPerOp != 41000 {
-		t.Errorf("sharded minima: %+v (found %v)", m, ok)
+		t.Errorf("million minima: %+v (found %v)", m, ok)
 	}
 	if m, ok := got["BenchmarkRooflineLargeSweep"]; !ok || m.NsPerOp != 1200 || m.AllocsPerOp != nil {
 		t.Errorf("sweep: %+v (found %v)", m, ok)
@@ -136,5 +137,47 @@ func TestCompare(t *testing.T) {
 	err := run([]string{"-baseline", path}, strings.NewReader("BenchmarkFoo    1    1100 ns/op    100000 B/op    200 allocs/op\n"), &out)
 	if err == nil || !strings.Contains(out.String(), "ALLOC-REGRESSION") {
 		t.Fatalf("alloc regression not reported: %v\n%s", err, out.String())
+	}
+}
+
+// TestBenchRegexMatchesCI: the CI benchmark-regression job and the
+// baseline's benchCommand must select the same benchmarks, and that
+// selection must measure every benchmark of the newest entry, or CI
+// fails on MISSING against a baseline refreshed from benchCommand.
+func TestBenchRegexMatchesCI(t *testing.T) {
+	benchFlag := regexp.MustCompile(`-bench '([^']+)'`)
+	selection := func(name, text string) string {
+		t.Helper()
+		m := benchFlag.FindAllStringSubmatch(text, -1)
+		if len(m) != 1 {
+			t.Fatalf("%s: found %d quoted -bench regexes, want 1", name, len(m))
+		}
+		return m[0][1]
+	}
+	ci, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_hotpath.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b baseline
+	if err := json.Unmarshal(raw, &b); err != nil {
+		t.Fatal(err)
+	}
+	want := selection("ci.yml", string(ci))
+	if got := selection("benchCommand", b.BenchCommand); got != want {
+		t.Fatalf("benchCommand -bench regex differs from ci.yml:\n  benchCommand: %s\n  ci.yml:       %s", got, want)
+	}
+	re := regexp.MustCompile(want)
+	newest, err := pickEntry(&b, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sortedNames(newest.Benchmarks) {
+		if top, _, _ := strings.Cut(name, "/"); !re.MatchString(top) {
+			t.Errorf("newest entry benchmark %s is not selected by the CI regex", name)
+		}
 	}
 }

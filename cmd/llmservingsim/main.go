@@ -184,10 +184,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}()
 
 	if sc.Replicas > 1 || len(sc.Fleet) > 0 || len(sc.FleetEvents) > 0 || sc.Autoscaler != llmservingsim.ScaleNone ||
-		wf.stream || sc.Shards > 1 || sf.population != "" || wf.replayPath != "" {
+		wf.stream || sf.population != "" || wf.replayPath != "" {
 		sc.Classes, sc.Trace, sc.TraceStream, sc.Telemetry, sc.StreamMetrics = src.classes, src.trace, src.stream, tel, wf.stream
 		var closeRequests func() error
-		closeRequests, err = of.apply(&sc, stderr)
+		closeRequests, err = of.apply(&sc)
 		defer closeWith(&err, closeRequests)
 		if err != nil {
 			return err
@@ -360,7 +360,6 @@ type fleetFlags struct{ fleet string }
 
 func (f *fleetFlags) register(fs *flag.FlagSet, sc *llmservingsim.ClusterScenario) {
 	fs.IntVar(&sc.Replicas, "replicas", 1, "cluster mode: number of serving replicas (>1 enables the cluster layer)")
-	fs.IntVar(&sc.Shards, "shards", 0, "cluster mode: fan replica stepping over N worker goroutines, byte-identical to sequential (static unified fleets; enables the cluster layer)")
 	fs.StringVar(&f.fleet, "fleet", "", "heterogeneous fleet COUNTxMODEL[@HARDWARE][:PERFMODEL][#ROLE],... (enables the cluster layer; #prefill/#decode pools disaggregate; see -list-hardware)")
 	policyVar(fs, &sc.Router, "router", "cluster routing policy")
 	fs.Var(&sc.DecodeRouter, "decode-router", "disaggregated clusters: decode-stage routing policy (same choices as -router)")
@@ -638,16 +637,8 @@ func (o *outputFlags) register(fs *flag.FlagSet) {
 // apply wires a -stream run's per-request table to stream into
 // OUTPUT-requests.tsv as requests complete (a streaming run retains no
 // records to dump afterwards). The returned func closes the file.
-func (o *outputFlags) apply(sc *llmservingsim.ClusterScenario, stderr io.Writer) (func() error, error) {
+func (o *outputFlags) apply(sc *llmservingsim.ClusterScenario) (func() error, error) {
 	if !sc.StreamMetrics || o.output == "" {
-		return nil, nil
-	}
-	if sc.Shards > 1 {
-		// Sharded runs complete requests out of ID order across shards,
-		// so they cannot stream the table (Validate rejects RequestsOut
-		// with Shards > 1).
-		fmt.Fprintf(stderr, "llmservingsim: not writing %s-requests.tsv: -stream with -shards %d keeps no per-request records\n",
-			o.output, sc.Shards)
 		return nil, nil
 	}
 	f, err := os.Create(o.output + "-requests.tsv")

@@ -375,12 +375,6 @@ func TestDisaggValidate(t *testing.T) {
 			sc.PrefillMaxReplicas = 1
 			return sc
 		}},
-		"sharded disaggregation": {"Shards", func() sim.ClusterScenario {
-			sc := base()
-			sc.Telemetry = nil
-			sc.Shards = 2
-			return sc
-		}},
 	}
 	for name, tc := range cases {
 		if got := sim.RequireScenarioRejected(t, name, tc.mk()); got != tc.field {

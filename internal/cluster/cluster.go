@@ -174,27 +174,13 @@ type Config struct {
 	// not arrival order). This is the streaming per-request TSV sink:
 	// with StreamMetrics it replaces the post-hoc Report.Records dump.
 	// The record is recycled after the callback returns, so the callback
-	// must not retain the pointer. Incompatible with Shards > 1.
+	// must not retain the pointer.
 	OnRecord func(*metrics.RequestRecord)
-
-	// Shards > 1 partitions the replicas across that many worker
-	// goroutines (slot i belongs to shard i mod Shards). All routing and
-	// admission stays on the coordinator in arrival order, and replica
-	// stepping between arrivals fans out with an epoch barrier per
-	// arrival instant, so the report is bit-identical to the sequential
-	// (Shards <= 1) run. Both run the same arrival loop; only replica
-	// stepping differs. Only static unified fleets qualify, and Validate
-	// rejects a negative count and any Shards > 1 with disaggregation,
-	// an autoscaler, fleet events, an Obs recorder, or an OnRecord sink.
-	// The replica factory must also build fully independent replicas (no
-	// shared mutable state such as a common engine instance), which
-	// Validate cannot check. Counts above the replica count are clamped.
-	Shards int
 }
 
 // FieldError reports a Config field that breaks a cluster rule.
 type FieldError struct {
-	Field  string // Config field name, e.g. "Shards"
+	Field  string // Config field name, e.g. "Replicas"
 	Value  any    // the offending value
 	Reason string // the rule it breaks
 }
@@ -206,8 +192,8 @@ func (e *FieldError) Error() string {
 // Validate checks the configuration against every rule New enforces,
 // except that a replica factory is set, without building anything: the
 // fleet shape, the replica and per-pool scaling bounds, the scalers'
-// tick, the fleet events, and the configurations sharding cannot run.
-// It returns nil or a *FieldError naming the first offending field.
+// tick, and the fleet events. It returns nil or a *FieldError naming
+// the first offending field.
 func (cfg *Config) Validate() error {
 	if cfg.Replicas < 1 {
 		return &FieldError{"Replicas", cfg.Replicas, "must be >= 1"}
@@ -269,31 +255,7 @@ func (cfg *Config) Validate() error {
 			return &FieldError{"Events", ev.String(), err.Error()}
 		}
 	}
-	if cfg.Shards < 0 {
-		return &FieldError{"Shards", cfg.Shards, "must not be negative"}
-	}
-	if cfg.Shards <= 1 {
-		return nil
-	}
-	// Sharding's bit-identity argument (see shard.go) needs replicas that
-	// never interact mid-epoch and controls that never fire: static
-	// unified fleets with no cross-replica observer or row sink.
-	reason := ""
-	switch {
-	case prefillN > 0:
-		reason = "sharding requires a unified fleet (disaggregated handoffs cross shards)"
-	case cfg.Autoscaler != nil:
-		reason = "sharding requires a static fleet (no autoscaler)"
-	case len(cfg.Events) > 0:
-		reason = "sharding requires a static fleet (no fleet events)"
-	case cfg.Obs != nil:
-		reason = "sharding cannot preserve the telemetry recorder's global event order"
-	case cfg.OnRecord != nil:
-		reason = "sharding cannot order the per-request row stream (completion order differs across shards)"
-	default:
-		return nil
-	}
-	return &FieldError{"Shards", cfg.Shards, reason}
+	return nil
 }
 
 // poolSizes counts the initial slots of each role.
@@ -387,10 +349,6 @@ type Cluster struct {
 	prefillSrc map[int]int32
 	hint       int
 	records    []metrics.RequestRecord
-
-	// shards is non-nil only while a sharded run (Config.Shards > 1) is
-	// in flight; replica event times then live in per-shard event trees.
-	shards []*clusterShard
 
 	// Disaggregation state: the stage-2 router, per-pool scalers and
 	// clamps, per-slot placement counters, and the handoff transfer
@@ -559,9 +517,7 @@ const recordChunk = 64
 // newRecord opens one arrival's record: a record recycled from the free
 // pool, tracked in the in-flight map until its terminal event. Retained
 // mode also appends an ID-ordered placeholder to the records table,
-// which finish overwrites with the terminal record; the coordinator
-// appends only while shard workers are parked, so the table never
-// grows under a concurrent write.
+// which finish overwrites with the terminal record.
 func (c *Cluster) newRecord(r workload.Request) *metrics.RequestRecord {
 	if len(c.recFree) == 0 {
 		// Grow the pool a chunk at a time: saturated runs hold thousands
@@ -597,42 +553,12 @@ func (c *Cluster) finish(rec *metrics.RequestRecord) {
 	if c.cfg.OnRecord != nil {
 		c.cfg.OnRecord(rec)
 	}
-	c.keep(rec)
-	delete(c.inflight, rec.ID)
-	delete(c.prefillSrc, rec.ID)
-	c.recFree = append(c.recFree, rec)
-}
-
-// keep copies a terminal record into the retained table at its ID (a
-// no-op with StreamMetrics). Shard workers call it too: each writes
-// only the indices of requests on its own replicas.
-func (c *Cluster) keep(rec *metrics.RequestRecord) {
 	if !c.cfg.StreamMetrics {
 		c.records[rec.ID] = *rec
 	}
-}
-
-// effShards returns the worker count a run will use: Config.Shards
-// clamped to [1, replica count].
-func (c *Cluster) effShards() int {
-	n := c.cfg.Shards
-	if n > len(c.replicas) {
-		n = len(c.replicas)
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// setEvent records replica i's next event time in whichever event tree
-// owns it: the shard's during a sharded run, the global one otherwise.
-func (c *Cluster) setEvent(i int, ev simtime.Time) {
-	if c.shards != nil {
-		c.shards[i%len(c.shards)].events.update(i/len(c.shards), ev)
-		return
-	}
-	c.events.update(i, ev)
+	delete(c.inflight, rec.ID)
+	delete(c.prefillSrc, rec.ID)
+	c.recFree = append(c.recFree, rec)
 }
 
 // complete records one request finishing on its replica (placement was
@@ -872,8 +798,8 @@ type arrivalSource struct {
 	hint   int
 }
 
-// run wires the request accounting, starts the shard workers of a
-// sharded run, and executes the arrival loop.
+// run wires the request accounting, fills the event tree, and executes
+// the arrival loop.
 func (c *Cluster) run(ctx context.Context, src arrivalSource) (*Report, error) {
 	c.accum = metrics.NewRequestAccumulator(c.slos)
 	c.inflight = make(map[int]*metrics.RequestRecord)
@@ -883,18 +809,18 @@ func (c *Cluster) run(ctx context.Context, src arrivalSource) (*Report, error) {
 		c.nextTick = simtime.Time(c.cfg.ScaleTick)
 	}
 	c.mark(0)
-	stop := c.startShards()
-	err := c.loop(ctx, src)
-	stop()
-	if err != nil {
+	c.events.init(len(c.replicas))
+	for i := range c.replicas {
+		c.refreshEvent(i)
+	}
+	if err := c.loop(ctx, src); err != nil {
 		return nil, err
 	}
 	return c.report(), nil
 }
 
 // loop is the simulation loop: arrivals interleaved with control
-// events, then a drain. A sharded run never has control events (Validate
-// rules out every source of them), so its drain is one epoch to the end.
+// events, then a drain.
 func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
 	var (
 		pending workload.Request
@@ -924,7 +850,7 @@ func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
 		// sees the fleet the controls produced.
 		r := pending
 		if ct, ok := c.nextControl(); ok && !r.Arrival.Before(ct) {
-			if err := c.advance(ctx, ct); err != nil {
+			if err := c.advanceTo(ctx, ct); err != nil {
 				return err
 			}
 			if err := c.applyControls(ct); err != nil {
@@ -935,7 +861,7 @@ func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
 		have = false
 		// Advance every replica to the arrival instant so the routing
 		// and admission signals are exact at time r.Arrival.
-		if err := c.advance(ctx, r.Arrival); err != nil {
+		if err := c.advanceTo(ctx, r.Arrival); err != nil {
 			return err
 		}
 		if err := c.routeArrival(r); err != nil {
@@ -944,9 +870,6 @@ func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
 	}
 	if err := src.finish(); err != nil {
 		return err
-	}
-	if c.shards != nil {
-		return c.advanceShards(ctx, simtime.Forever)
 	}
 
 	// All arrivals placed: drain every replica in event order, still
@@ -980,15 +903,6 @@ func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
 		c.refreshEvent(i)
 	}
 	return nil
-}
-
-// advance steps every replica to t (exclusive): behind an epoch barrier
-// in a sharded run, in global event order otherwise.
-func (c *Cluster) advance(ctx context.Context, t simtime.Time) error {
-	if c.shards != nil {
-		return c.advanceShards(ctx, t)
-	}
-	return c.advanceTo(ctx, t)
 }
 
 // routeArrival opens one arrival's record and takes it through
@@ -1035,16 +949,7 @@ func (c *Cluster) routeArrival(r workload.Request) error {
 	}
 	target := states[idx].Index
 	rec.Replica = target
-	if err := c.pushTo(target, r); err != nil {
-		return err
-	}
-	if c.shards != nil {
-		// Hand the in-flight record to the shard that owns the target
-		// replica, so its completion callback finds it locally.
-		delete(c.inflight, rec.ID)
-		c.shards[target%len(c.shards)].inflight[rec.ID] = rec
-	}
-	return nil
+	return c.pushTo(target, r)
 }
 
 // nextControl returns the earliest pending control event: a
@@ -1435,7 +1340,7 @@ func (c *Cluster) advanceTo(ctx context.Context, t simtime.Time) error {
 func (c *Cluster) refreshEvent(i int) {
 	rep := c.replicas[i]
 	if rep.state == stateRetired || rep.state == stateFailed {
-		c.setEvent(i, simtime.Forever)
+		c.events.update(i, simtime.Forever)
 		return
 	}
 	c.markDirty(i)
@@ -1448,7 +1353,7 @@ func (c *Cluster) refreshEvent(i int) {
 		}
 		ev = simtime.Forever
 	}
-	c.setEvent(i, ev)
+	c.events.update(i, ev)
 }
 
 // clampReplicas bounds a scaling decision to [lo, hi].

@@ -254,7 +254,6 @@ func TestConfigValidation(t *testing.T) {
 		return a
 	}
 	pd := []Role{RolePrefill, RoleDecode}
-	drain := workload.FleetEvent{Time: simtime.Time(simtime.Second), Kind: workload.EventDrain, Replica: 1}
 	cases := []struct {
 		name, field string
 		mutate      func(*Config)
@@ -288,7 +287,6 @@ func TestConfigValidation(t *testing.T) {
 		{"initial above max", "MaxReplicas", func(c *Config) { c.MaxReplicas = 1 }},
 		{"negative provision delay", "ProvisionDelay", func(c *Config) { c.ProvisionDelay = -1 }},
 		{"invalid fleet event", "Events", func(c *Config) { c.Events = []workload.FleetEvent{{Kind: workload.EventDrain, Replica: -1}} }},
-		{"sharded fleet events", "Shards", func(c *Config) { c.Shards = 2; c.Events = []workload.FleetEvent{drain} }},
 	}
 	for _, tc := range cases {
 		cfg := Config{Replicas: 2, NewReplica: newReplicaFactory(t)}

@@ -5,10 +5,9 @@ package cluster
 // sketch accumulators, never materialize the trace or the record
 // table. BenchmarkMillionRequest is the ISSUE 9 acceptance benchmark
 // (1M requests over 256 roofline replicas; per-request allocations
-// must stay flat between the 100k and 1M runs). BenchmarkShardedCluster
-// measures the epoch-barrier sharded loop against the same run on one
-// shard. Both are tracked in BENCH_hotpath.json and guarded by the CI
-// benchmark-regression job (cmd/benchdiff).
+// must stay flat between the 100k and 1M runs). It is tracked in
+// BENCH_hotpath.json and guarded by the CI benchmark-regression job
+// (cmd/benchdiff).
 
 import (
 	"context"
@@ -29,7 +28,7 @@ func millionClasses() []workload.Class {
 	return cls
 }
 
-func runStreamCluster(b *testing.B, backend string, replicas, n, shards int, classes []workload.Class) {
+func runStreamCluster(b *testing.B, backend string, replicas, n int, classes []workload.Class) {
 	b.Helper()
 	factory := backendReplicaFactory(b, backend)
 	b.ReportAllocs()
@@ -45,7 +44,6 @@ func runStreamCluster(b *testing.B, backend string, replicas, n, shards int, cla
 			Router:        r,
 			Classes:       classes,
 			StreamMetrics: true,
-			Shards:        shards,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -79,7 +77,7 @@ func BenchmarkMillionRequest(b *testing.B) {
 		{1024, 100000},
 	} {
 		b.Run(fmt.Sprintf("replicas=%d/reqs=%d", tc.replicas, tc.n), func(b *testing.B) {
-			runStreamCluster(b, "roofline", tc.replicas, tc.n, 0, millionClasses())
+			runStreamCluster(b, "roofline", tc.replicas, tc.n, millionClasses())
 		})
 	}
 }
@@ -149,32 +147,4 @@ func BenchmarkSessionStream(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkShardedCluster tracks the coordination cost of the
-// epoch-barrier sharded loop: the same saturated 16-replica roofline
-// run at 1, 2, and 8 shards. shards=1 takes the sequential path, so
-// the spread across sub-benchmarks is the sharding overhead (epoch
-// barriers, worker wake-ups) minus whatever the parallel stepping
-// saves. On this cheap roofline run the overhead wins: the newest
-// 2-vCPU baseline in BENCH_hotpath.json records 179 ms at shards=1,
-// 266 ms at shards=2 and 281 ms at shards=8. cmd/benchdiff compares
-// each sub-benchmark only with its own previous value, so this guards
-// each shard count against getting slower; nothing bounds the spread
-// between shard counts. Wall-clock speedup from sharding needs a
-// multi-core host and a step-dominated backend, neither of which CI
-// guarantees. The one measured case where it pays: the same 16
-// replicas on astra with 2000 requests, on the same 2-vCPU Intel Xeon
-// host, ran in 407-545 ms (median 486 ms) at shards=2 against
-// 456-1070 ms (median 695 ms) at shards=1, 8 runs each.
-func BenchmarkShardedCluster(b *testing.B) {
-	const (
-		replicas = 16
-		n        = 20000
-	)
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("replicas=%d/reqs=%d/shards=%d", replicas, n, shards), func(b *testing.B) {
-			runStreamCluster(b, "roofline", replicas, n, shards, scaleClasses())
-		})
-	}
 }

@@ -32,7 +32,6 @@ type flatEngine struct{ mem int64 }
 
 type flatCompiled struct{ op model.Op }
 
-func (c flatCompiled) Key() string  { return c.op.ShapeKey() }
 func (c flatCompiled) Op() model.Op { return c.op }
 
 func (e flatEngine) Name() string      { return "flat" }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/network"
-	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/perfmodel/roofline"
 	"repro/internal/simtime"
@@ -372,79 +371,6 @@ func checkStreamContract(t *testing.T, exact, got *Report) {
 		g.FirstTurnTTFT, g.LaterTurnTTFT = metrics.Dist{}, metrics.Dist{}
 		if g != e {
 			t.Errorf("session counters diverge:\nexact %+v\naccum %+v", e, g)
-		}
-	}
-}
-
-// TestShardedRunMatchesSequential is the sharding acceptance pin: for
-// both metric modes and with rejections in play, every shard count
-// must produce a byte-identical report to the sequential run (shard
-// counts above the replica count clamp).
-func TestShardedRunMatchesSequential(t *testing.T) {
-	run := func(shards int, streaming bool, admission string, limit int64) *Report {
-		a, err := NewAdmission(admission, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := New(Config{
-			Replicas:      4,
-			NewReplica:    newReplicaFactory(t),
-			Classes:       testClasses(),
-			Admission:     a,
-			StreamMetrics: streaming,
-			Shards:        shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := c.Run(testTrace(t, 60))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	for _, streaming := range []bool{false, true} {
-		for _, adm := range []struct {
-			name  string
-			limit int64
-		}{{AdmitAll, 0}, {AdmitQueueCap, 2}} {
-			want := reportFingerprint(t, run(0, streaming, adm.name, adm.limit), !streaming)
-			for _, shards := range []int{2, 3, 8} {
-				got := reportFingerprint(t, run(shards, streaming, adm.name, adm.limit), !streaming)
-				if !bytes.Equal(want, got) {
-					t.Errorf("streaming=%v admission=%s shards=%d diverges from sequential:\n%s\nvs\n%s",
-						streaming, adm.name, shards, want, got)
-				}
-			}
-		}
-	}
-}
-
-// TestShardConfigValidation pins the restrictions sharding's
-// bit-identity argument depends on.
-func TestShardConfigValidation(t *testing.T) {
-	scaler, err := NewAutoscaler(ScaleQueueDepth, AutoscalerConfig{QueueTarget: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"negative shard count", func(c *Config) { c.Shards = -1 }},
-		{"autoscaler", func(c *Config) { c.Autoscaler = scaler; c.ScaleTick = simtime.Second }},
-		{"fleet events", func(c *Config) {
-			c.Events = []workload.FleetEvent{{Time: simtime.Time(simtime.Second), Kind: workload.EventDrain, Replica: 1}}
-		}},
-		{"telemetry recorder", func(c *Config) { c.Obs = obs.New(obs.Config{}) }},
-		{"OnRecord sink", func(c *Config) { c.OnRecord = func(*metrics.RequestRecord) {} }},
-		{"disaggregated fleet", func(c *Config) { c.Roles = []Role{RolePrefill, RoleDecode} }},
-	}
-	for _, tc := range cases {
-		cfg := Config{Replicas: 2, NewReplica: newReplicaFactory(t), Shards: 2}
-		tc.mutate(&cfg)
-		if got := requireFieldError(t, "sharding with "+tc.name, cfg); got != "Shards" {
-			t.Errorf("sharding with %s: rejected field %s, want Shards", tc.name, got)
 		}
 	}
 }

@@ -33,15 +33,6 @@ func (c *Cluster) markDirty(i int) {
 	}
 }
 
-// invalidateViews drops every role's view. Sharded runs call it after a
-// barrier that stepped replicas, since shard workers step without
-// marking them dirty.
-func (c *Cluster) invalidateViews() {
-	for r := range c.views {
-		c.views[r].ok = false
-	}
-}
-
 // view returns role's routing view with current membership and with the
 // load signals of every replica that changed since the last call
 // re-read.

@@ -129,7 +129,7 @@ func viewReplicaFactory(t testing.TB, prefix kvcache.PrefixMode, rec *obs.Record
 // every way a view goes stale: replicas stepping and taking requests,
 // cached prefixes changing under a tiered cache, pools scaling with a
 // cold start, failures that requeue or reject, a drain that migrates a
-// backlog, telemetry's device-prefix probes, and sharded stepping.
+// backlog, and telemetry's device-prefix probes.
 func TestRoutingViewMatchesRebuild(t *testing.T) {
 	sessionClasses := []workload.Class{
 		{Name: "chat", Dist: workload.Fixed(192, 96), Rate: 400,
@@ -285,20 +285,6 @@ func TestRoutingViewMatchesRebuild(t *testing.T) {
 				t.Fatal("no offered state carried device-resident prefix depth")
 			}
 		},
-	}, {
-		name: "sharded/2",
-		config: func(t *testing.T) Config {
-			return Config{
-				Replicas:   8,
-				NewReplica: viewReplicaFactory(t, kvcache.PrefixOff, nil),
-				Router:     mustRouter(t, RouterLeastLoad),
-				Admission:  mustAdmission(t, AdmitQueueCap, 4),
-				Classes:    scaleClasses(),
-				Shards:     2,
-			}
-		},
-		trace: scaleTraceOf(scaleClasses(), 3000),
-		check: func(*testing.T, *viewChecker, *Report) {},
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -50,8 +50,6 @@ func (k Kind) String() string {
 // Compiled is an operator lowered onto a specific engine: the device
 // schedule (tiling, bank mapping, kernel choice) that simulation replays.
 type Compiled interface {
-	// Key canonically identifies the compiled artifact for caching.
-	Key() string
 	// Op returns the operator the artifact was compiled from.
 	Op() model.Op
 }
@@ -262,6 +260,15 @@ func (s *Stack) entry(key model.ShapeID) *cacheEntry {
 	return e
 }
 
+// opLabel names an operator in an error: per-request ops share a static
+// name, so the owning request is added from ReqID.
+func opLabel(op *model.Op) string {
+	if op.ReqID < 0 {
+		return op.Name
+	}
+	return fmt.Sprintf("%s (request %d)", op.Name, op.ReqID)
+}
+
 // runSlow is the cache-missing path of Run. With reuse on it finds or
 // adds the shape's entry once; entries never move, so later steps use
 // it under the lock without probing the map again.
@@ -284,7 +291,7 @@ func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (Result, error) {
 		c, err = s.eng.Compile(*op)
 		elapsed := time.Since(start)
 		if err != nil {
-			return Result{}, fmt.Errorf("engine %s: compiling %s: %w", s.eng.Name(), op.Name, err)
+			return Result{}, fmt.Errorf("engine %s: compiling %s: %w", s.eng.Name(), opLabel(op), err)
 		}
 		s.mu.Lock()
 		s.stats.CompileHost += elapsed
@@ -308,7 +315,7 @@ func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (Result, error) {
 	r, err := s.eng.Simulate(c)
 	elapsed := time.Since(start)
 	if err != nil {
-		return Result{}, fmt.Errorf("engine %s: simulating %s: %w", s.eng.Name(), op.Name, err)
+		return Result{}, fmt.Errorf("engine %s: simulating %s: %w", s.eng.Name(), opLabel(op), err)
 	}
 	s.mu.Lock()
 	s.stats.SimulateHost += elapsed

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -72,6 +73,24 @@ func TestReuseAcrossRequests(t *testing.T) {
 	}
 	if st := s.Stats(); st.SimulateHits != 1 {
 		t.Fatalf("expected cross-request cache hit, stats %+v", st)
+	}
+}
+
+// TestErrorNamesRequest: per-request attention ops share a static name,
+// so a failing one is identified in the error by its ReqID, on both the
+// Run and RunLatency paths; a batched op is named alone.
+func TestErrorNamesRequest(t *testing.T) {
+	s := newStack(t, true)
+	bad := model.Op{Kind: model.OpScore, Name: "Score", Phase: model.Generation, M: 1, N: 0, K: 128, Heads: 8, ReqID: 7}
+	if _, err := s.Run(bad); err == nil || !strings.Contains(err.Error(), "Score (request 7)") {
+		t.Fatalf("Run error %v does not name request 7", err)
+	}
+	if _, err := s.RunLatency(&bad); err == nil || !strings.Contains(err.Error(), "Score (request 7)") {
+		t.Fatalf("RunLatency error %v does not name request 7", err)
+	}
+	batched := gemmOp(0)
+	if _, err := s.Run(batched); err == nil || strings.Contains(err.Error(), "request") {
+		t.Fatalf("batched op error %v", err)
 	}
 }
 

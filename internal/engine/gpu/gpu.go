@@ -55,13 +55,11 @@ func (e *Engine) Supports(model.OpKind) bool { return true }
 // roofline inputs.
 type kernel struct {
 	op    model.Op
-	key   string
 	flops int64
 	bytes int64
 	eff   float64 // fraction of peak compute this kernel achieves
 }
 
-func (k *kernel) Key() string  { return k.key }
 func (k *kernel) Op() model.Op { return k.op }
 
 // Compile selects the kernel and computes its roofline inputs.
@@ -69,7 +67,7 @@ func (e *Engine) Compile(op model.Op) (engine.Compiled, error) {
 	if op.M <= 0 || op.N <= 0 || op.K <= 0 {
 		return nil, fmt.Errorf("gpu: operator %s has non-positive dims %dx%dx%d", op.Name, op.M, op.N, op.K)
 	}
-	k := &kernel{op: op, key: op.ShapeKey(), flops: op.FLOPs()}
+	k := &kernel{op: op, flops: op.FLOPs()}
 	k.bytes = op.TotalBytes(dtypeBytes)
 	switch {
 	case op.Kind.IsAttention() && e.cfg.FlashAttention:

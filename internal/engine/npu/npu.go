@@ -66,7 +66,6 @@ const (
 // replays. It is immutable after compilation and safe to share.
 type schedule struct {
 	op    model.Op
-	key   string
 	class kernelClass
 
 	// GEMM tiling (per head repetition).
@@ -82,7 +81,6 @@ type schedule struct {
 	tileCount    int64
 }
 
-func (s *schedule) Key() string  { return s.key }
 func (s *schedule) Op() model.Op { return s.op }
 
 // Compile lowers an operator into a tiled schedule. The tiling walk is the
@@ -95,7 +93,6 @@ func (e *Engine) Compile(op model.Op) (engine.Compiled, error) {
 	}
 	s := &schedule{
 		op:      op,
-		key:     op.ShapeKey(),
 		repeats: max(op.Heads, 1),
 	}
 	switch {

@@ -76,7 +76,6 @@ func TestForeignArtifact(t *testing.T) {
 
 type fakeCompiled struct{}
 
-func (fakeCompiled) Key() string  { return "fake" }
 func (fakeCompiled) Op() model.Op { return model.Op{} }
 
 // TestGEMMRooflineBounds: a simulated GEMM can never beat the device's

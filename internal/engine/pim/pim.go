@@ -52,8 +52,7 @@ func (e *Engine) Supports(k model.OpKind) bool { return k.IsAttention() }
 
 // program is a compiled PIM operator: the per-bank command stream layout.
 type program struct {
-	op  model.Op
-	key string
+	op model.Op
 
 	rowsPerBank   int   // matrix rows mapped to each bank
 	commands      int64 // total bank commands issued
@@ -61,7 +60,6 @@ type program struct {
 	bytesToHost   int64 // reduced results returned over the channel
 }
 
-func (p *program) Key() string  { return p.key }
 func (p *program) Op() model.Op { return p.op }
 
 // Compile maps an operator onto the bank array. The mapping walk costs
@@ -74,7 +72,7 @@ func (e *Engine) Compile(op model.Op) (engine.Compiled, error) {
 	if op.M <= 0 || op.N <= 0 || op.K <= 0 {
 		return nil, fmt.Errorf("pim: operator %s has non-positive dims %dx%dx%d", op.Name, op.M, op.N, op.K)
 	}
-	p := &program{op: op, key: op.ShapeKey()}
+	p := &program{op: op}
 	heads := int64(max(op.Heads, 1))
 
 	switch op.Kind {

@@ -164,5 +164,4 @@ func TestForeignArtifact(t *testing.T) {
 
 type fake struct{}
 
-func (fake) Key() string  { return "fake" }
 func (fake) Op() model.Op { return model.Op{} }

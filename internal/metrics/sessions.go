@@ -4,10 +4,8 @@
 // cached prefix, so the split is the direct measurement of what prefix
 // caching buys sessions) and scores session-level goodput — output
 // tokens of sessions whose every turn completed within SLO. The state
-// lives inside RequestAccumulator so every cluster run, sequential or
-// sharded, aggregates sessions exactly like classes: integer counters
-// and sketch buckets, exact order-free Merge even when a session's
-// turns land on different shards.
+// lives inside RequestAccumulator, so every cluster run aggregates
+// sessions exactly like classes: integer counters and sketch buckets.
 
 package metrics
 
@@ -94,31 +92,6 @@ func (a *RequestAccumulator) observeSession(r *RequestRecord) {
 		}
 	}
 	s.closeIfDone(r.Session, st)
-}
-
-// mergeSessions folds another accumulator's session state into this
-// one. Session IDs are globally unique across a trace, so a session
-// split across shards merges by combining its partial states; the
-// result is exact and order-free like the class merge.
-func (a *RequestAccumulator) mergeSessions(o *RequestAccumulator) {
-	s, os := &a.sessions, &o.sessions
-	s.closed += os.closed
-	s.served += os.served
-	s.attained += os.attained
-	s.turns += os.turns
-	s.turnsRejected += os.turnsRejected
-	s.firstTTFT.Merge(&os.firstTTFT)
-	s.laterTTFT.Merge(&os.laterTTFT)
-	s.outputTokens += os.outputTokens
-	s.attainedTokens += os.attainedTokens
-	for id, ost := range os.live {
-		st := s.state(id, ost.turns)
-		st.seen += ost.seen
-		st.rejected = st.rejected || ost.rejected
-		st.violated = st.violated || ost.violated
-		st.outputTokens += ost.outputTokens
-		s.closeIfDone(id, st)
-	}
 }
 
 // SessionSummary aggregates multi-turn session traffic: how many

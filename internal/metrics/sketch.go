@@ -39,9 +39,7 @@ var (
 const SketchRelError = 0.025
 
 // Sketch is an online duration-quantile sketch with constant memory
-// (~7.5 KiB) and integer-only state, so merging sketches is exact,
-// associative, and commutative: any shard partitioning of the same
-// observations merges to the identical sketch, bit for bit.
+// (~7.5 KiB) in the number of observations.
 type Sketch struct {
 	counts []uint64
 	count  uint64
@@ -85,24 +83,6 @@ func (s *Sketch) Add(d simtime.Duration) {
 	var carry uint64
 	s.sumLo, carry = bits.Add64(s.sumLo, uint64(d), 0)
 	s.sumHi += carry
-}
-
-// Merge folds another sketch into this one. Pure integer addition:
-// merge order never changes the result.
-func (s *Sketch) Merge(o *Sketch) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if s.counts == nil {
-		s.counts = make([]uint64, sketchBuckets)
-	}
-	for i, c := range o.counts {
-		s.counts[i] += c
-	}
-	s.count += o.count
-	var carry uint64
-	s.sumLo, carry = bits.Add64(s.sumLo, o.sumLo, 0)
-	s.sumHi += o.sumHi + carry
 }
 
 // Count returns the number of observations.

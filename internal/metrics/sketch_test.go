@@ -117,34 +117,6 @@ func TestSketchZeroAndClamp(t *testing.T) {
 	}
 }
 
-// TestSketchMergeOrderFree pins the sharding contract: splitting one
-// observation sequence across sketches and merging in any order yields
-// a sketch identical (deep-equal, i.e. bit-identical state) to feeding
-// one sketch sequentially.
-func TestSketchMergeOrderFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	vals := sketchCases()[0].gen(rng, 5000)
-
-	var whole Sketch
-	for _, v := range vals {
-		whole.Add(v)
-	}
-
-	const parts = 8
-	shards := make([]Sketch, parts)
-	for i, v := range vals {
-		shards[i%parts].Add(v)
-	}
-	// Merge back-to-front to prove order independence.
-	var merged Sketch
-	for i := parts - 1; i >= 0; i-- {
-		merged.Merge(&shards[i])
-	}
-	if !reflect.DeepEqual(whole, merged) {
-		t.Fatal("merged sketch differs from sequentially-built sketch")
-	}
-}
-
 // TestAccumulatorMatchesSummarize pins the accumulator against the
 // reference rollup over the same synthetic records: counts and token
 // totals identical, distributions within the sketch contract, and
@@ -261,31 +233,5 @@ func TestAccumulatorMatchesSummarize(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, exact) {
 		t.Errorf("exact distributions diverge from the reference rollup:\n%+v\nvs\n%+v", got, exact)
-	}
-	got = acc.Classes(end)
-
-	// Sharded aggregation: observing the records split across
-	// accumulators and merging must equal sequential observation exactly.
-	parts := make([]*RequestAccumulator, 4)
-	for i := range parts {
-		parts[i] = NewRequestAccumulator(slos)
-	}
-	for i := range records {
-		parts[i%len(parts)].Observe(&records[i])
-	}
-	merged := NewRequestAccumulator(slos)
-	for i := len(parts) - 1; i >= 0; i-- {
-		merged.Merge(parts[i])
-	}
-	if !reflect.DeepEqual(merged.Classes(end), got) {
-		t.Fatal("merged accumulator classes diverge from sequential accumulation")
-	}
-	if !reflect.DeepEqual(merged.Latency(), gotLat) {
-		t.Fatal("merged accumulator latency diverges from sequential accumulation")
-	}
-	if merged.PromptTokens() != acc.PromptTokens() ||
-		merged.AttainedPrefillTokens() != acc.AttainedPrefillTokens() ||
-		merged.AttainedDecodeTokens() != acc.AttainedDecodeTokens() {
-		t.Fatal("merged accumulator token totals diverge")
 	}
 }

@@ -5,10 +5,8 @@
 // metric modes. StreamMetrics decides only two things: whether the
 // cluster also keeps the records (retained mode) and whether the
 // sketched percentiles are replaced by exact ones computed from them
-// (ExactDistributions). All state is integer (counters, 128-bit
-// picosecond sums, sketch buckets), which makes Merge exact and
-// order-free — the property the sharded cluster loop relies on for
-// bit-identical per-shard aggregation.
+// (ExactDistributions). Latency sums are 128-bit integer picoseconds,
+// so the means stay exact however many requests a run folds in.
 
 package metrics
 
@@ -134,42 +132,6 @@ func maxDur(d, min simtime.Duration) simtime.Duration {
 		return min
 	}
 	return d
-}
-
-// Merge folds another accumulator into this one. Integer-only state
-// makes the merge exact and order-free.
-func (a *RequestAccumulator) Merge(o *RequestAccumulator) {
-	if o == nil {
-		return
-	}
-	for name, oc := range o.classes {
-		c := a.class(name)
-		c.requests += oc.requests
-		c.rejected += oc.rejected
-		c.completed += oc.completed
-		c.rejAdmission += oc.rejAdmission
-		c.rejNoReplica += oc.rejNoReplica
-		c.rejUnservable += oc.rejUnservable
-		c.rejFailure += oc.rejFailure
-		c.sloAttained += oc.sloAttained
-		c.outputTokens += oc.outputTokens
-		c.cachedTokens += oc.cachedTokens
-		c.attainedTokens += oc.attainedTokens
-		c.ttft.Merge(&oc.ttft)
-		c.tpot.Merge(&oc.tpot)
-		c.latency.Merge(&oc.latency)
-	}
-	a.latency.Merge(&o.latency)
-	var carry uint64
-	a.ttftLo, carry = bits.Add64(a.ttftLo, o.ttftLo, 0)
-	a.ttftHi += o.ttftHi + carry
-	a.tpotLo, carry = bits.Add64(a.tpotLo, o.tpotLo, 0)
-	a.tpotHi += o.tpotHi + carry
-	a.tpotN += o.tpotN
-	a.promptTokens += o.promptTokens
-	a.attainedPrefill += o.attainedPrefill
-	a.attainedDecode += o.attainedDecode
-	a.mergeSessions(o)
 }
 
 // Requests returns total arrivals observed.

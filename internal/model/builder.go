@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"sort"
-	"strconv"
 )
 
 // Seq describes one request's contribution to an iteration batch.
@@ -37,41 +36,6 @@ type IterationOps struct {
 
 	TotalNewTokens int // sum of NewTokens over the batch
 	Seqs           []Seq
-
-	// attnNames caches the per-request attention operator names, which
-	// are re-minted once per generated token for a request's whole
-	// lifetime. The cache lives (and is freed) with this IterationOps,
-	// so reused instances stay allocation-free in steady state without a
-	// process-global table growing across runs; it is additionally
-	// capped (entries for long-finished requests are dead weight on
-	// million-request traces) and simply reset at the cap — in-flight
-	// requests re-mint on the next batch.
-	attnNames map[int]attnNameTriple
-}
-
-type attnNameTriple struct{ score, softmax, attend string }
-
-// attnNameCacheLimit bounds attnNames; the concurrently in-flight set
-// is KV-bounded and far smaller, so resets are rare and cheap.
-const attnNameCacheLimit = 1 << 16
-
-// attnNamesFor returns the request's cached attention op names.
-func (it *IterationOps) attnNamesFor(id int) attnNameTriple {
-	if nm, ok := it.attnNames[id]; ok {
-		return nm
-	}
-	if it.attnNames == nil {
-		it.attnNames = map[int]attnNameTriple{}
-	} else if len(it.attnNames) >= attnNameCacheLimit {
-		clear(it.attnNames)
-	}
-	nm := attnNameTriple{
-		score:   reqOpName("Score.r", id),
-		softmax: reqOpName("Softmax.r", id),
-		attend:  reqOpName("Attend.r", id),
-	}
-	it.attnNames[id] = nm
-	return nm
 }
 
 // BuildIteration constructs the operator workload for one iteration over
@@ -150,13 +114,13 @@ func BuildIterationInto(it *IterationOps, cfg Config, batch []Seq, tp int) error
 	w.batched(OpLayerNorm, "LayerNorm1", phase, totalNew, h, 1, 0)
 	w.batched(OpQKVGen, "QKVGen", phase, totalNew, qkvN, h, int64(qkvN)*int64(h)*int64(d))
 	// Attention core: one Score/Softmax/Attend triple per request, covering
-	// this worker's localHeads heads (selective batching).
+	// this worker's localHeads heads (selective batching). The ops carry
+	// the request in ReqID, so their names stay static.
 	for _, s := range batch {
 		ctx := s.TotalLen()
-		nm := it.attnNamesFor(s.ReqID)
-		w.attention(OpScore, nm.score, phase, s, ctx, headDim, localHeads)
-		w.attention(OpSoftmax, nm.softmax, phase, s, ctx, 1, localHeads)
-		w.attention(OpAttend, nm.attend, phase, s, headDim, ctx, localHeads)
+		w.attention(OpScore, "Score", phase, s, ctx, headDim, localHeads)
+		w.attention(OpSoftmax, "Softmax", phase, s, ctx, 1, localHeads)
+		w.attention(OpAttend, "Attend", phase, s, headDim, ctx, localHeads)
 	}
 	w.batched(OpProj, "Proj", phase, totalNew, h, projK, int64(h)*int64(projK)*int64(d))
 	w.batched(OpResidue, "Residual1", phase, totalNew, h, 1, 0)
@@ -298,12 +262,4 @@ func (it *IterationOps) ContextLengths() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// reqOpName builds "<prefix><id>" without fmt.
-func reqOpName(prefix string, id int) string {
-	b := make([]byte, 0, len(prefix)+8)
-	b = append(b, prefix...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	return string(b)
 }

@@ -187,12 +187,12 @@ func TestShapeKeyCaching(t *testing.T) {
 	a := Op{Kind: OpScore, Name: "Score.r0", Phase: Generation, M: 1, N: 65, K: 128, Heads: 8, ReqID: 0, Context: 65}
 	b := a
 	b.Name, b.ReqID = "Score.r9", 9
-	if a.ShapeKey() != b.ShapeKey() {
+	if a.ShapeID() != b.ShapeID() {
 		t.Fatal("identical shapes must share a cache key regardless of request identity")
 	}
 	c := a
 	c.Context, c.N = 66, 66
-	if a.ShapeKey() == c.ShapeKey() {
+	if a.ShapeID() == c.ShapeID() {
 		t.Fatal("different context lengths must not collide")
 	}
 }

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // Phase distinguishes the two inference phases of a decoder LLM.
 type Phase int
@@ -166,9 +163,11 @@ func (o Op) ArithmeticIntensity(dtypeBytes int) float64 {
 	return float64(o.FLOPs()) / float64(b)
 }
 
-// ShapeID is the comparable form of ShapeKey: the same identity as a
-// value struct, so hot-loop result caches can key on it directly without
-// minting a string per lookup.
+// ShapeID is an op's caching identity: two ops with equal IDs have
+// identical simulated cost on a given engine. It deliberately excludes
+// ReqID and Name so the computation-reuse cache hits across layers,
+// iterations, and requests, and it is a comparable value struct so
+// hot-loop result caches key on it without building a string.
 type ShapeID struct {
 	Kind    OpKind
 	Phase   Phase
@@ -177,32 +176,8 @@ type ShapeID struct {
 	Context int
 }
 
-// ShapeID returns the op's caching identity (see ShapeKey). It has a
-// pointer receiver because hot loops call it on every priced operator
-// and Op is large.
+// ShapeID returns the op's caching identity. It has a pointer receiver
+// because hot loops call it on every priced operator and Op is large.
 func (o *Op) ShapeID() ShapeID {
 	return ShapeID{Kind: o.Kind, Phase: o.Phase, M: o.M, N: o.N, K: o.K, Heads: o.Heads, Context: o.Context}
-}
-
-// ShapeKey returns a canonical identity for result caching: two ops with
-// equal keys have identical simulated cost on a given engine. The key
-// deliberately excludes ReqID and Name so the computation-reuse cache hits
-// across layers, iterations, and requests. It is computed once per
-// operator per iteration, so it is built with appends rather than fmt.
-func (o Op) ShapeKey() string {
-	b := make([]byte, 0, 48)
-	b = append(b, o.Kind.String()...)
-	b = append(b, "/p"...)
-	b = strconv.AppendInt(b, int64(o.Phase), 10)
-	b = append(b, "/m"...)
-	b = strconv.AppendInt(b, int64(o.M), 10)
-	b = append(b, ".n"...)
-	b = strconv.AppendInt(b, int64(o.N), 10)
-	b = append(b, ".k"...)
-	b = strconv.AppendInt(b, int64(o.K), 10)
-	b = append(b, ".h"...)
-	b = strconv.AppendInt(b, int64(o.Heads), 10)
-	b = append(b, ".c"...)
-	b = strconv.AppendInt(b, int64(o.Context), 10)
-	return string(b)
 }

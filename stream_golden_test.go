@@ -1,11 +1,9 @@
 package llmservingsim_test
 
-// Determinism acceptance for the streaming/sharded engine at the
-// public API: a TraceStream run must be byte-identical to the same
-// scenario with the collected Trace, sharded runs must be
-// byte-identical to sequential (standalone and under parallel Sweep),
-// and a streamed per-request TSV must carry exactly the rows of the
-// retained table.
+// Determinism acceptance for the streaming engine at the public API: a
+// TraceStream run must be byte-identical to the same scenario with the
+// collected Trace, and a streamed per-request TSV must carry exactly
+// the rows of the retained table.
 
 import (
 	"bytes"
@@ -13,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	sim "repro"
 )
@@ -97,51 +94,6 @@ func TestGoldenStreamMetrics(t *testing.T) {
 	}
 }
 
-// TestGoldenSharded pins shard-count invariance at the public API:
-// every shard count (including one clamped past the replica count)
-// reproduces the sequential fingerprint, standalone and inside a
-// parallel Sweep.
-func TestGoldenSharded(t *testing.T) {
-	scenario := func(shards int) sim.ClusterScenario {
-		sc := goldenStreamScenario(t)
-		sc.Replicas = 4
-		sc.Trace = goldenTrace(t)
-		sc.Shards = shards
-		return sc
-	}
-	rep, err := scenario(0).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := clusterFingerprint(rep)
-	for _, shards := range []int{2, 3, 8} {
-		rep, err := scenario(shards).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := clusterFingerprint(rep); got != want {
-			t.Errorf("shards=%d diverged from sequential\n got %s\nwant %s", shards, got, want)
-		}
-	}
-
-	sw := &sim.Sweep{
-		ClusterScenarios: []sim.ClusterScenario{scenario(2), scenario(3)},
-		Workers:          2,
-	}
-	swRep, err := sw.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := swRep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range swRep.Results {
-		if got := clusterFingerprint(res.Cluster); got != want {
-			t.Errorf("sweep result %d diverged from sequential\n got %s\nwant %s", i, got, want)
-		}
-	}
-}
-
 // TestGoldenRequestsOut checks the streamed per-request TSV: rows
 // arrive in completion order, but as a set they must equal the
 // retained run's table exactly.
@@ -182,19 +134,11 @@ func TestGoldenRequestsOut(t *testing.T) {
 }
 
 // TestStreamScenarioValidation pins the public configuration contract
-// of the streaming/sharded engine.
+// of the streaming engine.
 func TestStreamScenarioValidation(t *testing.T) {
 	stream, err := sim.NewMultiClassStream(goldenClasses(), 8, sim.Ramp{}, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// traced returns the base scenario over the materialized trace,
-	// sharded over the given worker count.
-	traced := func(shards int) sim.ClusterScenario {
-		sc := goldenStreamScenario(t)
-		sc.Trace = goldenTrace(t)
-		sc.Shards = shards
-		return sc
 	}
 	cases := []struct {
 		name, field string
@@ -202,32 +146,9 @@ func TestStreamScenarioValidation(t *testing.T) {
 	}{
 		{"scenario without trace or stream", "Trace", func() sim.ClusterScenario { return goldenStreamScenario(t) }},
 		{"scenario with both trace and stream", "TraceStream", func() sim.ClusterScenario {
-			sc := traced(0)
+			sc := goldenStreamScenario(t)
+			sc.Trace = goldenTrace(t)
 			sc.TraceStream = stream
-			return sc
-		}},
-		{"negative shard count", "Shards", func() sim.ClusterScenario { return traced(-1) }},
-		{"sharding with telemetry", "Shards", func() sim.ClusterScenario {
-			return traced(2).WithTelemetry(sim.NewTelemetry(sim.TelemetryConfig{}))
-		}},
-		{"sharding with replica-config telemetry", "Shards", func() sim.ClusterScenario {
-			sc := traced(2)
-			sc.Config.Telemetry = sim.NewTelemetry(sim.TelemetryConfig{})
-			return sc
-		}},
-		{"sharding with a request row sink", "Shards", func() sim.ClusterScenario {
-			sc := traced(2)
-			sc.RequestsOut = &bytes.Buffer{}
-			return sc
-		}},
-		{"sharding with an autoscaler", "Shards", func() sim.ClusterScenario {
-			sc := traced(2).WithAutoscaler(sim.ScaleQueueDepth, 50*time.Millisecond, 1, 4)
-			sc.ScaleQueueTarget = 4
-			return sc
-		}},
-		{"sharding with fleet events", "Shards", func() sim.ClusterScenario {
-			sc := traced(2)
-			sc.FleetEvents = []sim.FleetEvent{{At: time.Second, Kind: sim.FleetDrain, Replica: 1}}
 			return sc
 		}},
 	}
