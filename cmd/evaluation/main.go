@@ -15,7 +15,10 @@
 // simulated results are deterministic, so parallelism only changes
 // wall-clock. The simulation-time experiments (3, 4, 5) measure host
 // wall-clock per component, so they pin the sweep to one worker to keep
-// timings contention-free.
+// timings contention-free. Host time is metered exactly over a run's
+// first 64 iterations and sampled beyond (metrics.StepSampler); every
+// experiment here is a single iteration, so its host-time columns are
+// exact measurements, not estimates.
 //
 // Usage: evaluation [-out DIR] [-quick] <1|2|3|4|5|all>
 package main
@@ -287,7 +290,8 @@ func eval3() error {
 	return writeString("eval3-simulation-time.tsv", rows)
 }
 
-// eval4 reproduces the reuse on/off component breakdown (Fig. 9).
+// eval4 reproduces the reuse on/off component breakdown (Fig. 9). Each
+// scenario is one iteration, so the per-component host times are exact.
 func eval4() error {
 	strategies := []struct{ tp, pp int }{{64, 1}, {16, 4}, {8, 8}, {4, 16}, {1, 64}}
 	if *quick {
@@ -331,7 +335,8 @@ func eval4() error {
 	return writeString("eval4-simulation-time.tsv", rows)
 }
 
-// eval5 sweeps NPU counts for simulation-time scalability (Fig. 10).
+// eval5 sweeps NPU counts for simulation-time scalability (Fig. 10),
+// one exactly-timed iteration per scenario.
 func eval5() error {
 	counts := []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048}
 	models := []string{"gpt3-7b", "gpt3-30b", "gpt3-175b"}

@@ -30,17 +30,15 @@ import (
 // accelerator model is reduced to a fixed per-operator latency.
 type flatEngine struct{ mem int64 }
 
-type flatCompiled struct{ op model.Op }
-
-func (c flatCompiled) Op() model.Op { return c.op }
+type flatCompiled struct{}
 
 func (e flatEngine) Name() string      { return "flat" }
 func (e flatEngine) Kind() engine.Kind { return engine.NPU }
 func (e flatEngine) Compile(op model.Op) (engine.Compiled, error) {
-	return flatCompiled{op: op}, nil
+	return flatCompiled{}, nil
 }
 func (e flatEngine) Simulate(c engine.Compiled) (engine.Result, error) {
-	return engine.Result{Op: c.Op(), Latency: 50 * simtime.Microsecond}, nil
+	return engine.Result{Latency: 50 * simtime.Microsecond}, nil
 }
 func (e flatEngine) Supports(model.OpKind) bool { return true }
 func (e flatEngine) MemoryBytes() int64         { return e.mem }

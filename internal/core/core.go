@@ -140,7 +140,9 @@ type Report struct {
 
 	KV kvcache.Stats
 
-	// Host-side instrumentation (the paper's "simulation time").
+	// Host-side instrumentation (the paper's "simulation time"): exact
+	// for runs of at most 64 iterations, sampled estimates beyond (see
+	// Simulator.Step).
 	Host      metrics.ComponentTimes
 	WallClock time.Duration
 	NPUStats  engine.StackStats // zero unless the backend is engine-backed
@@ -181,8 +183,7 @@ type Simulator struct {
 	obsFull   bool // cached Options.Obs.Full() for the Step hot path
 	streaming bool // see StreamMetrics
 	collector metrics.Collector
-	schedHost time.Duration // host time spent inside the scheduler
-	wall      time.Duration // accumulated host wall-clock across Steps
+	wall      metrics.SampledDuration // host time inside Step (see HostTimes)
 }
 
 // New validates options and assembles a simulator for the given trace.

@@ -282,6 +282,44 @@ func TestHostTimeInstrumented(t *testing.T) {
 	}
 }
 
+// TestSchedulerIsWallLessBackend: a run of at most 64 steps is metered
+// exactly, and its scheduler bucket is the steps' wall time less the
+// backend's own phases.
+func TestSchedulerIsWallLessBackend(t *testing.T) {
+	rep := runOpts(t, baseOpts(t), workload.UniformBatch(4, 64, 16))
+	if rep.Iterations >= 64 {
+		t.Fatalf("%d iterations; the test needs a run of at most 64 steps", rep.Iterations)
+	}
+	backend := rep.Host.Total() - rep.Host.Scheduler
+	if rep.Host.Scheduler <= 0 || rep.Host.Scheduler != rep.WallClock-backend {
+		t.Fatalf("scheduler %v, want wall %v - backend %v = %v",
+			rep.Host.Scheduler, rep.WallClock, backend, rep.WallClock-backend)
+	}
+}
+
+// TestStepAllocs: a warm roofline decode Step allocates nothing, both
+// when it is one of the timed steps and when it is not.
+func TestStepAllocs(t *testing.T) {
+	sim := decodeReplica(t, newDecodeBackend(t))
+	step := func() {
+		if done, err := sim.Step(); err != nil || done {
+			t.Fatalf("done=%v err=%v", done, err)
+		}
+	}
+	for i := 0; i < 255; i++ {
+		step()
+	}
+	// AllocsPerRun(1, f) calls f once unmeasured (step 255, untimed),
+	// then once measured: step 256, a timed one.
+	if n := testing.AllocsPerRun(1, step); n != 0 {
+		t.Errorf("timed step allocates %v times", n)
+	}
+	// Steps 257 (unmeasured) and 258, both untimed.
+	if n := testing.AllocsPerRun(1, step); n != 0 {
+		t.Errorf("untimed step allocates %v times", n)
+	}
+}
+
 // TestSingleIterationExported exercises the single-iteration API used by
 // the simulation-time experiments.
 func TestSingleIterationExported(t *testing.T) {

@@ -55,24 +55,26 @@ func (s *Simulator) RunContext(ctx context.Context) (*Report, error) {
 // once the trace has drained. Step is the unit external drivers advance
 // the simulation by; Report may be called between steps for a snapshot.
 //
-// Host-time accounting reads the clock only twice per step — at entry
-// and exit — and attributes the step's wall time minus whatever the
-// backend metered for itself to the scheduler bucket. At hundreds of
-// thousands of steps per run, per-segment clock reads were themselves a
-// profile-visible cost of the analytical backends, so both reads are
-// offsets from hostEpoch: time.Since reads only the monotonic clock,
-// where time.Now also reads the wall clock.
+// Host time is metered on a sample of steps (metrics.StepSampler): all
+// of the first 64, then one in 64, scaled up. At millions of steps per
+// cluster run, two clock reads per step cost more than the analytical
+// backends' pricing, so an untimed step only bumps a counter: no clock
+// read, no backend.Host call, no deferred closure. A timed step reads
+// the monotonic clock twice (offsets from hostEpoch: time.Since skips
+// the wall-clock read time.Now makes) and records its whole wall time;
+// the backend's share is subtracted from it at report time (HostTimes).
 func (s *Simulator) Step() (done bool, err error) {
-	stepStart := time.Since(hostEpoch)
-	backendBefore := s.backend.Host().Total()
-	defer func() {
-		d := time.Since(hostEpoch) - stepStart
-		s.wall += d
-		if own := d - (s.backend.Host().Total() - backendBefore); own > 0 {
-			s.schedHost += own
-		}
-	}()
+	if !s.wall.Sample() {
+		return s.step()
+	}
+	start := time.Since(hostEpoch)
+	done, err = s.step()
+	s.wall.Record(time.Since(hostEpoch) - start)
+	return done, err
+}
 
+// step is the body of Step, unmetered.
+func (s *Simulator) step() (done bool, err error) {
 	batch, ok := s.scheduler.Next()
 	if !ok {
 		// The final Next can still have rejected trailing requests.
@@ -168,7 +170,7 @@ func (s *Simulator) emitRejects() {
 
 // Report assembles a report over the iterations completed so far. After
 // Run it is the full-trace report; between Steps it is a snapshot.
-func (s *Simulator) Report() *Report { return s.report(s.wall) }
+func (s *Simulator) Report() *Report { return s.report() }
 
 // SimulateIteration prices one batch through the performance-model
 // backend and returns the iteration latency. Single-iteration
@@ -180,7 +182,7 @@ func (s *Simulator) SimulateIteration(b *sched.Batch) (simtime.Duration, error) 
 }
 
 // report assembles the final Report.
-func (s *Simulator) report(wall time.Duration) *Report {
+func (s *Simulator) report() *Report {
 	prompt, gen := s.collector.MeanThroughput()
 	fin := s.scheduler.Finished()
 
@@ -206,7 +208,7 @@ func (s *Simulator) report(wall time.Duration) *Report {
 		Latency:    metrics.Latency(samples),
 		KV:         s.kv.Stats(),
 		Host:       s.HostTimes(),
-		WallClock:  wall,
+		WallClock:  s.wall.Time(),
 	}
 	if npu := s.NPUStack(); npu != nil {
 		r.NPUStats = npu.Stats()
@@ -220,12 +222,14 @@ func (s *Simulator) report(wall time.Duration) *Report {
 	return r
 }
 
-// HostTimes returns the accumulated per-component host wall-clock
-// breakdown (the Fig. 9 stack): the scheduler component measured here
-// plus the backend's own phases.
+// HostTimes returns the per-component host wall-clock breakdown (the
+// Fig. 9 stack): the backend's own phases, and as the scheduler bucket
+// the rest of the steps' wall time, max(0, wall - backend total). Both
+// meters sample on their own counters (metrics.StepSampler), so beyond
+// 64 steps these are estimates.
 func (s *Simulator) HostTimes() metrics.ComponentTimes {
 	host := s.backend.Host()
-	host.Scheduler = s.schedHost
+	host.Scheduler = max(0, s.wall.Time()-host.Total())
 	return host
 }
 

@@ -49,13 +49,15 @@ func (k Kind) String() string {
 
 // Compiled is an operator lowered onto a specific engine: the device
 // schedule (tiling, bank mapping, kernel choice) that simulation replays.
-type Compiled interface {
-	// Op returns the operator the artifact was compiled from.
-	Op() model.Op
-}
+// It is opaque outside the engine that made it, and keeps only what that
+// engine's Simulate reads, not the operator: a cache holds one per
+// shape.
+type Compiled any
 
 // Result is the simulated execution of one compiled operator.
 type Result struct {
+	// Op is the operator priced. Engines leave it zero; Stack stamps the
+	// caller's operator on every result it returns.
 	Op            model.Op
 	Latency       simtime.Duration
 	ComputeCycles int64 // cycles the compute resource was busy

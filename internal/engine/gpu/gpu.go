@@ -54,20 +54,17 @@ func (e *Engine) Supports(model.OpKind) bool { return true }
 // kernel is a compiled GPU operator: the fused kernel choice and its
 // roofline inputs.
 type kernel struct {
-	op    model.Op
 	flops int64
 	bytes int64
 	eff   float64 // fraction of peak compute this kernel achieves
 }
-
-func (k *kernel) Op() model.Op { return k.op }
 
 // Compile selects the kernel and computes its roofline inputs.
 func (e *Engine) Compile(op model.Op) (engine.Compiled, error) {
 	if op.M <= 0 || op.N <= 0 || op.K <= 0 {
 		return nil, fmt.Errorf("gpu: operator %s has non-positive dims %dx%dx%d", op.Name, op.M, op.N, op.K)
 	}
-	k := &kernel{op: op, flops: op.FLOPs()}
+	k := &kernel{flops: op.FLOPs()}
 	k.bytes = op.TotalBytes(dtypeBytes)
 	switch {
 	case op.Kind.IsAttention() && e.cfg.FlashAttention:
@@ -133,7 +130,6 @@ func (e *Engine) Simulate(c engine.Compiled) (engine.Result, error) {
 		bound = "memory"
 	}
 	return engine.Result{
-		Op:         k.op,
 		Latency:    simtime.FromSeconds(sec),
 		BytesMoved: k.bytes,
 		Bound:      bound,

@@ -65,8 +65,9 @@ const (
 // schedule is a compiled operator: the tiled loop nest the simulator
 // replays. It is immutable after compilation and safe to share.
 type schedule struct {
-	op    model.Op
-	class kernelClass
+	kind    model.OpKind
+	m, n, k int // operator dims
+	class   kernelClass
 
 	// GEMM tiling (per head repetition).
 	tileM, tileN, tileK int
@@ -81,8 +82,6 @@ type schedule struct {
 	tileCount    int64
 }
 
-func (s *schedule) Op() model.Op { return s.op }
-
 // Compile lowers an operator into a tiled schedule. The tiling walk is the
 // genuine compile cost: it visits every tile of the loop nest to emit its
 // instruction stream, exactly the work model-redundancy reuse avoids for
@@ -91,10 +90,7 @@ func (e *Engine) Compile(op model.Op) (engine.Compiled, error) {
 	if op.M <= 0 || op.N <= 0 || op.K <= 0 {
 		return nil, fmt.Errorf("npu: operator %s has non-positive dims %dx%dx%d", op.Name, op.M, op.N, op.K)
 	}
-	s := &schedule{
-		op:      op,
-		repeats: max(op.Heads, 1),
-	}
+	s := &schedule{kind: op.Kind, m: op.M, n: op.N, k: op.K, repeats: max(op.Heads, 1)}
 	switch {
 	case op.Kind == model.OpEmbed:
 		s.class = kernelMemory
@@ -119,9 +115,8 @@ func (e *Engine) Compile(op model.Op) (engine.Compiled, error) {
 // tileGEMM chooses tile sizes that double-buffer in the scratchpad and
 // walks the resulting loop nest.
 func (e *Engine) tileGEMM(s *schedule) {
-	op := s.op
-	s.tileM = min(op.M, e.cfg.SystolicRows)
-	s.tileN = min(op.N, e.cfg.SystolicCols)
+	s.tileM = min(s.m, e.cfg.SystolicRows)
+	s.tileN = min(s.n, e.cfg.SystolicCols)
 
 	// Pick the largest tileK such that double-buffered A, B and C tiles
 	// fit in the scratchpad: 2*(tileM*tileK + tileK*tileN + tileM*tileN)
@@ -133,8 +128,8 @@ func (e *Engine) tileGEMM(s *schedule) {
 	if tileK < 1 {
 		tileK = 1
 	}
-	if tileK > op.K {
-		tileK = op.K
+	if tileK > s.k {
+		tileK = s.k
 	}
 	// Align the K tile to the systolic row count when possible so weight
 	// loads map onto full PE columns.
@@ -142,9 +137,9 @@ func (e *Engine) tileGEMM(s *schedule) {
 		tileK -= tileK % e.cfg.SystolicRows
 	}
 	s.tileK = tileK
-	s.nM = ceilDiv(op.M, s.tileM)
-	s.nN = ceilDiv(op.N, s.tileN)
-	s.nK = ceilDiv(op.K, s.tileK)
+	s.nM = ceilDiv(s.m, s.tileM)
+	s.nN = ceilDiv(s.n, s.tileN)
+	s.nK = ceilDiv(s.k, s.tileK)
 
 	// Emit the instruction stream: the compiler walks every tile of one
 	// head's loop nest (heads repeat the identical program).
@@ -212,7 +207,6 @@ func (e *Engine) Simulate(c engine.Compiled) (engine.Result, error) {
 // like a conventional NPU simulator's.
 func (e *Engine) simulateGEMM(s *schedule) engine.Result {
 	bytesPerCycle := e.cfg.MemoryBWBytes / e.cfg.FrequencyHz
-	op := s.op
 
 	conc := e.cfg.SystolicRows / s.tileM
 	if conc < 1 {
@@ -224,7 +218,7 @@ func (e *Engine) simulateGEMM(s *schedule) engine.Result {
 	fill := int64(e.cfg.SystolicRows + e.cfg.SystolicCols)
 
 	for m := 0; m < s.nM; m++ {
-		curM := tileSpan(op.M, s.tileM, m)
+		curM := tileSpan(s.m, s.tileM, m)
 		for n0 := 0; n0 < s.nN; n0 += conc {
 			g := conc
 			if n0+g > s.nN {
@@ -234,10 +228,10 @@ func (e *Engine) simulateGEMM(s *schedule) engine.Result {
 			// member's B-tile and (on the last K step) C-tile store.
 			var groupN int64
 			for n := n0; n < n0+g; n++ {
-				groupN += int64(tileSpan(op.N, s.tileN, n))
+				groupN += int64(tileSpan(s.n, s.tileN, n))
 			}
 			for k := 0; k < s.nK; k++ {
-				curK := tileSpan(op.K, s.tileK, k)
+				curK := tileSpan(s.k, s.tileK, k)
 
 				loadBytes := int64(curM)*int64(curK)*dtypeBytes + int64(curK)*groupN*dtypeBytes
 				loadCycles := int64(math.Ceil(float64(loadBytes) / bytesPerCycle))
@@ -267,9 +261,9 @@ func (e *Engine) simulateGEMM(s *schedule) engine.Result {
 	// Pipeline priming: the very first tile's load is exposed (nothing to
 	// overlap with). One tile, not a packed group — packed members stream
 	// in behind the first while it computes.
-	firstK := min(op.K, s.tileK)
-	firstBytes := int64(min(op.M, s.tileM))*int64(firstK)*dtypeBytes +
-		int64(firstK)*int64(min(op.N, s.tileN))*dtypeBytes
+	firstK := min(s.k, s.tileK)
+	firstBytes := int64(min(s.m, s.tileM))*int64(firstK)*dtypeBytes +
+		int64(firstK)*int64(min(s.n, s.tileN))*dtypeBytes
 	firstLoad := int64(math.Ceil(float64(firstBytes) / bytesPerCycle))
 	total := (busyCycles+firstLoad)*int64(s.repeats) + e.cfg.OpOverheadCycles
 
@@ -278,7 +272,6 @@ func (e *Engine) simulateGEMM(s *schedule) engine.Result {
 		bound = "memory"
 	}
 	return engine.Result{
-		Op:            s.op,
 		Latency:       simtime.Cycles(total, e.cfg.FrequencyHz),
 		ComputeCycles: computeBusy * int64(s.repeats),
 		MemoryCycles:  memoryBusy * int64(s.repeats),
@@ -291,7 +284,7 @@ func (e *Engine) simulateGEMM(s *schedule) engine.Result {
 // bounded by either lane throughput or memory bandwidth.
 func (e *Engine) simulateVector(s *schedule) engine.Result {
 	bytesPerCycle := e.cfg.MemoryBWBytes / e.cfg.FrequencyHz
-	passes := int64(vectorPasses(s.op.Kind))
+	passes := int64(vectorPasses(s.kind))
 
 	computeCycles := ceilDiv64(s.elements, int64(e.cfg.VectorLanes)) * passes
 	// Each pass streams the operand in and the final pass writes back.
@@ -304,7 +297,6 @@ func (e *Engine) simulateVector(s *schedule) engine.Result {
 		bound = "memory"
 	}
 	return engine.Result{
-		Op:            s.op,
 		Latency:       simtime.Cycles(total, e.cfg.FrequencyHz),
 		ComputeCycles: computeCycles,
 		MemoryCycles:  memoryCycles,
@@ -318,7 +310,6 @@ func (e *Engine) simulateMemory(s *schedule) engine.Result {
 	bytes := s.elements * dtypeBytes
 	cycles := int64(math.Ceil(float64(bytes)/(e.cfg.MemoryBWBytes/e.cfg.FrequencyHz))) + e.cfg.OpOverheadCycles
 	return engine.Result{
-		Op:           s.op,
 		Latency:      simtime.Cycles(cycles, e.cfg.FrequencyHz),
 		MemoryCycles: cycles,
 		BytesMoved:   bytes,

@@ -76,8 +76,6 @@ func TestForeignArtifact(t *testing.T) {
 
 type fakeCompiled struct{}
 
-func (fakeCompiled) Op() model.Op { return model.Op{} }
-
 // TestGEMMRooflineBounds: a simulated GEMM can never beat the device's
 // compute roof or memory roof.
 func TestGEMMRooflineBounds(t *testing.T) {

@@ -52,15 +52,11 @@ func (e *Engine) Supports(k model.OpKind) bool { return k.IsAttention() }
 
 // program is a compiled PIM operator: the per-bank command stream layout.
 type program struct {
-	op model.Op
-
 	rowsPerBank   int   // matrix rows mapped to each bank
 	commands      int64 // total bank commands issued
 	bytesStreamed int64 // bytes read inside the memory arrays
 	bytesToHost   int64 // reduced results returned over the channel
 }
-
-func (p *program) Op() model.Op { return p.op }
 
 // Compile maps an operator onto the bank array. The mapping walk costs
 // work proportional to the command count, mirroring a real PIM command
@@ -72,7 +68,7 @@ func (e *Engine) Compile(op model.Op) (engine.Compiled, error) {
 	if op.M <= 0 || op.N <= 0 || op.K <= 0 {
 		return nil, fmt.Errorf("pim: operator %s has non-positive dims %dx%dx%d", op.Name, op.M, op.N, op.K)
 	}
-	p := &program{op: op}
+	p := &program{}
 	heads := int64(max(op.Heads, 1))
 
 	switch op.Kind {
@@ -129,7 +125,6 @@ func (e *Engine) Simulate(c engine.Compiled) (engine.Result, error) {
 		bound = "memory"
 	}
 	return engine.Result{
-		Op:            p.op,
 		Latency:       simtime.Cycles(total, e.cfg.FrequencyHz),
 		ComputeCycles: computeCycles,
 		MemoryCycles:  memoryCycles,

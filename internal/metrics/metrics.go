@@ -133,7 +133,10 @@ func WriteThroughputTSV(w io.Writer, buckets []Bucket) error {
 }
 
 // ComponentTimes is the host wall-clock breakdown of one simulation run
-// across the four LLMServingSim components (the Fig. 9 stack).
+// across the four LLMServingSim components (the Fig. 9 stack). The
+// per-iteration meters behind it (core.Simulator steps, the astra
+// backend's phases) follow the StepSampler rule: exact for runs of at
+// most 64 iterations, sampled estimates beyond that.
 type ComponentTimes struct {
 	Scheduler       time.Duration
 	ExecutionEngine time.Duration
@@ -152,6 +155,119 @@ func (c *ComponentTimes) Add(o ComponentTimes) {
 	c.ExecutionEngine += o.ExecutionEngine
 	c.GraphConverter += o.GraphConverter
 	c.AstraSim += o.AstraSim
+}
+
+// scaled returns every component multiplied by n.
+func (c ComponentTimes) scaled(n int64) ComponentTimes {
+	k := time.Duration(n)
+	return ComponentTimes{c.Scheduler * k, c.ExecutionEngine * k, c.GraphConverter * k, c.AstraSim * k}
+}
+
+// hostStride is the host-time sampling period: every step is timed
+// while fewer than hostStride have run, then one step in hostStride.
+const hostStride = 64
+
+// StepSampler is the host-time sampling rule shared by every
+// per-iteration meter (SampledTimes, SampledDuration). Reading the clock
+// around a step of an analytical backend costs more than the step
+// itself, so only these steps are timed: all of the first 64, then
+// every 64th. Each timed step after the first 64 stands for itself and
+// the untimed steps that follow it up to the next timed one. Hence:
+//   - a run of at most 64 steps is metered exactly;
+//   - a run whose steps all cost the same is metered exactly;
+//   - at every multiple of 64 steps, the untimed steps are estimated as
+//     their count times the mean of the timed steps after the first 64;
+//   - between those points the steps since the latest sample are priced
+//     at that sample, so successive estimates never decrease.
+//
+// A meter is driven as
+//
+//	if !m.Sample() {
+//		return step() // counted; no clock read
+//	}
+//	start := time.Now()
+//	err := step()
+//	m.Record(time.Since(start))
+//
+// Meters are allocation-free; their zero value is empty.
+type StepSampler struct {
+	steps int64 // untimed steps once sampled, timed ones once recorded
+}
+
+// Sample reports whether the next step is to be timed. An untimed step
+// is counted here; a timed one must be passed to the meter's Record,
+// which counts it.
+func (s *StepSampler) Sample() bool {
+	if s.steps < hostStride || s.steps%hostStride == 0 {
+		return true
+	}
+	s.steps++
+	return false
+}
+
+// count counts a timed step, reporting whether it opens a stride (is
+// past the first 64) rather than being added exactly.
+func (s *StepSampler) count() (stride bool) {
+	stride = s.steps >= hostStride
+	s.steps++
+	return stride
+}
+
+// weight returns how many counted steps the latest timed step after
+// the first 64 stands for: itself and the untimed steps since.
+func (s *StepSampler) weight() int64 {
+	if s.steps <= hostStride {
+		return 0
+	}
+	return (s.steps-1)%hostStride + 1
+}
+
+// SampledTimes meters a per-step ComponentTimes under the StepSampler
+// rule.
+type SampledTimes struct {
+	StepSampler
+	sum  ComponentTimes // the first 64 steps plus every finished stride
+	last ComponentTimes // the latest timed step after the first 64
+}
+
+// Record adds the host times of a step Sample chose to time.
+func (m *SampledTimes) Record(d ComponentTimes) {
+	if !m.count() {
+		m.sum.Add(d)
+		return
+	}
+	// d opens a new stride: the previous sample's stride is whole.
+	m.sum.Add(m.last.scaled(hostStride))
+	m.last = d
+}
+
+// Times returns the estimated host times of the steps counted so far.
+func (m *SampledTimes) Times() ComponentTimes {
+	t := m.sum
+	t.Add(m.last.scaled(m.weight()))
+	return t
+}
+
+// SampledDuration meters a per-step duration under the StepSampler
+// rule.
+type SampledDuration struct {
+	StepSampler
+	sum, last time.Duration // as in SampledTimes
+}
+
+// Record adds the host time of a step Sample chose to time.
+func (m *SampledDuration) Record(d time.Duration) {
+	if !m.count() {
+		m.sum += d
+		return
+	}
+	m.sum += m.last * hostStride
+	m.last = d
+}
+
+// Time returns the estimated host time of the steps counted so far.
+func (m *SampledDuration) Time() time.Duration {
+	return m.sum + m.last*time.Duration(m.weight())
 }
 
 // WriteSimulationTimeTSV writes the artifact's *-simulation-time.tsv

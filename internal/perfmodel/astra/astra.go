@@ -49,10 +49,13 @@ type Options struct {
 
 // Backend runs the Fig. 4 hardware/system pipeline for each iteration.
 type Backend struct {
-	cfg  perfmodel.Config
-	npu  *engine.Stack
-	pim  *engine.Stack
-	host metrics.ComponentTimes
+	cfg perfmodel.Config
+	npu *engine.Stack
+	pim *engine.Stack
+
+	// host meters the three phases per iteration on the backend's own
+	// iteration counter, timing a sample (see metrics.StepSampler).
+	host metrics.SampledTimes
 
 	// Operators are priced through owner-local memos in front of the
 	// stacks (nil pimMemo when pim is nil); runEngines folds their hits
@@ -123,8 +126,9 @@ func (b *Backend) Name() string { return "astra" }
 // DeviceMemoryBytes reports the NPU engine's device memory capacity.
 func (b *Backend) DeviceMemoryBytes() int64 { return b.npu.Engine().MemoryBytes() }
 
-// Host returns the adapter's accumulated host-time breakdown.
-func (b *Backend) Host() metrics.ComponentTimes { return b.host }
+// Host returns the adapter's host-time breakdown: exact over the first
+// 64 iterations since ResetStats, a sampled estimate beyond.
+func (b *Backend) Host() metrics.ComponentTimes { return b.host.Times() }
 
 // BlockCounts reports the decoder blocks priced since the last
 // ResetStats: those the system simulator executed node by node, and
@@ -135,10 +139,10 @@ func (b *Backend) BlockCounts() (simulated, shifted int64) {
 	return b.blocksSimulated, b.blocksShifted
 }
 
-// ResetStats zeroes host-time, block and engine-cache instrumentation;
-// the result caches persist.
+// ResetStats zeroes host-time, block and engine-cache instrumentation,
+// and restarts the host-time sampling; the result caches persist.
 func (b *Backend) ResetStats() {
-	b.host = metrics.ComponentTimes{}
+	b.host = metrics.SampledTimes{}
 	b.blocksSimulated, b.blocksShifted = 0, 0
 	b.npu.ResetStats()
 	if b.pim != nil {
@@ -170,40 +174,69 @@ func (b *Backend) placement() graph.AttentionPlacement {
 // interleaves compute, memory, and network inseparably, so the breakdown
 // is left zero.
 func (b *Backend) IterationLatency(batch *sched.Batch) (simtime.Duration, perfmodel.Breakdown, error) {
+	if !b.host.Sample() {
+		lat, err := b.iterate(batch, nil)
+		return lat, perfmodel.Breakdown{}, err
+	}
+	var t metrics.ComponentTimes
+	lat, err := b.iterate(batch, &t)
+	b.host.Record(t)
+	return lat, perfmodel.Breakdown{}, err
+}
+
+// iterate runs the engine, graph-conversion and system-simulation phases
+// of one batch. When t is non-nil it reads the clock between phases and
+// stores each phase's host time there.
+func (b *Backend) iterate(batch *sched.Batch, t *metrics.ComponentTimes) (simtime.Duration, error) {
+	var mark time.Time
+	if t != nil {
+		mark = time.Now()
+	}
 	work, embedDur, headDur, totalNew, err := b.runEngines(batch)
+	if t != nil {
+		t.ExecutionEngine = lap(&mark)
+	}
 	if err != nil {
-		return 0, perfmodel.Breakdown{}, err
+		return 0, err
 	}
 
-	t0 := time.Now()
 	g, err := b.convert(batch, work, embedDur, headDur, totalNew)
-	b.host.GraphConverter += time.Since(t0)
+	if t != nil {
+		t.GraphConverter = lap(&mark)
+	}
 	if err != nil {
-		return 0, perfmodel.Breakdown{}, err
+		return 0, err
 	}
 
-	t0 = time.Now()
 	res, err := b.exec.Execute(g)
-	b.host.AstraSim += time.Since(t0)
+	if t != nil {
+		t.AstraSim = lap(&mark)
+	}
 	if err != nil {
-		return 0, perfmodel.Breakdown{}, err
+		return 0, err
 	}
 	b.blocksShifted += int64(res.BlocksShifted)
 	b.blocksSimulated += int64(b.cfg.Model.Layers - res.BlocksShifted)
-	return res.Makespan, perfmodel.Breakdown{}, nil
+	return res.Makespan, nil
+}
+
+// lap returns the time since *mark and moves *mark to now.
+func lap(mark *time.Time) time.Duration {
+	now := time.Now()
+	d := now.Sub(*mark)
+	*mark = now
+	return d
 }
 
 // runEngines performs the execution-engine phase: build each sub-batch's
 // operator workload, map operators to engines (Algorithm 1, line 6), run
 // the compiler/simulator stacks, and merge the traces.
 func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Duration, simtime.Duration, int, error) {
-	t0 := time.Now()
 	defer func() {
 		b.npuMemo.Flush()
 		if b.pimMemo != nil {
 			b.pimMemo.Flush()
 		}
-		b.host.ExecutionEngine += time.Since(t0)
 	}()
 
 	var zero graph.BlockWork

@@ -182,7 +182,8 @@ func TestSubBatchIterationAllocs(t *testing.T) {
 }
 
 // TestHostTimesAccumulate: the adapter attributes its host time to the
-// engine/converter/astra components.
+// engine/converter/astra components, on a sample of iterations past the
+// first 64, and ResetStats restarts the sampling.
 func TestHostTimesAccumulate(t *testing.T) {
 	cfg := testConfig(t, 2)
 	b, err := New(cfg, Options{NPU: config.DefaultNPU()})
@@ -190,23 +191,32 @@ func TestHostTimesAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := firstBatch(t, cfg, []workload.Request{{ID: 0, InputLen: 64, OutputLen: 1}})
-	lat, _, err := b.IterationLatency(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lat <= 0 {
-		t.Fatal("iteration latency must be positive")
-	}
-	h := b.Host()
-	if h.ExecutionEngine <= 0 || h.GraphConverter <= 0 || h.AstraSim <= 0 {
-		t.Fatalf("host times missing: %+v", h)
-	}
-	if h.Scheduler != 0 {
-		t.Fatalf("scheduler host time is the caller's, got %v", h.Scheduler)
+	for i := 0; i < 3*64+5; i++ {
+		lat, _, err := b.IterationLatency(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lat <= 0 {
+			t.Fatal("iteration latency must be positive")
+		}
+		h := b.Host()
+		if h.ExecutionEngine <= 0 || h.GraphConverter <= 0 || h.AstraSim <= 0 {
+			t.Fatalf("iteration %d: host times missing: %+v", i, h)
+		}
+		if h.Scheduler != 0 {
+			t.Fatalf("scheduler host time is the caller's, got %v", h.Scheduler)
+		}
 	}
 	b.ResetStats()
 	if got := b.Host(); got.Total() != 0 {
 		t.Fatalf("ResetStats left host times: %+v", got)
+	}
+	if _, _, err := b.IterationLatency(batch); err != nil {
+		t.Fatal(err)
+	}
+	// Timed only if ResetStats also restarted the sampling.
+	if h := b.Host(); h.ExecutionEngine <= 0 || h.GraphConverter <= 0 || h.AstraSim <= 0 {
+		t.Fatalf("first iteration after ResetStats untimed: %+v", h)
 	}
 }
 

@@ -156,13 +156,16 @@ type Backend interface {
 	// of the KV-cache budget the scheduler partitions.
 	DeviceMemoryBytes() int64
 
-	// Host returns the accumulated host wall-clock breakdown of the
-	// backend's own phases (the paper's "simulation time"); the
-	// Scheduler component is owned by the caller and left zero.
+	// Host returns the host wall-clock breakdown of the backend's own
+	// phases (the paper's "simulation time"); the Scheduler component is
+	// owned by the caller and left zero. A backend that meters its
+	// phases per iteration follows metrics.StepSampler on its own
+	// iteration counter: exact over the first 64 iterations since
+	// ResetStats, a sampled estimate beyond.
 	Host() metrics.ComponentTimes
 
-	// ResetStats zeroes host-time and cache instrumentation without
-	// dropping result caches.
+	// ResetStats zeroes host-time and cache instrumentation, restarting
+	// any host-time sampling, without dropping result caches.
 	ResetStats()
 }
 

@@ -117,10 +117,10 @@ func (b *Backend) Name() string { return "roofline/" + b.hw.Name }
 func (b *Backend) DeviceMemoryBytes() int64 { return b.hw.MemoryBytes }
 
 // Host returns the backend's component times — all zero: analytical
-// pricing is a handful of cached map lookups per iteration, cheaper
-// than the pair of clock reads needed to meter it (which profiled as a
-// double-digit share of large runs), so its cost lands in the caller's
-// scheduler bucket instead.
+// pricing is a handful of cached map lookups per iteration, too little
+// to split from the step around it, so its cost lands in the caller's
+// scheduler bucket (core meters whole steps on a sample and subtracts
+// only what the backend reports).
 func (b *Backend) Host() metrics.ComponentTimes { return metrics.ComponentTimes{} }
 
 // Stats returns a snapshot of the cache instrumentation.

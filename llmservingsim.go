@@ -387,7 +387,9 @@ type LatencyStats struct {
 }
 
 // SimulationTime is the host wall-clock breakdown across simulator
-// components — the paper's "simulation time" (Fig. 9).
+// components — the paper's "simulation time" (Fig. 9). It is measured
+// exactly over a run's first 64 iterations; beyond that one iteration
+// in 64 is timed and the rest are estimated from those samples.
 type SimulationTime struct {
 	Scheduler       time.Duration
 	ExecutionEngine time.Duration
