@@ -165,20 +165,30 @@ func (c ComponentTimes) scaled(n int64) ComponentTimes {
 
 // hostStride is the host-time sampling period: every step is timed
 // while fewer than hostStride have run, then one step in hostStride.
-const hostStride = 64
+// hostRotate is the odd step by which the timed position moves from one
+// stride to the next.
+const (
+	hostStride = 64
+	hostRotate = 39
+)
 
 // StepSampler is the host-time sampling rule shared by every
 // per-iteration meter (SampledTimes, SampledDuration). Reading the clock
 // around a step of an analytical backend costs more than the step
-// itself, so only these steps are timed: all of the first 64, then
-// every 64th. Each timed step after the first 64 stands for itself and
-// the untimed steps that follow it up to the next timed one. Hence:
+// itself, so only these steps are timed: all of the first 64, then one
+// in each stride of 64. Stride k (the first 64 steps are stride 1)
+// takes its sample at offset k·39 mod 64, so a heavy step that recurs
+// at a fixed position cannot be sampled every time or never. The first
+// 64 steps are added exactly; every step after them is priced at the
+// sample taken in the stride before its own. Hence:
 //   - a run of at most 64 steps is metered exactly;
 //   - a run whose steps all cost the same is metered exactly;
-//   - at every multiple of 64 steps, the untimed steps are estimated as
-//     their count times the mean of the timed steps after the first 64;
-//   - between those points the steps since the latest sample are priced
-//     at that sample, so successive estimates never decrease.
+//   - since 39 is odd, any 64 consecutive strides sample all 64
+//     offsets once, so when step costs repeat with period 64 the
+//     estimate is exact after 64 + 64·64 steps, and after every further
+//     64·64;
+//   - a step is priced when it is counted and never repriced, so
+//     successive estimates never decrease.
 //
 // A meter is driven as
 //
@@ -192,59 +202,83 @@ const hostStride = 64
 // Meters are allocation-free; their zero value is empty.
 type StepSampler struct {
 	steps int64 // untimed steps once sampled, timed ones once recorded
+	next  int64 // the next step to time once the first 64 are counted
 }
+
+// sampleOffset returns the position of the timed step within stride q
+// (0-based, so stride q+1 in the numbering above).
+func sampleOffset(q int64) int64 { return (q + 1) * hostRotate % hostStride }
 
 // Sample reports whether the next step is to be timed. An untimed step
 // is counted here; a timed one must be passed to the meter's Record,
 // which counts it.
 func (s *StepSampler) Sample() bool {
-	if s.steps < hostStride || s.steps%hostStride == 0 {
+	if s.steps < hostStride || s.steps == s.next {
 		return true
 	}
 	s.steps++
 	return false
 }
 
-// count counts a timed step, reporting whether it opens a stride (is
-// past the first 64) rather than being added exactly.
-func (s *StepSampler) count() (stride bool) {
-	stride = s.steps >= hostStride
+// count counts a timed step and says how the meter takes it: exact
+// (one of the first 64), and whether it is its stride's sample.
+func (s *StepSampler) count() (exact, sample bool) {
+	n := s.steps
 	s.steps++
-	return stride
+	if n >= hostStride-1 {
+		q := n/hostStride + 1 // the next stride
+		s.next = q*hostStride + sampleOffset(q)
+	}
+	return n < hostStride, n%hostStride == sampleOffset(n/hostStride)
 }
 
-// weight returns how many counted steps the latest timed step after
-// the first 64 stands for: itself and the untimed steps since.
-func (s *StepSampler) weight() int64 {
+// weights returns how many counted steps not yet in a meter's sum are
+// priced at its price and at its banked sample. Once the current
+// stride's sample is recorded, the previous stride is in the sum and
+// the current stride's j steps are at the price. Before that, the
+// previous stride's 64 steps are still at the price and the current
+// stride's j at the banked sample.
+func (s *StepSampler) weights() (price, banked int64) {
 	if s.steps <= hostStride {
-		return 0
+		return 0, 0
 	}
-	return (s.steps-1)%hostStride + 1
+	q, j := (s.steps-1)/hostStride, (s.steps-1)%hostStride+1
+	if j > sampleOffset(q) {
+		return j, 0
+	}
+	return hostStride, j
 }
 
 // SampledTimes meters a per-step ComponentTimes under the StepSampler
 // rule.
 type SampledTimes struct {
 	StepSampler
-	sum  ComponentTimes // the first 64 steps plus every finished stride
-	last ComponentTimes // the latest timed step after the first 64
+	sum    ComponentTimes // the first 64 steps plus every folded stride
+	price  ComponentTimes // the price of the latest sampled stride
+	banked ComponentTimes // the latest sample: the next stride's price
 }
 
 // Record adds the host times of a step Sample chose to time.
 func (m *SampledTimes) Record(d ComponentTimes) {
-	if !m.count() {
+	exact, sample := m.count()
+	if exact {
 		m.sum.Add(d)
-		return
+	} else {
+		// The previous stride is whole: fold it at its price.
+		m.sum.Add(m.price.scaled(hostStride))
+		m.price = m.banked
 	}
-	// d opens a new stride: the previous sample's stride is whole.
-	m.sum.Add(m.last.scaled(hostStride))
-	m.last = d
+	if sample {
+		m.banked = d
+	}
 }
 
 // Times returns the estimated host times of the steps counted so far.
 func (m *SampledTimes) Times() ComponentTimes {
 	t := m.sum
-	t.Add(m.last.scaled(m.weight()))
+	p, b := m.weights()
+	t.Add(m.price.scaled(p))
+	t.Add(m.banked.scaled(b))
 	return t
 }
 
@@ -252,22 +286,27 @@ func (m *SampledTimes) Times() ComponentTimes {
 // rule.
 type SampledDuration struct {
 	StepSampler
-	sum, last time.Duration // as in SampledTimes
+	sum, price, banked time.Duration // as in SampledTimes
 }
 
 // Record adds the host time of a step Sample chose to time.
 func (m *SampledDuration) Record(d time.Duration) {
-	if !m.count() {
+	exact, sample := m.count()
+	if exact {
 		m.sum += d
-		return
+	} else {
+		m.sum += m.price * hostStride
+		m.price = m.banked
 	}
-	m.sum += m.last * hostStride
-	m.last = d
+	if sample {
+		m.banked = d
+	}
 }
 
 // Time returns the estimated host time of the steps counted so far.
 func (m *SampledDuration) Time() time.Duration {
-	return m.sum + m.last*time.Duration(m.weight())
+	p, b := m.weights()
+	return m.sum + m.price*time.Duration(p) + m.banked*time.Duration(b)
 }
 
 // WriteSimulationTimeTSV writes the artifact's *-simulation-time.tsv

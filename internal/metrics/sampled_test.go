@@ -33,11 +33,13 @@ func constant(int) ComponentTimes {
 }
 
 // TestSampledTimesSchedule pins which steps are timed: every one of the
-// first 64, then every 64th.
+// first 64, then one in each stride of 64, at offset 39k mod 64 in
+// stride k (1-based).
 func TestSampledTimesSchedule(t *testing.T) {
 	var m SampledTimes
+	offsets := map[int]int{2: 14, 3: 53, 4: 28, 5: 3, 6: 42}
 	for i := 0; i < 5*hostStride+3; i++ {
-		want := i < 64 || i%64 == 0
+		want := i < 64 || i%64 == offsets[i/64+1]
 		got := m.Sample()
 		if got != want {
 			t.Fatalf("step %d: timed=%v, want %v", i, got, want)
@@ -81,10 +83,10 @@ func TestSampledTimesExact(t *testing.T) {
 }
 
 // TestSampledTimesRamp bounds the estimate for step costs that grow
-// linearly, a + b·i: each stride after the first 64 is priced at its
-// first step, so a stride of k steps falls short by exactly b·k(k-1)/2
-// (b·2016 for a whole stride). The estimate is never high, and low by
-// at most a fraction 31.5·b/a of the true total.
+// linearly, a + b·i: each step i after the first 64 is priced at the
+// sample of the stride before its own, taken at step s < i, so it falls
+// short by exactly b·(i-s). Since i-s is at most 127, the estimate is
+// never high, and low by at most a fraction 127·b/a of the true total.
 func TestSampledTimesRamp(t *testing.T) {
 	const a, b = 2 * time.Microsecond, 3 * time.Nanosecond
 	ramp := func(i int) ComponentTimes { return ComponentTimes{Scheduler: a + b*time.Duration(i)} }
@@ -92,16 +94,61 @@ func TestSampledTimesRamp(t *testing.T) {
 		var m SampledTimes
 		truth := meter(&m, steps, ramp)
 		var short time.Duration
-		for left := steps - hostStride; left > 0; left -= hostStride {
-			k := time.Duration(min(left, hostStride))
-			short += b * k * (k - 1) / 2
+		for i := hostStride; i < steps; i++ {
+			q := int64(i/hostStride - 1) // the stride before step i's
+			s := q*hostStride + sampleOffset(q)
+			short += b * time.Duration(int64(i)-s)
 		}
 		if got := m.Times().Scheduler; got != truth.Scheduler-short {
 			t.Errorf("%d steps: estimate %v, want %v (true %v less %v)",
 				steps, got, truth.Scheduler-short, truth.Scheduler, short)
 		}
-		if 2*a*short > 63*b*truth.Scheduler {
-			t.Errorf("%d steps: shortfall %v is over 31.5·b/a of %v", steps, short, truth.Scheduler)
+		if a*short > 127*b*truth.Scheduler {
+			t.Errorf("%d steps: shortfall %v is over 127·b/a of %v", steps, short, truth.Scheduler)
+		}
+	}
+}
+
+// TestSampledTimesPeriodic: when step costs repeat with period 64, a
+// fixed sampling position would price every stride at the same step
+// (too high or too low by that step's distance from the mean). The
+// rotating position samples each offset once per 64 strides, so the
+// estimate is exact after 64 + 64·64 steps and every 64·64 after that,
+// whatever the cost pattern.
+func TestSampledTimesPeriodic(t *testing.T) {
+	x := uint64(7)
+	patterns := map[string]func(int) ComponentTimes{
+		"one heavy step in 64": func(i int) ComponentTimes {
+			d := ComponentTimes{Scheduler: time.Microsecond, AstraSim: 300 * time.Nanosecond}
+			if i%hostStride == 0 {
+				d.Scheduler *= 40
+			}
+			return d
+		},
+		"heavy residues 12 and 51": func(i int) ComponentTimes {
+			if r := i % hostStride; r == 12 || r == 51 {
+				return ComponentTimes{ExecutionEngine: 90 * time.Microsecond}
+			}
+			return ComponentTimes{ExecutionEngine: 2 * time.Microsecond}
+		},
+	}
+	var random [hostStride]ComponentTimes
+	for i := range random {
+		x = x*6364136223846793005 + 1442695040888963407
+		random[i] = ComponentTimes{
+			Scheduler:       time.Duration(x>>40) % (10 * time.Millisecond),
+			ExecutionEngine: time.Duration(x>>54) * time.Microsecond,
+			GraphConverter:  time.Duration(x >> 58),
+		}
+	}
+	patterns["random"] = func(i int) ComponentTimes { return random[i%hostStride] }
+	for name, dur := range patterns {
+		for _, steps := range []int{hostStride + hostStride*hostStride, hostStride + 3*hostStride*hostStride} {
+			var m SampledTimes
+			truth := meter(&m, steps, dur)
+			if got := m.Times(); got != truth {
+				t.Errorf("%s, %d steps: estimate %+v, want %+v", name, steps, got, truth)
+			}
 		}
 	}
 }

@@ -8,10 +8,12 @@
 // also nil-safe: every method on a nil *Recorder is a no-op, so the
 // layers it is threaded through (sched, kvcache, core, cluster) carry a
 // possibly-nil pointer and pay one predictable branch when telemetry is
-// off. Events and decisions land in preallocated ring buffers, so a
-// long run records the most recent window without unbounded growth;
-// routing outcomes (one small struct per routed request) are kept in
-// full so regret summaries stay exact even after the rings wrap.
+// off. Events and decisions land in ring buffers, so a long run records
+// the most recent window without unbounded growth. Routing regret is
+// folded as the run goes, so regret summaries stay exact even after the
+// rings wrap: counters at each route and each zero-regret completion,
+// and one small record per regretful decision, kept for the end-of-run
+// pass that prices token regret in seconds.
 package obs
 
 import (
@@ -226,27 +228,51 @@ type Decision struct {
 	Cand    [MaxTopK + 1]Candidate
 }
 
-// routeOutcome links one routing decision to its realized result, kept
-// in full (not ring-buffered) so regret attribution is exact.
-type routeOutcome struct {
-	req      int32
+// regretRecord is one regretful routing decision and its realized
+// result, kept in full (not ring-buffered) so FinalizeRegret can price
+// it at the chosen replica's end-of-run rate.
+type regretRecord struct {
 	chosen   int32
-	best     int32
-	regret   int64 // tokens
-	ttft     simtime.Duration
-	tpot     simtime.Duration
-	stage    uint8
-	requeue  bool
 	done     bool
 	rejected bool
+	regret   int64 // tokens, > 0
+	ttft     simtime.Duration
+	tpot     simtime.Duration
 }
+
+// regretFold is the running routing-regret state. Everything known when
+// a route is made is counted at Route; a zero-regret route's latency is
+// folded when its request completes; a regretful route keeps a record.
+//
+// latest maps a request ID to its latest routing decision that has not
+// yet seen an outcome: 0 for none, pendingZero for a zero-regret route,
+// k > 0 for records[k-1]. Request IDs are dense from 0 (the cluster
+// assigns them in arrival order), so this is a slice, not a map; a
+// negative ID is scored but never linked to an outcome.
+type regretFold struct {
+	decisions     int
+	requeues      int
+	regretTokens  int64
+	stageDecision [3]int   // by stage; [0] (unified) is unused
+	stageTokens   [3]int64 // likewise
+
+	completedZero      int
+	ttftZero, tpotZero float64 // seconds, summed in completion order
+
+	records []regretRecord // route order
+	latest  []int32
+}
+
+const pendingZero = -1
 
 // Config sizes a Recorder.
 type Config struct {
 	// Detail selects the capture level; zero defaults to DetailSpans.
 	Detail Detail
 	// EventCap / DecisionCap size the ring buffers; zero defaults to
-	// 65536 events and 32768 decisions.
+	// 65536 events and 32768 decisions. Storage is allocated in chunks
+	// as the rings are first written, so capacity a run never reaches
+	// costs nothing.
 	EventCap    int
 	DecisionCap int
 	// TopK is how many counterfactual alternatives each routing
@@ -262,15 +288,11 @@ type Recorder struct {
 	detail Detail
 	topK   int
 
-	events []Event
-	en     int // total events ever recorded (ring write cursor)
-
-	decisions []Decision
-	dn        int
+	events    ring[Event]
+	decisions ring[Decision]
 
 	routePolicy string
-	outcomes    []routeOutcome
-	outIdx      map[int32]int32 // req -> latest outcome index
+	regret      regretFold
 }
 
 // New builds a recorder; see Config for defaults.
@@ -293,9 +315,8 @@ func New(cfg Config) *Recorder {
 	return &Recorder{
 		detail:    cfg.Detail,
 		topK:      cfg.TopK,
-		events:    make([]Event, cfg.EventCap),
-		decisions: make([]Decision, cfg.DecisionCap),
-		outIdx:    make(map[int32]int32),
+		events:    newRing[Event](cfg.EventCap),
+		decisions: newRing[Decision](cfg.DecisionCap),
 	}
 }
 
@@ -307,14 +328,15 @@ func (r *Recorder) Spans() bool { return r != nil && r.detail >= DetailSpans }
 // captured.
 func (r *Recorder) Full() bool { return r != nil && r.detail >= DetailFull }
 
-func (r *Recorder) push(e Event) {
-	r.events[r.en%len(r.events)] = e
-	r.en++
-}
+func (r *Recorder) push(e Event) { *r.events.next() = e }
 
-func (r *Recorder) pushDecision(d Decision) {
-	r.decisions[r.dn%len(r.decisions)] = d
-	r.dn++
+// decision returns a cleared ring slot for the next decision record, so
+// callers fill it in place instead of copying a Decision in.
+func (r *Recorder) decision(kind DecisionKind, t simtime.Time, req int32, policy string) *Decision {
+	d := r.decisions.next()
+	*d = Decision{}
+	d.Kind, d.Time, d.Req, d.Policy = kind, t, req, policy
+	return d
 }
 
 // EventCount returns how many events were recorded over the run
@@ -323,7 +345,7 @@ func (r *Recorder) EventCount() int {
 	if r == nil {
 		return 0
 	}
-	return r.en
+	return r.events.n
 }
 
 // DecisionCount returns how many decisions were recorded over the run.
@@ -331,36 +353,20 @@ func (r *Recorder) DecisionCount() int {
 	if r == nil {
 		return 0
 	}
-	return r.dn
+	return r.decisions.n
 }
 
 // eachEvent visits the retained events oldest to newest.
 func (r *Recorder) eachEvent(fn func(e *Event)) {
-	if r == nil || r.en == 0 {
-		return
-	}
-	n := len(r.events)
-	start := 0
-	if r.en > n {
-		start = r.en - n
-	}
-	for i := start; i < r.en; i++ {
-		fn(&r.events[i%n])
+	if r != nil {
+		r.events.each(fn)
 	}
 }
 
 // eachDecision visits the retained decisions oldest to newest.
 func (r *Recorder) eachDecision(fn func(d *Decision)) {
-	if r == nil || r.dn == 0 {
-		return
-	}
-	n := len(r.decisions)
-	start := 0
-	if r.dn > n {
-		start = r.dn - n
-	}
-	for i := start; i < r.dn; i++ {
-		fn(&r.decisions[i%n])
+	if r != nil {
+		r.decisions.each(fn)
 	}
 }
 
@@ -467,12 +473,12 @@ func (r *Recorder) Route(t simtime.Time, req int, class, policy string, inLen, p
 		}
 	}
 	regret := cands[chosenPos].Cost - cands[best].Cost
+	r.foldRoute(req, cands[chosenPos].Replica, regret, stage, requeue)
 
-	d := Decision{
-		Kind: DecisionRoute, Time: t, Req: int32(req), Class: class, Policy: policy,
-		Chosen: cands[chosenPos].Replica, Best: cands[best].Replica, Regret: regret,
-		Stage: stage, Requeue: requeue,
-	}
+	d := r.decision(DecisionRoute, t, int32(req), policy)
+	d.Class = class
+	d.Chosen, d.Best, d.Regret = cands[chosenPos].Replica, cands[best].Replica, regret
+	d.Stage, d.Requeue = stage, requeue
 	// Candidate snapshot: chosen first, then the k cheapest others
 	// (cost, then replica index, ascending). k is small, so repeated
 	// linear selection beats sorting a scratch copy.
@@ -496,13 +502,32 @@ func (r *Recorder) Route(t simtime.Time, req int, class, policy string, inLen, p
 		n++
 	}
 	d.NCand = uint8(n)
-	r.pushDecision(d)
+}
 
-	r.outIdx[int32(req)] = int32(len(r.outcomes))
-	r.outcomes = append(r.outcomes, routeOutcome{
-		req: int32(req), chosen: cands[chosenPos].Replica, best: cands[best].Replica, regret: regret,
-		stage: stage, requeue: requeue,
-	})
+// foldRoute counts one routing decision and makes it req's latest.
+func (r *Recorder) foldRoute(req int, chosen int32, regret int64, stage uint8, requeue bool) {
+	f := &r.regret
+	f.decisions++
+	f.regretTokens += regret
+	if requeue {
+		f.requeues++
+	}
+	if stage == 1 || stage == 2 {
+		f.stageDecision[stage]++
+		f.stageTokens[stage] += regret
+	}
+	latest := int32(pendingZero)
+	if regret > 0 {
+		f.records = append(f.records, regretRecord{chosen: chosen, regret: regret})
+		latest = int32(len(f.records))
+	}
+	if req < 0 {
+		return
+	}
+	if n := req + 1; n > len(f.latest) {
+		f.latest = append(f.latest, make([]int32, n-len(f.latest))...)
+	}
+	f.latest[req] = latest
 }
 
 // Handoff records a disaggregated prefill->decode KV transfer: the
@@ -530,11 +555,11 @@ func (r *Recorder) Admission(t simtime.Time, req int, class, policy string, acce
 	if r == nil {
 		return
 	}
-	d := Decision{Kind: DecisionAdmission, Time: t, Req: int32(req), Class: class, Policy: policy, Aux: int64(reason)}
+	d := r.decision(DecisionAdmission, t, int32(req), policy)
+	d.Class, d.Aux = class, int64(reason)
 	if accepted {
 		d.Chosen = 1
 	}
-	r.pushDecision(d)
 }
 
 // Scale records one autoscaler tick: committed replicas before,
@@ -543,8 +568,8 @@ func (r *Recorder) Scale(t simtime.Time, policy string, before, desired, clamped
 	if r == nil {
 		return
 	}
-	r.pushDecision(Decision{Kind: DecisionScale, Time: t, Req: -1, Policy: policy,
-		Chosen: int32(clamped), Aux: int64(before), Regret: int64(desired)})
+	d := r.decision(DecisionScale, t, -1, policy)
+	d.Chosen, d.Aux, d.Regret = int32(clamped), int64(before), int64(desired)
 }
 
 // Fleet records one injected fleet event; target is the affected
@@ -553,17 +578,25 @@ func (r *Recorder) Fleet(t simtime.Time, kind string, target int) {
 	if r == nil {
 		return
 	}
-	r.pushDecision(Decision{Kind: DecisionFleet, Time: t, Req: -1, Policy: kind, Chosen: int32(target)})
+	r.decision(DecisionFleet, t, -1, kind).Chosen = int32(target)
 }
 
 // Outcome attributes a routed request's realized latency back to its
-// (latest) routing decision.
+// latest routing decision. A request takes one outcome (Outcome or
+// OutcomeRejected) per route: a call with no route since the last one
+// is ignored.
 func (r *Recorder) Outcome(req int, ttft, tpot simtime.Duration) {
 	if r == nil {
 		return
 	}
-	if i, ok := r.outIdx[int32(req)]; ok {
-		o := &r.outcomes[i]
+	f := &r.regret
+	switch i := f.take(req); {
+	case i == pendingZero:
+		f.completedZero++
+		f.ttftZero += ttft.Seconds()
+		f.tpotZero += tpot.Seconds()
+	case i > 0:
+		o := &f.records[i-1]
 		o.ttft, o.tpot, o.done = ttft, tpot, true
 	}
 }
@@ -574,9 +607,21 @@ func (r *Recorder) OutcomeRejected(req int) {
 	if r == nil {
 		return
 	}
-	if i, ok := r.outIdx[int32(req)]; ok {
-		r.outcomes[i].rejected = true
+	f := &r.regret
+	if i := f.take(req); i > 0 {
+		f.records[i-1].rejected = true
 	}
+}
+
+// take returns and clears req's latest pending routing decision (see
+// regretFold.latest).
+func (f *regretFold) take(req int) int32 {
+	if req < 0 || req >= len(f.latest) {
+		return 0
+	}
+	i := f.latest[req]
+	f.latest[req] = 0
+	return i
 }
 
 // RegretSummary aggregates counterfactual routing regret for one
@@ -628,57 +673,48 @@ type RegretSummary struct {
 // RateFallbacks. When fleetMean is also non-positive the tokens still
 // count but the seconds stay zero.
 func (r *Recorder) FinalizeRegret(rate func(replica int) float64, fleetMean float64) *RegretSummary {
-	if r == nil || len(r.outcomes) == 0 {
+	if r == nil || r.regret.decisions == 0 {
 		return nil
 	}
-	s := &RegretSummary{Policy: r.routePolicy, Decisions: len(r.outcomes)}
-	var ttftZero, ttftReg, tpotZero, tpotReg float64
-	for i := range r.outcomes {
-		o := &r.outcomes[i]
-		s.TotalRegretTokens += o.regret
-		if o.requeue {
-			s.Requeues++
-		}
-		switch o.stage {
-		case 1:
-			s.Stage1Decisions++
-			s.Stage1RegretTokens += o.regret
-		case 2:
-			s.Stage2Decisions++
-			s.Stage2RegretTokens += o.regret
-		}
+	f := &r.regret
+	s := &RegretSummary{
+		Policy:             r.routePolicy,
+		Decisions:          f.decisions,
+		Regretful:          len(f.records),
+		TotalRegretTokens:  f.regretTokens,
+		CompletedZero:      f.completedZero,
+		Requeues:           f.requeues,
+		Stage1Decisions:    f.stageDecision[1],
+		Stage2Decisions:    f.stageDecision[2],
+		Stage1RegretTokens: f.stageTokens[1],
+		Stage2RegretTokens: f.stageTokens[2],
+	}
+	var ttftReg, tpotReg float64
+	for i := range f.records {
+		o := &f.records[i]
 		var sec float64
-		if o.regret > 0 {
-			s.Regretful++
-			v := rate(int(o.chosen))
-			if v <= 0 {
-				v = fleetMean
-				s.RateFallbacks++
-			}
-			if v > 0 {
-				sec = float64(o.regret) / v
-			}
-			s.TotalRegretSec += sec
-			if sec > s.MaxRegretSec {
-				s.MaxRegretSec = sec
-			}
+		v := rate(int(o.chosen))
+		if v <= 0 {
+			v = fleetMean
+			s.RateFallbacks++
+		}
+		if v > 0 {
+			sec = float64(o.regret) / v
+		}
+		s.TotalRegretSec += sec
+		if sec > s.MaxRegretSec {
+			s.MaxRegretSec = sec
 		}
 		if o.done && !o.rejected {
-			if o.regret > 0 {
-				s.CompletedRegretful++
-				ttftReg += o.ttft.Seconds()
-				tpotReg += o.tpot.Seconds()
-			} else {
-				s.CompletedZero++
-				ttftZero += o.ttft.Seconds()
-				tpotZero += o.tpot.Seconds()
-			}
+			s.CompletedRegretful++
+			ttftReg += o.ttft.Seconds()
+			tpotReg += o.tpot.Seconds()
 		}
 	}
 	s.MeanRegretSec = s.TotalRegretSec / float64(s.Decisions)
 	if s.CompletedZero > 0 {
-		s.MeanTTFTZeroSec = ttftZero / float64(s.CompletedZero)
-		s.MeanTPOTZeroSec = tpotZero / float64(s.CompletedZero)
+		s.MeanTTFTZeroSec = f.ttftZero / float64(s.CompletedZero)
+		s.MeanTPOTZeroSec = f.tpotZero / float64(s.CompletedZero)
 	}
 	if s.CompletedRegretful > 0 {
 		s.MeanTTFTRegretSec = ttftReg / float64(s.CompletedRegretful)

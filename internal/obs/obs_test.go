@@ -111,6 +111,67 @@ func TestRingWrap(t *testing.T) {
 	if len(dec) != 4 || dec[0] != 3 || dec[3] != 6 {
 		t.Fatalf("decision ring %v", dec)
 	}
+
+	// Across chunk boundaries: capacities below, at and off a multiple
+	// of the chunk size, written short of, up to and past capacity.
+	for _, capacity := range []int{ringChunk - 1, ringChunk, 2*ringChunk + 5} {
+		for _, writes := range []int{ringChunk / 2, ringChunk + 3, capacity, 3*capacity + 7} {
+			r := New(Config{EventCap: capacity, DecisionCap: capacity})
+			for i := 0; i < writes; i++ {
+				r.FirstToken(0, i, sec(float64(i)))
+				r.Admission(sec(float64(i)), i, "c", "p", true, RejectNone)
+			}
+			held := min(writes, capacity)
+			next := writes - held
+			r.eachEvent(func(e *Event) {
+				if int(e.Req) != next {
+					t.Fatalf("cap %d, %d writes: event %d where %d was due", capacity, writes, e.Req, next)
+				}
+				next++
+			})
+			if next != writes {
+				t.Fatalf("cap %d, %d writes: visited events up to %d", capacity, writes, next)
+			}
+			next = writes - held
+			r.eachDecision(func(d *Decision) {
+				if int(d.Req) != next {
+					t.Fatalf("cap %d, %d writes: decision %d where %d was due", capacity, writes, d.Req, next)
+				}
+				next++
+			})
+			if next != writes {
+				t.Fatalf("cap %d, %d writes: visited decisions up to %d", capacity, writes, next)
+			}
+			// Chunks are allocated as they are first written, each no
+			// larger than the chunk size, and cover the slots used.
+			checkChunks(t, "event", chunkLens(r.events.chunks), held, capacity)
+			checkChunks(t, "decision", chunkLens(r.decisions.chunks), held, capacity)
+		}
+	}
+}
+
+func chunkLens[T any](chunks [][]T) []int {
+	lens := make([]int, len(chunks))
+	for i, c := range chunks {
+		lens[i] = len(c)
+	}
+	return lens
+}
+
+// checkChunks: a ring of capacity slots with held of them written has
+// allocated exactly the chunks those slots fall in.
+func checkChunks(t *testing.T, name string, lens []int, held, capacity int) {
+	t.Helper()
+	total := 0
+	for i, n := range lens {
+		if n > 0 && n != min(ringChunk, capacity-i*ringChunk) {
+			t.Fatalf("cap %d: %s chunk %d holds %d slots", capacity, name, i, n)
+		}
+		total += n
+	}
+	if want := min((held+ringChunk-1)/ringChunk*ringChunk, capacity); total != want {
+		t.Fatalf("cap %d, %d held: %s chunks hold %d slots, want %d", capacity, held, name, total, want)
+	}
 }
 
 // routeCands builds a 3-replica candidate set with queued tokens 100,
