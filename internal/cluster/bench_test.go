@@ -54,3 +54,30 @@ func BenchmarkRouterRoute(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRouterPick times the least-loaded pick at fleet width: a scan
+// of 256 replica states per arrival, the routing cost fleet256 pays.
+// Each pick charges the request's tokens to the chosen replica, as the
+// cluster's routing view does, so successive picks land on different
+// replicas. One op is picksPerOp picks, so ns/op divided by 1000 is one
+// pick and CI's -benchtime=1x measures the scan, not the timer.
+func BenchmarkRouterPick(b *testing.B) {
+	const width, picksPerOp = 256, 1000
+	states := make([]ReplicaState, width)
+	for i := range states {
+		states[i] = ReplicaState{Index: i, QueuedTokens: int64((i * 7919) % 4096)}
+	}
+	reqs := testTrace(b, 64)
+	r, err := NewRouter(RouterLeastLoad)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		for k := range picksPerOp {
+			req := reqs[(i+k)%len(reqs)]
+			idx := r.Route(req, states)
+			states[idx].QueuedTokens += int64(req.TotalLen())
+		}
+	}
+}

@@ -85,7 +85,7 @@ type Params struct {
 	// HeadGatherBytes is the logit payload all-gathered after the LM head.
 	HeadGatherBytes int64
 	// ReqBytes is each request's activation payload, used for transfers to
-	// and from the PIM pool.
+	// and from the PIM pool; only PIMPool placement reads it.
 	ReqBytes map[int]int64
 
 	Placement AttentionPlacement

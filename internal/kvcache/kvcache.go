@@ -11,7 +11,10 @@
 // in an intrusive max-heap over resident sequences and a min-heap over
 // evicted ones, and occupancy statistics are maintained incrementally,
 // so EvictLast, OldestEvicted, ResidentCount, EvictedCount, and Stats
-// are O(log n) or O(1) rather than scans of the sequence map. Shared
+// are O(log n) or O(1) rather than scans of the sequence map. A caller
+// that touches a sequence every step resolves its ID once with Ref and
+// then tests residency and extends it through the SeqRef handle, which
+// probes no map: a steady decode step costs no hash lookup. Shared
 // prefix blocks get the same treatment: idle and host-tier blocks sit
 // in LRU min-heaps, so CanAdmitWithPrefix is O(prefix blocks), and
 // AdmitWithPrefix, Release and SpillIdlePrefix pay O(log n) per block
@@ -19,6 +22,7 @@
 package kvcache
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -105,6 +109,24 @@ type seq struct {
 	prefix       []*prefixBlock // shared blocks acquired at admission
 	prefixTokens int            // tokens those blocks cover
 }
+
+// released reports whether Release has dropped the sequence: it then
+// sits in neither heap, which every live sequence does.
+func (s *seq) released() bool { return s.hidx < 0 }
+
+// SeqRef is a handle on one admitted sequence, taken with Manager.Ref.
+// It stays valid across EvictLast and Reload, which move the same
+// sequence record between heaps; after Release it refers to a sequence
+// that is gone. The zero SeqRef refers to no sequence. A handle must be
+// used only with the manager it came from.
+type SeqRef struct{ s *seq }
+
+// Ref returns the handle of sequence id, or the zero SeqRef if the
+// manager holds no such sequence.
+func (m *Manager) Ref(id int) SeqRef { return SeqRef{m.seqs[id]} }
+
+// Resident reports whether the referenced sequence holds device pages.
+func (r SeqRef) Resident() bool { return r.s != nil && !r.s.released() && !r.s.onHost }
 
 // orderHeap is an intrusive binary heap of sequences keyed by admission
 // order. max selects newest-first (the resident eviction heap) vs
@@ -373,26 +395,51 @@ func (m *Manager) Admit(id, tokens int) error {
 	return nil
 }
 
+// ErrNoPages is the error Extend and ExtendRef return when the growth
+// needs more pages than are free. It is returned bare: a scheduler
+// under memory pressure meets it on every refused growth and only
+// evicts and retries, so the refusal formats and allocates nothing.
+var ErrNoPages = errors.New("kvcache: not enough free pages to extend the sequence")
+
 // Extend grows a resident sequence by n tokens, allocating pages on demand.
-// It returns the number of newly allocated pages, or an error if memory is
-// exhausted (callers should then evict and retry).
+// It returns the number of newly allocated pages, or ErrNoPages if memory
+// is exhausted (callers should then evict and retry).
 func (m *Manager) Extend(id, n int) (newPages int, err error) {
-	s, ok := m.seqs[id]
-	if !ok {
+	s := m.seqs[id]
+	if s == nil {
 		return 0, fmt.Errorf("kvcache: extend unknown seq %d", id)
 	}
+	return m.extend(s, n)
+}
+
+// ExtendRef is Extend through a handle.
+func (m *Manager) ExtendRef(r SeqRef, n int) (newPages int, err error) {
+	if r.s == nil || r.s.released() {
+		return 0, fmt.Errorf("kvcache: extend through the handle of a released sequence")
+	}
+	return m.extend(r.s, n)
+}
+
+// extend is the body of Extend and ExtendRef.
+func (m *Manager) extend(s *seq, n int) (int, error) {
 	if s.onHost {
-		return 0, fmt.Errorf("kvcache: extend evicted seq %d", id)
+		return 0, fmt.Errorf("kvcache: extend evicted seq %d", s.id)
 	}
 	if n <= 0 {
-		return 0, fmt.Errorf("kvcache: extend seq %d by %d tokens", id, n)
+		return 0, fmt.Errorf("kvcache: extend seq %d by %d tokens", s.id, n)
 	}
 	if s.prefixTokens+s.tokens+n > m.cfg.MaxSeqLen {
-		return 0, fmt.Errorf("kvcache: seq %d would exceed max length %d", id, m.cfg.MaxSeqLen)
+		return 0, fmt.Errorf("kvcache: seq %d would exceed max length %d", s.id, m.cfg.MaxSeqLen)
 	}
-	need := m.pagesFor(s.tokens+n) - s.pages
+	// A resident sequence holds exactly pagesFor(tokens) pages, so growth
+	// that fits its last page needs none: most decode steps skip the
+	// division.
+	need := 0
+	if s.tokens+n > s.pages*m.cfg.PageTokens {
+		need = m.pagesFor(s.tokens+n) - s.pages
+	}
 	if need > m.free {
-		return 0, fmt.Errorf("kvcache: seq %d needs %d new pages, only %d free", id, need, m.free)
+		return 0, ErrNoPages
 	}
 	m.free -= need
 	s.pages += need
@@ -403,10 +450,7 @@ func (m *Manager) Extend(id, n int) (newPages int, err error) {
 }
 
 // Resident reports whether the sequence holds device pages.
-func (m *Manager) Resident(id int) bool {
-	s, ok := m.seqs[id]
-	return ok && !s.onHost
-}
+func (m *Manager) Resident(id int) bool { return m.Ref(id).Resident() }
 
 // ResidentCount returns how many sequences hold device pages.
 func (m *Manager) ResidentCount() int { return m.resident.len() }
@@ -575,14 +619,18 @@ func (m *Manager) Stats() Stats {
 // drift as well as page-accounting bugs.
 func (m *Manager) Invariant() error {
 	used, residentTokens, fragTokens, residentSeqs, evictedSeqs := 0, 0, 0, 0, 0
-	for _, s := range m.seqs {
+	for id, s := range m.seqs {
+		// Ref(id) must hand out a live handle on the same record.
+		if s.id != id || s.released() {
+			return fmt.Errorf("kvcache: seq map entry %d holds seq %d (released %v)", id, s.id, s.released())
+		}
 		if s.onHost {
 			if s.pages != 0 {
 				return fmt.Errorf("kvcache: evicted seq %d still holds %d pages", s.id, s.pages)
 			}
 			evictedSeqs++
 		} else {
-			if s.pages < m.pagesFor(s.tokens) && m.cfg.Policy == Paged {
+			if s.pages != m.pagesFor(s.tokens) {
 				return fmt.Errorf("kvcache: seq %d holds %d pages for %d tokens", s.id, s.pages, s.tokens)
 			}
 			residentSeqs++

@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -124,15 +125,23 @@ func TestExtendErrors(t *testing.T) {
 	if _, err := m.Extend(1, 0); err == nil {
 		t.Fatal("zero growth must fail")
 	}
-	if _, err := m.Extend(1, 5000); err == nil {
-		t.Fatal("over max length must fail")
+	if _, err := m.Extend(1, 5000); err == nil || errors.Is(err, ErrNoPages) {
+		t.Fatalf("over max length must fail, and not for want of pages: %v", err)
 	}
-	// Fill the device, then extension must fail.
+	// Fill the device, then extension must fail with ErrNoPages, by ID
+	// and through the handle, without allocating.
 	if err := m.Admit(2, 3*16); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Extend(1, 16); err == nil {
-		t.Fatal("exhausted memory must fail extend")
+	if _, err := m.Extend(1, 16); !errors.Is(err, ErrNoPages) {
+		t.Fatalf("exhausted memory: extend returned %v, want ErrNoPages", err)
+	}
+	ref := m.Ref(1)
+	if _, err := m.ExtendRef(ref, 16); !errors.Is(err, ErrNoPages) {
+		t.Fatalf("exhausted memory: extend by handle returned %v, want ErrNoPages", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.ExtendRef(ref, 16) }); n != 0 {
+		t.Fatalf("a refused extend allocates %v times", n)
 	}
 }
 

@@ -6,6 +6,9 @@ package kvcache
 // scratch. This is the safety net under the heap/incremental-counter
 // implementation — any drift between the O(1) counters and the true
 // state, or any heap-order bug, surfaces within a few hundred ops.
+// Extends go through the ID form or a SeqRef handle taken at admission,
+// and after every op each handle — of live, evicted, reloaded and
+// released sequences alike — must agree with the ID form and the shadow.
 
 import (
 	"fmt"
@@ -29,6 +32,8 @@ type shadow struct {
 	order     []int // ids in admission order
 	evictions int64
 	reloads   int64
+
+	refs map[int]SeqRef // every handle taken at admission, released ones included
 }
 
 func (s *shadow) pagesFor(tokens int) int {
@@ -119,6 +124,20 @@ func checkAgainstShadow(t *testing.T, m *Manager, s *shadow, step int, op string
 	if got, want := m.EvictedCount(), want.EvictedSeqs; got != want {
 		t.Fatalf("step %d (%s): evicted count %d, want %d", step, op, got, want)
 	}
+	for id, ref := range s.refs {
+		q, live := s.seqs[id]
+		want := live && !q.onHost
+		if ref.Resident() != want || m.Resident(id) != want {
+			t.Fatalf("step %d (%s): seq %d handle resident %v, ID resident %v, want %v",
+				step, op, id, ref.Resident(), m.Resident(id), want)
+		}
+		if live && m.Ref(id) != ref {
+			t.Fatalf("step %d (%s): seq %d handle changed since admission", step, op, id)
+		}
+		if !live && m.Ref(id) != (SeqRef{}) {
+			t.Fatalf("step %d (%s): released seq %d still has a handle", step, op, id)
+		}
+	}
 }
 
 func TestManagerRandomOpsProperty(t *testing.T) {
@@ -139,7 +158,7 @@ func TestManagerRandomOpsProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sh := &shadow{cfg: cfg, total: m.TotalPages(), seqs: map[int]*shadowSeq{}}
+				sh := &shadow{cfg: cfg, total: m.TotalPages(), seqs: map[int]*shadowSeq{}, refs: map[int]SeqRef{}}
 				nextID := 0
 
 				for step := 0; step < 2000; step++ {
@@ -166,10 +185,29 @@ func runRandomOp(t *testing.T, rng *rand.Rand, m *Manager, sh *shadow, nextID *i
 			t.Fatalf("admit %d (%d tokens): %v", id, tokens, err)
 		}
 		*nextID++
+		sh.refs[id] = m.Ref(id)
 		sh.seqs[id] = &shadowSeq{id: id, tokens: tokens, order: id}
 		sh.order = append(sh.order, id)
 		return fmt.Sprintf("admit %d", id)
-	case 1: // Extend
+	case 1: // Extend, by ID or through the admission handle
+		byRef := rng.Intn(2) == 0
+		extend := func(id, n int) (int, error) {
+			if byRef {
+				return m.ExtendRef(sh.refs[id], n)
+			}
+			return m.Extend(id, n)
+		}
+		if rng.Intn(4) == 0 {
+			// An evicted or released sequence refuses to grow either way.
+			for id := range sh.refs {
+				if q, live := sh.seqs[id]; !live || q.onHost {
+					if _, err := extend(id, 1); err == nil {
+						t.Fatalf("extend of evicted or released seq %d (by handle %v) succeeded", id, byRef)
+					}
+					return "extend-refused"
+				}
+			}
+		}
 		res := sh.residentIDs()
 		if len(res) == 0 {
 			return "extend-skipped"
@@ -184,11 +222,15 @@ func runRandomOp(t *testing.T, rng *rand.Rand, m *Manager, sh *shadow, nextID *i
 		if need > m.FreePages() {
 			return "extend-skipped"
 		}
-		if _, err := m.Extend(id, n); err != nil {
-			t.Fatalf("extend %d by %d: %v", id, n, err)
+		got, err := extend(id, n)
+		if err != nil {
+			t.Fatalf("extend %d by %d (by handle %v): %v", id, n, byRef, err)
+		}
+		if got != need {
+			t.Fatalf("extend %d by %d (by handle %v) allocated %d pages, want %d", id, n, byRef, got, need)
 		}
 		q.tokens += n
-		return fmt.Sprintf("extend %d", id)
+		return fmt.Sprintf("extend %d (by handle %v)", id, byRef)
 	case 2: // EvictLast
 		id, _, ok := m.EvictLast()
 		if !ok {

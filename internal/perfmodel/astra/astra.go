@@ -89,9 +89,8 @@ func New(cfg perfmodel.Config, opts Options) (*Backend, error) {
 		return nil, err
 	}
 	b := &Backend{
-		cfg:      cfg,
-		gbuf:     graph.New(),
-		reqBytes: map[int]int64{},
+		cfg:  cfg,
+		gbuf: graph.New(),
 	}
 
 	var eng engine.Engine
@@ -368,9 +367,19 @@ func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, he
 	d := int64(m.DTypeBytes)
 	actBytes := int64(totalNew) * int64(m.Hidden) * d
 
-	clear(b.reqBytes)
-	for _, q := range batch.Seqs {
-		b.reqBytes[q.ReqID] = int64(q.NewTokens) * int64(m.Hidden) * d
+	// Only PIM-pool placement moves per-request activations, so only it
+	// reads their sizes.
+	placement := b.placement()
+	var reqBytes map[int]int64
+	if placement == graph.PIMPool {
+		if b.reqBytes == nil {
+			b.reqBytes = map[int]int64{}
+		}
+		clear(b.reqBytes)
+		for _, q := range batch.Seqs {
+			b.reqBytes[q.ReqID] = int64(q.NewTokens) * int64(m.Hidden) * d
+		}
+		reqBytes = b.reqBytes
 	}
 
 	// KV paging transfers are sharded across devices; stage-0 workers gate
@@ -404,8 +413,8 @@ func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, he
 		HeadDur:         headDur,
 		ActBytes:        actBytes,
 		HeadGatherBytes: int64(len(batch.Seqs)) * int64(m.Vocab/b.cfg.Topo.TP) * d,
-		ReqBytes:        b.reqBytes,
-		Placement:       b.placement(),
+		ReqBytes:        reqBytes,
+		Placement:       placement,
 		MemOps:          memOps,
 		RepeatBlocks:    b.cfg.Reuse.ModelRedundancy,
 	})

@@ -7,10 +7,11 @@
 //
 // Compared with the astra backend it skips operator compilation, graph
 // conversion, and discrete-event execution entirely; iteration costs
-// reduce to a handful of cached closed-form evaluations, making
-// million-point design-space sweeps tractable. The price is fidelity:
-// no operator-scheduler overlap, no link contention, and no PIM
-// operator mapping (construction rejects PIM configurations).
+// reduce to a handful of cached closed-form evaluations (a steady decode
+// step reads only dense tables indexed by sequence count and context),
+// making million-point design-space sweeps tractable. The price is
+// fidelity: no operator-scheduler overlap, no link contention, and no
+// PIM operator mapping (construction rejects PIM configurations).
 //
 // Determinism: costs are integer picosecond durations derived from pure
 // float arithmetic on the configuration; identical configurations and
@@ -19,6 +20,7 @@ package roofline
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/model"
@@ -36,22 +38,23 @@ type Stats struct {
 	AttnMisses int64
 }
 
-// cost is a latency decomposed into roofline sides.
+// cost is a latency decomposed into roofline sides. Every operator's
+// latency lands on exactly one side, so the latency is their sum.
 type cost struct {
-	total   simtime.Duration
 	compute simtime.Duration // share from compute-bound operators
 	memory  simtime.Duration // share from bandwidth-bound operators
 }
 
+func (c cost) total() simtime.Duration { return c.compute + c.memory }
+
 func (c *cost) add(o cost) {
-	c.total += o.total
 	c.compute += o.compute
 	c.memory += o.memory
 }
 
 func (c cost) times(n int) cost {
 	d := simtime.Duration(n)
-	return cost{total: c.total * d, compute: c.compute * d, memory: c.memory * d}
+	return cost{compute: c.compute * d, memory: c.memory * d}
 }
 
 // baseEntry is the batch-shape-dependent (attention-independent) share
@@ -69,6 +72,49 @@ type baseEntry struct {
 // Score/Softmax/Attend triple.
 func packKey(hi, lo int) uint64 { return uint64(hi)<<32 | uint64(lo) }
 
+// denseChunk is the number of entries per dense-table chunk.
+const (
+	denseShift = 6
+	denseChunk = 1 << denseShift
+)
+
+// denseTable holds cache entries indexed by a small non-negative count,
+// in fixed chunks allocated the first time one of their entries is
+// stored: a replica pays for the count ranges its traffic reaches, not
+// for the whole range up to the model's context limit. Unstored entries
+// of an allocated chunk hold the sentinel they were filled with.
+type denseTable[T any] struct{ chunks []*[denseChunk]T }
+
+// at returns entry i, or nil when its chunk was never allocated.
+func (t *denseTable[T]) at(i int) *T {
+	if c := i >> denseShift; c < len(t.chunks) && t.chunks[c] != nil {
+		return &t.chunks[c][i&(denseChunk-1)]
+	}
+	return nil
+}
+
+// put stores v as entry i, allocating its chunk filled with blank.
+func (t *denseTable[T]) put(i int, v, blank T) {
+	c := i >> denseShift
+	if c >= len(t.chunks) {
+		t.chunks = slices.Grow(t.chunks, c+1-len(t.chunks))[:c+1]
+	}
+	if t.chunks[c] == nil {
+		ch := new([denseChunk]T)
+		for k := range ch {
+			ch[k] = blank
+		}
+		t.chunks[c] = ch
+	}
+	t.chunks[c][i&(denseChunk-1)] = v
+}
+
+// unpriced marks a dense-table entry no iteration has priced yet: real
+// costs are never negative.
+var unpriced = cost{compute: -1}
+
+func (c cost) priced() bool { return c.compute >= 0 }
+
 // Backend prices iterations analytically for one simulator instance.
 type Backend struct {
 	cfg perfmodel.Config
@@ -78,8 +124,14 @@ type Backend struct {
 	headDim    int
 
 	itBuf model.IterationOps
-	base  map[uint64]baseEntry // packKey(totalNew, nseqs)
-	attn  map[uint64]cost      // packKey(newTokens, context)
+	base  map[uint64]baseEntry // packKey(totalNew, nseqs), batches with a prompt slice
+	attn  map[uint64]cost      // packKey(newTokens, context), newTokens > 1
+
+	// A steady decode step probes no map: pure-decode batches
+	// (totalNew == nseqs) read their base entry by sequence count, and
+	// decode attention (newTokens == 1) its cost by context.
+	decodeBase denseTable[baseEntry]
+	decodeAttn denseTable[cost]
 
 	stats Stats
 }
@@ -117,7 +169,7 @@ func (b *Backend) Name() string { return "roofline/" + b.hw.Name }
 func (b *Backend) DeviceMemoryBytes() int64 { return b.hw.MemoryBytes }
 
 // Host returns the backend's component times — all zero: analytical
-// pricing is a handful of cached map lookups per iteration, too little
+// pricing is a table read per sequence per iteration, too little
 // to split from the step around it, so its cost lands in the caller's
 // scheduler bucket (core meters whole steps on a sample and subtracts
 // only what the backend reports).
@@ -134,7 +186,7 @@ func (b *Backend) ResetStats() { b.stats = Stats{} }
 func (b *Backend) IterationLatency(batch *sched.Batch) (simtime.Duration, perfmodel.Breakdown, error) {
 	b.stats.Iterations++
 
-	m := b.cfg.Model
+	m := &b.cfg.Model // a pointer: the model config is too large to copy per step
 	totalNew := 0
 	for i, s := range batch.Seqs {
 		if s.NewTokens <= 0 {
@@ -170,7 +222,7 @@ func (b *Backend) IterationLatency(batch *sched.Batch) (simtime.Duration, perfmo
 
 	net := base.net + b.pagingCost(batch.PageOps)
 
-	return total.total + net, perfmodel.Breakdown{
+	return total.total() + net, perfmodel.Breakdown{
 		Compute: total.compute,
 		Memory:  total.memory,
 		Network: net,
@@ -181,8 +233,14 @@ func (b *Backend) IterationLatency(batch *sched.Batch) (simtime.Duration, perfmo
 // (embed + Layers x non-attention block ops + LM head) and its
 // collective cost, cached by batch shape.
 func (b *Backend) baseCost(batch *sched.Batch, totalNew int) (baseEntry, error) {
-	key := packKey(totalNew, len(batch.Seqs))
-	if e, ok := b.base[key]; ok {
+	nseqs := len(batch.Seqs)
+	decode := totalNew == nseqs // every sequence adds exactly one token
+	if decode {
+		if e := b.decodeBase.at(nseqs); e != nil && e.ops.priced() {
+			b.stats.BaseHits++
+			return *e, nil
+		}
+	} else if e, ok := b.base[packKey(totalNew, nseqs)]; ok {
 		b.stats.BaseHits++
 		return e, nil
 	}
@@ -204,8 +262,12 @@ func (b *Backend) baseCost(batch *sched.Batch, totalNew int) (baseEntry, error) 
 	c := perLayer.times(it.Layers)
 	c.add(b.opCost(it.Embed))
 	c.add(b.opCost(it.Head))
-	e := baseEntry{ops: c, net: b.networkCost(len(batch.Seqs), totalNew)}
-	b.base[key] = e
+	e := baseEntry{ops: c, net: b.networkCost(nseqs, totalNew)}
+	if decode {
+		b.decodeBase.put(nseqs, e, baseEntry{ops: unpriced})
+	} else {
+		b.base[packKey(totalNew, nseqs)] = e
+	}
 	return e, nil
 }
 
@@ -213,8 +275,12 @@ func (b *Backend) baseCost(batch *sched.Batch, totalNew int) (baseEntry, error) 
 // (Score, Softmax, Attend) in one transformer block, using the same
 // shapes model.BuildIteration emits.
 func (b *Backend) attnCost(newTokens, ctx int) cost {
-	key := packKey(newTokens, ctx)
-	if c, ok := b.attn[key]; ok {
+	if newTokens == 1 {
+		if c := b.decodeAttn.at(ctx); c != nil && c.priced() {
+			b.stats.AttnHits++
+			return *c
+		}
+	} else if c, ok := b.attn[packKey(newTokens, ctx)]; ok {
 		b.stats.AttnHits++
 		return c
 	}
@@ -232,7 +298,11 @@ func (b *Backend) attnCost(newTokens, ctx int) cost {
 		Kind: model.OpAttend, M: newTokens, N: b.headDim, K: ctx,
 		Heads: b.localHeads, Context: ctx,
 	}))
-	b.attn[key] = c
+	if newTokens == 1 {
+		b.decodeAttn.put(ctx, c, unpriced)
+	} else {
+		b.attn[packKey(newTokens, ctx)] = c
+	}
 	return c
 }
 
@@ -253,10 +323,10 @@ func (b *Backend) opCost(op model.Op) cost {
 	lat := b.hw.LaunchOverhead
 	if computeSec >= memorySec {
 		lat += simtime.FromSeconds(computeSec)
-		return cost{total: lat, compute: lat}
+		return cost{compute: lat}
 	}
 	lat += simtime.FromSeconds(memorySec)
-	return cost{total: lat, memory: lat}
+	return cost{memory: lat}
 }
 
 // networkCost prices the iteration's collectives: two ring all-reduces

@@ -148,11 +148,12 @@ type Rejected struct {
 }
 
 // reqState tracks a request through its serving lifetime. States form an
-// intrusive doubly-linked list in admission order, alongside an
-// ID-indexed map, so lookup and removal are O(1) while iteration keeps
-// the admission order the eviction policy and batch formation rely on.
+// intrusive doubly-linked list in admission order, so removal is O(1)
+// while iteration keeps the admission order the eviction policy and
+// batch formation rely on.
 type reqState struct {
 	req       workload.Request
+	kv        kvcache.SeqRef // the request's KV sequence, taken at admission
 	generated int
 	prefilled bool
 	first     simtime.Time
@@ -177,9 +178,9 @@ type Scheduler struct {
 	cursor        int
 	pendingTokens int64 // total tokens of pending[cursor:]
 
-	// Active set: admission-order intrusive list + ID index.
+	// Active set: admission-order intrusive list and its length.
 	head, tail *reqState
-	byID       map[int]*reqState
+	active     int
 
 	clock simtime.Time
 
@@ -229,7 +230,6 @@ func New(cfg Config, kv *kvcache.Manager, reqs []workload.Request) (*Scheduler, 
 		cfg:      cfg,
 		kv:       kv,
 		pending:  sorted,
-		byID:     make(map[int]*reqState),
 		obsSpans: cfg.Obs.Spans(),
 		obsFull:  cfg.Obs.Full(),
 	}
@@ -297,7 +297,7 @@ func (s *Scheduler) QueuedTokens() int64 {
 
 // QueuedRequests returns how many requests are waiting or in flight.
 func (s *Scheduler) QueuedRequests() int {
-	return len(s.pending) - s.cursor + len(s.byID)
+	return len(s.pending) - s.cursor + s.active
 }
 
 // Outstanding returns the requests this scheduler has accepted but not
@@ -305,7 +305,7 @@ func (s *Scheduler) QueuedRequests() int {
 // pending arrivals in arrival order. Cluster failure injection uses it
 // to requeue a failed replica's remaining work onto surviving replicas.
 func (s *Scheduler) Outstanding() []workload.Request {
-	out := make([]workload.Request, 0, len(s.byID)+len(s.pending)-s.cursor)
+	out := make([]workload.Request, 0, s.active+len(s.pending)-s.cursor)
 	for st := s.head; st != nil; st = st.next {
 		out = append(out, st.req)
 	}
@@ -347,7 +347,7 @@ func (s *Scheduler) ResetRejected() { s.rejected = s.rejected[:0] }
 
 // Done reports whether all requests have completed (or been rejected).
 func (s *Scheduler) Done() bool {
-	return s.cursor == len(s.pending) && len(s.byID) == 0
+	return s.cursor == len(s.pending) && s.active == 0
 }
 
 // pushActive appends st at the tail of the admission-order list.
@@ -359,7 +359,7 @@ func (s *Scheduler) pushActive(st *reqState) {
 		s.head = st
 	}
 	s.tail = st
-	s.byID[st.req.ID] = st
+	s.active++
 }
 
 // dropActive unlinks st from the admission-order list.
@@ -375,7 +375,7 @@ func (s *Scheduler) dropActive(st *reqState) {
 		s.tail = st.prev
 	}
 	st.prev, st.next = nil, nil
-	delete(s.byID, st.req.ID)
+	s.active--
 }
 
 // Next forms the next iteration batch (Algorithm 1, line 1 "Batch
@@ -433,18 +433,17 @@ func (s *Scheduler) Next() (b *Batch, ok bool) {
 		if s.cfg.MaxBatch > 0 && len(batchSeqs) >= s.cfg.MaxBatch {
 			break
 		}
-		id := st.req.ID
-		if !s.kv.Resident(id) {
+		if !st.kv.Resident() {
 			continue
 		}
 		if st.prefilled {
 			// Reserve the KV slot for the token produced this iteration.
-			if !s.growOrEvict(id, &ops) {
+			if !s.growOrEvict(st, &ops) {
 				continue
 			}
 			ctx := st.req.InputLen + st.generated - 1
 			batchSeqs = append(batchSeqs, model.Seq{
-				ReqID: id, NewTokens: 1, Context: ctx, Phase: model.Generation,
+				ReqID: st.req.ID, NewTokens: 1, Context: ctx, Phase: model.Generation,
 			})
 			decodeSeqs++
 		} else {
@@ -474,8 +473,10 @@ func (s *Scheduler) Next() (b *Batch, ok bool) {
 		// forward progress.
 		if id, ok := s.forceReload(&ops); ok {
 			s.opsBuf = ops
-			if st := s.byID[id]; st != nil {
-				return s.buildSingle(st, ops), true
+			for st := s.head; st != nil; st = st.next {
+				if st.req.ID == id {
+					return s.buildSingle(st, ops), true
+				}
 			}
 		}
 		return nil, false
@@ -506,7 +507,7 @@ func (s *Scheduler) retryAfterAdmit(ops []PageOp) (*Batch, bool) {
 	batchSeqs, states := s.seqBuf[:0], s.stateBuf[:0]
 	promptTokens := 0
 	for st := s.head; st != nil; st = st.next {
-		if st.prefilled || !s.kv.Resident(st.req.ID) {
+		if st.prefilled || !st.kv.Resident() {
 			continue
 		}
 		q := s.prefillSeq(st)
@@ -618,6 +619,7 @@ func (s *Scheduler) admit(ops *[]PageOp) {
 			st.generated = 1
 			st.first = s.clock
 		}
+		st.kv = s.kv.Ref(r.ID)
 		s.pushActive(st)
 		s.cursor++
 		s.pendingTokens -= int64(r.TotalLen())
@@ -640,11 +642,13 @@ func (s *Scheduler) admit(ops *[]PageOp) {
 	}
 }
 
-// growOrEvict extends seq id by one token, evicting newest-admitted other
-// sequences on demand. Returns false if id itself was evicted.
-func (s *Scheduler) growOrEvict(id int, ops *[]PageOp) bool {
+// growOrEvict extends st's sequence by one token, evicting
+// newest-admitted other sequences on demand. Returns false if st itself
+// was evicted.
+func (s *Scheduler) growOrEvict(st *reqState, ops *[]PageOp) bool {
+	id := st.req.ID
 	for {
-		if _, err := s.kv.Extend(id, 1); err == nil {
+		if _, err := s.kv.ExtendRef(st.kv, 1); err == nil {
 			return true
 		}
 		// Reclaim idle prefix-cache blocks before evicting live sequences:

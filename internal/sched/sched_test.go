@@ -37,19 +37,39 @@ func newSched(t *testing.T, cfg Config, pages int, reqs ...workload.Request) *Sc
 	return s
 }
 
+// checkActive: the active list holds as many states as the active
+// count, and every state's KV handle is the one the manager resolves
+// for its request ID, whether the sequence is resident or evicted.
+func checkActive(t *testing.T, s *Scheduler) {
+	t.Helper()
+	n := 0
+	for st := s.head; st != nil; st = st.next {
+		if ref := s.kv.Ref(st.req.ID); st.kv != ref || ref == (kvcache.SeqRef{}) {
+			t.Fatalf("request %d: state handle differs from kv.Ref (or the sequence is gone)", st.req.ID)
+		}
+		n++
+	}
+	if n != s.active {
+		t.Fatalf("active list holds %d states, active count %d", n, s.active)
+	}
+}
+
 // drain runs the scheduler to completion with a fixed iteration latency,
-// returning the iteration count.
+// returning the iteration count. It checks the active set after every
+// batch formation and completion.
 func drain(t *testing.T, s *Scheduler, lat simtime.Duration) int {
 	t.Helper()
 	iters := 0
 	for {
 		b, ok := s.Next()
+		checkActive(t, s)
 		if !ok {
 			break
 		}
 		if err := s.Complete(b, lat); err != nil {
 			t.Fatal(err)
 		}
+		checkActive(t, s)
 		iters++
 		if iters > 100000 {
 			t.Fatal("scheduler does not terminate")
@@ -221,6 +241,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 	iters := 0
 	for {
 		b, ok := s.Next()
+		checkActive(t, s)
 		if !ok {
 			break
 		}
@@ -234,6 +255,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 		if err := s.Complete(b, simtime.Millisecond); err != nil {
 			t.Fatal(err)
 		}
+		checkActive(t, s)
 		if iters++; iters > 10000 {
 			t.Fatal("no progress under memory pressure")
 		}
