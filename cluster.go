@@ -643,7 +643,7 @@ func (sc ClusterScenario) RunContext(ctx context.Context) (*ClusterReport, error
 	}
 	var rep *cluster.Report
 	if sc.TraceStream != nil {
-		rep, err = c.RunStream(ctx, streamAdapter{s: sc.TraceStream})
+		rep, err = c.RunStream(ctx, &streamAdapter{wrapped{sc.TraceStream}})
 	} else {
 		rep, err = c.RunContext(ctx, toWorkload(sc.Trace))
 	}
@@ -688,9 +688,7 @@ func (sc ClusterScenario) fleetModel() string {
 
 // DistStats summarises one latency component's distribution in seconds
 // (nearest-rank percentiles).
-type DistStats struct {
-	MeanSec, P50Sec, P95Sec, P99Sec float64
-}
+type DistStats = metrics.Dist
 
 // ClassStats is one traffic class's outcome in a cluster run.
 type ClassStats struct {
@@ -723,15 +721,7 @@ type ClassStats struct {
 // run: capacity consumed and the token rate delivered within the
 // latency phase the pool owns (TTFT-attained prompt tokens for
 // prefill, TPOT-attained output tokens for decode).
-type PoolStats struct {
-	Role     string // "prefill" or "decode"
-	Slots    int    // fleet slots ever created in this pool
-	Requests int    // placements onto the pool, requeues included
-
-	ReplicaSeconds float64
-	CostProxy      float64
-	GoodputTPS     float64
-}
+type PoolStats = cluster.PoolStats
 
 // ReplicaStats summarises one replica's share of a cluster run.
 type ReplicaStats struct {
@@ -833,22 +823,7 @@ type ClusterReport struct {
 // SessionStats aggregates multi-turn session traffic: conversation
 // counts, the first- vs later-turn TTFT split (later turns ride the
 // session's cached prefix), and session-level goodput.
-type SessionStats struct {
-	Sessions  int // distinct sessions observed
-	Completed int // sessions whose every turn was served
-	Attained  int // completed sessions with every turn within SLO
-
-	Turns         int // session turns observed (admitted + rejected)
-	TurnsRejected int
-
-	FirstTurnTTFT DistStats // over completed first turns
-	LaterTurnTTFT DistStats // over completed turns >= 2
-
-	OutputTokens int64 // generated by completed session turns
-	// GoodputTPS is the session-level goodput: output tokens of
-	// fully-SLO-attained sessions per second of simulated time.
-	GoodputTPS float64
-}
+type SessionStats = metrics.SessionSummary
 
 // PeakReplicas returns the largest committed fleet size over the run.
 func (r *ClusterReport) PeakReplicas() int {
@@ -875,18 +850,10 @@ func wrapClusterReport(rep *cluster.Report) *ClusterReport {
 		ReplicaSeconds: rep.ReplicaSeconds,
 		CostProxy:      rep.CostProxy,
 		SimEndSec:      rep.SimEnd.Seconds(),
-		Latency: LatencyStats{
-			Count:   rep.Latency.Count,
-			MeanSec: rep.Latency.MeanSec,
-			P50Sec:  rep.Latency.P50Sec,
-			P95Sec:  rep.Latency.P95Sec,
-			P99Sec:  rep.Latency.P99Sec,
-			TTFTSec: rep.Latency.MeanTTFTSec,
-			TPOTSec: rep.Latency.MeanTPOTSec,
-		},
-		PromptTPS:     rep.PromptTPS,
-		ThroughputTPS: rep.ThroughputTPS,
-		GoodputTPS:    rep.GoodputTPS,
+		Latency:        latencyStats(rep.Latency),
+		PromptTPS:      rep.PromptTPS,
+		ThroughputTPS:  rep.ThroughputTPS,
+		GoodputTPS:     rep.GoodputTPS,
 
 		PrefixHitRate:     rep.PrefixHitRate(),
 		PrefixTokensSaved: rep.PrefixTokensSaved,
@@ -898,27 +865,11 @@ func wrapClusterReport(rep *cluster.Report) *ClusterReport {
 		HandoffBytes:       rep.HandoffBytes,
 		HandoffLinkSeconds: rep.HandoffLinkSeconds,
 
+		Pools:    rep.Pools,
+		Regret:   rep.Regret,
+		Sessions: rep.Sessions,
+
 		inner: rep,
-	}
-	for _, p := range rep.Pools {
-		out.Pools = append(out.Pools, PoolStats(p))
-	}
-	if rep.Regret != nil {
-		s := RegretSummary(*rep.Regret)
-		out.Regret = &s
-	}
-	if rep.Sessions != nil {
-		out.Sessions = &SessionStats{
-			Sessions:      rep.Sessions.Sessions,
-			Completed:     rep.Sessions.Completed,
-			Attained:      rep.Sessions.Attained,
-			Turns:         rep.Sessions.Turns,
-			TurnsRejected: rep.Sessions.TurnsRejected,
-			FirstTurnTTFT: DistStats(rep.Sessions.FirstTurnTTFT),
-			LaterTurnTTFT: DistStats(rep.Sessions.LaterTurnTTFT),
-			OutputTokens:  rep.Sessions.OutputTokens,
-			GoodputTPS:    rep.Sessions.GoodputTPS,
-		}
 	}
 	for _, cs := range rep.Classes {
 		out.Classes = append(out.Classes, ClassStats{
@@ -933,9 +884,9 @@ func wrapClusterReport(rep *cluster.Report) *ClusterReport {
 			RejectedUnservable: cs.RejectedUnservable,
 			RejectedFailure:    cs.RejectedFailure,
 
-			TTFT:          DistStats(cs.TTFT),
-			TPOT:          DistStats(cs.TPOT),
-			Latency:       DistStats(cs.Latency),
+			TTFT:          cs.TTFT,
+			TPOT:          cs.TPOT,
+			Latency:       cs.Latency,
 			GoodputTPS:    cs.GoodputTPS,
 			ThroughputTPS: cs.ThroughputTPS,
 		})

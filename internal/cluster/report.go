@@ -53,9 +53,9 @@ func (p ReplicaSummary) PrefixHitRate() float64 {
 
 // PoolStats is one serving pool's rollup in a disaggregated cluster.
 type PoolStats struct {
-	Role     string
-	Slots    int // fleet slots ever created in this pool
-	Requests int // placements onto the pool, requeues included
+	Role     string // "prefill" or "decode"
+	Slots    int    // fleet slots ever created in this pool
+	Requests int    // placements onto the pool, requeues included
 
 	// Capacity consumed by the pool and its cost-weighted share.
 	ReplicaSeconds float64

@@ -664,6 +664,15 @@ type RegretSummary struct {
 	Stage2RegretTokens int64
 }
 
+// RegretfulFrac returns the fraction of routing decisions that left a
+// cheaper replica on the table.
+func (r RegretSummary) RegretfulFrac() float64 {
+	if r.Decisions == 0 {
+		return 0
+	}
+	return float64(r.Regretful) / float64(r.Decisions)
+}
+
 // FinalizeRegret folds the routing outcomes into a summary. rate maps
 // a replica slot to its realized serving rate in tokens/second (used
 // to convert token regret into seconds). A chosen replica with a

@@ -386,6 +386,20 @@ type LatencyStats struct {
 	TPOTSec float64 // mean time per output token after the first
 }
 
+// latencyStats lifts the internal latency summary across the API
+// boundary.
+func latencyStats(l metrics.LatencyStats) LatencyStats {
+	return LatencyStats{
+		Count:   l.Count,
+		MeanSec: l.MeanSec,
+		P50Sec:  l.P50Sec,
+		P95Sec:  l.P95Sec,
+		P99Sec:  l.P99Sec,
+		TTFTSec: l.MeanTTFTSec,
+		TPOTSec: l.MeanTPOTSec,
+	}
+}
+
 // SimulationTime is the host wall-clock breakdown across simulator
 // components — the paper's "simulation time" (Fig. 9). It is measured
 // exactly over a run's first 64 iterations; beyond that one iteration
@@ -539,15 +553,7 @@ func wrapReport(rep *core.Report) *Report {
 		SimEndSec:  rep.SimEnd.Seconds(),
 		PromptTPS:  rep.PromptTPS,
 		GenTPS:     rep.GenTPS,
-		Latency: LatencyStats{
-			Count:   rep.Latency.Count,
-			MeanSec: rep.Latency.MeanSec,
-			P50Sec:  rep.Latency.P50Sec,
-			P95Sec:  rep.Latency.P95Sec,
-			P99Sec:  rep.Latency.P99Sec,
-			TTFTSec: rep.Latency.MeanTTFTSec,
-			TPOTSec: rep.Latency.MeanTPOTSec,
-		},
+		Latency:    latencyStats(rep.Latency),
 		KV: KVStats{
 			TotalPages: rep.KV.TotalPages,
 			Evictions:  rep.KV.Evictions,
@@ -735,24 +741,46 @@ func SaveTrace(path string, trace []Request) error {
 	return workload.SaveTSVFile(path, toWorkload(trace))
 }
 
-// toWorkload converts a public trace into the internal request form —
-// the single canonical conversion (IDs are trace indices, arrivals at
-// simtime resolution).
+// internal converts r into the engine's request form under the given
+// ID, the arrival moving to simtime resolution.
+func (r Request) internal(id int) workload.Request {
+	return workload.Request{
+		ID:           id,
+		InputLen:     r.InputLen,
+		OutputLen:    r.OutputLen,
+		Arrival:      simtime.Time(simtime.FromStd(r.Arrival)),
+		Class:        r.Class,
+		PrefixLen:    r.PrefixLen,
+		PrefixKey:    r.PrefixKey,
+		Session:      r.Session,
+		Turn:         r.Turn,
+		SessionTurns: r.SessionTurns,
+	}
+}
+
+// publicRequest lifts one internal request across the API boundary.
+// The ID is dropped and the picosecond arrival truncates to
+// time.Duration's nanoseconds.
+func publicRequest(r workload.Request) Request {
+	return Request{
+		InputLen:     r.InputLen,
+		OutputLen:    r.OutputLen,
+		Arrival:      simtime.Duration(r.Arrival).Std(),
+		Class:        r.Class,
+		PrefixLen:    r.PrefixLen,
+		PrefixKey:    r.PrefixKey,
+		Session:      r.Session,
+		Turn:         r.Turn,
+		SessionTurns: r.SessionTurns,
+	}
+}
+
+// toWorkload converts a public trace into the internal request form;
+// IDs are trace indices.
 func toWorkload(trace []Request) []workload.Request {
 	out := make([]workload.Request, len(trace))
 	for i, r := range trace {
-		out[i] = workload.Request{
-			ID:           i,
-			InputLen:     r.InputLen,
-			OutputLen:    r.OutputLen,
-			Arrival:      simtime.Time(simtime.FromStd(r.Arrival)),
-			Class:        r.Class,
-			PrefixLen:    r.PrefixLen,
-			PrefixKey:    r.PrefixKey,
-			Session:      r.Session,
-			Turn:         r.Turn,
-			SessionTurns: r.SessionTurns,
-		}
+		out[i] = r.internal(i)
 	}
 	return out
 }
@@ -760,17 +788,7 @@ func toWorkload(trace []Request) []workload.Request {
 func fromWorkload(reqs []workload.Request) []Request {
 	out := make([]Request, len(reqs))
 	for i, r := range reqs {
-		out[i] = Request{
-			InputLen:     r.InputLen,
-			OutputLen:    r.OutputLen,
-			Arrival:      simtime.Duration(r.Arrival).Std(),
-			Class:        r.Class,
-			PrefixLen:    r.PrefixLen,
-			PrefixKey:    r.PrefixKey,
-			Session:      r.Session,
-			Turn:         r.Turn,
-			SessionTurns: r.SessionTurns,
-		}
+		out[i] = publicRequest(r)
 	}
 	return out
 }

@@ -8,7 +8,6 @@ package llmservingsim
 // "Scaling to millions of requests").
 
 import (
-	"repro/internal/simtime"
 	"repro/internal/workload"
 )
 
@@ -31,9 +30,11 @@ type RequestStream interface {
 // MultiClassTrace — a merged Poisson mix of the traffic classes, rates
 // scaled by the ramp — one request at a time. Feeding it to a
 // ClusterScenario via TraceStream is byte-identical to collecting it
-// with MultiClassTrace first; only the memory footprint differs.
+// with MultiClassTrace first; only the memory footprint differs. Err
+// reports a terminal generator error (the arrival process overflowing
+// the representable time range).
 type MultiClassStream struct {
-	inner *workload.MultiClassStream
+	lifted[*workload.MultiClassStream]
 }
 
 // NewMultiClassStream returns the streaming form of
@@ -47,60 +48,67 @@ func NewMultiClassStream(classes []TrafficClass, n int, ramp Ramp, seed int64) (
 	if err != nil {
 		return nil, err
 	}
-	return &MultiClassStream{inner: s}, nil
+	return &MultiClassStream{lifted[*workload.MultiClassStream]{s}}, nil
 }
 
-// Next returns the following request of the mix.
-func (s *MultiClassStream) Next() (Request, bool) {
-	r, ok := s.inner.Next()
+// Target returns the request count the stream was built for.
+func (s *MultiClassStream) Target() int { return s.inner.Target() }
+
+// lifted carries a built-in internal stream across the API boundary:
+// the public stream types embed it for their Next and Err.
+type lifted[S interface {
+	workload.Stream
+	Err() error
+}] struct {
+	inner S
+}
+
+// Next returns the stream's next request.
+func (l *lifted[S]) Next() (Request, bool) {
+	r, ok := l.inner.Next()
 	if !ok {
 		return Request{}, false
 	}
 	return publicRequest(r), true
 }
 
-// Err reports a terminal generator error (the arrival process
-// overflowing the representable time range).
-func (s *MultiClassStream) Err() error { return s.inner.Err() }
+// Err reports the error that ended the stream early, nil on a clean
+// end.
+func (l *lifted[S]) Err() error { return l.inner.Err() }
 
-// Target returns the request count the stream was built for.
-func (s *MultiClassStream) Target() int { return s.inner.Target() }
-
-// streamAdapter lifts a public RequestStream into the internal stream
-// form, forwarding the optional Err/Target probes. IDs are assigned by
-// the engine in arrival order, exactly as toWorkload numbers a trace.
-type streamAdapter struct {
+// wrapped holds a caller's RequestStream and forwards its optional
+// Err/Target probes for the types that embed it.
+type wrapped struct {
 	s RequestStream
 }
 
-func (a streamAdapter) Next() (workload.Request, bool) {
-	r, ok := a.s.Next()
-	if !ok {
-		return workload.Request{}, false
-	}
-	return workload.Request{
-		InputLen:     r.InputLen,
-		OutputLen:    r.OutputLen,
-		Arrival:      simtime.Time(simtime.FromStd(r.Arrival)),
-		Class:        r.Class,
-		PrefixLen:    r.PrefixLen,
-		PrefixKey:    r.PrefixKey,
-		Session:      r.Session,
-		Turn:         r.Turn,
-		SessionTurns: r.SessionTurns,
-	}, true
-}
-
-func (a streamAdapter) Err() error {
-	if e, ok := a.s.(interface{ Err() error }); ok {
+// Err forwards the wrapped stream's terminal error.
+func (w *wrapped) Err() error {
+	if e, ok := w.s.(interface{ Err() error }); ok {
 		return e.Err()
 	}
 	return nil
 }
 
-func (a streamAdapter) Target() int {
-	if t, ok := a.s.(interface{ Target() int }); ok {
+// Target forwards the wrapped stream's emission target.
+func (w *wrapped) Target() int {
+	if t, ok := w.s.(interface{ Target() int }); ok {
 		return t.Target()
 	}
 	return 0
+}
+
+// streamAdapter lifts a public RequestStream into the internal stream
+// form. IDs are assigned by the engine in arrival order, exactly as
+// toWorkload numbers a trace.
+type streamAdapter struct {
+	wrapped
+}
+
+func (a *streamAdapter) Next() (workload.Request, bool) {
+	r, ok := a.s.Next()
+	if !ok {
+		return workload.Request{}, false
+	}
+	return r.internal(0), true
 }

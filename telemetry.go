@@ -128,46 +128,4 @@ func (t *Telemetry) WriteDecisionsTSV(w io.Writer) error {
 // the token gap is converted to seconds at the chosen replica's
 // realized serving rate. The realized TTFT/TPOT split by decision
 // quality measures what the policy's regretful picks actually cost.
-type RegretSummary struct {
-	Policy    string
-	Decisions int // routing decisions scored
-	Regretful int // decisions that left a strictly cheaper replica on the table
-
-	TotalRegretTokens int64
-	TotalRegretSec    float64
-	MeanRegretSec     float64 // over all decisions
-	MaxRegretSec      float64
-
-	// Realized latency split by decision quality: requests routed with
-	// zero regret vs. those routed past a cheaper alternative.
-	MeanTTFTZeroSec    float64
-	MeanTTFTRegretSec  float64
-	MeanTPOTZeroSec    float64
-	MeanTPOTRegretSec  float64
-	CompletedZero      int
-	CompletedRegretful int
-
-	// Requeues counts routing decisions re-issued for backlog displaced
-	// by a drain or failure; RateFallbacks counts regretful decisions
-	// whose chosen replica never served (realized rate <= 0), priced at
-	// the fleet-mean rate instead of silently contributing zero seconds.
-	Requeues      int
-	RateFallbacks int
-
-	// Per-stage split of disaggregated routing decisions (stage 1 =
-	// prefill placement, stage 2 = decode placement); unified decisions
-	// appear in neither.
-	Stage1Decisions    int
-	Stage2Decisions    int
-	Stage1RegretTokens int64
-	Stage2RegretTokens int64
-}
-
-// RegretfulFrac returns the fraction of routing decisions that left a
-// cheaper replica on the table.
-func (r RegretSummary) RegretfulFrac() float64 {
-	if r.Decisions == 0 {
-		return 0
-	}
-	return float64(r.Regretful) / float64(r.Decisions)
-}
+type RegretSummary = obs.RegretSummary
