@@ -21,8 +21,13 @@
 // file instead of comparing, for refreshing the baseline after an
 // intentional performance change. The entry records the host it was
 // measured on: the CPU model from the bench output's "cpu:" line,
-// GOMAXPROCS from the benchmark names' -N suffix, and benchdiff's own
-// Go version. Machine-stable metrics cannot drift silently: -update
+// GOMAXPROCS from the benchmark names' -N suffix, benchdiff's own Go
+// version, and a host calibration: the ns/op of a fixed,
+// allocation-free loop that benchdiff times after reading its input.
+// The CPU string alone does not tell a slow host from a fast one, so
+// when the calibrations of the run and the entry differ by more than
+// 10%, ns/op is not compared (the output says so); allocs/op and B/op
+// still are. Machine-stable metrics cannot drift silently: -update
 // refuses an entry whose allocs/op or B/op exceed the newest entry's
 // beyond tolerance, unless -accept-regression gives the reason, which
 // the entry then records.
@@ -40,6 +45,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 type baseline struct {
@@ -63,6 +69,44 @@ type host struct {
 	CPU        string `json:"cpu,omitempty"`
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 	GoVersion  string `json:"go_version,omitempty"`
+	// CalibrationNs is calibrationLoop's ns/op on the host; zero in
+	// entries recorded before benchdiff measured it.
+	CalibrationNs float64 `json:"calibration_ns,omitempty"`
+}
+
+// calibrationSpread is how far apart, as a fraction of the entry's
+// figure, two host calibrations may be for ns/op to be compared.
+const calibrationSpread = 0.10
+
+// calibrate measures the host calibration; tests replace it.
+var calibrate = measureCalibration
+
+var calibrationSink uint64
+
+// calibrationLoop is the host calibration workload: a fixed chain of
+// dependent xorshift steps, allocation-free and independent of the
+// simulator's code, so its speed follows only the host's core.
+func calibrationLoop() uint64 {
+	x := uint64(0x9e3779b97f4a7c15)
+	for range 1 << 22 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	return x
+}
+
+// measureCalibration returns calibrationLoop's ns/op: the minimum of
+// seven timings, which rejects scheduler noise as the benchmark minima
+// do.
+func measureCalibration() float64 {
+	best := time.Duration(1<<63 - 1)
+	for range 7 {
+		start := time.Now()
+		calibrationSink += calibrationLoop()
+		best = min(best, time.Since(start))
+	}
+	return float64(best.Nanoseconds())
 }
 
 type measurement struct {
@@ -121,6 +165,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(measured) == 0 {
 		return fmt.Errorf("no benchmark lines found on stdin")
 	}
+	h.CalibrationNs = calibrate()
 
 	raw, err := os.ReadFile(*baselinePath)
 	if err != nil {
@@ -171,6 +216,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	fmt.Fprintf(stdout, "benchdiff: comparing against %q (ns/op %+.0f%%, allocs/op %+.0f%%, B/op %+.0f%%)\n",
 		ref.Label, tol.ns*100, tol.allocs*100, tol.bytes*100)
+	compareTime := true
+	if ref.Host == nil || ref.Host.CalibrationNs == 0 {
+		fmt.Fprintf(stdout, "benchdiff: %q has no host calibration; ns/op compared without one\n", ref.Label)
+	} else if ratio := h.CalibrationNs / ref.Host.CalibrationNs; ratio > 1+calibrationSpread || ratio < 1-calibrationSpread {
+		compareTime = false
+		fmt.Fprintf(stdout, "benchdiff: host calibration %.0f ns/op is %+.1f%% off %q's %.0f ns/op (more than %.0f%%): ns/op not compared, allocs/op and B/op are\n",
+			h.CalibrationNs, (ratio-1)*100, ref.Label, ref.Host.CalibrationNs, calibrationSpread*100)
+	}
 	failed, missing := 0, 0
 	for _, name := range sortedNames(ref.Benchmarks) {
 		want := ref.Benchmarks[name]
@@ -182,7 +235,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 		status := "ok"
 		nsRatio := got.NsPerOp / want.NsPerOp
-		if nsRatio > 1+tol.ns {
+		if compareTime && nsRatio > 1+tol.ns {
 			status = "TIME-REGRESSION"
 			failed++
 		}

@@ -140,6 +140,62 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestCompareCalibration: ns/op is compared only when the run's host
+// calibration is within 10% of the entry's; otherwise the output says
+// it was skipped, and allocs/op and B/op are still compared. -update
+// records the calibration.
+func TestCompareCalibration(t *testing.T) {
+	const base = `{"entries": [{"label": "before", "host": {"cpu": "x", "calibration_ns": 1000}, "benchmarks": {"BenchmarkFoo": {"ns_per_op": 1000, "allocs_per_op": 100, "bytes_per_op": 100000}}}]}`
+	const slow = "BenchmarkFoo    1    5000 ns/op    100000 B/op    100 allocs/op\n"
+	const leaky = "BenchmarkFoo    1    5000 ns/op    100000 B/op    200 allocs/op\n"
+	defer func(f func() float64) { calibrate = f }(calibrate)
+	for _, tc := range []struct {
+		name    string
+		calib   float64
+		in      string
+		fail    string // the status the comparison must fail with, "" to pass
+		skipped bool   // whether ns/op must be reported as not compared
+	}{
+		{"same host, slower code", 1090, slow, "TIME-REGRESSION", false},
+		{"slower host", 1200, slow, "", true},
+		{"faster host", 850, slow, "", true},
+		{"slower host, more allocs", 1200, leaky, "ALLOC-REGRESSION", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bench.json")
+			if err := os.WriteFile(path, []byte(base), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			calibrate = func() float64 { return tc.calib }
+			var out bytes.Buffer
+			err := run([]string{"-baseline", path}, strings.NewReader(tc.in), &out)
+			if tc.fail == "" && err != nil || tc.fail != "" && (err == nil || !strings.Contains(out.String(), tc.fail)) {
+				t.Fatalf("want failure %q, got %v\n%s", tc.fail, err, out.String())
+			}
+			if skipped := strings.Contains(out.String(), "ns/op not compared"); skipped != tc.skipped {
+				t.Fatalf("ns/op skipped %v, want %v\n%s", skipped, tc.skipped, out.String())
+			}
+			if err := run([]string{"-baseline", path, "-update", "-accept-regression", "test"}, strings.NewReader(tc.in), &out); err != nil {
+				t.Fatal(err)
+			}
+			if b := readBaseline(t, path); b.Entries[1].Host.CalibrationNs != tc.calib {
+				t.Fatalf("updated entry host %+v, want calibration %v", b.Entries[1].Host, tc.calib)
+			}
+		})
+	}
+}
+
+// TestCalibrationLoop: the calibration loop allocates nothing and its
+// measurement is positive.
+func TestCalibrationLoop(t *testing.T) {
+	if n := testing.AllocsPerRun(3, func() { calibrationSink += calibrationLoop() }); n != 0 {
+		t.Fatalf("calibration loop allocates %v times per run", n)
+	}
+	if ns := measureCalibration(); ns <= 0 {
+		t.Fatalf("calibration %v ns/op", ns)
+	}
+}
+
 // TestBenchRegexMatchesCI: the CI benchmark-regression job and the
 // baseline's benchCommand must select the same benchmarks, and that
 // selection must measure every benchmark of the newest entry, or CI

@@ -12,6 +12,11 @@ import (
 // that keeps tail latency bounded under overload. Admit sees the same
 // cluster-owned slice the stage-1 router is offered next, under the
 // same rule: read it, never modify or retain it.
+//
+// The built-in policies do not scan the slice: the cluster keeps
+// running sums of the load signals and they answer from those. A
+// policy of another type, including one that wraps a built-in policy,
+// sees the slice.
 type Admission interface {
 	Name() string
 	Admit(req workload.Request, replicas []ReplicaState) bool
@@ -94,6 +99,10 @@ func (q queueCap) Admit(_ workload.Request, replicas []ReplicaState) bool {
 	return queued < q.cap*len(replicas)
 }
 
+func (q queueCap) admitFrom(_ workload.Request, v *routeView) bool {
+	return v.queuedRequests < q.cap*len(v.states)
+}
+
 // tokenBudget admits while the cluster-wide queued token count plus the
 // request's own tokens fits the budget — admission control in the same
 // unit (KV-resident tokens) that drives replica memory pressure.
@@ -107,4 +116,8 @@ func (b tokenBudget) Admit(req workload.Request, replicas []ReplicaState) bool {
 		queued += r.QueuedTokens
 	}
 	return queued+int64(req.TotalLen()) <= b.budget
+}
+
+func (b tokenBudget) admitFrom(req workload.Request, v *routeView) bool {
+	return v.queuedTokens+int64(req.TotalLen()) <= b.budget
 }

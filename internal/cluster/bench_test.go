@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -78,6 +79,60 @@ func BenchmarkRouterPick(b *testing.B) {
 			req := reqs[(i+k)%len(reqs)]
 			idx := r.Route(req, states)
 			states[idx].QueuedTokens += int64(req.TotalLen())
+		}
+	}
+}
+
+// BenchmarkViewArrival times the routing layer's share of one arrival
+// across fleet widths. Between two fleet256 arrivals about 24 replicas
+// step, so each arrival first re-reads 24 replicas into the view, each
+// with fewer queued tokens, then admits the request through queue-cap,
+// routes it through least-loaded and charges its tokens to the chosen
+// replica. path=view takes the cluster's path for built-in policies,
+// answering from the view's sums and min tree; path=slice hides that
+// path, as a wrapped policy does, so both policies scan the states. One
+// op is arrivalsPerOp arrivals.
+func BenchmarkViewArrival(b *testing.B) {
+	const dirtyPerArrival, arrivalsPerOp = 24, 1000
+	reqs := testTrace(b, 64)
+	for _, width := range []int{256, 1024} {
+		for _, path := range []string{"view", "slice"} {
+			b.Run(fmt.Sprintf("replicas=%d/path=%s", width, path), func(b *testing.B) {
+				var router Router = leastLoaded{}
+				var admission Admission = queueCap{cap: 48}
+				if path == "slice" {
+					router = struct{ Router }{router}
+					admission = struct{ Admission }{admission}
+				}
+				c := &Cluster{admission: admission}
+				c.fastAdmission, _ = admission.(viewAdmission)
+				v := &routeView{states: make([]ReplicaState, width), ok: true}
+				for i := range v.states {
+					v.states[i] = ReplicaState{Index: i, QueuedTokens: int64((i * 7919) % 4096), QueuedRequests: 1 + i%8}
+				}
+				v.setRouter(router)
+				v.aggregate()
+				v.route(reqs[0]) // builds the min tree outside the timed loop
+				slot := uint32(1)
+				b.ReportAllocs()
+				for i := 0; b.Loop(); i++ {
+					for k := range arrivalsPerOp {
+						for range dirtyPerArrival {
+							slot = slot*1664525 + 1013904223
+							pos := int(slot>>8) % width
+							s := v.states[pos]
+							v.put(pos, max(s.QueuedTokens-6, 0), s.QueuedRequests, s.Clock)
+						}
+						req := reqs[(i+k)%len(reqs)]
+						if !c.admit(req, v) {
+							continue
+						}
+						pos := v.route(req)
+						s := v.states[pos]
+						v.put(pos, s.QueuedTokens+int64(req.TotalLen()), s.QueuedRequests+1, s.Clock)
+					}
+				}
+			})
 		}
 	}
 }

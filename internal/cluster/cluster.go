@@ -327,7 +327,6 @@ type replica struct {
 type Cluster struct {
 	cfg       Config
 	replicas  []*replica
-	router    Router
 	admission Admission
 	scaler    Autoscaler
 	minRep    int
@@ -350,11 +349,9 @@ type Cluster struct {
 	hint       int
 	records    []metrics.RequestRecord
 
-	// Disaggregation state: the stage-2 router, per-pool scalers and
-	// clamps, per-slot placement counters, and the handoff transfer
-	// rollup.
+	// Disaggregation state: per-pool scalers and clamps, per-slot
+	// placement counters, and the handoff transfer rollup.
 	disagg        bool
-	decodeRouter  Router
 	prefillScaler Autoscaler
 	decodeScaler  Autoscaler
 	prefMin       int
@@ -393,12 +390,15 @@ type Cluster struct {
 	intervalTTFT      int
 	intervalTPOT      int
 
-	// Routing views, one per Role (see view.go): dirty lists the slots
-	// stepped or pushed since the views last re-read them, and
-	// prefixProbe is set once any replica caches prefixes.
-	views       [3]routeView
-	dirty       []int32
-	prefixProbe bool
+	// Routing views, one per Role (see view.go), each with its router:
+	// dirty lists the slots stepped or pushed since the views last
+	// re-read them, prefixProbe is set once any replica caches
+	// prefixes, and fastAdmission is the admission policy when it
+	// answers from the stage-1 view's sums.
+	views         [3]routeView
+	dirty         []int32
+	prefixProbe   bool
+	fastAdmission viewAdmission
 
 	candBuf []obs.Candidate
 }
@@ -415,13 +415,11 @@ func New(cfg Config) (*Cluster, error) {
 	disagg := prefillN > 0
 	c := &Cluster{
 		cfg:           cfg,
-		router:        cfg.Router,
 		admission:     cfg.Admission,
 		scaler:        cfg.Autoscaler,
 		slos:          map[string]metrics.SLO{},
 		disagg:        disagg,
 		dirty:         make([]int32, 0, cfg.Replicas),
-		decodeRouter:  cfg.DecodeRouter,
 		prefillScaler: cfg.PrefillScaler,
 		decodeScaler:  cfg.DecodeScaler,
 	}
@@ -431,15 +429,21 @@ func New(cfg Config) (*Cluster, error) {
 		c.prefMin, c.prefMax, _ = poolClamps("PrefillMin", "PrefillMax", cfg.PrefillMin, cfg.PrefillMax, prefillN)
 		c.decMin, c.decMax, _ = poolClamps("DecodeMin", "DecodeMax", cfg.DecodeMin, cfg.DecodeMax, decodeN)
 	}
-	if c.router == nil {
-		c.router = &roundRobin{}
+	router, decodeRouter := cfg.Router, cfg.DecodeRouter
+	if router == nil {
+		router = &roundRobin{}
 	}
-	if disagg && c.decodeRouter == nil {
-		c.decodeRouter = &roundRobin{}
+	c.views[c.entryRole()].setRouter(router)
+	if disagg {
+		if decodeRouter == nil {
+			decodeRouter = &roundRobin{}
+		}
+		c.views[RoleDecode].setRouter(decodeRouter)
 	}
 	if c.admission == nil {
 		c.admission = admitAll{}
 	}
+	c.fastAdmission, _ = c.admission.(viewAdmission)
 	for _, cl := range cfg.Classes {
 		c.slos[cl.Name] = metrics.SLO{TTFT: cl.TTFT, TPOT: cl.TPOT}
 	}
@@ -625,8 +629,8 @@ func (c *Cluster) handoff(f sched.Finished, rec *metrics.RequestRecord) {
 	rec.CachedTokens = f.CachedTokens
 	from := rec.Replica
 
-	states := c.routable(rec.Class, RoleDecode)
-	if len(states) == 0 {
+	v := c.routable(rec.Class, RoleDecode)
+	if len(v.states) == 0 {
 		rec.Rejected = true
 		rec.Replica = -1
 		rec.RejectReason = obs.RejectNoReplica.String()
@@ -639,11 +643,11 @@ func (c *Cluster) handoff(f sched.Finished, rec *metrics.RequestRecord) {
 		ID: id, InputLen: rec.InputLen, OutputLen: rec.OutputLen,
 		Class: rec.Class,
 	}
-	idx := c.decodeRouter.Route(dr, states)
-	if idx < 0 || idx >= len(states) {
+	idx := v.route(dr)
+	if idx < 0 || idx >= len(v.states) {
 		idx = 0 // a misbehaving decode router cannot error out of a completion callback
 	}
-	target := states[idx].Index
+	target := v.states[idx].Index
 	bytes, dur := c.priceHandoff(target, rec.InputLen)
 	dr.Arrival = f.Completed.Add(dur)
 	c.handoffCount++
@@ -652,7 +656,7 @@ func (c *Cluster) handoff(f sched.Finished, rec *metrics.RequestRecord) {
 	c.prefillSrc[id] = int32(from)
 	if c.cfg.Obs != nil {
 		c.cfg.Obs.Handoff(from, target, id, rec.Class, f.Completed, dur, bytes)
-		c.recordRoute(f.Completed, dr, states, idx, c.decodeRouter.Name(), 2, false)
+		c.recordRoute(f.Completed, dr, v, idx, 2, false)
 	}
 	rec.Replica = target
 	if err := c.pushTo(target, dr); err != nil {
@@ -717,12 +721,13 @@ func (c *Cluster) rejectArrival(rec *metrics.RequestRecord, r workload.Request, 
 	c.finish(rec)
 }
 
-// recordRoute snapshots one routing decision's candidate set for the
-// decision trace. The candidate buffer is recycled across calls. stage
-// and requeue tag disaggregated and displaced-backlog routes.
-func (c *Cluster) recordRoute(t simtime.Time, r workload.Request, states []ReplicaState, idx int, policy string, stage uint8, requeue bool) {
+// recordRoute snapshots one routing decision over view v, its
+// candidate set and its router's name, for the decision trace. The
+// candidate buffer is recycled across calls. stage and requeue tag
+// disaggregated and displaced-backlog routes.
+func (c *Cluster) recordRoute(t simtime.Time, r workload.Request, v *routeView, idx int, stage uint8, requeue bool) {
 	cands := c.candBuf[:0]
-	for _, s := range states {
+	for _, s := range v.states {
 		// The regret cost model scores device-resident coverage only:
 		// host-spilled prefix blocks still price a reload, so counting
 		// them as free coverage would hide the churn a prefix-blind
@@ -733,7 +738,7 @@ func (c *Cluster) recordRoute(t simtime.Time, r workload.Request, states []Repli
 		})
 	}
 	c.candBuf = cands
-	c.cfg.Obs.Route(t, r.ID, r.Class, policy, r.InputLen, r.PrefixLen, cands, idx, stage, requeue)
+	c.cfg.Obs.Route(t, r.ID, r.Class, v.router.Name(), r.InputLen, r.PrefixLen, cands, idx, stage, requeue)
 }
 
 // Run simulates the arrival stream to completion over the cluster.
@@ -905,17 +910,20 @@ func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
 	return nil
 }
 
+// entryRole is the role arrivals are routed to: the prefill pool in a
+// disaggregated cluster, the whole active fleet otherwise.
+func (c *Cluster) entryRole() Role {
+	if c.disagg {
+		return RolePrefill
+	}
+	return RoleUnified
+}
+
 // routeArrival opens one arrival's record and takes it through
 // admission and routing onto a replica, with every replica already
 // advanced to the arrival instant.
 func (c *Cluster) routeArrival(r workload.Request) error {
-	// Stage 1 routes over the prefill pool in a disaggregated cluster,
-	// the whole active fleet otherwise.
-	stage1 := RoleUnified
-	if c.disagg {
-		stage1 = RolePrefill
-	}
-	states := c.routable(r.CacheKey(), stage1)
+	v := c.routable(r.CacheKey(), c.entryRole())
 
 	rec := c.newRecord(r)
 	// With no routable replica (all failed, draining, or still cold-
@@ -923,19 +931,19 @@ func (c *Cluster) routeArrival(r workload.Request) error {
 	// cluster-level 503. A disaggregated arrival also needs a live
 	// decode pool: prefilling a prompt whose cache can never be
 	// handed off would only burn capacity.
-	if len(states) == 0 || (c.disagg && len(c.view(RoleDecode)) == 0) {
+	if len(v.states) == 0 || (c.disagg && len(c.view(RoleDecode).states) == 0) {
 		c.rejectArrival(rec, r, "cluster", obs.RejectNoReplica)
 		return nil
 	}
-	if !c.admission.Admit(r, states) {
+	if !c.admit(r, v) {
 		c.rejectArrival(rec, r, c.admission.Name(), obs.RejectAdmission)
 		return nil
 	}
 	c.cfg.Obs.Admission(r.Arrival, r.ID, r.Class, c.admission.Name(), true, obs.RejectNone)
-	idx := c.router.Route(r, states)
-	if idx < 0 || idx >= len(states) {
+	idx := v.route(r)
+	if idx < 0 || idx >= len(v.states) {
 		return fmt.Errorf("cluster: router %s returned replica %d of %d",
-			c.router.Name(), idx, len(states))
+			v.router.Name(), idx, len(v.states))
 	}
 	var stage uint8
 	if c.disagg {
@@ -945,9 +953,9 @@ func (c *Cluster) routeArrival(r workload.Request) error {
 		r.OutputLen = 1
 	}
 	if c.cfg.Obs != nil {
-		c.recordRoute(r.Arrival, r, states, idx, c.router.Name(), stage, false)
+		c.recordRoute(r.Arrival, r, v, idx, stage, false)
 	}
-	target := states[idx].Index
+	target := v.states[idx].Index
 	rec.Replica = target
 	return c.pushTo(target, r)
 }
@@ -1169,7 +1177,7 @@ func (c *Cluster) drainReplica(t simtime.Time, i int) error {
 		c.provisioning--
 	case stateActive:
 		c.setState(i, stateDraining)
-		if len(c.view(rep.role)) > 0 {
+		if len(c.view(rep.role).states) > 0 {
 			if err := c.redistribute(t, rep.sim.TakePending(), rep.role); err != nil {
 				return err
 			}
@@ -1231,19 +1239,17 @@ func (c *Cluster) failReplica(t simtime.Time, ev workload.FleetEvent) error {
 // re-price the KV handoff against the new target: the cache died with
 // the old replica, so it ships again from the original prefill slot.
 func (c *Cluster) redistribute(t simtime.Time, reqs []workload.Request, role Role) error {
-	router := c.router
 	var stage uint8
 	switch role {
 	case RolePrefill:
 		stage = 1
 	case RoleDecode:
 		stage = 2
-		router = c.decodeRouter
 	}
 	for _, r := range reqs {
 		rec := c.inflight[r.ID]
-		states := c.routable(r.CacheKey(), role)
-		if len(states) == 0 {
+		v := c.routable(r.CacheKey(), role)
+		if len(v.states) == 0 {
 			rec.Rejected = true
 			rec.Replica = -1
 			rec.RejectReason = obs.RejectNoReplica.String()
@@ -1252,12 +1258,12 @@ func (c *Cluster) redistribute(t simtime.Time, reqs []workload.Request, role Rol
 			c.finish(rec)
 			continue
 		}
-		idx := router.Route(r, states)
-		if idx < 0 || idx >= len(states) {
+		idx := v.route(r)
+		if idx < 0 || idx >= len(v.states) {
 			return fmt.Errorf("cluster: router %s returned replica %d of %d",
-				router.Name(), idx, len(states))
+				v.router.Name(), idx, len(v.states))
 		}
-		target := states[idx].Index
+		target := v.states[idx].Index
 		if role == RoleDecode {
 			bytes, dur := c.priceHandoff(target, rec.InputLen)
 			r.Arrival = t.Add(dur)
@@ -1269,7 +1275,7 @@ func (c *Cluster) redistribute(t simtime.Time, reqs []workload.Request, role Rol
 			}
 		}
 		if c.cfg.Obs != nil {
-			c.recordRoute(t, r, states, idx, router.Name(), stage, true)
+			c.recordRoute(t, r, v, idx, stage, true)
 		}
 		rec.Replica = target
 		if err := c.pushTo(target, r); err != nil {
@@ -1438,11 +1444,28 @@ func (h *eventTree) min() (idx int, t simtime.Time) {
 }
 
 // update sets replica i's event time and replays the matches on its
-// path to the root.
+// path to the root. An unchanged time replays nothing. The root winner,
+// usually the replica just stepped, changes every match on its path, so
+// its replay runs to the root unchecked; any other replica's stops at
+// the first match whose result is unchanged, since no match above it
+// can change either.
 func (h *eventTree) update(i int, t simtime.Time) {
 	p := h.leaves + i
+	if h.node[p].t == t {
+		return
+	}
 	h.node[p].t = t
+	if h.node[1].i == int32(i) {
+		for p >>= 1; p >= 1; p >>= 1 {
+			h.play(p)
+		}
+		return
+	}
 	for p >>= 1; p >= 1; p >>= 1 {
+		old := h.node[p]
 		h.play(p)
+		if h.node[p] == old {
+			return
+		}
 	}
 }

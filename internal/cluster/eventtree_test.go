@@ -101,6 +101,10 @@ func (h *eventHeap) swap(i, j int) {
 // so ties on time are common, and many Forever entries — and requires
 // the same (slot, time) minimum after every operation: the tree must
 // order events exactly as the heap did, ties toward the lowest slot.
+// The updates include the root winner's (a stepped replica), unchanged
+// times, and idle (Forever) slots becoming busy, and after each one
+// every node must equal a tree built fresh from the same times, so an
+// early exit that left a stale match anywhere fails.
 func TestEventTreeMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -133,11 +137,38 @@ func TestEventTreeMatchesHeap(t *testing.T) {
 				check("push")
 				continue
 			}
-			i := rng.Intn(len(heap.t))
-			ev := draw()
+			kind, i, ev := "update", rng.Intn(len(heap.t)), draw()
+			switch rng.Intn(4) {
+			case 0:
+				kind, ev = "unchanged update", heap.t[i]
+			case 1:
+				kind = "root update"
+				i, _ = tree.min()
+			case 2:
+				for k := range heap.t {
+					if heap.t[(i+k)%len(heap.t)] == simtime.Forever {
+						kind, i = "idle to busy", (i+k)%len(heap.t)
+						ev = simtime.Time(rng.Intn(distinct))
+						break
+					}
+				}
+			}
 			tree.update(i, ev)
 			heap.update(i, ev)
-			check("update")
+			check(kind)
+			var fresh eventTree
+			fresh.init(tree.n)
+			for k, ft := range heap.t {
+				fresh.node[fresh.leaves+k].t = ft
+			}
+			for p := fresh.leaves - 1; p >= 1; p-- {
+				fresh.play(p)
+			}
+			for p := range fresh.node {
+				if tree.node[p] != fresh.node[p] {
+					t.Fatalf("trial %d, %s of slot %d: node %d is %+v, a fresh tree has %+v", trial, kind, i, p, tree.node[p], fresh.node[p])
+				}
+			}
 		}
 	}
 }

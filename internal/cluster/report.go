@@ -145,7 +145,7 @@ type Report struct {
 func (c *Cluster) report() *Report {
 	r := &Report{
 		Replicas:      len(c.replicas),
-		Router:        c.router.Name(),
+		Router:        c.views[c.entryRole()].router.Name(),
 		Admission:     c.admission.Name(),
 		Requeued:      c.requeued,
 		Records:       c.records,
@@ -158,7 +158,7 @@ func (c *Cluster) report() *Report {
 		r.Scaler = c.prefillScaler.Name()
 	}
 	if c.disagg {
-		r.DecodeRouter = c.decodeRouter.Name()
+		r.DecodeRouter = c.views[RoleDecode].router.Name()
 		r.HandoffCount = c.handoffCount
 		r.HandoffBytes = c.handoffBytes
 		r.HandoffLinkSeconds = c.handoffLink.Seconds()

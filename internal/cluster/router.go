@@ -38,6 +38,11 @@ type ReplicaState struct {
 // cluster maps it back through ReplicaState.Index to the global slot.
 // The slice belongs to the cluster, which updates it in place between
 // calls: Route must neither modify it nor retain it past the call.
+//
+// The built-in least-loaded router does not scan the slice: the
+// cluster keeps a min tree of the replicas' queued tokens for it and
+// it answers from that. A router of another type, including one that
+// wraps a built-in router, sees the slice.
 type Router interface {
 	Name() string
 	// Route returns the chosen position, 0 <= idx < len(replicas).
@@ -115,6 +120,8 @@ func (leastLoaded) Route(_ workload.Request, replicas []ReplicaState) int {
 	}
 	return best
 }
+
+func (leastLoaded) routeFrom(req workload.Request, v *routeView) int { return v.pickLeastLoaded(req) }
 
 // affinity hashes the request's session key to a fixed replica, keeping
 // same-class (shared prompt prefix) traffic together so prefix KV reuse
