@@ -269,8 +269,26 @@ func TestDisaggDecodePoolLost(t *testing.T) {
 // TestDisaggAutoscale drives per-pool scaling: an slo-target policy
 // with unattainable targets must grow both pools independently within
 // their own clamps, and the fleet timeline must attribute the growth to
-// the right pool.
+// the right pool. The run's scale decisions (policy with its pool
+// suffix, committed size before, desired, clamped, in order) and its
+// fleet timeline are pinned exactly.
 func TestDisaggAutoscale(t *testing.T) {
+	const (
+		wantScales = "" +
+			"|0.050000 slo-target/prefill 1->2 desired=2|0.050000 slo-target/decode 1->1 desired=0" +
+			"|0.100000 slo-target/prefill 2->3 desired=3|0.100000 slo-target/decode 1->2 desired=2" +
+			"|0.150000 slo-target/prefill 3->3 desired=4|0.150000 slo-target/decode 2->2 desired=3" +
+			"|0.200000 slo-target/prefill 3->3 desired=4|0.200000 slo-target/decode 2->1 desired=1" +
+			"|0.250000 slo-target/prefill 3->3 desired=4|0.250000 slo-target/decode 1->2 desired=2" +
+			"|0.300000 slo-target/prefill 3->3 desired=3|0.300000 slo-target/decode 2->2 desired=2" +
+			"|0.350000 slo-target/prefill 3->3 desired=4|0.350000 slo-target/decode 2->2 desired=3" +
+			"|0.400000 slo-target/prefill 3->3 desired=4|0.400000 slo-target/decode 2->2 desired=3" +
+			"|0.450000 slo-target/prefill 3->3 desired=4|0.450000 slo-target/decode 2->2 desired=3"
+		wantTimeline = "" +
+			"|0:2/0/0/1/1|50000000000:2/1/0/1/1|70000000000:3/0/0/2/1" +
+			"|100000000000:3/2/0/2/1|120000000000:5/0/0/3/2|200000000000:4/0/1/3/1" +
+			"|239570084235:4/0/0/3/1|250000000000:4/1/0/3/1|270000000000:5/0/0/3/2"
+	)
 	fleet, err := sim.ParseFleet("1xgpt2#prefill,1xgpt2#decode")
 	if err != nil {
 		t.Fatal(err)
@@ -295,10 +313,37 @@ func TestDisaggAutoscale(t *testing.T) {
 		PrefillMaxReplicas: 3,
 		DecodeMaxReplicas:  2,
 		ProvisionDelay:     20 * time.Millisecond,
-	}.WithReplicaSpecs(fleet...)
+	}.WithReplicaSpecs(fleet...).WithTelemetry(sim.NewTelemetry(sim.TelemetryConfig{Detail: sim.TraceDecisions}))
 	rep, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var dec bytes.Buffer
+	if err := sc.Telemetry.WriteDecisionsTSV(&dec); err != nil {
+		t.Fatal(err)
+	}
+	scales := ""
+	for _, line := range strings.Split(dec.String(), "\n") {
+		// time_s, kind, policy, ..., note ("before->clamped desired=N")
+		if f := strings.Split(line, "\t"); len(f) > 8 && f[1] == "scale" {
+			scales += fmt.Sprintf("|%s %s %s", f[0], f[2], f[8])
+		}
+	}
+	timeline := ""
+	for _, p := range rep.FleetTimeline {
+		timeline += fmt.Sprintf("|%d:%d/%d/%d/%d/%d", int64(p.TimeSec*1e12+0.5),
+			p.Active, p.Provisioning, p.Draining, p.ActivePrefill, p.ActiveDecode)
+	}
+	if os.Getenv("GOLDEN_PRINT") != "" {
+		t.Logf("golden: disagg scales: %q", scales)
+		t.Logf("golden: disagg timeline: %q", timeline)
+	} else {
+		if scales != wantScales {
+			t.Errorf("scale decisions drifted\n got %s\nwant %s", scales, wantScales)
+		}
+		if timeline != wantTimeline {
+			t.Errorf("fleet timeline drifted\n got %s\nwant %s", timeline, wantTimeline)
+		}
 	}
 	if rep.Scaler != "slo-target" {
 		t.Fatalf("scaler %q, want slo-target", rep.Scaler)
