@@ -328,9 +328,6 @@ type Cluster struct {
 	cfg       Config
 	replicas  []*replica
 	admission Admission
-	scaler    Autoscaler
-	minRep    int
-	maxRep    int
 	slos      map[string]metrics.SLO
 
 	// Request accounting, the same in both metric modes: in-flight
@@ -349,24 +346,22 @@ type Cluster struct {
 	hint       int
 	records    []metrics.RequestRecord
 
-	// Disaggregation state: per-pool scalers and clamps, per-slot
-	// placement counters, and the handoff transfer rollup.
-	disagg        bool
-	prefillScaler Autoscaler
-	decodeScaler  Autoscaler
-	prefMin       int
-	prefMax       int
-	decMin        int
-	decMax        int
-	placed        []int
-	handoffCount  int
-	handoffBytes  int64
-	handoffLink   simtime.Duration
+	// Scaling pools: the whole fleet when unified; prefill, then decode
+	// when disaggregated.
+	pools []pool
 
-	// Replica stepping is driven off a winner tree of next-event times,
-	// so advancing the cluster to an instant touches only replicas with
+	// Disaggregation state: per-slot placement counters and the handoff
+	// transfer rollup.
+	disagg       bool
+	placed       []int
+	handoffCount int
+	handoffBytes int64
+	handoffLink  simtime.Duration
+
+	// Replica stepping is driven off a min tree of next-event times, so
+	// advancing the cluster to an instant touches only replicas with
 	// events before it instead of scanning all of them.
-	events eventTree
+	events minTree
 
 	// Control-event state: fleet events (sorted, cursor-consumed),
 	// the next autoscaler tick, and the count of replicas cold-starting
@@ -380,15 +375,6 @@ type Cluster struct {
 	// for failure handling.
 	timeline []metrics.FleetPoint
 	requeued int
-
-	// SLO attainment over the current autoscaler tick interval. Unified
-	// fleets track whole-SLO attainment; disaggregated fleets split it
-	// into the TTFT component (prefill pool signal) and the TPOT
-	// component (decode pool signal).
-	intervalCompleted int
-	intervalAttained  int
-	intervalTTFT      int
-	intervalTPOT      int
 
 	// Routing views, one per Role (see view.go), each with its router:
 	// dirty lists the slots stepped or pushed since the views last
@@ -414,20 +400,23 @@ func New(cfg Config) (*Cluster, error) {
 	prefillN, decodeN, _ := cfg.poolSizes()
 	disagg := prefillN > 0
 	c := &Cluster{
-		cfg:           cfg,
-		admission:     cfg.Admission,
-		scaler:        cfg.Autoscaler,
-		slos:          map[string]metrics.SLO{},
-		disagg:        disagg,
-		dirty:         make([]int32, 0, cfg.Replicas),
-		prefillScaler: cfg.PrefillScaler,
-		decodeScaler:  cfg.DecodeScaler,
+		cfg:       cfg,
+		admission: cfg.Admission,
+		slos:      map[string]metrics.SLO{},
+		disagg:    disagg,
+		dirty:     make([]int32, 0, cfg.Replicas),
 	}
 	// Validate has checked every bound, so the clamps cannot fail here.
-	c.minRep, c.maxRep, _ = poolClamps("MinReplicas", "MaxReplicas", cfg.MinReplicas, cfg.MaxReplicas, cfg.Replicas)
 	if disagg {
-		c.prefMin, c.prefMax, _ = poolClamps("PrefillMin", "PrefillMax", cfg.PrefillMin, cfg.PrefillMax, prefillN)
-		c.decMin, c.decMax, _ = poolClamps("DecodeMin", "DecodeMax", cfg.DecodeMin, cfg.DecodeMax, decodeN)
+		prefill := pool{role: RolePrefill, scaler: cfg.PrefillScaler}
+		prefill.min, prefill.max, _ = poolClamps("PrefillMin", "PrefillMax", cfg.PrefillMin, cfg.PrefillMax, prefillN)
+		decode := pool{role: RoleDecode, scaler: cfg.DecodeScaler}
+		decode.min, decode.max, _ = poolClamps("DecodeMin", "DecodeMax", cfg.DecodeMin, cfg.DecodeMax, decodeN)
+		c.pools = []pool{prefill, decode}
+	} else {
+		unified := pool{role: RoleUnified, scaler: cfg.Autoscaler}
+		unified.min, unified.max, _ = poolClamps("MinReplicas", "MaxReplicas", cfg.MinReplicas, cfg.MaxReplicas, cfg.Replicas)
+		c.pools = []pool{unified}
 	}
 	router, decodeRouter := cfg.Router, cfg.DecodeRouter
 	if router == nil {
@@ -566,10 +555,9 @@ func (c *Cluster) finish(rec *metrics.RequestRecord) {
 }
 
 // complete records one request finishing on its replica (placement was
-// already recorded at routing time) and feeds the autoscaler's
-// per-interval SLO attainment signal. The attainment check only runs
-// when a scaler will read it, keeping static-fleet completions as
-// cheap as before.
+// already recorded at routing time) and feeds the pools' per-interval
+// SLO attainment signals. The attainment check only runs when a scaler
+// will read it, keeping static-fleet completions as cheap as before.
 //
 // In a disaggregated cluster, a completion on a prefill replica is the
 // end of stage 1: the request's first token is recorded, its KV cache
@@ -598,20 +586,14 @@ func (c *Cluster) complete(f sched.Finished) {
 	if c.cfg.Obs != nil {
 		c.cfg.Obs.Outcome(id, rec.TTFT(), rec.TPOT())
 	}
-	if c.scaler != nil {
-		c.intervalCompleted++
-		if rec.MeetsSLO(c.slos[rec.Class]) {
-			c.intervalAttained++
-		}
-	}
-	if c.prefillScaler != nil {
+	if c.autoscaled() {
 		slo := c.slos[rec.Class]
-		c.intervalCompleted++
-		if !(slo.TTFT > 0 && rec.TTFT() > slo.TTFT) {
-			c.intervalTTFT++
-		}
-		if !(slo.TPOT > 0 && rec.TPOT() > slo.TPOT) {
-			c.intervalTPOT++
+		for k := range c.pools {
+			p := &c.pools[k]
+			p.completed++
+			if p.attains(rec, slo) {
+				p.attained++
+			}
 		}
 	}
 	c.routedTo[rec.Replica]++
@@ -747,32 +729,15 @@ func (c *Cluster) Run(reqs []workload.Request) (*Report, error) {
 }
 
 // RunContext simulates the arrival stream, checking ctx at arrival and
-// iteration boundaries. Request IDs are reassigned to arrival order
-// (the cluster-global ID space). A trace already in arrival order —
-// the generators' native output — is detected in O(n) and skips the
-// sort entirely.
+// iteration boundaries: a sorted copy of reqs streamed through
+// RunStream. A trace already in arrival order — the generators' native
+// output — is detected in O(n) and skips the sort entirely.
 func (c *Cluster) RunContext(ctx context.Context, reqs []workload.Request) (*Report, error) {
 	arrivals := append([]workload.Request(nil), reqs...)
-	if workload.IsSortedByArrival(arrivals) {
-		for i := range arrivals {
-			arrivals[i].ID = i
-		}
-	} else {
+	if !workload.IsSortedByArrival(arrivals) {
 		workload.SortByArrival(arrivals)
 	}
-	next := 0
-	return c.run(ctx, arrivalSource{
-		pull: func() (workload.Request, bool) {
-			if next >= len(arrivals) {
-				return workload.Request{}, false
-			}
-			r := arrivals[next]
-			next++
-			return r, true
-		},
-		finish: func() error { return nil },
-		hint:   len(arrivals),
-	})
+	return c.RunStream(ctx, workload.SliceStream(arrivals))
 }
 
 // RunStream simulates a pull-based arrival stream to completion
@@ -783,42 +748,20 @@ func (c *Cluster) RunContext(ctx context.Context, reqs []workload.Request) (*Rep
 // decreasing arrival times (every generator in internal/workload
 // does); request IDs are reassigned to arrival order.
 func (c *Cluster) RunStream(ctx context.Context, s workload.Stream) (*Report, error) {
-	hint := 0
-	if n, ok := workload.StreamTarget(s); ok {
-		hint = n
-	}
-	return c.run(ctx, arrivalSource{
-		pull:   s.Next,
-		finish: func() error { return workload.StreamErr(s) },
-		hint:   hint,
-	})
-}
-
-// arrivalSource abstracts where arrivals come from: a sorted slice or
-// a pull-based stream. finish reports the source's terminal error once
-// pull has returned false; hint sizes preallocations (0 = unknown).
-type arrivalSource struct {
-	pull   func() (workload.Request, bool)
-	finish func() error
-	hint   int
-}
-
-// run wires the request accounting, fills the event tree, and executes
-// the arrival loop.
-func (c *Cluster) run(ctx context.Context, src arrivalSource) (*Report, error) {
 	c.accum = metrics.NewRequestAccumulator(c.slos)
 	c.inflight = make(map[int]*metrics.RequestRecord)
 	c.prefillSrc = make(map[int]int32)
-	c.hint = src.hint
-	if c.scaler != nil || c.prefillScaler != nil {
+	c.hint, _ = workload.StreamTarget(s)
+	if c.autoscaled() {
 		c.nextTick = simtime.Time(c.cfg.ScaleTick)
 	}
 	c.mark(0)
-	c.events.init(len(c.replicas))
+	c.events = minTree{}
+	c.events.grow(len(c.replicas))
 	for i := range c.replicas {
 		c.refreshEvent(i)
 	}
-	if err := c.loop(ctx, src); err != nil {
+	if err := c.loop(ctx, s); err != nil {
 		return nil, err
 	}
 	return c.report(), nil
@@ -826,7 +769,7 @@ func (c *Cluster) run(ctx context.Context, src arrivalSource) (*Report, error) {
 
 // loop is the simulation loop: arrivals interleaved with control
 // events, then a drain.
-func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
+func (c *Cluster) loop(ctx context.Context, s workload.Stream) error {
 	var (
 		pending workload.Request
 		have    bool
@@ -838,7 +781,7 @@ func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
 			return err
 		}
 		if !have {
-			r, ok := src.pull()
+			r, ok := s.Next()
 			if !ok {
 				break
 			}
@@ -873,7 +816,7 @@ func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
 			return err
 		}
 	}
-	if err := src.finish(); err != nil {
+	if err := workload.StreamErr(s); err != nil {
 		return err
 	}
 
@@ -884,7 +827,8 @@ func (c *Cluster) loop(ctx context.Context, src arrivalSource) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		i, ev := c.events.min()
+		i, key := c.events.min()
+		ev := simtime.Time(key)
 		if ct, ok := c.nextControl(); ok && (ev == simtime.Forever || !ev.Before(ct)) {
 			if ev == simtime.Forever && c.provisioning == 0 {
 				// Only ticks or events remain and no work is left for
@@ -975,7 +919,7 @@ func (c *Cluster) nextControl() (simtime.Time, bool) {
 	if c.fleetCursor < len(c.fleetEvents) && c.fleetEvents[c.fleetCursor].Time.Before(t) {
 		t = c.fleetEvents[c.fleetCursor].Time
 	}
-	if (c.scaler != nil || c.prefillScaler != nil) && c.nextTick.Before(t) {
+	if c.autoscaled() && c.nextTick.Before(t) {
 		t = c.nextTick
 	}
 	return t, t != simtime.Forever
@@ -1001,7 +945,7 @@ func (c *Cluster) applyControls(t simtime.Time) error {
 			return err
 		}
 	}
-	if (c.scaler != nil || c.prefillScaler != nil) && !c.nextTick.After(t) {
+	if c.autoscaled() && !c.nextTick.After(t) {
 		if err := c.applyTick(t); err != nil {
 			return err
 		}
@@ -1011,48 +955,48 @@ func (c *Cluster) applyControls(t simtime.Time) error {
 	return nil
 }
 
-// applyTick evaluates the autoscaler(s) against the current fleet view
-// and applies the clamped decision. A disaggregated cluster evaluates
-// each pool over its own role-filtered view: the prefill view's
-// attainment signal is the TTFT component (prefill owns time to first
-// token), the decode view's is the TPOT component.
-func (c *Cluster) applyTick(t simtime.Time) error {
-	if c.disagg {
-		return c.applyTickDisagg(t)
-	}
-	view := FleetView{
-		Time:              t,
-		IntervalCompleted: c.intervalCompleted,
-		IntervalAttained:  c.intervalAttained,
-	}
-	for _, rep := range c.replicas {
-		switch rep.state {
-		case stateProvisioning:
-			view.Provisioning++
-		case stateActive:
-			view.Active++
-			view.QueuedRequests += rep.sim.QueuedRequests()
-			view.QueuedTokens += rep.sim.QueuedTokens()
-		case stateDraining:
-			view.Draining++
-		}
-	}
-	c.intervalCompleted, c.intervalAttained = 0, 0
-	desired := c.scaler.Desired(view)
-	clamped := clampReplicas(desired, c.minRep, c.maxRep)
-	c.cfg.Obs.Scale(t, c.scaler.Name(), view.Active+view.Provisioning, desired, clamped)
-	return c.scaleTo(t, clamped)
+// pool is one scaling pool — the whole fleet when unified, the prefill
+// or the decode replicas when disaggregated — with its scaler (nil on a
+// static fleet), its clamps, and its SLO attainment over the current
+// tick interval.
+type pool struct {
+	role      Role
+	scaler    Autoscaler
+	min, max  int
+	completed int
+	attained  int
 }
 
-// applyTickDisagg runs the per-pool scalers: prefill first, then
-// decode, each over its own view and clamps.
-func (c *Cluster) applyTickDisagg(t simtime.Time) error {
-	pref := FleetView{Time: t, IntervalCompleted: c.intervalCompleted, IntervalAttained: c.intervalTTFT}
-	dec := FleetView{Time: t, IntervalCompleted: c.intervalCompleted, IntervalAttained: c.intervalTPOT}
+// attains reports whether a completed request meets the SLO component
+// the pool's scaler reads: the whole SLO for a unified pool, TTFT for
+// the prefill pool (it owns time to first token), TPOT for decode.
+func (p *pool) attains(rec *metrics.RequestRecord, slo metrics.SLO) bool {
+	switch p.role {
+	case RolePrefill:
+		return !(slo.TTFT > 0 && rec.TTFT() > slo.TTFT)
+	case RoleDecode:
+		return !(slo.TPOT > 0 && rec.TPOT() > slo.TPOT)
+	}
+	return rec.MeetsSLO(slo)
+}
+
+// autoscaled reports whether the pools have scalers (all or none do).
+func (c *Cluster) autoscaled() bool { return c.pools[0].scaler != nil }
+
+// applyTick evaluates every pool's scaler and applies its clamped
+// decision, pool by pool. Each pool's view counts its own replicas and
+// is built before any pool scales.
+func (c *Cluster) applyTick(t simtime.Time) error {
+	var views [2]FleetView
+	for k := range c.pools {
+		p := &c.pools[k]
+		views[k] = FleetView{Time: t, IntervalCompleted: p.completed, IntervalAttained: p.attained}
+		p.completed, p.attained = 0, 0
+	}
 	for _, rep := range c.replicas {
-		view := &pref
+		view := &views[0]
 		if rep.role == RoleDecode {
-			view = &dec
+			view = &views[1]
 		}
 		switch rep.state {
 		case stateProvisioning:
@@ -1065,18 +1009,20 @@ func (c *Cluster) applyTickDisagg(t simtime.Time) error {
 			view.Draining++
 		}
 	}
-	c.intervalCompleted, c.intervalTTFT, c.intervalTPOT = 0, 0, 0
-
-	desired := c.prefillScaler.Desired(pref)
-	clamped := clampReplicas(desired, c.prefMin, c.prefMax)
-	c.cfg.Obs.Scale(t, c.prefillScaler.Name()+"/prefill", pref.Active+pref.Provisioning, desired, clamped)
-	if err := c.scalePool(t, clamped, RolePrefill); err != nil {
-		return err
+	for k, p := range c.pools {
+		view := views[k]
+		desired := p.scaler.Desired(view)
+		clamped := clampReplicas(desired, p.min, p.max)
+		name := p.scaler.Name()
+		if c.disagg {
+			name += "/" + p.role.String()
+		}
+		c.cfg.Obs.Scale(t, name, view.Active+view.Provisioning, desired, clamped)
+		if err := c.scalePool(t, clamped, p.role); err != nil {
+			return err
+		}
 	}
-	desired = c.decodeScaler.Desired(dec)
-	clamped = clampReplicas(desired, c.decMin, c.decMax)
-	c.cfg.Obs.Scale(t, c.decodeScaler.Name()+"/decode", dec.Active+dec.Provisioning, desired, clamped)
-	return c.scalePool(t, clamped, RoleDecode)
+	return nil
 }
 
 // applyFleetEvent applies one injected fleet change.
@@ -1090,7 +1036,9 @@ func (c *Cluster) applyFleetEvent(t simtime.Time, ev workload.FleetEvent) error 
 	}
 	switch ev.Kind {
 	case workload.EventScale:
-		return c.scaleTo(t, clampReplicas(ev.Replicas, c.minRep, c.maxRep))
+		// Validate admits scale events on unified fleets only.
+		p := &c.pools[0]
+		return c.scalePool(t, clampReplicas(ev.Replicas, p.min, p.max), p.role)
 	case workload.EventDrain, workload.EventFail:
 		if ev.Replica >= len(c.replicas) {
 			return fmt.Errorf("cluster: fleet event %s targets replica %d, but the fleet has %d slots at %v",
@@ -1103,12 +1051,6 @@ func (c *Cluster) applyFleetEvent(t simtime.Time, ev workload.FleetEvent) error 
 	default:
 		return fmt.Errorf("cluster: unknown fleet event kind %d", int(ev.Kind))
 	}
-}
-
-// scaleTo provisions or drains replicas until the committed count
-// (active + provisioning) reaches desired. Unified fleets only.
-func (c *Cluster) scaleTo(t simtime.Time, desired int) error {
-	return c.scalePool(t, desired, RoleUnified)
 }
 
 // scalePool provisions or drains replicas of one role until the pool's
@@ -1130,7 +1072,7 @@ func (c *Cluster) scalePool(t simtime.Time, desired int, role Role) error {
 			return err
 		}
 		rep.readyAt = t.Add(c.cfg.ProvisionDelay)
-		c.events.push(simtime.Forever)
+		c.events.grow(len(c.replicas))
 	}
 	for ; committed > desired; committed-- {
 		// Cancel the newest cold-start first (it holds no work), then
@@ -1187,7 +1129,7 @@ func (c *Cluster) drainReplica(t simtime.Time, i int) error {
 		} else {
 			c.setState(i, stateRetired)
 			rep.retired = t
-			c.events.update(i, simtime.Forever)
+			c.events.set(i, int64(simtime.Forever))
 		}
 	}
 	return nil
@@ -1325,8 +1267,8 @@ func (c *Cluster) mark(t simtime.Time) {
 // nothing per arrival.
 func (c *Cluster) advanceTo(ctx context.Context, t simtime.Time) error {
 	for {
-		i, ev := c.events.min()
-		if ev == simtime.Forever || !ev.Before(t) {
+		i, key := c.events.min()
+		if ev := simtime.Time(key); ev == simtime.Forever || !ev.Before(t) {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -1340,13 +1282,13 @@ func (c *Cluster) advanceTo(ctx context.Context, t simtime.Time) error {
 }
 
 // refreshEvent re-reads replica i's next event time into the event
-// tree and marks its routing state dirty; every Step and Push ends
+// queue and marks its routing state dirty; every Step and Push ends
 // here. Failed and retired replicas sit at Forever; a draining replica
 // whose work has run dry retires here.
 func (c *Cluster) refreshEvent(i int) {
 	rep := c.replicas[i]
 	if rep.state == stateRetired || rep.state == stateFailed {
-		c.events.update(i, simtime.Forever)
+		c.events.set(i, int64(simtime.Forever))
 		return
 	}
 	c.markDirty(i)
@@ -1359,7 +1301,7 @@ func (c *Cluster) refreshEvent(i int) {
 		}
 		ev = simtime.Forever
 	}
-	c.events.update(i, ev)
+	c.events.set(i, int64(ev))
 }
 
 // clampReplicas bounds a scaling decision to [lo, hi].
@@ -1371,101 +1313,4 @@ func clampReplicas(n, lo, hi int) int {
 		return hi
 	}
 	return n
-}
-
-// eventTree is a winner (tournament) tree over replica next-event
-// times. Leaf i holds slot i's time; every internal node holds a copy
-// of the leaf that wins its subtree on (time, slot index), so the root
-// is the earliest event, tie-broken by replica index for determinism.
-// A left subtree's slots all precede its right sibling's, so a match
-// goes to the right only on a strictly earlier time. Drained replicas
-// and the unused leaves past the last slot sit at simtime.Forever;
-// those leaves lose every tie to real slots. Nodes carry their time, so
-// replaying a match reads two adjacent nodes and nothing else.
-type eventTree struct {
-	node   []treeNode // node[1] is the root, node[leaves+i] is slot i's leaf
-	leaves int        // a power of two
-	n      int        // slots in use
-}
-
-type treeNode struct {
-	t simtime.Time
-	i int32
-}
-
-func (h *eventTree) init(n int) {
-	*h = eventTree{}
-	h.grow(n)
-	h.n = n
-}
-
-// grow rebuilds the tree with at least n leaves, keeping the times set.
-func (h *eventTree) grow(n int) {
-	leaves := 1
-	for leaves < n {
-		leaves <<= 1
-	}
-	node := make([]treeNode, 2*leaves)
-	for i := range leaves {
-		node[leaves+i] = treeNode{t: simtime.Forever, i: int32(i)}
-		if i < h.leaves {
-			node[leaves+i].t = h.node[h.leaves+i].t
-		}
-	}
-	h.node, h.leaves = node, leaves
-	for p := leaves - 1; p >= 1; p-- {
-		h.play(p)
-	}
-}
-
-// play replays the match at internal node p from its children.
-func (h *eventTree) play(p int) {
-	l, r := h.node[2*p], h.node[2*p+1]
-	if r.t < l.t {
-		l = r
-	}
-	h.node[p] = l
-}
-
-// push appends a new replica slot with the given event time.
-func (h *eventTree) push(t simtime.Time) {
-	i := h.n
-	h.n++
-	if h.n > h.leaves {
-		h.grow(h.n)
-	}
-	h.update(i, t)
-}
-
-// min returns the replica with the earliest next event.
-func (h *eventTree) min() (idx int, t simtime.Time) {
-	root := h.node[1]
-	return int(root.i), root.t
-}
-
-// update sets replica i's event time and replays the matches on its
-// path to the root. An unchanged time replays nothing. The root winner,
-// usually the replica just stepped, changes every match on its path, so
-// its replay runs to the root unchecked; any other replica's stops at
-// the first match whose result is unchanged, since no match above it
-// can change either.
-func (h *eventTree) update(i int, t simtime.Time) {
-	p := h.leaves + i
-	if h.node[p].t == t {
-		return
-	}
-	h.node[p].t = t
-	if h.node[1].i == int32(i) {
-		for p >>= 1; p >= 1; p >>= 1 {
-			h.play(p)
-		}
-		return
-	}
-	for p >>= 1; p >= 1; p >>= 1 {
-		old := h.node[p]
-		h.play(p)
-		if h.node[p] == old {
-			return
-		}
-	}
 }

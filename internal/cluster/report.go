@@ -151,11 +151,8 @@ func (c *Cluster) report() *Report {
 		Records:       c.records,
 		FleetTimeline: c.timeline,
 	}
-	if c.scaler != nil {
-		r.Scaler = c.scaler.Name()
-	}
-	if c.prefillScaler != nil {
-		r.Scaler = c.prefillScaler.Name()
+	if c.autoscaled() {
+		r.Scaler = c.pools[0].scaler.Name()
 	}
 	if c.disagg {
 		r.DecodeRouter = c.views[RoleDecode].router.Name()

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"math"
-
 	"repro/internal/simtime"
 	"repro/internal/workload"
 )
@@ -48,7 +46,7 @@ type routeView struct {
 	// The min tree and its upkeep: changed counts the token changes
 	// re-read since the last decision, and stale marks a tree that
 	// missed some of them and must be rebuilt before use.
-	tree    loadTree
+	tree    minTree
 	changed int
 	stale   bool
 }
@@ -195,10 +193,11 @@ func (v *routeView) pickLeastLoaded(req workload.Request) int {
 		if changed > v.treeBudget() {
 			return leastLoaded{}.Route(req, v.states)
 		}
-		v.tree.build(v.states)
+		v.tree.build(len(v.states), func(i int) int64 { return v.states[i].QueuedTokens })
 		v.stale = false
 	}
-	return v.tree.min()
+	pos, _ := v.tree.min()
+	return pos
 }
 
 // routable returns the routing view of every active replica of the
@@ -233,86 +232,4 @@ func (c *Cluster) routable(cacheKey string, role Role) *routeView {
 		}
 	}
 	return v
-}
-
-// loadTree is a winner tree over a view's positions keyed by
-// (QueuedTokens, position), so its root is the position least-loaded
-// routing picks: the fewest queued tokens, ties toward the lowest
-// position. Like eventTree, each node holds a copy of the key that wins
-// its subtree, and a left subtree's positions all precede its right
-// sibling's, so a match goes right only on strictly fewer tokens.
-// Padding leaves past the last position hold math.MaxInt64 and lose
-// every tie to real positions.
-type loadTree struct {
-	node   []loadNode // node[1] is the root, node[leaves+i] is position i's leaf
-	leaves int        // a power of two
-}
-
-type loadNode struct {
-	tokens int64
-	pos    int32
-}
-
-// build resets the tree to the states' keys.
-func (t *loadTree) build(states []ReplicaState) {
-	leaves := 1
-	for leaves < len(states) {
-		leaves <<= 1
-	}
-	if cap(t.node) < 2*leaves {
-		t.node = make([]loadNode, 2*leaves)
-	}
-	t.node, t.leaves = t.node[:2*leaves], leaves
-	for i := range leaves {
-		n := loadNode{tokens: math.MaxInt64, pos: int32(i)}
-		if i < len(states) {
-			n.tokens = states[i].QueuedTokens
-		}
-		t.node[leaves+i] = n
-	}
-	for p := leaves - 1; p >= 1; p-- {
-		t.play(p)
-	}
-}
-
-// play replays the match at internal node p from its children.
-func (t *loadTree) play(p int) {
-	l, r := t.node[2*p], t.node[2*p+1]
-	if r.tokens < l.tokens {
-		l = r
-	}
-	t.node[p] = l
-}
-
-// min returns the winning position.
-func (t *loadTree) min() int { return int(t.node[1].pos) }
-
-// set changes position i's tokens. Queued tokens fall at every decode
-// step and rise only when a request is placed, so the two directions
-// climb differently. A decrease can only win matches: it climbs while
-// the position beats the stored winner (or is the stored winner) and
-// stops at the first match another position still wins. An increase
-// can only lose matches the position won: it replays them and stops at
-// the first match it did not win, whose winner is unchanged.
-func (t *loadTree) set(i int, tokens int64) {
-	p := t.leaves + i
-	old := t.node[p].tokens
-	if tokens == old {
-		return
-	}
-	me := loadNode{tokens: tokens, pos: int32(i)}
-	t.node[p] = me
-	if tokens < old {
-		for p >>= 1; p >= 1; p >>= 1 {
-			w := t.node[p]
-			if w.pos != me.pos && (w.tokens < tokens || w.tokens == tokens && w.pos < me.pos) {
-				return
-			}
-			t.node[p] = me
-		}
-		return
-	}
-	for p >>= 1; p >= 1 && t.node[p].pos == me.pos; p >>= 1 {
-		t.play(p)
-	}
 }

@@ -147,8 +147,8 @@ func (r checkedViewRouter) routeFrom(req workload.Request, rv *routeView) int {
 	}
 	moved := r.v.place(req, r.role, rv.states, idx)
 	if !rv.stale {
-		var fresh loadTree
-		fresh.build(want)
+		var fresh minTree
+		fresh.build(len(want), func(i int) int64 { return want[i].QueuedTokens })
 		if !slices.Equal(rv.tree.node, fresh.node) {
 			r.v.t.Fatalf("view router %s, request %d (%s view): min tree %v, a fresh build has %v", r.Name(), req.ID, r.role, rv.tree.node, fresh.node)
 		}
@@ -479,57 +479,6 @@ func TestRoutingViewMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestLoadTreeMatchesScan drives the min tree through random decreases,
-// increases, unchanged writes and rebuilds over few distinct token
-// counts, so ties are common, and requires after every operation that
-// the root is least-loaded's scan pick and that every node equals a
-// tree built fresh from the same states.
-func TestLoadTreeMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var tree, fresh loadTree
-	for trial := 0; trial < 300; trial++ {
-		distinct := 1 + rng.Intn(5)
-		states := make([]ReplicaState, 1+rng.Intn(40))
-		for i := range states {
-			states[i].QueuedTokens = int64(rng.Intn(distinct))
-		}
-		tree.build(states)
-		for op := 0; op < 400; op++ {
-			kind := "set"
-			if rng.Intn(30) == 0 {
-				kind = "rebuild"
-				states = states[:0]
-				for range 1 + rng.Intn(40) {
-					states = append(states, ReplicaState{QueuedTokens: int64(rng.Intn(distinct))})
-				}
-				tree.build(states)
-			} else {
-				i := rng.Intn(len(states))
-				tokens := states[i].QueuedTokens
-				switch rng.Intn(3) {
-				case 0:
-					tokens -= int64(rng.Intn(distinct))
-				case 1:
-					tokens += int64(rng.Intn(distinct))
-				default:
-					tokens = int64(rng.Intn(distinct))
-				}
-				states[i].QueuedTokens = tokens
-				tree.set(i, tokens)
-			}
-			if got, want := tree.min(), (leastLoaded{}).Route(workload.Request{}, states); got != want {
-				t.Fatalf("trial %d, op %d (%s) over %d positions: tree picks %d, scan picks %d", trial, op, kind, len(states), got, want)
-			}
-			fresh.build(states)
-			for p := 1; p < len(fresh.node); p++ {
-				if tree.node[p] != fresh.node[p] {
-					t.Fatalf("trial %d, op %d (%s): node %d is %+v, a fresh build has %+v", trial, op, kind, p, tree.node[p], fresh.node[p])
-				}
-			}
-		}
-	}
-}
-
 // TestViewLeastLoadedMatchesScan drives a least-loaded view's lazy min
 // tree through random token changes, in single steps and in bursts past
 // the tree's budget, and membership rebuilds, over few distinct token
@@ -537,7 +486,7 @@ func TestLoadTreeMatchesScan(t *testing.T) {
 // picks and, when the tree answered, every node to equal a fresh build.
 func TestViewLeastLoadedMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	var fresh loadTree
+	var fresh minTree
 	answered := 0
 	for trial := 0; trial < 200; trial++ {
 		distinct := 1 + rng.Intn(5)
@@ -573,7 +522,7 @@ func TestViewLeastLoadedMatchesScan(t *testing.T) {
 				continue
 			}
 			answered++
-			fresh.build(v.states)
+			fresh.build(len(v.states), func(i int) int64 { return v.states[i].QueuedTokens })
 			if !slices.Equal(v.tree.node, fresh.node) {
 				t.Fatalf("trial %d, op %d: min tree %v, a fresh build has %v", trial, op, v.tree.node, fresh.node)
 			}
