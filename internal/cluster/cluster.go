@@ -756,7 +756,6 @@ func (c *Cluster) RunStream(ctx context.Context, s workload.Stream) (*Report, er
 		c.nextTick = simtime.Time(c.cfg.ScaleTick)
 	}
 	c.mark(0)
-	c.events = minTree{}
 	c.events.grow(len(c.replicas))
 	for i := range c.replicas {
 		c.refreshEvent(i)
