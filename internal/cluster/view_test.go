@@ -479,6 +479,61 @@ func TestRoutingViewMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestLoadTreeMatchesScan drives the min tree as a least-loaded load
+// tree, keyed by queued tokens, through random decreases, increases,
+// unchanged writes and rebuilds over few distinct token counts, so ties
+// are common, and requires after every operation that the root is
+// least-loaded's scan pick and that every node equals a tree built
+// fresh from the same states.
+func TestLoadTreeMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var tree, fresh minTree
+	var states []ReplicaState
+	tokens := func(i int) int64 { return states[i].QueuedTokens }
+	for trial := 0; trial < 300; trial++ {
+		distinct := 1 + rng.Intn(5)
+		states = make([]ReplicaState, 1+rng.Intn(40))
+		for i := range states {
+			states[i].QueuedTokens = int64(rng.Intn(distinct))
+		}
+		tree.build(len(states), tokens)
+		for op := 0; op < 400; op++ {
+			kind := "set"
+			if rng.Intn(30) == 0 {
+				kind = "rebuild"
+				states = states[:0]
+				for range 1 + rng.Intn(40) {
+					states = append(states, ReplicaState{QueuedTokens: int64(rng.Intn(distinct))})
+				}
+				tree.build(len(states), tokens)
+			} else {
+				i := rng.Intn(len(states))
+				q := states[i].QueuedTokens
+				switch rng.Intn(3) {
+				case 0:
+					q -= int64(rng.Intn(distinct))
+				case 1:
+					q += int64(rng.Intn(distinct))
+				default:
+					q = int64(rng.Intn(distinct))
+				}
+				states[i].QueuedTokens = q
+				tree.set(i, q)
+			}
+			if got, _ := tree.min(); got != (leastLoaded{}).Route(workload.Request{}, states) {
+				t.Fatalf("trial %d, op %d (%s) over %d positions: tree picks %d, scan picks %d",
+					trial, op, kind, len(states), got, (leastLoaded{}).Route(workload.Request{}, states))
+			}
+			fresh.build(len(states), tokens)
+			for p := 1; p < len(fresh.node); p++ {
+				if tree.node[p] != fresh.node[p] {
+					t.Fatalf("trial %d, op %d (%s): node %d is %+v, a fresh build has %+v", trial, op, kind, p, tree.node[p], fresh.node[p])
+				}
+			}
+		}
+	}
+}
+
 // TestViewLeastLoadedMatchesScan drives a least-loaded view's lazy min
 // tree through random token changes, in single steps and in bursts past
 // the tree's budget, and membership rebuilds, over few distinct token
