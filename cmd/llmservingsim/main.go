@@ -271,9 +271,8 @@ func (l *listFlags) register(fs *flag.FlagSet) {
 
 // print writes the requested catalogue and reports whether one was
 // requested. -list-policies prints one "kind<TAB>name" row per choice:
-// routers, admission and autoscalers from their registries (custom
-// registrations included), then every other enum-valued flag from the
-// enum table.
+// routers, admission and autoscalers from internal/cluster's policy
+// tables, then every other enum-valued flag from the enum table.
 func (l *listFlags) print(w io.Writer) bool {
 	switch {
 	case l.models:

@@ -126,8 +126,8 @@ func (t *enumTable[E, I]) names() []string { return slices.Clone(t.order) }
 // "prefix-cache", "perf-model", "router", "admission", "autoscaler" or
 // "trace-detail"), in the order the flag help lists them, or nil for
 // any other kind. Router, admission and autoscaler choices are the
-// built-in policies the enums name; Routers, Admissions and Autoscalers
-// list the registries, custom registrations included.
+// built-in policies the enums name, the same names Routers, Admissions
+// and Autoscalers list from internal/cluster's policy tables.
 func PolicyChoices(kind string) []string { return slices.Clone(policyChoices[kind]) }
 
 // Parallelism selects how the model is distributed across accelerators

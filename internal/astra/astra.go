@@ -15,10 +15,11 @@
 // boundary — with the previous boundary's. Once two match, the schedule
 // has reached its steady state: every remaining block is the last one
 // shifted by the same period, so the executor adds (remaining x period)
-// instead of simulating them. Makespan, ComputeTime, CommTime and Busy
-// equal those of the unrolled graph exactly (Executor.Execute gives the
-// argument). Blocks run in full when the state never repeats or another
-// node is ready at a boundary.
+// instead of simulating them. The makespan and every node's timing
+// equal those of the unrolled graph exactly, a template node's being
+// its last repetition's (Executor.Execute gives the argument). Blocks
+// run in full when the state never repeats or another node is ready at
+// a boundary.
 package astra
 
 import (
@@ -40,37 +41,10 @@ type Result struct {
 	// their last repetition's timing.
 	Timings []NodeTiming
 
-	// ComputeTime and CommTime aggregate node durations by class.
-	ComputeTime simtime.Duration
-	CommTime    simtime.Duration
-
 	// BlocksRun counts repeat-span repetitions executed node by node,
 	// and BlocksShifted those advanced by the steady-state time shift.
 	// Both are zero for an unrolled graph.
 	BlocksRun, BlocksShifted int
-
-	// busy and used hold each resource's busy time and whether any node
-	// ran on it, indexed class-major (int(Class)*devices + Device).
-	busy    []simtime.Duration
-	used    []bool
-	devices int
-}
-
-// Busy returns the time res spent executing nodes.
-func (r Result) Busy(res graph.Resource) simtime.Duration {
-	i := int(res.Class)*r.devices + res.Device
-	if res.Device < 0 || res.Device >= r.devices || i < 0 || i >= len(r.busy) {
-		return 0
-	}
-	return r.busy[i]
-}
-
-// Utilization returns the busy fraction of a resource over the makespan.
-func (r Result) Utilization(res graph.Resource) float64 {
-	if r.Makespan == 0 {
-		return 0
-	}
-	return float64(r.Busy(res)) / float64(r.Makespan)
 }
 
 type candidate struct {
@@ -134,13 +108,11 @@ func (h *candidateHeap) pop() candidate {
 // (successor arrays, resource timelines, the ready heap, the timings
 // buffer) across calls. One graph executes per simulated iteration, so
 // this reuse keeps a warmed Execute call from allocating at all: the
-// returned Result's Timings and busy times alias executor-owned storage
-// valid until the next Execute call. An Executor is not safe for
-// concurrent use; each simulator owns one.
+// returned Result's Timings alias executor-owned storage valid until
+// the next Execute call. An Executor is not safe for concurrent use;
+// each simulator owns one.
 type Executor struct {
 	resFree []simtime.Time
-	resBusy []simtime.Duration
-	resUsed []bool
 
 	indeg   []int
 	succOff []int
@@ -169,19 +141,17 @@ type spanState struct {
 	lo, hi int // the template's resources: Executor.spanRes[lo:hi]
 
 	// The previous block boundary, when no other node was ready there:
-	// its exit's end, the compute and communication totals, and per
-	// template resource the relative free time (Executor.snap[2lo:][:n])
-	// and busy time (Executor.snap[2lo+n:][:n]), n = hi-lo.
-	have                  bool
-	prevT                 simtime.Time
-	prevCompute, prevComm simtime.Duration
+	// its exit's end and, per template resource, the free time relative
+	// to it (Executor.snap[lo:hi]).
+	have  bool
+	prevT simtime.Time
 }
 
 // Execute runs the graph to completion and returns the schedule. The
 // bookkeeping is flat: successor lists live in one offset-indexed array
 // and per-resource state in a dense slice keyed by (class, device). The
 // returned Result's Timings alias executor-owned storage, valid until
-// the next Execute call, and so do its busy times.
+// the next Execute call.
 //
 // # Repeat spans
 //
@@ -198,10 +168,9 @@ type spanState struct {
 // relative states, the next repetition repeats the last one shifted by
 // the period P between them, and so does every one after: the executor
 // adds (remaining x P) to the template timings, resource free times and
-// exit time, and (remaining x the last repetition's increments) to busy,
-// compute and communication times. In integer picoseconds this is the
-// unrolled graph's schedule exactly. If another node is ready at a
-// boundary, or the state never repeats, every repetition runs.
+// exit time. In integer picoseconds this is the unrolled graph's
+// schedule exactly. If another node is ready at a boundary, or the
+// state never repeats, every repetition runs.
 func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	if err := g.Validate(); err != nil {
 		return Result{}, err
@@ -229,8 +198,6 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	ridx := func(r graph.Resource) int { return int(r.Class)*stride + r.Device }
 	nRes := 3 * stride
 	resFree := growZero(&e.resFree, nRes)
-	resBusy := growZero(&e.resBusy, nRes)
-	resUsed := growZero(&e.resUsed, nRes)
 
 	// Successor lists in one flat array: count, prefix-sum, fill.
 	indeg := growZero(&e.indeg, n)
@@ -299,15 +266,7 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 		done[c.node] = true
 		scheduled++
 		for _, r := range node.Resources {
-			i := ridx(r)
-			resFree[i] = end
-			resBusy[i] += node.Duration
-			resUsed[i] = true
-		}
-		if node.Kind == graph.Compute {
-			res.ComputeTime += node.Duration
-		} else {
-			res.CommTime += node.Duration
+			resFree[ridx(r)] = end
 		}
 		if d := end.Sub(0); d > res.Makespan {
 			res.Makespan = d
@@ -352,7 +311,6 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	if scheduled != n {
 		return Result{}, fmt.Errorf("astra: deadlock, scheduled %d of %d nodes (cycle in graph?)", scheduled, n)
 	}
-	res.busy, res.used, res.devices = resBusy, resUsed, stride
 	return res, nil
 }
 
@@ -398,7 +356,7 @@ func (e *Executor) prepareSpans(g *graph.Graph, ridx func(graph.Resource) int, n
 			mark[i] = false
 		}
 	}
-	growZero(&e.snap, 2*len(e.spanRes))
+	growZero(&e.snap, len(e.spanRes))
 	return exitOf
 }
 
@@ -412,9 +370,7 @@ func (e *Executor) boundary(sp graph.Span, st *spanState, res *Result, end simti
 		st.have = false
 		return end, false
 	}
-	resIdx := e.spanRes[st.lo:st.hi]
-	nr := len(resIdx)
-	rel, busy := e.snap[2*st.lo:][:nr], e.snap[2*st.lo+nr:][:nr]
+	resIdx, rel := e.spanRes[st.lo:st.hi], e.snap[st.lo:st.hi]
 	same := st.have
 	for i, r := range resIdx {
 		d := max(e.resFree[r].Sub(end), 0)
@@ -422,11 +378,7 @@ func (e *Executor) boundary(sp graph.Span, st *spanState, res *Result, end simti
 		rel[i] = d
 	}
 	if !same {
-		for i, r := range resIdx {
-			busy[i] = e.resBusy[r]
-		}
 		st.have, st.prevT = true, end
-		st.prevCompute, st.prevComm = res.ComputeTime, res.CommTime
 		return end, false
 	}
 
@@ -437,12 +389,9 @@ func (e *Executor) boundary(sp graph.Span, st *spanState, res *Result, end simti
 		t := &res.Timings[id]
 		t.Start, t.End = t.Start.Add(shift), t.End.Add(shift)
 	}
-	for i, r := range resIdx {
+	for _, r := range resIdx {
 		e.resFree[r] = e.resFree[r].Add(shift)
-		e.resBusy[r] += m * (e.resBusy[r] - busy[i])
 	}
-	res.ComputeTime += m * (res.ComputeTime - st.prevCompute)
-	res.CommTime += m * (res.CommTime - st.prevComm)
 	res.BlocksShifted += int(m)
 	st.rep = sp.Count - 1
 	end = end.Add(shift)
@@ -450,13 +399,6 @@ func (e *Executor) boundary(sp graph.Span, st *spanState, res *Result, end simti
 		res.Makespan = d
 	}
 	return end, true
-}
-
-// Execute runs the graph on a throwaway Executor. Hot loops should hold
-// an Executor and call its method instead.
-func Execute(g *graph.Graph) (Result, error) {
-	var e Executor
-	return e.Execute(g)
 }
 
 // growZero returns (*buf)[:n] zeroed, growing the backing array as
@@ -469,43 +411,4 @@ func growZero[T any](buf *[]T, n int) []T {
 	s := (*buf)[:n]
 	clear(s)
 	return s
-}
-
-// CriticalPath returns the node IDs of one longest finish-time chain, for
-// diagnosing what bounds an iteration. On a graph with repeat spans the
-// walk skips the folded repetitions (a template's entry dependencies
-// lead back to the block before the first one), so diagnose an unrolled
-// graph for a complete path.
-func CriticalPath(g *graph.Graph, r Result) []int {
-	if len(g.Nodes) == 0 || len(r.Timings) != len(g.Nodes) {
-		return nil
-	}
-	// Find the node finishing last, then walk back through the dependency
-	// (or resource-wait) chain by picking the dep finishing latest.
-	last := 0
-	for id := range g.Nodes {
-		if r.Timings[id].End > r.Timings[last].End {
-			last = id
-		}
-	}
-	var path []int
-	for cur := last; ; {
-		path = append(path, cur)
-		deps := g.Nodes[cur].Deps
-		if len(deps) == 0 {
-			break
-		}
-		best := deps[0]
-		for _, d := range deps[1:] {
-			if r.Timings[d].End > r.Timings[best].End {
-				best = d
-			}
-		}
-		cur = best
-	}
-	// Reverse into execution order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }

@@ -2,6 +2,7 @@ package astra
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,8 +12,14 @@ import (
 
 const us = simtime.Microsecond
 
+// execute runs g on a fresh Executor.
+func execute(g *graph.Graph) (Result, error) {
+	var e Executor
+	return e.Execute(g)
+}
+
 func TestEmptyGraph(t *testing.T) {
-	r, err := Execute(graph.New())
+	r, err := execute(graph.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +33,7 @@ func TestChainSums(t *testing.T) {
 	a := g.AddCompute("a", 0, 10*us)
 	b := g.AddCompute("b", 0, 20*us, a)
 	g.AddCompute("c", 0, 30*us, b)
-	r, err := Execute(g)
+	r, err := execute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +52,7 @@ func TestIndependentDevicesOverlap(t *testing.T) {
 	for dev := 0; dev < 4; dev++ {
 		g.AddCompute("w", dev, 100*us)
 	}
-	r, _ := Execute(g)
+	r, _ := execute(g)
 	if r.Makespan != 100*us {
 		t.Fatalf("parallel makespan %v", r.Makespan)
 	}
@@ -56,7 +63,7 @@ func TestSameDeviceSerializes(t *testing.T) {
 	g := graph.New()
 	g.AddCompute("a", 0, 100*us)
 	g.AddCompute("b", 0, 100*us)
-	r, _ := Execute(g)
+	r, _ := execute(g)
 	if r.Makespan != 200*us {
 		t.Fatalf("serialized makespan %v", r.Makespan)
 	}
@@ -69,7 +76,7 @@ func TestCommOverlapsCompute(t *testing.T) {
 	g := graph.New()
 	g.AddCompute("compute", 0, 100*us)
 	g.AddP2P("xfer", 0, 1, 100*us, 1<<20)
-	r, _ := Execute(g)
+	r, _ := execute(g)
 	if r.Makespan != 100*us {
 		t.Fatalf("comm should overlap compute: %v", r.Makespan)
 	}
@@ -81,7 +88,7 @@ func TestCollectiveOccupiesAllPorts(t *testing.T) {
 	g := graph.New()
 	g.AddAllReduce("ar", []int{0, 1, 2, 3}, 50*us, 1<<20)
 	g.AddP2P("xfer", 0, 1, 50*us, 1<<10)
-	r, _ := Execute(g)
+	r, _ := execute(g)
 	// The p2p shares ports 0,1 with the collective: must serialise.
 	if r.Makespan != 100*us {
 		t.Fatalf("port contention broken: %v", r.Makespan)
@@ -93,7 +100,7 @@ func TestDependencyAcrossDevices(t *testing.T) {
 	a := g.AddCompute("s0", 0, 30*us)
 	x := g.AddP2P("xfer", 0, 1, 10*us, 1<<10, a)
 	g.AddCompute("s1", 1, 30*us, x)
-	r, _ := Execute(g)
+	r, _ := execute(g)
 	if r.Makespan != 70*us {
 		t.Fatalf("pipeline chain %v", r.Makespan)
 	}
@@ -107,36 +114,35 @@ func TestPipelining(t *testing.T) {
 	b1 := g.AddCompute("b1", 1, 50*us, a1)
 	a2 := g.AddCompute("a2", 0, 50*us, a1)
 	g.AddCompute("b2", 1, 50*us, b1, a2)
-	r, _ := Execute(g)
+	r, _ := execute(g)
 	if r.Makespan != 150*us {
 		t.Fatalf("pipelined makespan %v, want 150us", r.Makespan)
 	}
 }
 
+// TestBusyAccounting: two independent nodes on one device run back to
+// back, the lower ID first, so the device is busy for the whole
+// makespan.
 func TestBusyAccounting(t *testing.T) {
 	g := graph.New()
 	g.AddCompute("a", 0, 10*us)
 	g.AddCompute("b", 0, 20*us)
-	r, _ := Execute(g)
-	res := graph.Resource{Class: graph.ResCompute, Device: 0}
-	if r.Busy(res) != 30*us {
-		t.Fatalf("busy %v", r.Busy(res))
+	r, _ := execute(g)
+	if r.Makespan != 30*us {
+		t.Fatalf("serial makespan %v, want 30us", r.Makespan)
 	}
-	if u := r.Utilization(res); u != 1.0 {
-		t.Fatalf("utilization %v", u)
-	}
-	if r.ComputeTime != 30*us || r.CommTime != 0 {
-		t.Fatal("class accounting")
+	if r.Timings[0] != (NodeTiming{0, simtime.Time(10 * us)}) || r.Timings[1] != (NodeTiming{simtime.Time(10 * us), simtime.Time(30 * us)}) {
+		t.Fatalf("timings %+v", r.Timings)
 	}
 }
 
 func TestDeterminism(t *testing.T) {
 	g := buildRandomDAG(rand.New(rand.NewSource(5)), 50)
-	r1, err := Execute(g)
+	r1, err := execute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := Execute(g)
+	r2, _ := execute(g)
 	if r1.Makespan != r2.Makespan {
 		t.Fatal("nondeterministic makespan")
 	}
@@ -150,23 +156,24 @@ func TestDeterminism(t *testing.T) {
 func TestInvalidGraphRejected(t *testing.T) {
 	g := graph.New()
 	g.Nodes = append(g.Nodes, &graph.Node{ID: 0, Kind: graph.Compute, Duration: 1})
-	if _, err := Execute(g); err == nil {
+	if _, err := execute(g); err == nil {
 		t.Fatal("invalid graph must be rejected")
 	}
 }
 
+// TestCriticalPath: a node waits for its latest dependency, so the
+// longer of two parallel chains sets the makespan.
 func TestCriticalPath(t *testing.T) {
 	g := graph.New()
 	a := g.AddCompute("a", 0, 10*us)
 	b := g.AddCompute("b", 1, 100*us)
 	c := g.AddCompute("c", 0, 10*us, a, b)
-	r, _ := Execute(g)
-	path := CriticalPath(g, r)
-	if len(path) != 2 || path[0] != b || path[1] != c {
-		t.Fatalf("critical path %v", path)
+	r, _ := execute(g)
+	if r.Timings[c].Start != r.Timings[b].End || r.Timings[c].Start <= r.Timings[a].End {
+		t.Fatalf("c starts at %v; dependencies end at %v and %v", r.Timings[c].Start, r.Timings[a].End, r.Timings[b].End)
 	}
-	if CriticalPath(graph.New(), Result{}) != nil {
-		t.Fatal("empty critical path")
+	if r.Makespan != 110*us {
+		t.Fatalf("makespan %v, want 110us", r.Makespan)
 	}
 }
 
@@ -196,7 +203,7 @@ func TestMakespanBoundsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	f := func() bool {
 		g := buildRandomDAG(rng, 1+rng.Intn(60))
-		r, err := Execute(g)
+		r, err := execute(g)
 		if err != nil {
 			return false
 		}
@@ -232,7 +239,7 @@ func longestPath(g *graph.Graph) simtime.Duration {
 }
 
 // TestExecutorAllocationFree: a warmed Executor runs a reused graph
-// without allocating; busy times live in executor-owned storage.
+// without allocating, and gives the same schedule every time.
 func TestExecutorAllocationFree(t *testing.T) {
 	g := buildServingGraph(8, 4)
 	var e Executor
@@ -240,7 +247,7 @@ func TestExecutorAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBusy := want.Busy(graph.Resource{Class: graph.ResCompute, Device: 3})
+	want.Timings = append([]NodeTiming(nil), want.Timings...)
 	if n := testing.AllocsPerRun(50, func() {
 		if _, err := e.Execute(g); err != nil {
 			t.Fatal(err)
@@ -249,12 +256,7 @@ func TestExecutorAllocationFree(t *testing.T) {
 		t.Fatalf("warmed Execute allocates %v times per call", n)
 	}
 	r, _ := e.Execute(g)
-	if r.Makespan != want.Makespan || r.Busy(graph.Resource{Class: graph.ResCompute, Device: 3}) != wantBusy {
+	if r.Makespan != want.Makespan || !slices.Equal(r.Timings, want.Timings) {
 		t.Fatal("re-executing the same graph changed its result")
-	}
-	for _, res := range []graph.Resource{{Class: graph.ResCompute, Device: 8}, {Class: graph.ResCompute, Device: -1}, {Class: 7}} {
-		if b := r.Busy(res); b != 0 {
-			t.Fatalf("busy time %v for resource %+v outside the graph", b, res)
-		}
 	}
 }

@@ -59,7 +59,7 @@ type SchedulePoint struct {
 	Replicas int
 }
 
-// AutoscalerConfig parameterises the registered policies; each policy
+// AutoscalerConfig parameterises the autoscaling policies; each policy
 // reads only its own fields.
 type AutoscalerConfig struct {
 	// QueueTarget is the queue-depth policy's target queued requests per
@@ -117,15 +117,6 @@ var autoscalerFactories = map[string]func(cfg AutoscalerConfig) (Autoscaler, err
 	},
 }
 
-// RegisterAutoscaler adds an autoscaling policy under the given name;
-// it panics on duplicates. Call from init or test setup.
-func RegisterAutoscaler(name string, factory func(cfg AutoscalerConfig) (Autoscaler, error)) {
-	if _, dup := autoscalerFactories[name]; dup {
-		panic(fmt.Sprintf("cluster: duplicate autoscaler %q", name))
-	}
-	autoscalerFactories[name] = factory
-}
-
 // NewAutoscaler builds the named autoscaling policy.
 func NewAutoscaler(name string, cfg AutoscalerConfig) (Autoscaler, error) {
 	f, ok := autoscalerFactories[name]
@@ -135,7 +126,7 @@ func NewAutoscaler(name string, cfg AutoscalerConfig) (Autoscaler, error) {
 	return f(cfg)
 }
 
-// Autoscalers returns the registered autoscaler names, sorted.
+// Autoscalers returns the autoscaler names, sorted.
 func Autoscalers() []string {
 	names := make([]string, 0, len(autoscalerFactories))
 	for name := range autoscalerFactories {

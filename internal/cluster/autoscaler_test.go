@@ -89,12 +89,6 @@ func TestAutoscalerRegistry(t *testing.T) {
 	if got := Autoscalers(); len(got) < 3 {
 		t.Fatalf("autoscalers %v", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration must panic")
-		}
-	}()
-	RegisterAutoscaler(ScaleQueueDepth, func(AutoscalerConfig) (Autoscaler, error) { return nil, nil })
 }
 
 // autoscaledCluster builds a roofline-priced cluster with the given

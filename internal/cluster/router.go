@@ -64,16 +64,6 @@ var routerFactories = map[string]func() Router{
 	RouterPrefixAffinity: func() Router { return prefixAffinity{} },
 }
 
-// RegisterRouter adds a routing policy under the given name; it
-// panics on duplicates, mirroring the behaviour of flag registration.
-// Call from init or test setup.
-func RegisterRouter(name string, factory func() Router) {
-	if _, dup := routerFactories[name]; dup {
-		panic(fmt.Sprintf("cluster: duplicate router %q", name))
-	}
-	routerFactories[name] = factory
-}
-
 // NewRouter builds a fresh instance of the named routing policy.
 func NewRouter(name string) (Router, error) {
 	f, ok := routerFactories[name]
@@ -83,7 +73,7 @@ func NewRouter(name string) (Router, error) {
 	return f(), nil
 }
 
-// Routers returns the registered router names, sorted.
+// Routers returns the router names, sorted.
 func Routers() []string {
 	names := make([]string, 0, len(routerFactories))
 	for name := range routerFactories {

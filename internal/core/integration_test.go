@@ -39,20 +39,20 @@ func TestIterationLatencyMatchesEngineSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	var expected simtime.Duration
-	for _, op := range it.Block {
-		r, err := sim.NPUStack().Run(op)
+	for i := range it.Block {
+		lat, err := sim.NPUStack().RunLatency(&it.Block[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		expected += r.Latency
+		expected += lat
 	}
 	expected *= simtime.Duration(opts.Model.Layers)
-	for _, op := range []model.Op{it.Embed, it.Head} {
-		r, err := sim.NPUStack().Run(op)
+	for _, op := range []*model.Op{&it.Embed, &it.Head} {
+		lat, err := sim.NPUStack().RunLatency(op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		expected += r.Latency
+		expected += lat
 	}
 	if lat != expected {
 		t.Fatalf("iteration latency %v, engine sum %v", lat, expected)

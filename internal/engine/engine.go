@@ -14,8 +14,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"repro/internal/model"
@@ -56,9 +54,6 @@ type Compiled any
 
 // Result is the simulated execution of one compiled operator.
 type Result struct {
-	// Op is the operator priced. Engines leave it zero; Stack stamps the
-	// caller's operator on every result it returns.
-	Op            model.Op
 	Latency       simtime.Duration
 	ComputeCycles int64 // cycles the compute resource was busy
 	MemoryCycles  int64 // cycles the memory system was busy
@@ -78,29 +73,19 @@ type Engine interface {
 	Compile(op model.Op) (Compiled, error)
 	// Simulate executes a compiled operator and reports its latency.
 	Simulate(c Compiled) (Result, error)
-	// Supports reports whether the engine can execute the operator kind;
-	// the operator-mapping strategies consult it.
-	Supports(kind model.OpKind) bool
 	// MemoryBytes returns the device memory capacity (KV paging budget).
 	MemoryBytes() int64
-	// MemoryBandwidth returns the device memory bandwidth in bytes/sec.
-	MemoryBandwidth() float64
-	// PeakFLOPs returns the peak compute rate in FLOP/s (roofline roof).
-	PeakFLOPs() float64
 }
 
-// StackStats instruments a Stack: cache effectiveness and the host
-// wall-clock cost of each phase (the paper's "simulation time" metric,
-// Figs. 8-10, and the execution-engine bar of the Fig. 9 breakdown).
+// StackStats counts a Stack's calls and cache hits per phase. A miss
+// (calls minus hits) is one call into the engine; with reuse on, each
+// compile miss adds a cached artifact and each simulate miss a cached
+// result.
 type StackStats struct {
 	CompileCalls  int64
 	CompileHits   int64
 	SimulateCalls int64
 	SimulateHits  int64
-	CompileHost   time.Duration // host time spent inside Compile
-	SimulateHost  time.Duration // host time spent inside Simulate
-	OpsSimulated  int64
-	SimulatedBusy simtime.Duration // total simulated device-busy time
 }
 
 // HitRate returns the combined cache hit rate across both phases.
@@ -134,30 +119,20 @@ type Stack struct {
 	stats StackStats             // slow-path counters; fast hits are folded in by Stats
 
 	// Double hits (both phases cached) count here only: each advances
-	// every call/hit counter and OpsSimulated by one, and SimulatedBusy
-	// by its latency.
-	hits    int64
-	hitBusy simtime.Duration
-
-	// gen counts ClearCaches calls, so a Memo in front of the stack
-	// notices that what it remembers was dropped.
-	gen atomic.Uint64
+	// every call/hit counter by one.
+	hits int64
 }
 
 // cacheEntry is one shape's cached compilation and, once simulated, its
-// result (less the Op, which every call supplies). Entries never move,
-// and once simulated is set under the stack's lock the result fields
-// never change, so a caller that saw simulated under the lock may read
-// them after releasing it.
+// latency. Entries never move, and once simulated is set under the
+// stack's lock the latency never changes, so a caller that saw
+// simulated under the lock may read it after releasing it.
 type cacheEntry struct {
 	key       model.ShapeID
 	next      *cacheEntry // another shape with the same hash
 	compiled  Compiled
 	simulated bool
-
-	latency                                 simtime.Duration
-	computeCycles, memoryCycles, bytesMoved int64
-	bound                                   string
+	latency   simtime.Duration
 }
 
 // shapeHash folds a shape into the cache's 64-bit map key. Distinct
@@ -169,12 +144,6 @@ func shapeHash(k model.ShapeID) uint64 {
 		h = h*0x9E3779B97F4A7C15 + uint64(v)
 	}
 	return h
-}
-
-// result rebuilds the cached Result under the caller's op identity.
-func (e *cacheEntry) result(op model.Op) Result {
-	return Result{Op: op, Latency: e.latency, ComputeCycles: e.computeCycles,
-		MemoryCycles: e.memoryCycles, BytesMoved: e.bytesMoved, Bound: e.bound}
 }
 
 // arenaBlock is how many cache entries one arena allocation holds:
@@ -192,9 +161,6 @@ func NewStack(eng Engine, reuse bool) *Stack {
 
 // Engine returns the wrapped engine.
 func (s *Stack) Engine() Engine { return s.eng }
-
-// ReuseEnabled reports whether result reuse is on.
-func (s *Stack) ReuseEnabled() bool { return s.reuse }
 
 // lookup returns the shape's cache entry, or nil. The caller holds s.mu.
 func (s *Stack) lookup(key model.ShapeID) *cacheEntry {
@@ -220,30 +186,19 @@ func (s *Stack) hit(key model.ShapeID) *cacheEntry {
 		return nil
 	}
 	s.hits++
-	s.hitBusy += e.latency
 	s.mu.Unlock()
 	return e
 }
 
-// Run compiles and simulates one operator, consulting the caches.
-func (s *Stack) Run(op model.Op) (Result, error) {
-	key := op.ShapeID()
-	if e := s.hit(key); e != nil {
-		return e.result(op), nil
-	}
-	return s.runSlow(&op, key)
-}
-
-// RunLatency is Run for hot loops that need only the simulated latency:
-// the cached fast path is one map probe and copies only the latency,
-// neither the Result nor the op. op is only read.
+// RunLatency compiles and simulates one operator, consulting the
+// caches, and returns its simulated latency. The cached fast path is
+// one map probe. op is only read.
 func (s *Stack) RunLatency(op *model.Op) (simtime.Duration, error) {
 	key := op.ShapeID()
 	if e := s.hit(key); e != nil {
 		return e.latency, nil
 	}
-	r, err := s.runSlow(op, key)
-	return r.Latency, err
+	return s.runSlow(op, key)
 }
 
 // entry returns the shape's cache entry, adding an empty one if needed.
@@ -271,10 +226,10 @@ func opLabel(op *model.Op) string {
 	return fmt.Sprintf("%s (request %d)", op.Name, op.ReqID)
 }
 
-// runSlow is the cache-missing path of Run. With reuse on it finds or
-// adds the shape's entry once; entries never move, so later steps use
-// it under the lock without probing the map again.
-func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (Result, error) {
+// runSlow is the cache-missing path of RunLatency. With reuse on it
+// finds or adds the shape's entry once; entries never move, so later
+// steps use it under the lock without probing the map again.
+func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (simtime.Duration, error) {
 	var e *cacheEntry // nil without reuse
 	var c Compiled
 	s.mu.Lock()
@@ -288,15 +243,11 @@ func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (Result, error) {
 	s.mu.Unlock()
 
 	if c == nil {
-		start := time.Now()
 		var err error
-		c, err = s.eng.Compile(*op)
-		elapsed := time.Since(start)
-		if err != nil {
-			return Result{}, fmt.Errorf("engine %s: compiling %s: %w", s.eng.Name(), opLabel(op), err)
+		if c, err = s.eng.Compile(*op); err != nil {
+			return 0, fmt.Errorf("engine %s: compiling %s: %w", s.eng.Name(), opLabel(op), err)
 		}
 		s.mu.Lock()
-		s.stats.CompileHost += elapsed
 		if e != nil {
 			e.compiled = c
 		}
@@ -306,40 +257,31 @@ func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (Result, error) {
 	s.stats.SimulateCalls++
 	if e != nil && e.simulated {
 		s.stats.SimulateHits++
-		s.stats.OpsSimulated++
-		s.stats.SimulatedBusy += e.latency
 		s.mu.Unlock()
-		return e.result(*op), nil
+		return e.latency, nil
 	}
 	s.mu.Unlock()
 
-	start := time.Now()
 	r, err := s.eng.Simulate(c)
-	elapsed := time.Since(start)
 	if err != nil {
-		return Result{}, fmt.Errorf("engine %s: simulating %s: %w", s.eng.Name(), opLabel(op), err)
+		return 0, fmt.Errorf("engine %s: simulating %s: %w", s.eng.Name(), opLabel(op), err)
 	}
-	s.mu.Lock()
-	s.stats.SimulateHost += elapsed
-	s.stats.OpsSimulated++
-	s.stats.SimulatedBusy += r.Latency
 	// A concurrent miss on the same shape may have stored it first;
 	// stored results are never rewritten.
-	if e != nil && !e.simulated {
-		e.simulated = true
-		e.latency, e.bound = r.Latency, r.Bound
-		e.computeCycles, e.memoryCycles, e.bytesMoved = r.ComputeCycles, r.MemoryCycles, r.BytesMoved
+	if e != nil {
+		s.mu.Lock()
+		if !e.simulated {
+			e.simulated, e.latency = true, r.Latency
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
-	r.Op = *op
-	return r, nil
+	return r.Latency, nil
 }
 
-// foldHits adds n double hits of total latency busy, counted by a Memo.
-func (s *Stack) foldHits(n int64, busy simtime.Duration) {
+// foldHits adds n double hits counted by a Memo.
+func (s *Stack) foldHits(n int64) {
 	s.mu.Lock()
 	s.hits += n
-	s.hitBusy += busy
 	s.mu.Unlock()
 }
 
@@ -352,8 +294,6 @@ func (s *Stack) Stats() StackStats {
 	st.CompileHits += s.hits
 	st.SimulateCalls += s.hits
 	st.SimulateHits += s.hits
-	st.OpsSimulated += s.hits
-	st.SimulatedBusy += s.hitBusy
 	return st
 }
 
@@ -361,33 +301,5 @@ func (s *Stack) Stats() StackStats {
 func (s *Stack) ResetStats() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats, s.hits, s.hitBusy = StackStats{}, 0, 0
-}
-
-// ClearCaches drops all cached compilation and simulation results, e.g.
-// to model a cold simulator start (the Figs. 8 and 10 "no cached results"
-// condition).
-func (s *Stack) ClearCaches() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cache = make(map[uint64]*cacheEntry)
-	s.arena = nil
-	s.gen.Add(1)
-}
-
-// CacheSizes returns the number of cached compiled artifacts and results.
-func (s *Stack) CacheSizes() (compiled, results int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.cache {
-		for ; e != nil; e = e.next {
-			if e.compiled != nil {
-				compiled++
-			}
-			if e.simulated {
-				results++
-			}
-		}
-	}
-	return compiled, results
+	s.stats, s.hits = StackStats{}, 0
 }

@@ -35,16 +35,16 @@ func TestComputationReuse(t *testing.T) {
 	s := newStack(t, true)
 	op := gemmOp(64)
 
-	first, err := s.Run(op)
+	first, err := s.RunLatency(&op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Run(op)
+	second, err := s.RunLatency(&op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Latency != second.Latency {
-		t.Fatalf("cached latency %v differs from fresh %v", second.Latency, first.Latency)
+	if first != second {
+		t.Fatalf("cached latency %v differs from fresh %v", second, first)
 	}
 	st := s.Stats()
 	if st.CompileCalls != 2 || st.CompileHits != 1 {
@@ -53,8 +53,8 @@ func TestComputationReuse(t *testing.T) {
 	if st.SimulateCalls != 2 || st.SimulateHits != 1 {
 		t.Fatalf("simulate calls/hits = %d/%d", st.SimulateCalls, st.SimulateHits)
 	}
-	if c, r := s.CacheSizes(); c != 1 || r != 1 {
-		t.Fatalf("cache sizes %d/%d", c, r)
+	if c, r := st.CompileCalls-st.CompileHits, st.SimulateCalls-st.SimulateHits; c != 1 || r != 1 {
+		t.Fatalf("compiled %d shapes and simulated %d, want 1 each", c, r)
 	}
 }
 
@@ -65,10 +65,10 @@ func TestReuseAcrossRequests(t *testing.T) {
 	a := model.Op{Kind: model.OpScore, Name: "Score.r0", M: 1, N: 65, K: 128, Heads: 8, ReqID: 0, Context: 65}
 	b := a
 	b.Name, b.ReqID = "Score.r7", 7
-	if _, err := s.Run(a); err != nil {
+	if _, err := s.RunLatency(&a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(b); err != nil {
+	if _, err := s.RunLatency(&b); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.SimulateHits != 1 {
@@ -77,19 +77,16 @@ func TestReuseAcrossRequests(t *testing.T) {
 }
 
 // TestErrorNamesRequest: per-request attention ops share a static name,
-// so a failing one is identified in the error by its ReqID, on both the
-// Run and RunLatency paths; a batched op is named alone.
+// so a failing one is identified in the error by its ReqID; a batched
+// op is named alone.
 func TestErrorNamesRequest(t *testing.T) {
 	s := newStack(t, true)
 	bad := model.Op{Kind: model.OpScore, Name: "Score", Phase: model.Generation, M: 1, N: 0, K: 128, Heads: 8, ReqID: 7}
-	if _, err := s.Run(bad); err == nil || !strings.Contains(err.Error(), "Score (request 7)") {
-		t.Fatalf("Run error %v does not name request 7", err)
-	}
 	if _, err := s.RunLatency(&bad); err == nil || !strings.Contains(err.Error(), "Score (request 7)") {
 		t.Fatalf("RunLatency error %v does not name request 7", err)
 	}
 	batched := gemmOp(0)
-	if _, err := s.Run(batched); err == nil || strings.Contains(err.Error(), "request") {
+	if _, err := s.RunLatency(&batched); err == nil || strings.Contains(err.Error(), "request") {
 		t.Fatalf("batched op error %v", err)
 	}
 }
@@ -98,48 +95,32 @@ func TestNoReuseRecomputes(t *testing.T) {
 	s := newStack(t, false)
 	op := gemmOp(64)
 	for i := 0; i < 3; i++ {
-		if _, err := s.Run(op); err != nil {
+		if _, err := s.RunLatency(&op); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	if st.CompileHits != 0 || st.SimulateHits != 0 {
+	// Every call misses both phases: the stack keeps nothing.
+	if st := s.Stats(); st.CompileCalls != 3 || st.SimulateCalls != 3 || st.CompileHits != 0 || st.SimulateHits != 0 {
 		t.Fatalf("no-reuse stack must not hit caches: %+v", st)
-	}
-	if c, r := s.CacheSizes(); c != 0 || r != 0 {
-		t.Fatalf("no-reuse stack must not populate caches: %d/%d", c, r)
-	}
-}
-
-func TestClearCaches(t *testing.T) {
-	s := newStack(t, true)
-	if _, err := s.Run(gemmOp(64)); err != nil {
-		t.Fatal(err)
-	}
-	s.ClearCaches()
-	if c, r := s.CacheSizes(); c != 0 || r != 0 {
-		t.Fatal("caches must be empty after ClearCaches")
-	}
-	if _, err := s.Run(gemmOp(64)); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.SimulateHits != 0 {
-		t.Fatal("cold cache must not hit")
 	}
 }
 
 func TestResetStats(t *testing.T) {
 	s := newStack(t, true)
-	if _, err := s.Run(gemmOp(64)); err != nil {
+	op := gemmOp(64)
+	if _, err := s.RunLatency(&op); err != nil {
 		t.Fatal(err)
 	}
 	s.ResetStats()
-	if st := s.Stats(); st.CompileCalls != 0 || st.OpsSimulated != 0 {
+	if st := s.Stats(); st != (engine.StackStats{}) {
 		t.Fatalf("stats must reset: %+v", st)
 	}
-	// Caches survive a stats reset.
-	if c, _ := s.CacheSizes(); c != 1 {
-		t.Fatal("caches must survive ResetStats")
+	// Caches survive a stats reset: the same shape hits both phases.
+	if _, err := s.RunLatency(&op); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st != (engine.StackStats{CompileCalls: 1, CompileHits: 1, SimulateCalls: 1, SimulateHits: 1}) {
+		t.Fatalf("caches must survive ResetStats: %+v", st)
 	}
 }
 
@@ -165,7 +146,8 @@ func TestConcurrentRun(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 8; j++ {
-				if _, err := s.Run(gemmOp(16 + (i+j)%4*16)); err != nil {
+				op := gemmOp(16 + (i+j)%4*16)
+				if _, err := s.RunLatency(&op); err != nil {
 					errs <- err
 				}
 			}
@@ -176,27 +158,8 @@ func TestConcurrentRun(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.OpsSimulated != 64 {
-		t.Fatalf("ops simulated = %d", st.OpsSimulated)
-	}
-}
-
-func TestRunResultIdentity(t *testing.T) {
-	s := newStack(t, true)
-	op := gemmOp(32)
-	if _, err := s.Run(op); err != nil {
-		t.Fatal(err)
-	}
-	other := op
-	other.Name, other.ReqID = "renamed", 5
-	res, err := s.Run(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cached results must carry the caller's op identity, not the cached
-	// op's.
-	if res.Op.Name != "renamed" {
-		t.Fatalf("result op name %q", res.Op.Name)
+	if st := s.Stats(); st.SimulateCalls != 64 {
+		t.Fatalf("simulate calls = %d", st.SimulateCalls)
 	}
 }
 

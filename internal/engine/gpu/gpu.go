@@ -42,14 +42,9 @@ func New(cfg config.GPUConfig) (*Engine, error) {
 // Config returns the engine's hardware configuration.
 func (e *Engine) Config() config.GPUConfig { return e.cfg }
 
-func (e *Engine) Name() string             { return e.cfg.Name }
-func (e *Engine) Kind() engine.Kind        { return engine.GPU }
-func (e *Engine) MemoryBytes() int64       { return e.cfg.MemoryBytes }
-func (e *Engine) MemoryBandwidth() float64 { return e.cfg.MemoryBWBytes }
-func (e *Engine) PeakFLOPs() float64       { return e.cfg.PeakFLOPs }
-
-// Supports reports true for all operators: the GPU runs the whole model.
-func (e *Engine) Supports(model.OpKind) bool { return true }
+func (e *Engine) Name() string       { return e.cfg.Name }
+func (e *Engine) Kind() engine.Kind  { return engine.GPU }
+func (e *Engine) MemoryBytes() int64 { return e.cfg.MemoryBytes }
 
 // kernel is a compiled GPU operator: the fused kernel choice and its
 // roofline inputs.

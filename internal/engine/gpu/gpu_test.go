@@ -46,10 +46,12 @@ func TestEngineInterface(t *testing.T) {
 	if e.Kind() != engine.GPU {
 		t.Fatal("kind")
 	}
-	if !e.Supports(model.OpQKVGen) || !e.Supports(model.OpScore) {
-		t.Fatal("GPU supports everything")
+	for _, k := range []model.OpKind{model.OpQKVGen, model.OpScore} {
+		if _, err := e.Compile(model.Op{Kind: k, Name: k.String(), M: 4, N: 64, K: 64, Heads: 1}); err != nil {
+			t.Fatalf("GPU must compile every operator: %v", err)
+		}
 	}
-	if e.MemoryBytes() <= 0 || e.MemoryBandwidth() <= 0 || e.PeakFLOPs() <= 0 {
+	if e.Name() == "" || e.MemoryBytes() <= 0 {
 		t.Fatal("descriptor methods")
 	}
 }

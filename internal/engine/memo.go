@@ -30,20 +30,16 @@ import (
 // the hits counted since the last Flush into the Stack's counters, so
 // Stats matches a bare Stack's after every Flush. With reuse off on
 // the Stack the memo keeps nothing and every call reaches the engine.
-// A ClearCaches on the Stack empties the memo before its next lookup.
 //
 // A Memo is not safe for concurrent use; the Stack behind it still is.
 type Memo struct {
 	s          *Stack
-	gen        uint64 // the stack's cache generation the tables hold
 	maxContext int
 
 	attn [3][2]attnTable // decode attention by (kind - OpScore, phase)
 	ops  [memoSlots]memoSlot
 
-	// Hits since the last Flush.
-	hits    int64
-	hitBusy simtime.Duration
+	hits int64 // since the last Flush
 }
 
 // attnTable holds one (kind, phase) pair's decode-attention latencies
@@ -77,16 +73,13 @@ const (
 // context lengths the decode-attention tables cover (the model's
 // maximum sequence length).
 func NewMemo(s *Stack, maxContext int) *Memo {
-	return &Memo{s: s, gen: s.gen.Load(), maxContext: min(max(maxContext, 0), maxMemoContext)}
+	return &Memo{s: s, maxContext: min(max(maxContext, 0), maxMemoContext)}
 }
 
 // RunLatency is Stack.RunLatency through the memo. op is only read.
 func (m *Memo) RunLatency(op *model.Op) (simtime.Duration, error) {
 	if !m.s.reuse {
 		return m.s.RunLatency(op)
-	}
-	if g := m.s.gen.Load(); g != m.gen {
-		m.reset(g)
 	}
 	if op.Kind.IsAttention() {
 		return m.attention(op)
@@ -97,7 +90,6 @@ func (m *Memo) RunLatency(op *model.Op) (simtime.Duration, error) {
 	e := &m.ops[slotOf(op)]
 	if e.m == op.M && e.n == op.N && e.k == op.K && e.kind == op.Kind && e.phase == op.Phase {
 		m.hits++
-		m.hitBusy += e.lat
 		return e.lat, nil
 	}
 	lat, err := m.s.RunLatency(op)
@@ -126,10 +118,8 @@ func (m *Memo) attention(op *model.Op) (simtime.Duration, error) {
 		return m.s.RunLatency(op)
 	}
 	if v := t.lat[ctx]; v != 0 {
-		lat := simtime.Duration(v - 1)
 		m.hits++
-		m.hitBusy += lat
-		return lat, nil
+		return simtime.Duration(v - 1), nil
 	}
 	lat, err := m.s.RunLatency(op)
 	if err == nil && lat >= 0 && lat < math.MaxUint32 {
@@ -154,13 +144,6 @@ func (m *Memo) Flush() {
 	if m.hits == 0 {
 		return
 	}
-	m.s.foldHits(m.hits, m.hitBusy)
-	m.hits, m.hitBusy = 0, 0
-}
-
-// reset empties the memo after the Stack's caches were cleared.
-func (m *Memo) reset(gen uint64) {
-	m.attn = [3][2]attnTable{}
-	clear(m.ops[:])
-	m.gen = gen
+	m.s.foldHits(m.hits)
+	m.hits = 0
 }

@@ -90,19 +90,13 @@ func (p pair) run(t *testing.T, i int, op model.Op) simtime.Duration {
 }
 
 // checkStats flushes the memo and fails unless its stack's counters
-// equal the bare stack's (host times aside).
+// equal the bare stack's. Equal misses (calls minus hits) mean both
+// stacks compiled and simulated the same shapes.
 func (p pair) checkStats(t *testing.T, at string) {
 	t.Helper()
 	p.memo.Flush()
-	got, want := p.via.Stats(), p.bare.Stats()
-	got.CompileHost, got.SimulateHost, want.CompileHost, want.SimulateHost = 0, 0, 0, 0
-	if got != want {
+	if got, want := p.via.Stats(), p.bare.Stats(); got != want {
 		t.Fatalf("%s: stats through the memo\n%+v\nbare stack\n%+v", at, got, want)
-	}
-	gc, gr := p.via.CacheSizes()
-	wc, wr := p.bare.CacheSizes()
-	if gc != wc || gr != wr {
-		t.Fatalf("%s: cache sizes %d/%d, bare stack %d/%d", at, gc, gr, wc, wr)
 	}
 }
 
@@ -164,8 +158,7 @@ func randomOp(r *rand.Rand, attentionOnly bool) model.Op {
 
 // TestMemoMatchesStack replays random operator streams through a memo
 // and through a bare Stack: every latency must match bit for bit, and
-// after every Flush so must every Stats counter. Caches are cleared
-// now and then on both sides.
+// after every Flush so must every Stats counter.
 func TestMemoMatchesStack(t *testing.T) {
 	for _, kind := range []engine.Kind{engine.NPU, engine.PIM} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -173,12 +166,8 @@ func TestMemoMatchesStack(t *testing.T) {
 			p := newPair(t, kind, true)
 			for i := range 4000 {
 				p.run(t, i, randomOp(r, kind == engine.PIM))
-				switch r.Intn(200) {
-				case 0:
+				if r.Intn(200) == 0 {
 					p.checkStats(t, kind.String())
-				case 1:
-					p.via.ClearCaches()
-					p.bare.ClearCaches()
 				}
 			}
 			p.checkStats(t, kind.String())

@@ -43,15 +43,9 @@ func New(cfg config.NPUConfig) (*Engine, error) {
 // Config returns the engine's hardware configuration.
 func (e *Engine) Config() config.NPUConfig { return e.cfg }
 
-func (e *Engine) Name() string             { return e.cfg.Name }
-func (e *Engine) Kind() engine.Kind        { return engine.NPU }
-func (e *Engine) MemoryBytes() int64       { return e.cfg.MemoryBytes }
-func (e *Engine) MemoryBandwidth() float64 { return e.cfg.MemoryBWBytes }
-func (e *Engine) PeakFLOPs() float64       { return e.cfg.PeakFLOPs() }
-
-// Supports reports true for every LLM operator: an NPU with a vector unit
-// executes the whole model (the homogeneous-system configuration).
-func (e *Engine) Supports(model.OpKind) bool { return true }
+func (e *Engine) Name() string       { return e.cfg.Name }
+func (e *Engine) Kind() engine.Kind  { return engine.NPU }
+func (e *Engine) MemoryBytes() int64 { return e.cfg.MemoryBytes }
 
 // kernelClass selects the execution resource for an operator.
 type kernelClass int

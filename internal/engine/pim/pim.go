@@ -40,15 +40,9 @@ func New(cfg config.PIMConfig) (*Engine, error) {
 // Config returns the engine's hardware configuration.
 func (e *Engine) Config() config.PIMConfig { return e.cfg }
 
-func (e *Engine) Name() string             { return e.cfg.Name }
-func (e *Engine) Kind() engine.Kind        { return engine.PIM }
-func (e *Engine) MemoryBytes() int64       { return e.cfg.MemoryBytes }
-func (e *Engine) MemoryBandwidth() float64 { return e.cfg.MemoryBWBytes }
-func (e *Engine) PeakFLOPs() float64       { return e.cfg.PeakFLOPs() }
-
-// Supports reports true only for the attention-core operators the
-// heterogeneous mapping routes to PIM.
-func (e *Engine) Supports(k model.OpKind) bool { return k.IsAttention() }
+func (e *Engine) Name() string       { return e.cfg.Name }
+func (e *Engine) Kind() engine.Kind  { return engine.PIM }
+func (e *Engine) MemoryBytes() int64 { return e.cfg.MemoryBytes }
 
 // program is a compiled PIM operator: the per-bank command stream layout.
 type program struct {
@@ -62,7 +56,7 @@ type program struct {
 // work proportional to the command count, mirroring a real PIM command
 // scheduler.
 func (e *Engine) Compile(op model.Op) (engine.Compiled, error) {
-	if !e.Supports(op.Kind) {
+	if !op.Kind.IsAttention() {
 		return nil, fmt.Errorf("pim: unsupported operator kind %s (%s)", op.Kind, op.Name)
 	}
 	if op.M <= 0 || op.N <= 0 || op.K <= 0 {

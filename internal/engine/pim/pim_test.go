@@ -50,13 +50,19 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
+// TestSupportsOnlyAttention: PIM compiles the attention core and
+// rejects every other operator, the heterogeneous mapping's split.
 func TestSupportsOnlyAttention(t *testing.T) {
 	e := newEngine(t)
-	if !e.Supports(model.OpScore) || !e.Supports(model.OpAttend) || !e.Supports(model.OpSoftmax) {
-		t.Fatal("PIM must support the attention core")
+	for _, k := range []model.OpKind{model.OpScore, model.OpAttend, model.OpSoftmax} {
+		if _, err := e.Compile(model.Op{Kind: k, Name: k.String(), M: 1, N: 64, K: 64, Heads: 8}); err != nil {
+			t.Fatalf("PIM must support the attention core: %v", err)
+		}
 	}
-	if e.Supports(model.OpQKVGen) || e.Supports(model.OpFFN1) || e.Supports(model.OpLayerNorm) {
-		t.Fatal("PIM must reject compute-bound operators")
+	for _, k := range []model.OpKind{model.OpQKVGen, model.OpFFN1, model.OpLayerNorm} {
+		if _, err := e.Compile(model.Op{Kind: k, Name: k.String(), M: 1, N: 64, K: 64, Heads: 1}); err == nil {
+			t.Fatalf("PIM must reject compute-bound operator %s", k)
+		}
 	}
 }
 
@@ -78,8 +84,8 @@ func TestEngineInterface(t *testing.T) {
 	if e.MemoryBytes() != 32*config.GB {
 		t.Fatal("Table I memory")
 	}
-	if e.PeakFLOPs() <= 0 || e.MemoryBandwidth() != 1e12 {
-		t.Fatal("descriptor methods")
+	if e.Config().PeakFLOPs() <= 0 || e.Config().MemoryBWBytes != 1e12 {
+		t.Fatal("Table I bandwidth")
 	}
 }
 

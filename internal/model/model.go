@@ -190,14 +190,3 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Register adds a custom model configuration, overwriting any existing
-// model of the same name. It allows users to simulate architectures beyond
-// the built-in families.
-func Register(cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	registry[cfg.Name] = cfg
-	return nil
-}

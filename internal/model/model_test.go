@@ -89,25 +89,6 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestRegister(t *testing.T) {
-	custom := Config{
-		Name: "tiny-test", Layers: 2, Hidden: 64, Heads: 4, FFN: 256,
-		Vocab: 1000, MaxSeqLen: 128, DTypeBytes: 2,
-	}
-	if err := Register(custom); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Lookup("tiny-test")
-	if err != nil || got != custom {
-		t.Fatalf("Lookup after Register: %v %v", got, err)
-	}
-	bad := custom
-	bad.Layers = 0
-	if err := Register(bad); err == nil {
-		t.Fatal("Register must validate")
-	}
-}
-
 func TestSplitTensorParallel(t *testing.T) {
 	cfg := MustLookup("gpt3-30b") // 56 heads
 	// Uneven degrees are allowed (padded sharding).

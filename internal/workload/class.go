@@ -190,7 +190,9 @@ func ParseClass(spec string) (Class, error) {
 		if err != nil {
 			return Class{}, fmt.Errorf("workload: class spec %q: SLO target: %w", spec, err)
 		}
-		*slos[i] = simtime.Duration(ms * float64(simtime.Millisecond))
+		if *slos[i], err = scaled([...]string{"ttft_ms", "tpot_ms"}[i], ms, simtime.Millisecond); err != nil {
+			return Class{}, fmt.Errorf("workload: class spec %q: %w", spec, err)
+		}
 	}
 	if err := c.Validate(); err != nil {
 		return Class{}, err
@@ -213,6 +215,17 @@ func parsePrefixToks(p string) (int, error) {
 		return 0, fmt.Errorf("prefix_toks: want a whole non-negative token count, got %g", f)
 	}
 	return int(f), nil
+}
+
+// scaled converts x units of unit to a duration. It rejects NaN,
+// negative values and values past the picosecond range, naming field:
+// Go leaves converting those to an integer implementation-defined.
+func scaled(field string, x float64, unit simtime.Duration) (simtime.Duration, error) {
+	d := x * float64(unit)
+	if !(d >= 0) || d >= math.MaxInt64 {
+		return 0, fmt.Errorf("%s: want a finite non-negative value within the simulated range, got %g", field, x)
+	}
+	return simtime.Duration(d), nil
 }
 
 // ParseClasses converts a comma-separated list of class specs (see
@@ -256,10 +269,9 @@ func ParseRamp(spec string) (Ramp, error) {
 		if err != nil {
 			return Ramp{}, fmt.Errorf("workload: ramp spec %q: %w", spec, err)
 		}
-		if over < 0 {
-			return Ramp{}, fmt.Errorf("workload: ramp spec %q: negative window", spec)
+		if r.Over, err = scaled("over_s", over, simtime.Second); err != nil {
+			return Ramp{}, fmt.Errorf("workload: ramp spec %q: %w", spec, err)
 		}
-		r.Over = simtime.Duration(over * float64(simtime.Second))
 	}
 	if err := r.Validate(); err != nil {
 		return Ramp{}, err

@@ -183,3 +183,35 @@ func TestClassNames(t *testing.T) {
 		t.Fatalf("class names %v", got)
 	}
 }
+
+// TestParsersRejectOutOfRangeFloats: every float field that becomes a
+// duration rejects NaN, infinities, values past the picosecond range
+// and negative values at parse time, and names the field. Converting
+// such a float to an integer is implementation-defined in Go (NaN
+// becomes 0 on arm64 and MinInt64 on amd64), so no later check can be
+// relied on to catch it.
+func TestParsersRejectOutOfRangeFloats(t *testing.T) {
+	fields := []struct {
+		name  string
+		parse func(v string) error
+	}{
+		{"arrival_time_ms", func(v string) error {
+			_, err := ReadTSV(strings.NewReader("input_toks\toutput_toks\tarrival_time_ms\n8\t4\t" + v + "\n"))
+			return err
+		}},
+		{"ttft_ms", func(v string) error { _, err := ParseClass("chat:sharegpt:2:" + v); return err }},
+		{"tpot_ms", func(v string) error { _, err := ParseClass("chat:sharegpt:2:100:" + v); return err }},
+		{"over_s", func(v string) error { _, err := ParseRamp("1:2:" + v); return err }},
+	}
+	for _, f := range fields {
+		if err := f.parse("1.5"); err != nil {
+			t.Fatalf("%s: in-range value rejected: %v", f.name, err)
+		}
+		for _, v := range []string{"NaN", "+Inf", "-Inf", "1e300", "-1"} {
+			err := f.parse(v)
+			if err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s=%s: error %v does not name the field", f.name, v, err)
+			}
+		}
+	}
+}

@@ -219,155 +219,6 @@ func (s *MultiClassStream) Next() (Request, bool) {
 // picosecond range.
 var maxTraceSeconds = float64(math.MaxInt64) / float64(simtime.Second)
 
-// ClassStream generates one class's arrivals in isolation: a Poisson
-// process at the class rate with the class's lengths, SLO tagging, and
-// shared prefix. Combine several with Merge to build a multi-class
-// stream whose per-class marginals are exactly independent processes
-// (MultiClassStream thins one merged process instead, which is the
-// distribution-equivalent construction the materialized path pins).
-type ClassStream struct {
-	class Class
-	n     int
-	rng   *rand.Rand
-	i     int
-	t     float64
-}
-
-// NewClassStream validates the class and returns the generator.
-func NewClassStream(c Class, n int, seed int64) (*ClassStream, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("workload: trace size must be positive, got %d", n)
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return &ClassStream{class: c, n: n, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// Target returns the stream's total request count.
-func (s *ClassStream) Target() int { return s.n }
-
-// Next yields the class's next request, false after n draws.
-func (s *ClassStream) Next() (Request, bool) {
-	if s.i >= s.n {
-		return Request{}, false
-	}
-	s.t += s.rng.ExpFloat64() / s.class.Rate
-	in, out := s.class.Dist.Sample(s.rng)
-	r := Request{
-		ID: s.i, Class: s.class.Name,
-		InputLen: in + s.class.PrefixLen, OutputLen: out,
-		PrefixLen: s.class.PrefixLen,
-		Arrival:   simtime.AtSeconds(s.t),
-	}
-	s.i++
-	return r, true
-}
-
-// Merge interleaves k arrival-ordered streams into one arrival-ordered
-// stream via a k-way heap merge: O(log k) per request, no
-// materialization, no full-slice sort. Ties break on source order (then
-// on each source's own emission order), so the merge is deterministic
-// for a fixed stream list. Output IDs are renumbered 0,1,2,... in
-// merged order; the merged target is the sum of the source targets when
-// every source knows its own.
-func Merge(streams ...Stream) Stream {
-	m := &mergeStream{}
-	m.heads = make([]mergeHead, 0, len(streams))
-	target, known := 0, true
-	for si, s := range streams {
-		if n, ok := StreamTarget(s); ok {
-			target += n
-		} else {
-			known = false
-		}
-		if r, ok := s.Next(); ok {
-			m.heads = append(m.heads, mergeHead{req: r, src: si, stream: s})
-		} else if err := StreamErr(s); err != nil && m.err == nil {
-			m.err = err
-		}
-	}
-	if known {
-		m.target = target
-		m.hasTarget = true
-	}
-	// Heapify the initial heads.
-	for i := len(m.heads)/2 - 1; i >= 0; i-- {
-		m.down(i)
-	}
-	return m
-}
-
-type mergeHead struct {
-	req    Request
-	src    int
-	stream Stream
-}
-
-type mergeStream struct {
-	heads     []mergeHead // min-heap on (arrival, source index)
-	next      int         // next output ID
-	target    int
-	hasTarget bool
-	err       error
-}
-
-func (m *mergeStream) Target() int { return m.target }
-
-func (m *mergeStream) Err() error { return m.err }
-
-func (m *mergeStream) before(a, b mergeHead) bool {
-	if a.req.Arrival != b.req.Arrival {
-		return a.req.Arrival < b.req.Arrival
-	}
-	return a.src < b.src
-}
-
-func (m *mergeStream) Next() (Request, bool) {
-	if len(m.heads) == 0 || m.err != nil {
-		return Request{}, false
-	}
-	h := m.heads[0]
-	out := h.req
-	out.ID = m.next
-	m.next++
-	if r, ok := h.stream.Next(); ok {
-		m.heads[0] = mergeHead{req: r, src: h.src, stream: h.stream}
-		m.down(0)
-	} else {
-		if err := StreamErr(h.stream); err != nil {
-			m.err = err
-			return Request{}, false
-		}
-		last := len(m.heads) - 1
-		m.heads[0] = m.heads[last]
-		m.heads = m.heads[:last]
-		if last > 0 {
-			m.down(0)
-		}
-	}
-	return out, true
-}
-
-func (m *mergeStream) down(i int) {
-	n := len(m.heads)
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && m.before(m.heads[l], m.heads[best]) {
-			best = l
-		}
-		if r < n && m.before(m.heads[r], m.heads[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		m.heads[i], m.heads[best] = m.heads[best], m.heads[i]
-		i = best
-	}
-}
-
 // IsSortedByArrival reports whether the trace is already in arrival
 // order (ties in ID order) — the O(n) check that lets bulk consumers
 // skip the O(n log n) sort on the common already-ordered path.

@@ -109,6 +109,10 @@ func ReadTSV(r io.Reader) ([]Request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: line %d: arrival time: %w", lineNo, err)
 		}
+		arrival, err := scaled("arrival_time_ms", ms, simtime.Millisecond)
+		if err != nil {
+			return nil, fmt.Errorf("workload: line %d: %w", lineNo, err)
+		}
 		class := ""
 		if len(fields) > 3 {
 			class = strings.TrimSpace(fields[3])
@@ -124,7 +128,7 @@ func ReadTSV(r io.Reader) ([]Request, error) {
 			ID:        len(reqs),
 			InputLen:  in,
 			OutputLen: out,
-			Arrival:   simtime.Time(ms * float64(simtime.Millisecond)),
+			Arrival:   simtime.Time(arrival),
 			Class:     class,
 			PrefixLen: prefix,
 		}
