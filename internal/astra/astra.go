@@ -20,10 +20,18 @@
 // its last repetition's (Executor.Execute gives the argument). Blocks
 // run in full when the state never repeats or another node is ready at
 // a boundary.
+//
+// Successive iterations mostly execute graphs of one shape
+// (graph.Shape) with new durations, so the Executor compiles each shape
+// once into a plan — successor lists, in-degrees, resource slots and
+// the span layout in flat arrays — validating the graph at that point,
+// and runs every later graph of the shape over the plan. An iteration
+// whose durations equal the previous one's returns its result again.
 package astra
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/simtime"
@@ -48,7 +56,7 @@ type Result struct {
 }
 
 type candidate struct {
-	node  int
+	node  int32
 	start simtime.Time
 }
 
@@ -104,54 +112,98 @@ func (h *candidateHeap) pop() candidate {
 	return top
 }
 
-// Executor runs graphs while reusing all scheduling scratch state
-// (successor arrays, resource timelines, the ready heap, the timings
-// buffer) across calls. One graph executes per simulated iteration, so
-// this reuse keeps a warmed Execute call from allocating at all: the
-// returned Result's Timings alias executor-owned storage valid until
-// the next Execute call. An Executor is not safe for concurrent use;
-// each simulator owns one.
-type Executor struct {
-	resFree []simtime.Time
+// plan is a graph compiled for execution: everything Execute needs that
+// does not depend on node durations, in flat arrays indexed by node ID.
+type plan struct {
+	shape graph.Shape // the graph shape compiled; zero for a hand-built graph
+	used  uint64      // Executor.tick at the last use
 
-	indeg   []int
-	succOff []int
-	succBuf []int
-	fill    []int
-	readyAt []simtime.Time
-	done    []bool
-	heap    candidateHeap
-	timings []NodeTiming
+	n       int
+	nRes    int     // resource slots: class-major, device-minor
+	indeg   []int32 // dependency count per node
+	succOff []int32 // successors of node i: succ[succOff[i]:succOff[i+1]]
+	succ    []int32
+	resOff  []int32 // resource slots of node i: res[resOff[i]:resOff[i+1]]
+	res     []int32
 
-	// Repeat-span state (see Execute): per-node repetition metadata,
-	// per-span progress, each template's resources, and the boundary
-	// snapshots the steady-state test compares.
-	reindeg  []int   // a template node's dependency count in repetitions after the first
-	entryDep []bool  // template node waits on the block's entry
+	// Repeat spans (see Execute).
+	spans    []graph.Span
+	reindeg  []int32 // a template node's dependency count in repetitions after the first
+	entryDep []int32 // 1 when a template node waits on the block's entry
 	exitOf   []int32 // 1 + the span whose exit the node is, else 0
-	spans    []spanState
-	spanRes  []int
-	snap     []simtime.Duration
-	mark     []bool
+	spanOff  []int32 // span k's resources: spanRes[spanOff[k]:spanOff[k+1]]
+	spanRes  []int32
+
+	arena []int32 // backs every int32 array above
+}
+
+// maxPlans is how many compiled shapes an Executor keeps. A serving run
+// alternates between a few shapes (a sub-batched and an unpartitioned
+// batch, say), while the request-scattered placements key on the batch
+// size, so the cache holds the most recently used few.
+const maxPlans = 4
+
+// Executor runs graphs while reusing all scheduling state across calls.
+// It compiles each graph shape (graph.Shape) once into a plan — successor
+// lists, in-degrees, resource slots, the span layout — validating the
+// graph at that point, and keeps the last few plans; a hand-built graph,
+// which has no shape, is validated and compiled on every call. One graph
+// executes per simulated iteration, so this reuse keeps a warmed Execute
+// call from allocating at all: the returned Result's Timings alias
+// executor-owned storage valid until the next Execute call. An Executor
+// is not safe for concurrent use; each simulator owns one.
+type Executor struct {
+	plans [maxPlans]*plan
+	tick  uint64
+	mark  []bool // compile scratch: resources seen in a span
+
+	// The last run: its plan (nil once no longer valid), durations and
+	// result, which Execute returns again for the same plan and
+	// durations.
+	last    *plan
+	dur     []simtime.Duration
+	timings []NodeTiming
+	lastRes Result
+
+	resFree []simtime.Time
+	indeg   []int32
+	readyAt []simtime.Time
+	heap    candidateHeap
+	spans   []spanState
+	snap    []simtime.Duration
 }
 
 // spanState tracks one repeat span while its repetitions execute.
 type spanState struct {
-	rep    int // repetition currently executing
-	lo, hi int // the template's resources: Executor.spanRes[lo:hi]
+	rep int // repetition currently executing
 
 	// The previous block boundary, when no other node was ready there:
 	// its exit's end and, per template resource, the free time relative
-	// to it (Executor.snap[lo:hi]).
+	// to it (Executor.snap over the span's plan.spanRes window).
 	have  bool
 	prevT simtime.Time
 }
 
-// Execute runs the graph to completion and returns the schedule. The
-// bookkeeping is flat: successor lists live in one offset-indexed array
-// and per-resource state in a dense slice keyed by (class, device). The
+// Reset drops every compiled plan and the last result, keeping their
+// storage, so the next Execute of any graph validates, compiles and runs
+// it afresh.
+func (e *Executor) Reset() {
+	for _, p := range e.plans {
+		if p != nil {
+			p.shape, p.used = graph.Shape{}, 0
+		}
+	}
+	e.last = nil
+}
+
+// Execute runs the graph to completion and returns the schedule: it
+// looks up the plan of g's shape, compiling one on a miss, and runs it
+// over the node durations. The schedule is a function of the plan and
+// the durations alone, so when both equal those of the last call
+// (consecutive decode iterations often price alike) Execute returns the
+// last result, block counts included, without running again. The
 // returned Result's Timings alias executor-owned storage, valid until
-// the next Execute call.
+// the next Execute call; callers must not modify them.
 //
 // # Repeat spans
 //
@@ -172,139 +224,242 @@ type spanState struct {
 // schedule exactly. If another node is ready at a boundary, or the
 // state never repeats, every repetition runs.
 func (e *Executor) Execute(g *graph.Graph) (Result, error) {
-	if err := g.Validate(); err != nil {
+	p, err := e.planFor(g)
+	if err != nil {
 		return Result{}, err
 	}
-	n := len(g.Nodes)
-	if cap(e.timings) < n {
-		e.timings = make([]NodeTiming, n)
+	if len(g.Nodes) != p.n {
+		return Result{}, fmt.Errorf("astra: graph of %d nodes no longer matches its %d-node shape", len(g.Nodes), p.n)
 	}
-	res := Result{Timings: e.timings[:n]}
-	clear(res.Timings)
-	if n == 0 {
-		return res, nil
-	}
-
-	// Dense resource indexing: class-major, device-minor.
-	maxDev := 0
-	for _, node := range g.Nodes {
-		for _, r := range node.Resources {
-			if r.Device > maxDev {
-				maxDev = r.Device
+	same := e.last == p
+	dur := grow(&e.dur, p.n)
+	for i, node := range g.Nodes {
+		if d := node.Duration; d != dur[i] || !same {
+			if d < 0 {
+				e.last = nil
+				return Result{}, fmt.Errorf("graph: node %d (%s) has negative duration", node.ID, node.Label)
 			}
+			dur[i], same = d, false
 		}
 	}
-	stride := maxDev + 1
-	ridx := func(r graph.Resource) int { return int(r.Class)*stride + r.Device }
-	nRes := 3 * stride
-	resFree := growZero(&e.resFree, nRes)
+	if same {
+		return e.lastRes, nil
+	}
+	res, err := e.run(p)
+	if err == nil {
+		e.last, e.lastRes = p, res
+	}
+	return res, err
+}
 
-	// Successor lists in one flat array: count, prefix-sum, fill.
-	indeg := growZero(&e.indeg, n)
-	succOff := growZero(&e.succOff, n+1)
-	fill := growZero(&e.fill, n)
+// planFor returns the plan of g's shape, validating and compiling g when
+// no cached plan has its shape; a hand-built graph takes the least
+// recently used plan's storage.
+func (e *Executor) planFor(g *graph.Graph) (*plan, error) {
+	e.tick++
+	shape, keyed := g.Shape()
+	var victim *plan
+	for i, p := range e.plans {
+		if p == nil {
+			// No plan from here on: add one unless a plan is free.
+			if victim == nil || victim.used > 0 {
+				victim = &plan{}
+				e.plans[i] = victim
+			}
+			break
+		}
+		if keyed && p.shape == shape {
+			p.used = e.tick
+			return p, nil
+		}
+		if victim == nil || p.used < victim.used {
+			victim = p
+		}
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	e.last = nil
+	p := victim
+	e.compile(p, g)
+	p.shape, p.used = shape, e.tick
+	if !keyed {
+		p.used = 0 // free again after this call
+	}
+	return p, nil
+}
+
+// compile builds the plan of the valid graph g.
+func (e *Executor) compile(p *plan, g *graph.Graph) {
+	n := len(g.Nodes)
+	p.n = n
+
+	maxDev, deps, nres := 0, 0, 0
 	for _, node := range g.Nodes {
-		indeg[node.ID] = len(node.Deps)
+		deps += len(node.Deps)
+		nres += len(node.Resources)
+		for _, r := range node.Resources {
+			maxDev = max(maxDev, r.Device)
+		}
+	}
+	// Every int32 array comes out of one zeroed block; the templates'
+	// distinct resources number at most the resources their nodes hold.
+	k, spanRes := len(g.Spans), 0
+	for _, sp := range g.Spans {
+		for _, node := range g.Nodes[sp.First : sp.Exit()+1] {
+			spanRes += len(node.Resources)
+		}
+	}
+	a := growZero(&p.arena, 4*n+2*(n+1)+deps+nres+k+1+spanRes)
+	take := func(m int) []int32 {
+		s := a[:m:m]
+		a = a[m:]
+		return s
+	}
+	p.indeg, p.reindeg, p.exitOf, p.entryDep = take(n), take(n), take(n), take(n)
+	p.succOff, p.succ = take(n+1), take(deps)
+	p.resOff, p.res = take(n+1), take(nres)
+	p.spanOff, p.spanRes = take(k+1), a[:0]
+
+	// Dense resource indexing: class-major, device-minor.
+	stride := maxDev + 1
+	p.nRes = 3 * stride
+	for i, node := range g.Nodes {
+		off := p.resOff[i]
+		for j, r := range node.Resources {
+			p.res[int(off)+j] = int32(int(r.Class)*stride + r.Device)
+		}
+		p.resOff[i+1] = off + int32(len(node.Resources))
+	}
+
+	// Successor lists in one flat array: count, prefix-sum, fill (indeg
+	// counts the fill until it is set).
+	indeg, succOff, succ := p.indeg, p.succOff, p.succ
+	for _, node := range g.Nodes {
 		for _, d := range node.Deps {
 			succOff[d+1]++
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i := range n {
 		succOff[i+1] += succOff[i]
 	}
-	if cap(e.succBuf) < succOff[n] {
-		e.succBuf = make([]int, succOff[n])
-	}
-	succBuf := e.succBuf[:succOff[n]]
 	for _, node := range g.Nodes {
 		for _, d := range node.Deps {
-			succBuf[succOff[d]+fill[d]] = node.ID
-			fill[d]++
+			succ[succOff[d]+indeg[d]] = int32(node.ID)
+			indeg[d]++
 		}
 	}
+	for _, node := range g.Nodes {
+		indeg[node.ID] = int32(len(node.Deps))
+	}
 
-	readyAt := growZero(&e.readyAt, n) // max end time of dependencies
-	exitOf := e.prepareSpans(g, ridx, nRes)
-
-	feasible := func(id int) simtime.Time {
-		t := readyAt[id]
-		for _, r := range g.Nodes[id].Resources {
-			if f := resFree[ridx(r)]; f > t {
-				t = f
+	// Repeat spans: per-node repetition metadata and each template's
+	// distinct resources.
+	p.spans = append(p.spans[:0], g.Spans...)
+	mark := growZero(&e.mark, p.nRes)
+	for k, sp := range g.Spans {
+		p.exitOf[sp.Exit()] = int32(k + 1)
+		lo := len(p.spanRes)
+		for id := sp.First; id <= sp.Exit(); id++ {
+			for _, d := range g.Nodes[id].Deps {
+				if d < sp.First {
+					p.entryDep[id] = 1
+				} else {
+					p.reindeg[id]++
+				}
+			}
+			// All entry dependencies become the previous exit.
+			p.reindeg[id] += p.entryDep[id]
+			for _, r := range p.res[p.resOff[id]:p.resOff[id+1]] {
+				if !mark[r] {
+					mark[r] = true
+					p.spanRes = append(p.spanRes, r)
+				}
 			}
 		}
-		return t
+		for _, r := range p.spanRes[lo:] {
+			mark[r] = false
+		}
+		p.spanOff[k+1] = int32(len(p.spanRes))
 	}
+}
 
+// run executes plan p over the durations in e.dur.
+func (e *Executor) run(p *plan) (Result, error) {
+	n := p.n
+	res := Result{Timings: growZero(&e.timings, n)}
+	if n == 0 {
+		return res, nil
+	}
+	dur, nodeRes, resOff, succ, succOff := e.dur[:n], p.res, p.resOff, p.succ, p.succOff
+	resFree := growZero(&e.resFree, p.nRes)
+	indeg := grow(&e.indeg, n)
+	copy(indeg, p.indeg)
+	readyAt := growZero(&e.readyAt, n) // max end time of dependencies
+	growZero(&e.spans, len(p.spans))
+	grow(&e.snap, len(p.spanRes))
+
+	// A node enters the heap when its last dependency completes and
+	// leaves it when dispatched, so it holds at most one entry at a time.
 	h := &e.heap
 	*h = (*h)[:0]
-	for id := 0; id < n; id++ {
+	for id := range int32(n) {
 		if indeg[id] == 0 {
-			h.push(candidate{node: id, start: feasible(id)})
+			h.push(candidate{id, feasible(readyAt[id], nodeRes[resOff[id]:resOff[id+1]], resFree)})
 		}
 	}
 
 	scheduled := 0
-	done := growZero(&e.done, n)
 	for len(*h) > 0 {
 		c := h.pop()
-		if done[c.node] {
-			continue
-		}
+		id := c.node
+		held := nodeRes[resOff[id]:resOff[id+1]]
 		// Resource availability may have advanced since the candidate was
 		// pushed; if so, re-queue it with the refreshed start (lazy
 		// re-evaluation keeps the heap consistent as times only grow).
-		now := feasible(c.node)
-		if now > c.start {
-			h.push(candidate{node: c.node, start: now})
+		start := feasible(readyAt[id], held, resFree)
+		if start > c.start {
+			h.push(candidate{id, start})
 			continue
 		}
-		node := g.Nodes[c.node]
-		start := now
-		end := start.Add(node.Duration)
-		res.Timings[c.node] = NodeTiming{Start: start, End: end}
-		done[c.node] = true
+		end := start.Add(dur[id])
+		res.Timings[id] = NodeTiming{Start: start, End: end}
 		scheduled++
-		for _, r := range node.Resources {
-			resFree[ridx(r)] = end
+		for _, r := range held {
+			resFree[r] = end
 		}
 		if d := end.Sub(0); d > res.Makespan {
 			res.Makespan = d
 		}
-		if k := exitOf[c.node]; k > 0 {
-			sp, st := g.Spans[k-1], &e.spans[k-1]
+		if k := p.exitOf[id]; k > 0 {
+			sp, st := p.spans[k-1], &e.spans[k-1]
 			res.BlocksRun++
 			if st.rep < sp.Count-1 {
-				if shifted, ok := e.boundary(sp, st, &res, end); ok {
+				if shifted, ok := e.boundary(p, k-1, &res, end); ok {
 					end = shifted
 				} else {
 					// Start the next repetition on the template's node
 					// state; its entry is the exit that just ran.
 					st.rep++
 					scheduled -= sp.Len
-					for id := sp.First; id <= sp.Exit(); id++ {
-						indeg[id], readyAt[id], done[id] = e.reindeg[id], 0, false
-					}
-					for id := sp.First; id <= sp.Exit(); id++ {
-						if !e.entryDep[id] {
+					for t := int32(sp.First); t <= int32(sp.Exit()); t++ {
+						indeg[t], readyAt[t] = p.reindeg[t], 0
+						if p.entryDep[t] == 0 {
 							continue
 						}
-						readyAt[id] = end
-						if indeg[id]--; indeg[id] == 0 {
-							h.push(candidate{node: id, start: feasible(id)})
+						readyAt[t] = end
+						if indeg[t]--; indeg[t] == 0 {
+							h.push(candidate{t, feasible(end, nodeRes[resOff[t]:resOff[t+1]], resFree)})
 						}
 					}
 					continue
 				}
 			}
 		}
-		for _, s := range succBuf[succOff[c.node]:succOff[c.node+1]] {
-			if readyAt[s] < end {
-				readyAt[s] = end
-			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				h.push(candidate{node: s, start: feasible(s)})
+		for _, s := range succ[succOff[id]:succOff[id+1]] {
+			readyAt[s] = max(readyAt[s], end)
+			if indeg[s]--; indeg[s] == 0 {
+				h.push(candidate{s, feasible(readyAt[s], nodeRes[resOff[s]:resOff[s+1]], resFree)})
 			}
 		}
 	}
@@ -314,63 +469,29 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	return res, nil
 }
 
-// prepareSpans sets up the repeat-span metadata of g and returns the
-// per-node exit marks (all zero for an unrolled graph).
-func (e *Executor) prepareSpans(g *graph.Graph, ridx func(graph.Resource) int, nRes int) []int32 {
-	n := len(g.Nodes)
-	exitOf := growZero(&e.exitOf, n)
-	if len(g.Spans) == 0 {
-		return exitOf
+// feasible returns the earliest start of a node whose dependencies are
+// done by ready: when all its resources are free too.
+func feasible(ready simtime.Time, res []int32, resFree []simtime.Time) simtime.Time {
+	for _, r := range res {
+		ready = max(ready, resFree[r])
 	}
-	reindeg := growZero(&e.reindeg, n)
-	entryDep := growZero(&e.entryDep, n)
-	mark := growZero(&e.mark, nRes)
-	spans := growZero(&e.spans, len(g.Spans))
-	e.spanRes = e.spanRes[:0]
-	for k, sp := range g.Spans {
-		exitOf[sp.Exit()] = int32(k + 1)
-		st := &spans[k]
-		st.lo = len(e.spanRes)
-		for id := sp.First; id <= sp.Exit(); id++ {
-			node := g.Nodes[id]
-			for _, d := range node.Deps {
-				if d < sp.First {
-					entryDep[id] = true
-				} else {
-					reindeg[id]++
-				}
-			}
-			if entryDep[id] {
-				// All entry dependencies become the previous exit.
-				reindeg[id]++
-			}
-			for _, r := range node.Resources {
-				if i := ridx(r); !mark[i] {
-					mark[i] = true
-					e.spanRes = append(e.spanRes, i)
-				}
-			}
-		}
-		st.hi = len(e.spanRes)
-		for _, i := range e.spanRes[st.lo:st.hi] {
-			mark[i] = false
-		}
-	}
-	growZero(&e.snap, len(e.spanRes))
-	return exitOf
+	return ready
 }
 
-// boundary runs at the exit of a span repetition that is not the last.
-// It records the boundary state, and when the state repeats the previous
-// boundary's it time-shifts the span to its last repetition: it returns
-// the last exit's end and true. See Execute for why the shift is exact.
-func (e *Executor) boundary(sp graph.Span, st *spanState, res *Result, end simtime.Time) (simtime.Time, bool) {
+// boundary runs at the exit of a repetition of span k that is not the
+// last. It records the boundary state, and when the state repeats the
+// previous boundary's it time-shifts the span to its last repetition:
+// it returns the last exit's end and true. See Execute for why the
+// shift is exact.
+func (e *Executor) boundary(p *plan, k int32, res *Result, end simtime.Time) (simtime.Time, bool) {
+	sp, st := p.spans[k], &e.spans[k]
 	if len(e.heap) > 0 {
 		// Another node is ready: the next repetition is not isolated.
 		st.have = false
 		return end, false
 	}
-	resIdx, rel := e.spanRes[st.lo:st.hi], e.snap[st.lo:st.hi]
+	lo, hi := p.spanOff[k], p.spanOff[k+1]
+	resIdx, rel := p.spanRes[lo:hi], e.snap[lo:hi]
 	same := st.have
 	for i, r := range resIdx {
 		d := max(e.resFree[r].Sub(end), 0)
@@ -401,14 +522,18 @@ func (e *Executor) boundary(sp graph.Span, st *spanState, res *Result, end simti
 	return end, true
 }
 
+// grow returns (*buf)[:n], growing the backing array as append does
+// when needed (graphs of several sizes come and go); the contents are
+// left as they were.
+func grow[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
+}
+
 // growZero returns (*buf)[:n] zeroed, growing the backing array as
 // needed.
 func growZero[T any](buf *[]T, n int) []T {
-	if cap(*buf) < n {
-		*buf = make([]T, n)
-		return *buf
-	}
-	s := (*buf)[:n]
+	s := grow(buf, n)
 	clear(s)
 	return s
 }

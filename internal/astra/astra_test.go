@@ -153,11 +153,39 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestInvalidGraphRejected: a hand-built graph has no shape, so it is
+// validated on every Execute, also on an executor that has just run a
+// valid graph of the same size, and a converted graph whose durations
+// turn negative is rejected although its plan is cached.
 func TestInvalidGraphRejected(t *testing.T) {
-	g := graph.New()
-	g.Nodes = append(g.Nodes, &graph.Node{ID: 0, Kind: graph.Compute, Duration: 1})
-	if _, err := execute(g); err == nil {
-		t.Fatal("invalid graph must be rejected")
+	bad := graph.New()
+	bad.Nodes = append(bad.Nodes, &graph.Node{ID: 0, Kind: graph.Compute, Duration: 1})
+	good := graph.New()
+	good.AddCompute("a", 0, 1)
+	var e Executor
+	for i := range 3 {
+		if _, err := e.Execute(bad); err == nil {
+			t.Fatalf("call %d: invalid graph accepted", i)
+		}
+		if _, err := e.Execute(good); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+
+	g, err := graph.Convert(paperParams(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(g); err != nil {
+		t.Fatal(err)
+	}
+	g.Nodes[5].Duration = -1
+	if _, err := e.Execute(g); err == nil {
+		t.Fatal("negative duration accepted on a cached plan")
+	}
+	g.Nodes[5].Duration = 1
+	if _, err := e.Execute(g); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/graph"
+	"repro/internal/network"
 	"repro/internal/simtime"
 )
 
@@ -36,8 +38,32 @@ func buildServingGraph(workers, layers int) *graph.Graph {
 	return g
 }
 
-// BenchmarkExecute measures the event engine across system scales on
-// a held, warmed Executor, as a simulator runs it.
+// paperParams is one decode iteration of the paper's NPU+PIM system as
+// the astra backend converts it: gpt3-7b's 32 layers on TP4 x PP2, the
+// sub-batch-interleaved (monolithic) block, each stage's blocks stored
+// once as a repeat span.
+func paperParams(tb testing.TB) graph.Params {
+	topo, err := network.Build(network.Hybrid, 8, 2, config.DefaultLink(), config.DefaultLink())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return graph.Params{
+		Topo:            topo,
+		Layers:          32,
+		Block:           graph.BlockWork{Monolithic: 249 * simtime.Microsecond},
+		EmbedDur:        1212 * simtime.Nanosecond,
+		HeadDur:         225 * simtime.Microsecond,
+		ActBytes:        24 << 13,
+		HeadGatherBytes: 24 << 14,
+		RepeatBlocks:    true,
+	}
+}
+
+// BenchmarkExecute measures the event engine on a held, warmed
+// Executor, as a simulator runs it: across system scales on hand-built
+// graphs, which compile on every call, and on the paper's converted
+// shape, whose plan is compiled once while the durations change on every
+// call.
 func BenchmarkExecute(b *testing.B) {
 	for _, workers := range []int{8, 64, 512} {
 		g := buildServingGraph(workers, 32)
@@ -55,4 +81,30 @@ func BenchmarkExecute(b *testing.B) {
 			}
 		})
 	}
+	b.Run("shape=paper", func(b *testing.B) {
+		p := paperParams(b)
+		g := graph.New()
+		if err := graph.ConvertInto(g, p); err != nil {
+			b.Fatal(err)
+		}
+		base := make([]simtime.Duration, len(g.Nodes))
+		for i, n := range g.Nodes {
+			base[i] = n.Duration
+		}
+		var e Executor
+		if _, err := e.Execute(g); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			i++
+			for k, n := range g.Nodes {
+				n.Duration = base[k] + simtime.Duration(i%7)*simtime.Nanosecond
+			}
+			if _, err := e.Execute(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

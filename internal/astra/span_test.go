@@ -59,7 +59,7 @@ func randomParams(t *testing.T, rng *rand.Rand) graph.Params {
 			Device: rng.Intn(topo.NPUNodes()),
 			Bytes:  int64(1+rng.Intn(256)) << 16,
 			Load:   rng.Intn(2) == 0,
-			Label:  "page",
+			ReqID:  rng.Intn(9),
 		})
 	}
 	return p

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -48,7 +49,7 @@ type MemOp struct {
 	Device int
 	Bytes  int64
 	Load   bool // true = reload from host, false = evict to host
-	Label  string
+	ReqID  int  // the request whose pages move, for the node label
 }
 
 // BlockWork carries one transformer block's simulated durations for a
@@ -116,9 +117,9 @@ const (
 var partName = [...]string{"pre", "attn", "post", "allreduce", "block"}
 
 // labelTable holds every static label of a (stages, layers) shape:
-// layer[s][l][part] plus the per-stage transfer labels. ConvertInto
-// fetches one table per call, so label access inside the layer loop is
-// a plain array index.
+// layer[s][l][part] plus the per-stage transfer labels. A rebuild
+// fetches one table, so label access inside the layer loop is a plain
+// array index.
 type labelTable struct {
 	layer [][][len(partName)]string
 	stage []string // stage[s] = "stage{s-1}->{s}"
@@ -172,8 +173,14 @@ func Convert(p Params) (*Graph, error) {
 	return g, nil
 }
 
-// ConvertInto builds the iteration graph into g (which must be empty or
-// Reset), so iteration-driving hot loops can reuse one graph's storage.
+// ConvertInto converts the iteration into g, reusing g's storage, and
+// stamps g with the iteration's Shape. When g already holds that shape,
+// from an earlier ConvertInto, no node, dependency, resource or label is
+// built: only the node durations and payloads are rewritten. Otherwise g
+// is rebuilt from scratch. Either way every node takes its value from
+// one slot vector computed per call (fillSlots), so the two paths cannot
+// disagree; a per-request or paging node's label keeps the request ID of
+// the build that created it.
 func ConvertInto(g *Graph, p Params) error {
 	topo := p.Topo
 	if err := topo.Validate(); err != nil {
@@ -195,6 +202,7 @@ func ConvertInto(g *Graph, p Params) error {
 	}
 
 	cs := &g.conv
+	cv := converter{convScratch: cs, g: g, topo: topo, p: &p}
 
 	// The request-scattered placements need per-request identities in a
 	// deterministic order; head-split batches only need the total, so the
@@ -203,62 +211,167 @@ func ConvertInto(g *Graph, p Params) error {
 	if p.Block.Monolithic <= 0 && p.Placement != HeadSplit {
 		cs.reqIDs = appendSortedKeys(cs.reqIDs, p.Block.Attn)
 	}
-	var attnTotal simtime.Duration
-	for _, d := range p.Block.Attn {
-		attnTotal += d
+	cv.fillSlots()
+
+	key := Shape{
+		Stages: topo.Stages, TP: topo.TP, PIMPool: topo.PIMPool,
+		Layers:       p.Layers,
+		Placement:    p.Placement,
+		Monolithic:   p.Block.Monolithic > 0,
+		RepeatBlocks: p.RepeatBlocks,
+		Gather:       topo.TP > 1 && p.HeadGatherBytes > 0,
+		Reqs:         len(cs.reqIDs),
+		pages:        g.shape.pages,
 	}
+	cs.pages = cs.pages[:0]
+	for _, m := range p.MemOps {
+		v := uint64(m.Device) << 1
+		if m.Load {
+			v |= 1
+		}
+		cs.pages = binary.AppendUvarint(cs.pages, v)
+	}
+	// key holds g's own paging encoding, so the first test compares the
+	// other fields; the second compares the paging ops without building
+	// a string.
+	if key != g.shape || string(cs.pages) != g.shape.pages {
+		key.pages = cs.pageKey()
+		g.Reset()
+		cv.build()
+		g.shape = key
+	}
+	for i, n := range g.Nodes {
+		v := cs.vals[cs.slots[i]]
+		n.Duration, n.Bytes = v.d, v.bytes
+	}
+	// The builders emit in topological order. The executor validates a
+	// shape the first time it compiles it, so the graph is not validated
+	// here.
+	return nil
+}
+
+// slotVal is one duration and payload that nodes of the graph take.
+type slotVal struct {
+	d     simtime.Duration
+	bytes int64
+}
+
+// The fixed value slots. The paging ops follow them, one slot each, and
+// then the requests of a per-request placement: one slot per request
+// for request-split attention, two for the PIM pool (the transfer each
+// way, then the PIM compute).
+const (
+	slotEmbed = iota
+	slotHead
+	slotPre
+	slotAttn // head-split attention of one worker
+	slotPost
+	slotBlock // fused block interior
+	slotP2P   // stage-boundary activation transfer
+	slotAllReduce
+	slotGather
+	slotPages
+)
+
+// fillSlots computes every duration and payload of the iteration's
+// graph into cv.vals.
+func (cv *converter) fillSlots() {
+	p, topo := cv.p, cv.topo
+	var attn simtime.Duration
+	if p.Placement == HeadSplit {
+		for _, d := range p.Block.Attn {
+			attn += d
+		}
+	}
+	// Two ring all-reduces per block (after attention projection and
+	// after FFN2) are merged into one collective node of doubled cost.
+	v := append(slices.Grow(cv.vals[:0], slotPages+len(p.MemOps)+2*len(cv.reqIDs)),
+		slotVal{d: p.EmbedDur},
+		slotVal{d: p.HeadDur},
+		slotVal{d: p.Block.Pre},
+		slotVal{d: attn},
+		slotVal{d: p.Block.Post},
+		slotVal{d: p.Block.Monolithic},
+		slotVal{topo.P2P(p.ActBytes), p.ActBytes},
+		slotVal{2 * topo.AllReduce(p.ActBytes, topo.TP), 2 * p.ActBytes},
+		slotVal{topo.AllGather(p.HeadGatherBytes, topo.TP), p.HeadGatherBytes},
+	)
+	for _, m := range p.MemOps {
+		v = append(v, slotVal{topo.HostTransfer(m.Bytes), m.Bytes})
+	}
+	for _, r := range cv.reqIDs {
+		if p.Placement == RequestSplit {
+			// A worker's full-head cost is its local-head cost scaled by
+			// the group size (heads are independent repetitions).
+			v = append(v, slotVal{d: p.Block.Attn[r] * simtime.Duration(topo.TP)})
+			continue
+		}
+		bytes := p.ReqBytes[r]
+		v = append(v, slotVal{topo.P2P(bytes), bytes}, slotVal{d: p.Block.PIMAttn[r]})
+	}
+	cv.vals = v
+}
+
+// build emits the graph's nodes into the empty g, each with the slot
+// its duration and payload come from.
+func (cv *converter) build() {
+	g, topo, p := cv.g, cv.topo, cv.p
+	// Size slots like the node arena, from the previous build's size.
+	cv.slots = slices.Grow(cv.slots[:0], growCap(len(cv.slots)))
 
 	// KV paging transfers run up front on each device's DMA engine; the
 	// device's first compute of the iteration waits for them. Devices
 	// left over from an earlier call keep an empty list.
-	for dev, ids := range cs.memDeps {
-		cs.memDeps[dev] = ids[:0]
+	for dev, ids := range cv.memDeps {
+		cv.memDeps[dev] = ids[:0]
 	}
-	if len(p.MemOps) > 0 && cs.memDeps == nil {
-		cs.memDeps = make(map[int][]int, len(p.MemOps))
+	if len(p.MemOps) > 0 && cv.memDeps == nil {
+		cv.memDeps = make(map[int][]int, len(p.MemOps))
 	}
-	memDeps := cs.memDeps
-	for _, m := range p.MemOps {
-		d := topo.HostTransfer(m.Bytes)
-		id := g.AddMemOp(m.Label, m.Device, m.Load, d, m.Bytes)
+	memDeps := cv.memDeps
+	var label string
+	for i, m := range p.MemOps {
+		// A paging op is usually split across several devices: its
+		// consecutive parts share one label.
+		if prev := p.MemOps[max(i-1, 0)]; i == 0 || m.ReqID != prev.ReqID || m.Load != prev.Load {
+			prefix := "evict"
+			if m.Load {
+				prefix = "reload"
+			}
+			label = reqLabel(prefix, m.ReqID, "")
+		}
+		id := cv.slotted(g.AddMemOp(label, m.Device, m.Load, 0, 0), slotPages+i)
 		memDeps[m.Device] = append(memDeps[m.Device], id)
 	}
+	cv.reqSlot = slotPages + len(p.MemOps)
 
-	cs.layersOf = distributeLayers(cs.layersOf[:0], p.Layers, topo.Stages)
-	layersOf := cs.layersOf
-	labels := labelsFor(topo.Stages, p.Layers)
+	cv.layersOf = distributeLayers(cv.layersOf[:0], p.Layers, topo.Stages)
+	layersOf := cv.layersOf
+	cv.labels = labelsFor(topo.Stages, p.Layers)
 
 	// Stage device lists are needed several times each; fetch them once.
 	// Every stage holds one tensor-parallel group of equal size.
-	cs.devs = cs.devs[:0]
+	cv.devs = cv.devs[:0]
 	for s := range topo.Stages {
-		cs.devs = topo.AppendStageNodes(cs.devs, s)
+		cv.devs = topo.AppendStageNodes(cv.devs, s)
 	}
-	group := len(cs.devs) / topo.Stages
-	cs.stageDevs = cs.stageDevs[:0]
+	group := len(cv.devs) / topo.Stages
+	cv.stageDevs = cv.stageDevs[:0]
 	for s := range topo.Stages {
-		cs.stageDevs = append(cs.stageDevs, cs.devs[s*group:(s+1)*group])
+		cv.stageDevs = append(cv.stageDevs, cv.devs[s*group:(s+1)*group])
 	}
-	stageDevs := cs.stageDevs
+	stageDevs := cv.stageDevs
 
-	// cv carries the per-worker positional state through the pipeline:
-	// entry[i] is the node worker i's next compute must wait on, aligned
-	// with the current stage's device list (worker i of a stage feeds
-	// worker i of the next).
-	cs.entry = slices.Grow(cs.entry[:0], group)[:group]
-	cs.scratch = slices.Grow(cs.scratch[:0], group)[:group]
-	cv := converter{
-		convScratch: cs,
-		g:           g,
-		topo:        topo,
-		p:           &p,
-		labels:      labels,
-		attnTotal:   attnTotal,
-	}
+	// entry carries the per-worker positional state through the
+	// pipeline: entry[i] is the node worker i's next compute must wait
+	// on, aligned with the current stage's device list (worker i of a
+	// stage feeds worker i of the next).
+	cv.entry = slices.Grow(cv.entry[:0], group)[:group]
+	cv.scratch = slices.Grow(cv.scratch[:0], group)[:group]
 
 	// Stage 0: embedding on every worker.
 	for i, dev := range stageDevs[0] {
-		cv.entry[i] = g.AddCompute("embed", dev, p.EmbedDur, memDeps[dev]...)
+		cv.entry[i] = cv.slotted(g.AddCompute("embed", dev, 0, memDeps[dev]...), slotEmbed)
 	}
 
 	for s := 0; s < topo.Stages; s++ {
@@ -267,13 +380,12 @@ func ConvertInto(g *Graph, p Params) error {
 			// Activation transfer from the corresponding worker of the
 			// previous stage.
 			prevDevs := stageDevs[s-1]
-			label := labels.stage[s]
+			label := cv.labels.stage[s]
 			for i, dev := range devs {
-				d := topo.P2P(p.ActBytes)
 				deps := append(cv.depsBuf[:0], cv.entry[i])
 				deps = append(deps, memDeps[dev]...)
 				cv.depsBuf = deps
-				cv.entry[i] = g.AddP2P(label, prevDevs[i], dev, d, p.ActBytes, deps...)
+				cv.entry[i] = cv.slotted(g.AddP2P(label, prevDevs[i], dev, 0, 0, deps...), slotP2P)
 			}
 		}
 
@@ -296,23 +408,22 @@ func ConvertInto(g *Graph, p Params) error {
 	lastDevs := stageDevs[topo.Stages-1]
 	headIDs := cv.scratch[:0]
 	for i, dev := range lastDevs {
-		headIDs = append(headIDs, g.AddCompute("lmhead", dev, p.HeadDur, cv.entry[i]))
+		headIDs = append(headIDs, cv.slotted(g.AddCompute("lmhead", dev, 0, cv.entry[i]), slotHead))
 	}
 	if topo.TP > 1 && p.HeadGatherBytes > 0 {
-		d := topo.AllGather(p.HeadGatherBytes, topo.TP)
-		g.AddAllReduce("logit-gather", lastDevs, d, p.HeadGatherBytes, headIDs...)
+		cv.slotted(g.AddAllReduce("logit-gather", lastDevs, 0, 0, headIDs...), slotGather)
 	}
-
-	// The builders above emit in topological order; the executor
-	// validates before running, so the graph is not re-validated here.
-	return nil
 }
 
 // convScratch holds ConvertInto's buffers. It lives in the Graph and is
-// reused across calls, so converting into a Reset graph allocates
-// nothing once the buffers have grown.
+// reused across calls, so converting into a graph allocates nothing once
+// the buffers have grown, apart from per-request labels on a rebuild.
 type convScratch struct {
 	reqIDs    []int         // request IDs in ascending order
+	vals      []slotVal     // the iteration's values by slot
+	slots     []int32       // each node's slot in vals
+	pages     []byte        // the paging ops' Shape encoding
+	pageKeys  [4]string     // recent encodings as strings (see pageKey)
 	memDeps   map[int][]int // per-device KV paging nodes
 	layersOf  []int         // layer count per pipeline stage
 	devs      []int         // every stage's devices, back to back
@@ -327,6 +438,19 @@ type convScratch struct {
 	multiDeps [][]int
 }
 
+// pageKey returns cs.pages as a string. A run's paging repeats a few
+// patterns, so a recent string that matches is reused, not allocated.
+func (cs *convScratch) pageKey() string {
+	for _, k := range cs.pageKeys {
+		if k == string(cs.pages) {
+			return k
+		}
+	}
+	copy(cs.pageKeys[1:], cs.pageKeys[:])
+	cs.pageKeys[0] = string(cs.pages)
+	return cs.pageKeys[0]
+}
+
 // converter holds the positional per-worker state of one Convert call
 // over the graph's reused buffers, so the layer loop runs without
 // per-layer maps or allocations.
@@ -337,8 +461,15 @@ type converter struct {
 	p      *Params
 	labels *labelTable
 
-	attnTotal simtime.Duration // head-split per-worker attention span
-	pimRR     int
+	reqSlot int // slot of the first request's value
+	pimRR   int
+}
+
+// slotted records the slot node id takes its values from, and returns
+// id. Nodes are slotted in the order they are added.
+func (cv *converter) slotted(id, slot int) int {
+	cv.slots = append(cv.slots[:id], int32(slot))
+	return id
 }
 
 // emitLayer adds one transformer block for stage s at the current entry
@@ -352,13 +483,12 @@ func (cv *converter) emitLayer(s, l int, devs []int) {
 		label := cv.labels.layer[s][l][partBlock]
 		ids := cv.scratch[:0]
 		for i, dev := range devs {
-			id := g.AddCompute(label, dev, p.Block.Monolithic, cv.entry[i])
+			id := cv.slotted(g.AddCompute(label, dev, 0, cv.entry[i]), slotBlock)
 			ids = append(ids, id)
 			cv.entry[i] = id
 		}
 		if topo.TP > 1 {
-			d := 2 * topo.AllReduce(p.ActBytes, topo.TP)
-			cid := g.AddAllReduce(cv.labels.layer[s][l][partAllReduce], devs, d, 2*p.ActBytes, ids...)
+			cid := cv.slotted(g.AddAllReduce(cv.labels.layer[s][l][partAllReduce], devs, 0, 0, ids...), slotAllReduce)
 			for i := range devs {
 				cv.entry[i] = cid
 			}
@@ -369,7 +499,7 @@ func (cv *converter) emitLayer(s, l int, devs []int) {
 	preLabel := cv.labels.layer[s][l][partPre]
 	pre := cv.scratch[:len(devs)]
 	for i, dev := range devs {
-		pre[i] = g.AddCompute(preLabel, dev, p.Block.Pre, cv.entry[i])
+		pre[i] = cv.slotted(g.AddCompute(preLabel, dev, 0, cv.entry[i]), slotPre)
 	}
 
 	// Attention core. The head-split fast path keeps one attention node
@@ -380,18 +510,15 @@ func (cv *converter) emitLayer(s, l int, devs []int) {
 	switch p.Placement {
 	case HeadSplit:
 		for i, dev := range devs {
-			cv.entry[i] = g.AddCompute(attnLabel, dev, cv.attnTotal, pre[i])
+			cv.entry[i] = cv.slotted(g.AddCompute(attnLabel, dev, 0, pre[i]), slotAttn)
 		}
 	case RequestSplit:
-		// Each request's full-head attention on one worker; a worker's
-		// full-head cost is its local-head cost scaled by the group size
-		// (heads are independent repetitions).
+		// Each request's full-head attention on one worker.
 		multi = true
 		cv.resetMulti(len(devs))
 		for i, r := range cv.reqIDs {
 			w := i % len(devs)
-			d := p.Block.Attn[r] * simtime.Duration(topo.TP)
-			id := g.AddCompute(reqLabel(attnLabel, r, ""), devs[w], d, pre[w])
+			id := cv.slotted(g.AddCompute(reqLabel(attnLabel, r, ""), devs[w], 0, pre[w]), cv.reqSlot+i)
 			cv.multiDeps[w] = append(cv.multiDeps[w], id)
 		}
 	case PIMPool:
@@ -402,13 +529,10 @@ func (cv *converter) emitLayer(s, l int, devs []int) {
 			owner := devs[w]
 			pimDev := topo.NPUNodes() + cv.pimRR%topo.PIMPool // next pool device, round-robin
 			cv.pimRR++
-			bytes := p.ReqBytes[r]
-			out := g.AddP2P(reqLabel(attnLabel, r, ".toPIM"),
-				owner, pimDev, topo.P2P(bytes), bytes, pre[w])
-			comp := g.AddCompute(reqLabel(attnLabel, r, ".pim"),
-				pimDev, p.Block.PIMAttn[r], out)
-			back := g.AddP2P(reqLabel(attnLabel, r, ".fromPIM"),
-				pimDev, owner, topo.P2P(bytes), bytes, comp)
+			xfer, comp := cv.reqSlot+2*i, cv.reqSlot+2*i+1
+			out := cv.slotted(g.AddP2P(reqLabel(attnLabel, r, ".toPIM"), owner, pimDev, 0, 0, pre[w]), xfer)
+			in := cv.slotted(g.AddCompute(reqLabel(attnLabel, r, ".pim"), pimDev, 0, out), comp)
+			back := cv.slotted(g.AddP2P(reqLabel(attnLabel, r, ".fromPIM"), pimDev, owner, 0, 0, in), xfer)
 			cv.multiDeps[w] = append(cv.multiDeps[w], back)
 		}
 	}
@@ -423,19 +547,16 @@ func (cv *converter) emitLayer(s, l int, devs []int) {
 				// Workers without requests proceed straight from pre.
 				deps = append(deps, pre[i])
 			}
-			id = g.AddCompute(postLabel, dev, p.Block.Post, deps...)
+			id = g.AddCompute(postLabel, dev, 0, deps...)
 		} else {
-			id = g.AddCompute(postLabel, dev, p.Block.Post, cv.entry[i])
+			id = g.AddCompute(postLabel, dev, 0, cv.entry[i])
 		}
-		post = append(post, id)
+		post = append(post, cv.slotted(id, slotPost))
 		cv.entry[i] = id
 	}
 
 	if topo.TP > 1 {
-		// Two ring all-reduces per block (after attention projection and
-		// after FFN2), merged into one collective node of doubled cost.
-		d := 2 * topo.AllReduce(p.ActBytes, topo.TP)
-		id := g.AddAllReduce(cv.labels.layer[s][l][partAllReduce], devs, d, 2*p.ActBytes, post...)
+		id := cv.slotted(g.AddAllReduce(cv.labels.layer[s][l][partAllReduce], devs, 0, 0, post...), slotAllReduce)
 		for i := range devs {
 			cv.entry[i] = id
 		}

@@ -188,26 +188,180 @@ func TestConvertMonolithic(t *testing.T) {
 func TestConvertMemOps(t *testing.T) {
 	p := baseParams(t, topo(t, network.Tensor, 2, 0, 0))
 	p.MemOps = []MemOp{
-		{Device: 0, Bytes: 1 << 20, Load: true, Label: "reload.r5"},
-		{Device: 1, Bytes: 1 << 20, Load: false, Label: "evict.r6"},
+		{Device: 0, Bytes: 1 << 20, Load: true, ReqID: 5},
+		{Device: 1, Bytes: 1 << 20, Load: false, ReqID: 6},
+		{Device: 0, Bytes: 1 << 20, Load: false, ReqID: 6},
 	}
 	g, err := Convert(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := g.Summarize()
-	if s.ByKind[MemLoad] != 1 || s.ByKind[MemStore] != 1 {
+	if s.ByKind[MemLoad] != 1 || s.ByKind[MemStore] != 2 {
 		t.Fatalf("mem nodes %v", s.ByKind)
 	}
-	// The embed on device 0 must depend on its reload.
+	// The embed on device 0 must wait on its reload and its eviction.
 	var embedDeps []int
 	for _, n := range g.Nodes {
 		if n.Label == "embed" && n.Resources[0].Device == 0 {
 			embedDeps = n.Deps
 		}
 	}
-	if len(embedDeps) != 1 || g.Nodes[embedDeps[0]].Kind != MemLoad {
+	if len(embedDeps) != 2 || g.Nodes[embedDeps[0]].Kind != MemLoad || g.Nodes[embedDeps[1]].Kind != MemStore {
 		t.Fatalf("embed deps %v", embedDeps)
+	}
+	for i, want := range []string{"reload.r5", "evict.r6", "evict.r6"} {
+		if got := g.Nodes[i].Label; got != want {
+			t.Fatalf("paging node %d label %q, want %q", i, got, want)
+		}
+	}
+}
+
+// shapeOf converts p into a fresh graph and returns its shape.
+func shapeOf(t *testing.T, p Params) Shape {
+	t.Helper()
+	g, err := Convert(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ok := g.Shape()
+	if !ok {
+		t.Fatal("converted graph has no shape")
+	}
+	return s
+}
+
+// TestShapeKey: every Params field that decides the graph's nodes,
+// dependencies, resources or spans changes its shape, and the fields
+// that only set durations and payloads do not.
+func TestShapeKey(t *testing.T) {
+	base := func() Params {
+		p := baseParams(t, topo(t, network.Hybrid, 4, 2, 0))
+		p.Placement = RequestSplit
+		p.MemOps = []MemOp{{Device: 0, Bytes: 1 << 20, Load: true, ReqID: 1}}
+		return p
+	}
+	want := shapeOf(t, base())
+	for name, edit := range map[string]func(p *Params){
+		"stages":        func(p *Params) { p.Topo = topo(t, network.Hybrid, 4, 4, 0) },
+		"tp":            func(p *Params) { p.Topo = topo(t, network.Hybrid, 8, 2, 0) },
+		"pim pool":      func(p *Params) { p.Topo.PIMPool = 2 },
+		"layers":        func(p *Params) { p.Layers++ },
+		"placement":     func(p *Params) { p.Placement = HeadSplit },
+		"monolithic":    func(p *Params) { p.Block.Monolithic = 9 * simtime.Microsecond },
+		"repeat blocks": func(p *Params) { p.RepeatBlocks = true },
+		"request count": func(p *Params) { p.Block.Attn = map[int]simtime.Duration{0: 1, 1: 2, 2: 3} },
+		"no gather":     func(p *Params) { p.HeadGatherBytes = 0 },
+		"page device":   func(p *Params) { p.MemOps[0].Device = 1 },
+		"page kind":     func(p *Params) { p.MemOps[0].Load = false },
+		"page count":    func(p *Params) { p.MemOps = append(p.MemOps, p.MemOps[0]) },
+		"no pages":      func(p *Params) { p.MemOps = nil },
+	} {
+		p := base()
+		edit(&p)
+		if shapeOf(t, p) == want {
+			t.Errorf("%s: shape unchanged", name)
+		}
+	}
+	for name, edit := range map[string]func(p *Params){
+		"durations":   func(p *Params) { p.Block.Pre, p.EmbedDur, p.HeadDur = 1, 2, 3 },
+		"payloads":    func(p *Params) { p.ActBytes, p.HeadGatherBytes, p.MemOps[0].Bytes = 1, 2, 3 },
+		"link":        func(p *Params) { p.Topo.Link.BandwidthBytes /= 2 },
+		"request IDs": func(p *Params) { p.Block.Attn = map[int]simtime.Duration{7: 1, 9: 2} },
+		"paging req":  func(p *Params) { p.MemOps[0].ReqID = 4 },
+	} {
+		p := base()
+		edit(&p)
+		if shapeOf(t, p) != want {
+			t.Errorf("%s: shape changed", name)
+		}
+	}
+	g := New()
+	g.AddCompute("a", 0, 1)
+	if _, ok := g.Shape(); ok {
+		t.Fatal("hand-built graph has a shape")
+	}
+}
+
+// sameStructure fails unless got and want hold equal nodes and spans,
+// labels aside.
+func sameStructure(t *testing.T, got, want *Graph) {
+	t.Helper()
+	if len(got.Nodes) != len(want.Nodes) || !slices.Equal(got.Spans, want.Spans) {
+		t.Fatalf("%d nodes, spans %v; want %d, %v", len(got.Nodes), got.Spans, len(want.Nodes), want.Spans)
+	}
+	for i, n := range got.Nodes {
+		w := want.Nodes[i]
+		if n.ID != w.ID || n.Kind != w.Kind || n.Duration != w.Duration || n.Bytes != w.Bytes ||
+			!slices.Equal(n.Resources, w.Resources) || !slices.Equal(n.Deps, w.Deps) {
+			t.Fatalf("node %d: %+v, want %+v", i, *n, *w)
+		}
+	}
+}
+
+// TestConvertIntoReusesShape: converting an iteration of the shape a
+// graph already holds rewrites the durations and payloads in place,
+// building no node or label, and leaves the graph equal to a fresh
+// conversion; a new shape rebuilds it.
+func TestConvertIntoReusesShape(t *testing.T) {
+	for _, place := range []AttentionPlacement{HeadSplit, RequestSplit, PIMPool} {
+		t.Run(place.String(), func(t *testing.T) {
+			p := baseParams(t, topo(t, network.Hybrid, 4, 2, 2))
+			p.Placement, p.RepeatBlocks = place, true
+			p.Block.PIMAttn = p.Block.Attn
+			p.MemOps = []MemOp{{Device: 1, Bytes: 1 << 20, ReqID: 0}}
+			g := New()
+			if err := ConvertInto(g, p); err != nil {
+				t.Fatal(err)
+			}
+			first := g.Nodes[0]
+
+			q := p
+			q.Block = BlockWork{Pre: 3, Post: 4, Attn: map[int]simtime.Duration{5: 6, 8: 7}}
+			q.Block.PIMAttn = map[int]simtime.Duration{5: 11, 8: 12}
+			q.ReqBytes = map[int]int64{5: 100, 8: 200}
+			q.EmbedDur, q.HeadDur, q.ActBytes, q.HeadGatherBytes = 1, 2, 300, 400
+			q.MemOps = []MemOp{{Device: 1, Bytes: 1 << 10, ReqID: 8}}
+			if n := testing.AllocsPerRun(10, func() {
+				if err := ConvertInto(g, q); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("converting a held shape allocates %v times", n)
+			}
+			want, err := Convert(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Nodes[0] != first {
+				t.Fatal("a held shape was rebuilt")
+			}
+			sameStructure(t, g, want)
+			if m := g.Nodes[0]; m.Kind != MemStore || m.Bytes != q.MemOps[0].Bytes {
+				t.Fatalf("paging node %+v after a held-shape conversion", *m)
+			}
+
+			// A moved paging op rebuilds the graph, and so does an extra
+			// layer.
+			for _, edit := range []func(){
+				func() { q.MemOps[0].Device = 2 },
+				func() { q.Layers++ },
+			} {
+				edit()
+				if err := ConvertInto(g, q); err != nil {
+					t.Fatal(err)
+				}
+				if want, err = Convert(q); err != nil {
+					t.Fatal(err)
+				}
+				sameStructure(t, g, want)
+				for i, n := range g.Nodes {
+					if n.Label != want.Nodes[i].Label {
+						t.Fatalf("rebuilt node %d label %q, want %q", i, n.Label, want.Nodes[i].Label)
+					}
+				}
+			}
+		})
 	}
 }
 

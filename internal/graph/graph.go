@@ -11,6 +11,16 @@
 // the network cost models — and the system simulator resolves resource
 // contention and overlap.
 //
+// # Shapes
+//
+// Successive serving iterations mostly convert to the same graph
+// structure with new durations. ConvertInto stamps each graph with its
+// Shape, the comparable key of everything that decides nodes,
+// dependencies, resources and spans. Converting into a graph that
+// already holds the same shape writes only the durations and payloads;
+// the executor compiles one schedule plan per shape and reuses it. A
+// hand-built graph has no shape.
+//
 // # Repeat spans
 //
 // The decoder blocks of one pipeline stage are identical: the same
@@ -24,7 +34,7 @@
 // the unrolled graph in which the template is copied Count times, the
 // copies chained exit to entry, and every later node ID shifted past
 // the copies — the graph the converter emits when folding is off.
-// Validate checks the shape that makes this well defined: every
+// Validate checks the structure that makes this well defined: every
 // template node reaches the exit, and nothing outside the template
 // depends on a template node other than the exit.
 package graph
@@ -83,7 +93,7 @@ type Resource struct {
 type Node struct {
 	ID       int
 	Kind     NodeKind
-	Label    string
+	Label    string // informational; see ConvertInto for request IDs
 	Duration simtime.Duration
 	Bytes    int64 // payload for communication/memory nodes (informational)
 
@@ -101,8 +111,8 @@ type Node struct {
 // Node, dependency, and resource storage is arena-backed: the Add*
 // helpers carve slices out of graph-owned backing arrays, so building a
 // graph costs a handful of amortised allocations instead of several per
-// node — graphs are built and discarded once per simulated iteration,
-// squarely on the simulator's hot path.
+// node. A graph is converted once per simulated iteration, and rebuilt
+// only when the iteration's Shape differs from the one it holds.
 type Graph struct {
 	Nodes []*Node
 
@@ -114,7 +124,8 @@ type Graph struct {
 	depArena  []int
 	resArena  []Resource
 
-	conv convScratch // ConvertInto's reused buffers
+	conv  convScratch // ConvertInto's reused buffers
+	shape Shape       // set by ConvertInto; zero on a hand-built graph
 
 	// Validate's scratch for repeat spans: the span owning each template
 	// node, and whether a template node waits on its span's entry.
@@ -135,24 +146,49 @@ func (s Span) Exit() int { return s.First + s.Len - 1 }
 // Contains reports whether node id belongs to the template.
 func (s Span) Contains(id int) bool { return id >= s.First && id < s.First+s.Len }
 
+// Shape identifies the structure of a converted graph: the Params fields
+// that decide its nodes, dependencies, resources and spans. Two
+// conversions with equal shapes differ only in node durations, payloads
+// and the request IDs in labels. The zero Shape belongs to no converted
+// graph.
+type Shape struct {
+	Stages, TP, PIMPool int // the topology's device layout
+	Layers              int
+	Placement           AttentionPlacement
+	Monolithic          bool // fused block interior
+	RepeatBlocks        bool
+	Gather              bool // logit all-gather emitted
+	Reqs                int  // requests of a per-request placement, else 0
+
+	// pages packs each paging op's device and direction as a uvarint.
+	pages string
+}
+
+// Shape returns the graph's shape and true when ConvertInto built it,
+// or false for a hand-built graph. Edit a converted graph's structure
+// only through Reset or the Add* builders, which drop the shape; writing
+// node durations keeps it.
+func (g *Graph) Shape() (Shape, bool) { return g.shape, g.shape.Layers > 0 }
+
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
 
 // Reset clears the graph for rebuilding while retaining its allocated
-// capacity. One graph is built and executed per simulated iteration;
-// drivers that reuse a Graph + ConvertInto reach a steady state where
-// graph construction allocates nothing. Nodes of the previous build are
-// invalidated.
+// capacity, and drops its shape, so the next ConvertInto builds afresh.
+// Nodes of the previous build are invalidated.
 func (g *Graph) Reset() {
 	g.Nodes = g.Nodes[:0]
 	g.Spans = g.Spans[:0]
 	g.nodeArena = g.nodeArena[:0]
 	g.depArena = g.depArena[:0]
 	g.resArena = g.resArena[:0]
+	g.shape = Shape{}
 }
 
-// Add appends a node, assigning its ID, and returns the ID.
+// Add appends a node, assigning its ID, and returns the ID. The graph
+// stops being a converted shape.
 func (g *Graph) Add(n *Node) int {
+	g.shape = Shape{}
 	n.ID = len(g.Nodes)
 	g.Nodes = append(g.Nodes, n)
 	return n.ID

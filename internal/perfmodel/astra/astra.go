@@ -15,11 +15,17 @@
 // internal/astra). With it off, every block is priced, emitted and
 // simulated, the paper's conventional-simulator baseline; iteration
 // latencies are identical either way.
+//
+// Computation reuse reaches past the engines the same way: an
+// iteration's graph is rewritten in place when it has the previous
+// graph's shape, the executor compiles each shape's schedule once and
+// keeps the last few, and an iteration that prices exactly like the one
+// before takes its result. With it off, every iteration converts,
+// validates, compiles and simulates from scratch.
 package astra
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	astrasim "repro/internal/astra"
@@ -67,10 +73,11 @@ type Backend struct {
 	// executor's steady-state time shift (see BlockCounts).
 	blocksSimulated, blocksShifted int64
 
-	// Reusable per-iteration scratch: the execution graph and its
-	// conversion inputs are rebuilt every iteration, so their storage is
-	// recycled rather than reallocated (see graph.ConvertInto).
-	exec     astrasim.Executor // system-simulation scratch state
+	// Reusable per-iteration scratch. The execution graph is converted
+	// in place: an iteration of the shape it already holds rewrites only
+	// its durations (see graph.ConvertInto), and the executor keeps the
+	// compiled plans of the last few shapes.
+	exec     astrasim.Executor // system-simulation plans and scratch state
 	interlv  trace.Scheduler   // sub-batch interleaving scratch state
 	gbuf     *graph.Graph
 	itemsBuf []trace.Item
@@ -362,6 +369,8 @@ func (b *Backend) assembleBlockWork(items []trace.Item, nSub int) (graph.BlockWo
 
 // convert builds the iteration's execution graph into the backend's
 // reused graph buffer; the result is valid until the next convert call.
+// With computation reuse off it also drops the graph's shape and the
+// executor's plans, so nothing carries over between iterations.
 func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, headDur simtime.Duration, totalNew int) (*graph.Graph, error) {
 	m := b.cfg.Model
 	d := int64(m.DTypeBytes)
@@ -394,17 +403,19 @@ func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, he
 			if share == 0 {
 				share = op.Bytes
 			}
-			label := pageOpLabel(op)
 			for _, dev := range stage0 {
 				memOps = append(memOps, graph.MemOp{
-					Device: dev, Bytes: share, Load: op.Load, Label: label,
+					Device: dev, Bytes: share, Load: op.Load, ReqID: op.ReqID,
 				})
 			}
 		}
 	}
 	b.memOps = memOps
 
-	b.gbuf.Reset()
+	if !b.cfg.Reuse.ComputationReuse {
+		b.gbuf.Reset()
+		b.exec.Reset()
+	}
 	err := graph.ConvertInto(b.gbuf, graph.Params{
 		Topo:            b.cfg.Topo,
 		Layers:          m.Layers,
@@ -422,19 +433,6 @@ func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, he
 		return nil, err
 	}
 	return b.gbuf, nil
-}
-
-// pageOpLabel builds "evict.r<ID>"/"reload.r<ID>" without fmt (one per
-// paging op per iteration, on the hot path).
-func pageOpLabel(op sched.PageOp) string {
-	prefix := "evict.r"
-	if op.Load {
-		prefix = "reload.r"
-	}
-	buf := make([]byte, 0, len(prefix)+8)
-	buf = append(buf, prefix...)
-	buf = strconv.AppendInt(buf, int64(op.ReqID), 10)
-	return string(buf)
 }
 
 // groupSeqs splits the batch into sub-batch sequence groups in index

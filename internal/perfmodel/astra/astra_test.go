@@ -153,7 +153,9 @@ func TestRejectsMisalignedSubBatch(t *testing.T) {
 // buffers are warm, pricing a sub-batched NPU+PIM iteration without KV
 // paging allocates nothing: sub-batch grouping, the interleaver, the
 // graph converter and the event simulation all reuse backend-owned
-// storage.
+// storage. Neither does alternating it with an unpartitioned batch,
+// whose graph has another shape: the graph is rebuilt in place and the
+// executor keeps both plans.
 func TestSubBatchIterationAllocs(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.PIMMode = perfmodel.PIMLocal
@@ -178,6 +180,27 @@ func TestSubBatchIterationAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("warmed sub-batched IterationLatency allocates %v times per call", n)
+	}
+
+	whole := firstBatch(t, cfg, reqs)
+	if _, _, err := b.IterationLatency(whole); err != nil {
+		t.Fatal(err)
+	}
+	split, _ := b.gbuf.Shape()
+	if _, _, err := b.IterationLatency(batch); err != nil {
+		t.Fatal(err)
+	}
+	if mono, _ := b.gbuf.Shape(); mono == split {
+		t.Fatal("the sub-batched and the unpartitioned batch convert to one shape")
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		for _, bt := range []*sched.Batch{whole, batch} {
+			if _, _, err := b.IterationLatency(bt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("alternating shapes allocates %v times per pair of calls", n)
 	}
 }
 

@@ -19,7 +19,11 @@ import (
 // event simulation. With model-redundancy reuse on, each pipeline stage
 // converts one block and the executor time-shifts the other 15; with it
 // off, all 32 blocks are run through the engines, converted and
-// simulated, the paper's "conventional simulator" baseline.
+// simulated, the paper's "conventional simulator" baseline. Computation
+// reuse is on in both, and every call repeats the last iteration
+// exactly, so the converter rewrites a held graph and the executor
+// returns its stored result; BenchmarkExecute in internal/astra
+// measures the event simulation itself.
 func BenchmarkAstraIteration(b *testing.B) {
 	topo, err := network.Build(network.Hybrid, 8, 2, config.DefaultLink(), config.DefaultLink())
 	if err != nil {
