@@ -22,16 +22,14 @@
 // a boundary.
 //
 // Successive iterations mostly execute graphs of one shape
-// (graph.Shape) with new durations, so the Executor compiles each shape
-// once into a plan — successor lists, in-degrees, resource slots and
+// (graph.Shape) with new durations, so the Executor compiles a graph's
+// shape into a plan — successor lists, in-degrees, resource slots and
 // the span layout in flat arrays — validating the graph at that point,
-// and runs every later graph of the shape over the plan. An iteration
-// whose durations equal the previous one's returns its result again.
+// and runs every following graph of that shape over the plan.
 package astra
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/simtime"
@@ -116,11 +114,9 @@ func (h *candidateHeap) pop() candidate {
 // does not depend on node durations, in flat arrays indexed by node ID.
 type plan struct {
 	shape graph.Shape // the graph shape compiled; zero for a hand-built graph
-	used  uint64      // Executor.tick at the last use
 
-	n       int
 	nRes    int     // resource slots: class-major, device-minor
-	indeg   []int32 // dependency count per node
+	indeg   []int32 // dependency count per node; its length is the node count
 	succOff []int32 // successors of node i: succ[succOff[i]:succOff[i+1]]
 	succ    []int32
 	resOff  []int32 // resource slots of node i: res[resOff[i]:resOff[i+1]]
@@ -137,34 +133,22 @@ type plan struct {
 	arena []int32 // backs every int32 array above
 }
 
-// maxPlans is how many compiled shapes an Executor keeps. A serving run
-// alternates between a few shapes (a sub-batched and an unpartitioned
-// batch, say), while the request-scattered placements key on the batch
-// size, so the cache holds the most recently used few.
-const maxPlans = 4
-
 // Executor runs graphs while reusing all scheduling state across calls.
-// It compiles each graph shape (graph.Shape) once into a plan — successor
-// lists, in-degrees, resource slots, the span layout — validating the
-// graph at that point, and keeps the last few plans; a hand-built graph,
-// which has no shape, is validated and compiled on every call. One graph
+// It holds the plan of the last graph's shape (graph.Shape) — successor
+// lists, in-degrees, resource slots, the span layout — validating a
+// graph when it compiles its plan. A graph of that shape runs over the
+// held plan; any other graph replaces it, and a hand-built graph, which
+// has no shape, is validated and compiled on every call. One graph
 // executes per simulated iteration, so this reuse keeps a warmed Execute
 // call from allocating at all: the returned Result's Timings alias
 // executor-owned storage valid until the next Execute call. An Executor
 // is not safe for concurrent use; each simulator owns one.
 type Executor struct {
-	plans [maxPlans]*plan
-	tick  uint64
-	mark  []bool // compile scratch: resources seen in a span
+	plan plan
+	mark []bool // compile scratch: resources seen in a span
 
-	// The last run: its plan (nil once no longer valid), durations and
-	// result, which Execute returns again for the same plan and
-	// durations.
-	last    *plan
 	dur     []simtime.Duration
 	timings []NodeTiming
-	lastRes Result
-
 	resFree []simtime.Time
 	indeg   []int32
 	readyAt []simtime.Time
@@ -184,26 +168,15 @@ type spanState struct {
 	prevT simtime.Time
 }
 
-// Reset drops every compiled plan and the last result, keeping their
-// storage, so the next Execute of any graph validates, compiles and runs
-// it afresh.
-func (e *Executor) Reset() {
-	for _, p := range e.plans {
-		if p != nil {
-			p.shape, p.used = graph.Shape{}, 0
-		}
-	}
-	e.last = nil
-}
+// Reset drops the held plan, keeping its storage, so the next Execute of
+// any graph validates and compiles it afresh.
+func (e *Executor) Reset() { e.plan.shape = graph.Shape{} }
 
-// Execute runs the graph to completion and returns the schedule: it
-// looks up the plan of g's shape, compiling one on a miss, and runs it
-// over the node durations. The schedule is a function of the plan and
-// the durations alone, so when both equal those of the last call
-// (consecutive decode iterations often price alike) Execute returns the
-// last result, block counts included, without running again. The
-// returned Result's Timings alias executor-owned storage, valid until
-// the next Execute call; callers must not modify them.
+// Execute runs the graph to completion and returns the schedule: when g
+// has the held plan's shape it runs that plan over g's node durations,
+// and otherwise it validates g and compiles its plan first. The returned
+// Result's Timings alias executor-owned storage, valid until the next
+// Execute call.
 //
 // # Repeat spans
 //
@@ -224,75 +197,32 @@ func (e *Executor) Reset() {
 // schedule exactly. If another node is ready at a boundary, or the
 // state never repeats, every repetition runs.
 func (e *Executor) Execute(g *graph.Graph) (Result, error) {
-	p, err := e.planFor(g)
-	if err != nil {
-		return Result{}, err
+	p := &e.plan
+	if shape, keyed := g.Shape(); !keyed || shape != p.shape {
+		p.shape = graph.Shape{}
+		if err := g.Validate(); err != nil {
+			return Result{}, err
+		}
+		e.compile(p, g)
+		p.shape = shape
 	}
-	if len(g.Nodes) != p.n {
-		return Result{}, fmt.Errorf("astra: graph of %d nodes no longer matches its %d-node shape", len(g.Nodes), p.n)
+	n := len(p.indeg)
+	if len(g.Nodes) != n {
+		return Result{}, fmt.Errorf("astra: graph of %d nodes no longer matches its %d-node shape", len(g.Nodes), n)
 	}
-	same := e.last == p
-	dur := grow(&e.dur, p.n)
+	dur := grow(&e.dur, n)
 	for i, node := range g.Nodes {
-		if d := node.Duration; d != dur[i] || !same {
-			if d < 0 {
-				e.last = nil
-				return Result{}, fmt.Errorf("graph: node %d (%s) has negative duration", node.ID, node.Label)
-			}
-			dur[i], same = d, false
+		if node.Duration < 0 {
+			return Result{}, fmt.Errorf("graph: node %d (%s) has negative duration", node.ID, node.Label)
 		}
+		dur[i] = node.Duration
 	}
-	if same {
-		return e.lastRes, nil
-	}
-	res, err := e.run(p)
-	if err == nil {
-		e.last, e.lastRes = p, res
-	}
-	return res, err
-}
-
-// planFor returns the plan of g's shape, validating and compiling g when
-// no cached plan has its shape; a hand-built graph takes the least
-// recently used plan's storage.
-func (e *Executor) planFor(g *graph.Graph) (*plan, error) {
-	e.tick++
-	shape, keyed := g.Shape()
-	var victim *plan
-	for i, p := range e.plans {
-		if p == nil {
-			// No plan from here on: add one unless a plan is free.
-			if victim == nil || victim.used > 0 {
-				victim = &plan{}
-				e.plans[i] = victim
-			}
-			break
-		}
-		if keyed && p.shape == shape {
-			p.used = e.tick
-			return p, nil
-		}
-		if victim == nil || p.used < victim.used {
-			victim = p
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	e.last = nil
-	p := victim
-	e.compile(p, g)
-	p.shape, p.used = shape, e.tick
-	if !keyed {
-		p.used = 0 // free again after this call
-	}
-	return p, nil
+	return e.run(p)
 }
 
 // compile builds the plan of the valid graph g.
 func (e *Executor) compile(p *plan, g *graph.Graph) {
 	n := len(g.Nodes)
-	p.n = n
 
 	maxDev, deps, nres := 0, 0, 0
 	for _, node := range g.Nodes {
@@ -386,7 +316,7 @@ func (e *Executor) compile(p *plan, g *graph.Graph) {
 
 // run executes plan p over the durations in e.dur.
 func (e *Executor) run(p *plan) (Result, error) {
-	n := p.n
+	n := len(p.indeg)
 	res := Result{Timings: growZero(&e.timings, n)}
 	if n == 0 {
 		return res, nil
@@ -522,11 +452,13 @@ func (e *Executor) boundary(p *plan, k int32, res *Result, end simtime.Time) (si
 	return end, true
 }
 
-// grow returns (*buf)[:n], growing the backing array as append does
-// when needed (graphs of several sizes come and go); the contents are
-// left as they were.
+// grow returns (*buf)[:n], replacing the backing array with one of
+// exactly n elements when it is too short; the contents are unspecified.
 func grow[T any](buf *[]T, n int) []T {
-	*buf = slices.Grow((*buf)[:0], n)[:n]
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
 	return *buf
 }
 

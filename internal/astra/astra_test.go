@@ -156,7 +156,7 @@ func TestDeterminism(t *testing.T) {
 // TestInvalidGraphRejected: a hand-built graph has no shape, so it is
 // validated on every Execute, also on an executor that has just run a
 // valid graph of the same size, and a converted graph whose durations
-// turn negative is rejected although its plan is cached.
+// turn negative is rejected although its plan is held.
 func TestInvalidGraphRejected(t *testing.T) {
 	bad := graph.New()
 	bad.Nodes = append(bad.Nodes, &graph.Node{ID: 0, Kind: graph.Compute, Duration: 1})
@@ -181,7 +181,7 @@ func TestInvalidGraphRejected(t *testing.T) {
 	}
 	g.Nodes[5].Duration = -1
 	if _, err := e.Execute(g); err == nil {
-		t.Fatal("negative duration accepted on a cached plan")
+		t.Fatal("negative duration accepted on a held plan")
 	}
 	g.Nodes[5].Duration = 1
 	if _, err := e.Execute(g); err != nil {

@@ -60,7 +60,7 @@ func (s fuzzShape) params(rng *rand.Rand) graph.Params {
 // FuzzConvertExecute is the compiled path's differential contract:
 // consecutive iterations converted into one held graph and run on one
 // held executor, through shape hits and rebuilds, plan hits and
-// compiles, and repeated results, each execute exactly as a fresh
+// compiles, and repeated values, each execute exactly as a fresh
 // conversion on a fresh executor does.
 //
 // The inputs pick the topology (tensor, pipeline or hybrid, with an

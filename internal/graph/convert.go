@@ -214,13 +214,13 @@ func ConvertInto(g *Graph, p Params) error {
 	cv.fillSlots()
 
 	key := Shape{
-		Stages: topo.Stages, TP: topo.TP, PIMPool: topo.PIMPool,
-		Layers:       p.Layers,
-		Placement:    p.Placement,
+		Stages: int32(topo.Stages), TP: int32(topo.TP), PIMPool: int32(topo.PIMPool),
+		Layers:       int32(p.Layers),
+		Reqs:         int32(len(cs.reqIDs)),
 		Monolithic:   p.Block.Monolithic > 0,
 		RepeatBlocks: p.RepeatBlocks,
 		Gather:       topo.TP > 1 && p.HeadGatherBytes > 0,
-		Reqs:         len(cs.reqIDs),
+		Placement:    p.Placement,
 		pages:        g.shape.pages,
 	}
 	cs.pages = cs.pages[:0]

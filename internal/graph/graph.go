@@ -18,8 +18,8 @@
 // Shape, the comparable key of everything that decides nodes,
 // dependencies, resources and spans. Converting into a graph that
 // already holds the same shape writes only the durations and payloads;
-// the executor compiles one schedule plan per shape and reuses it. A
-// hand-built graph has no shape.
+// the executor compiles the shape's schedule plan once and reuses it
+// while the shape lasts. A hand-built graph has no shape.
 //
 // # Repeat spans
 //
@@ -150,15 +150,16 @@ func (s Span) Contains(id int) bool { return id >= s.First && id < s.First+s.Len
 // that decide its nodes, dependencies, resources and spans. Two
 // conversions with equal shapes differ only in node durations, payloads
 // and the request IDs in labels. The zero Shape belongs to no converted
-// graph.
+// graph. The counts are int32 to keep the key small: every conversion
+// compares one, and the graph and the executor's plan each hold one.
 type Shape struct {
-	Stages, TP, PIMPool int // the topology's device layout
-	Layers              int
-	Placement           AttentionPlacement
-	Monolithic          bool // fused block interior
+	Stages, TP, PIMPool int32 // the topology's device layout
+	Layers              int32
+	Reqs                int32 // requests of a per-request placement, else 0
+	Monolithic          bool  // fused block interior
 	RepeatBlocks        bool
 	Gather              bool // logit all-gather emitted
-	Reqs                int  // requests of a per-request placement, else 0
+	Placement           AttentionPlacement
 
 	// pages packs each paging op's device and direction as a uvarint.
 	pages string

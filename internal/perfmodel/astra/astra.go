@@ -17,11 +17,10 @@
 // latencies are identical either way.
 //
 // Computation reuse reaches past the engines the same way: an
-// iteration's graph is rewritten in place when it has the previous
-// graph's shape, the executor compiles each shape's schedule once and
-// keeps the last few, and an iteration that prices exactly like the one
-// before takes its result. With it off, every iteration converts,
-// validates, compiles and simulates from scratch.
+// iteration's graph is rewritten in place, and run over the executor's
+// compiled schedule, when it has the previous graph's shape. With it
+// off, every iteration converts, validates, compiles and simulates from
+// scratch.
 package astra
 
 import (
@@ -75,9 +74,9 @@ type Backend struct {
 
 	// Reusable per-iteration scratch. The execution graph is converted
 	// in place: an iteration of the shape it already holds rewrites only
-	// its durations (see graph.ConvertInto), and the executor keeps the
-	// compiled plans of the last few shapes.
-	exec     astrasim.Executor // system-simulation plans and scratch state
+	// its durations (see graph.ConvertInto), and the executor keeps that
+	// shape's compiled plan.
+	exec     astrasim.Executor // system-simulation plan and scratch state
 	interlv  trace.Scheduler   // sub-batch interleaving scratch state
 	gbuf     *graph.Graph
 	itemsBuf []trace.Item

@@ -155,7 +155,7 @@ func TestRejectsMisalignedSubBatch(t *testing.T) {
 // graph converter and the event simulation all reuse backend-owned
 // storage. Neither does alternating it with an unpartitioned batch,
 // whose graph has another shape: the graph is rebuilt in place and the
-// executor keeps both plans.
+// executor recompiles its plan into the storage it holds.
 func TestSubBatchIterationAllocs(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.PIMMode = perfmodel.PIMLocal
