@@ -245,8 +245,8 @@ func ConvertInto(g *Graph, p Params) error {
 		n.Duration, n.Bytes = v.d, v.bytes
 	}
 	// The builders emit in topological order. The executor validates a
-	// shape the first time it compiles it, so the graph is not validated
-	// here.
+	// graph whenever it compiles the graph's shape into a plan, so the
+	// graph is not validated here.
 	return nil
 }
 
