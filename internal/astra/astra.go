@@ -26,6 +26,15 @@
 // shape into a plan — successor lists, in-degrees, resource slots and
 // the span layout in flat arrays — validating the graph at that point,
 // and runs every following graph of that shape over the plan.
+//
+// Compiling a converted shape also decides whether its plan can be
+// priced in one pass, with no event queue: when every resource's users
+// are ordered by their dependencies, no node ever waits for a resource,
+// so each starts when its last dependency ends. The pass visits nodes in
+// ID order, runs each span's first two blocks and shifts the rest, and
+// gives the event loop's result exactly (Executor.Execute gives the
+// argument). Every other plan, and every hand-built graph, runs the
+// event loop.
 package astra
 
 import (
@@ -130,7 +139,16 @@ type plan struct {
 	spanOff  []int32 // span k's resources: spanRes[spanOff[k]:spanOff[k+1]]
 	spanRes  []int32
 
-	arena []int32 // backs every int32 array above
+	arena []int32 // backs every int32 array above, and scratch
+
+	// scratch is the arena's tail: a mark per resource while compiling,
+	// then, for a converted shape, the one-pass check's scratch (see
+	// plan.contentionFree).
+	scratch []int32
+
+	// onePass is set when the plan may be priced by Executor.pass
+	// instead of the event loop; only a converted shape is checked.
+	onePass bool
 }
 
 // Executor runs graphs while reusing all scheduling state across calls.
@@ -138,14 +156,19 @@ type plan struct {
 // lists, in-degrees, resource slots, the span layout — validating a
 // graph when it compiles its plan. A graph of that shape runs over the
 // held plan; any other graph replaces it, and a hand-built graph, which
-// has no shape, is validated and compiled on every call. One graph
-// executes per simulated iteration, so this reuse keeps a warmed Execute
-// call from allocating at all: the returned Result's Timings alias
-// executor-owned storage valid until the next Execute call. An Executor
-// is not safe for concurrent use; each simulator owns one.
+// has no shape, is validated and compiled on every call. Compiling a
+// shape also decides, once, whether its plan is priced in one pass or by
+// the event loop (see Execute). One graph executes per simulated
+// iteration, so this reuse keeps a warmed Execute call from allocating
+// at all: the returned Result's Timings alias executor-owned storage
+// valid until the next Execute call. An Executor is not safe for
+// concurrent use; each simulator owns one.
 type Executor struct {
 	plan plan
-	mark []bool // compile scratch: resources seen in a span
+
+	// loop prices every plan with the event loop, the reference the
+	// one-pass pricing is tested against.
+	loop bool
 
 	dur     []simtime.Duration
 	timings []NodeTiming
@@ -196,6 +219,32 @@ func (e *Executor) Reset() { e.plan.shape = graph.Shape{} }
 // exit time. In integer picoseconds this is the unrolled graph's
 // schedule exactly. If another node is ready at a boundary, or the
 // state never repeats, every repetition runs.
+//
+// # One pass
+//
+// When a converted shape compiles, the executor checks two properties
+// of its plan. The plan is contention-free when, for each resource,
+// every node using it is an ancestor of the next one in ID order; the
+// users of a template resource then stay ordered across repetitions too,
+// because every template node waits on the previous repetition's exit.
+// Its spans are isolated when every node outside a span is an ancestor
+// or a descendant of the span's exit.
+//
+// In a contention-free plan, when a node's last dependency ends, every
+// other user of each of its resources is either an ancestor, which has
+// ended, or a descendant, which has not started. The node therefore
+// starts as soon as it is ready whatever the dispatch order: the event
+// loop's list schedule is the as-soon-as-possible one, and one pass in
+// ID order (IDs are topological) gives it, each node starting at the
+// latest end among its dependencies. At a span boundary every node
+// outside an isolated span has ended or waits on the exit, so no other
+// node is ready, and every template resource is free by the exit's end:
+// the boundary state is all zeros. The loop therefore runs two
+// repetitions and shifts the other Count-2, and so does the pass: it
+// runs repetition 0 from the span's external dependencies and
+// repetition 1 from repetition 0's exit, then adds (Count-2) x P, P
+// being the distance between the two exits, to the template's timings.
+// The pass keeps no resource state, since nothing after it reads any.
 func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	p := &e.plan
 	if shape, keyed := g.Shape(); !keyed || shape != p.shape {
@@ -203,7 +252,8 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 		if err := g.Validate(); err != nil {
 			return Result{}, err
 		}
-		e.compile(p, g)
+		compile(p, g, keyed)
+		p.onePass = keyed && p.priceable(g)
 		p.shape = shape
 	}
 	n := len(p.indeg)
@@ -217,11 +267,15 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 		}
 		dur[i] = node.Duration
 	}
+	if p.onePass && !e.loop {
+		return e.pass(p), nil
+	}
 	return e.run(p)
 }
 
-// compile builds the plan of the valid graph g.
-func (e *Executor) compile(p *plan, g *graph.Graph) {
+// compile builds the plan of the valid graph g, with room for the
+// one-pass check when g is a converted shape.
+func compile(p *plan, g *graph.Graph, keyed bool) {
 	n := len(g.Nodes)
 
 	maxDev, deps, nres := 0, 0, 0
@@ -232,15 +286,22 @@ func (e *Executor) compile(p *plan, g *graph.Graph) {
 			maxDev = max(maxDev, r.Device)
 		}
 	}
+	// Dense resource indexing: class-major, device-minor.
+	stride := maxDev + 1
+	p.nRes = 3 * stride
+
 	// Every int32 array comes out of one zeroed block; the templates'
 	// distinct resources number at most the resources their nodes hold.
-	k, spanRes := len(g.Spans), 0
+	k, spanRes, scratch := len(g.Spans), 0, p.nRes
 	for _, sp := range g.Spans {
 		for _, node := range g.Nodes[sp.First : sp.Exit()+1] {
 			spanRes += len(node.Resources)
 		}
 	}
-	a := growZero(&p.arena, 4*n+2*(n+1)+deps+nres+k+1+spanRes)
+	if keyed {
+		scratch += 2 * n
+	}
+	a := growZero(&p.arena, 4*n+2*(n+1)+deps+nres+k+1+spanRes+scratch)
 	take := func(m int) []int32 {
 		s := a[:m:m]
 		a = a[m:]
@@ -249,11 +310,8 @@ func (e *Executor) compile(p *plan, g *graph.Graph) {
 	p.indeg, p.reindeg, p.exitOf, p.entryDep = take(n), take(n), take(n), take(n)
 	p.succOff, p.succ = take(n+1), take(deps)
 	p.resOff, p.res = take(n+1), take(nres)
-	p.spanOff, p.spanRes = take(k+1), a[:0]
+	p.spanOff, p.spanRes, p.scratch = take(k+1), a[:0:spanRes], a[spanRes:]
 
-	// Dense resource indexing: class-major, device-minor.
-	stride := maxDev + 1
-	p.nRes = 3 * stride
 	for i, node := range g.Nodes {
 		off := p.resOff[i]
 		for j, r := range node.Resources {
@@ -286,7 +344,7 @@ func (e *Executor) compile(p *plan, g *graph.Graph) {
 	// Repeat spans: per-node repetition metadata and each template's
 	// distinct resources.
 	p.spans = append(p.spans[:0], g.Spans...)
-	mark := growZero(&e.mark, p.nRes)
+	mark := p.scratch[:p.nRes]
 	for k, sp := range g.Spans {
 		p.exitOf[sp.Exit()] = int32(k + 1)
 		lo := len(p.spanRes)
@@ -301,17 +359,160 @@ func (e *Executor) compile(p *plan, g *graph.Graph) {
 			// All entry dependencies become the previous exit.
 			p.reindeg[id] += p.entryDep[id]
 			for _, r := range p.res[p.resOff[id]:p.resOff[id+1]] {
-				if !mark[r] {
-					mark[r] = true
+				if mark[r] == 0 {
+					mark[r] = 1
 					p.spanRes = append(p.spanRes, r)
 				}
 			}
 		}
 		for _, r := range p.spanRes[lo:] {
-			mark[r] = false
+			mark[r] = 0
 		}
 		p.spanOff[k+1] = int32(len(p.spanRes))
 	}
+}
+
+// priceable reports whether the valid graph g, compiled into p, may be
+// priced in one pass: whether the plan is contention-free and its spans
+// are isolated (see Execute).
+func (p *plan) priceable(g *graph.Graph) bool {
+	return p.contentionFree(g) && p.spansIsolated(g)
+}
+
+// contentionFree reports whether, for each resource of the valid graph
+// g compiled into p, every node using it is an ancestor of the next one
+// in ID order.
+func (p *plan) contentionFree(g *graph.Graph) bool {
+	n := len(g.Nodes)
+	buf := grow(&p.scratch, p.nRes+2*n)
+	last, seen, stack := buf[:p.nRes], buf[p.nRes:p.nRes+n], buf[p.nRes+n:p.nRes+n]
+	for i := range last {
+		last[i] = -1
+	}
+	clear(seen)
+	stamp := int32(0)
+	for v := range int32(n) {
+		for _, r := range p.res[p.resOff[v]:p.resOff[v+1]] {
+			if u := last[r]; u >= 0 && u != v {
+				stamp++
+				if !reaches(g, seen, stack, stamp, u, v) {
+					return false
+				}
+			}
+			last[r] = v
+		}
+	}
+	return true
+}
+
+// reaches reports whether node u is an ancestor of node v > u. It
+// searches back from v through the nodes after u only, since IDs are
+// topological, marking each node it visits with stamp in seen; the
+// search stack holds each node once, so stack's capacity of one slot
+// per node suffices. The searches for one resource's successive users
+// cover disjoint ID ranges, so on a contention-free plan the check
+// visits each node at most once per resource.
+func reaches(g *graph.Graph, seen, stack []int32, stamp, u, v int32) bool {
+	stack = append(stack[:0], v)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, d := range g.Nodes[x].Deps {
+			if d := int32(d); d == u {
+				return true
+			} else if d > u && seen[d] != stamp {
+				seen[d] = stamp
+				stack = append(stack, d)
+			}
+		}
+	}
+	return false
+}
+
+// spansIsolated reports whether every node of the valid graph g outside
+// each of its spans is an ancestor or a descendant of the span's exit:
+// as IDs are topological, whether every node before the span is an
+// ancestor of the exit and every node after it a descendant.
+func (p *plan) spansIsolated(g *graph.Graph) bool {
+	seen := growZero(&p.scratch, len(g.Nodes))
+	for k, sp := range p.spans {
+		// Stamp 2k+1 marks the exit's ancestors, 2k+2 its descendants.
+		anc, desc := int32(2*k+1), int32(2*k+2)
+		seen[sp.Exit()] = anc
+		for id := sp.Exit(); id >= 0; id-- {
+			if seen[id] != anc {
+				if id < sp.First {
+					return false
+				}
+				continue
+			}
+			for _, d := range g.Nodes[id].Deps {
+				seen[d] = anc
+			}
+		}
+		seen[sp.Exit()] = desc
+		for id := sp.Exit() + 1; id < len(g.Nodes); id++ {
+			for _, d := range g.Nodes[id].Deps {
+				if seen[d] == desc {
+					seen[id] = desc
+					break
+				}
+			}
+			if seen[id] != desc {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// pass prices the one-pass plan p over the durations in e.dur (see
+// Execute).
+func (e *Executor) pass(p *plan) Result {
+	n := len(p.indeg)
+	res := Result{Timings: grow(&e.timings, n)}
+	tm, dur, succ, succOff := res.Timings, e.dur[:n], p.succ, p.succOff
+	readyAt := growZero(&e.readyAt, n) // max end time of dependencies
+	second := false                    // running a span's repetition 1
+	var end0 simtime.Time              // the end of its repetition 0
+	for id := 0; id < n; id++ {
+		start := readyAt[id]
+		end := start.Add(dur[id])
+		tm[id] = NodeTiming{Start: start, End: end}
+		if k := p.exitOf[id]; k > 0 {
+			sp := p.spans[k-1]
+			res.BlocksRun++
+			if sp.Count > 1 && !second {
+				// Run repetition 1, which waits on this exit in place of
+				// the span's external dependencies.
+				second, end0 = true, end
+				for t := sp.First; t <= id; t++ {
+					readyAt[t] = 0
+					if p.entryDep[t] != 0 {
+						readyAt[t] = end
+					}
+				}
+				id = sp.First - 1
+				continue
+			}
+			if second {
+				second = false
+				if m := sp.Count - 2; m > 0 {
+					shift := simtime.Duration(m) * end.Sub(end0)
+					for t := sp.First; t <= id; t++ {
+						tm[t].Start, tm[t].End = tm[t].Start.Add(shift), tm[t].End.Add(shift)
+					}
+					end = end.Add(shift)
+					res.BlocksShifted += m
+				}
+			}
+		}
+		res.Makespan = max(res.Makespan, end.Sub(0))
+		for _, s := range succ[succOff[id]:succOff[id+1]] {
+			readyAt[s] = max(readyAt[s], end)
+		}
+	}
+	return res
 }
 
 // run executes plan p over the durations in e.dur.

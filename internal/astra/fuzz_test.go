@@ -1,6 +1,7 @@
 package astra
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -61,7 +62,8 @@ func (s fuzzShape) params(rng *rand.Rand) graph.Params {
 // consecutive iterations converted into one held graph and run on one
 // held executor, through shape hits and rebuilds, plan hits and
 // compiles, and repeated values, each execute exactly as a fresh
-// conversion on a fresh executor does.
+// conversion on a fresh executor does, and exactly as a held executor
+// forced onto the event loop does.
 //
 // The inputs pick the topology (tensor, pipeline or hybrid, with an
 // optional PIM pool), the placement, a monolithic or split block,
@@ -106,7 +108,7 @@ func FuzzConvertExecute(f *testing.F) {
 		iters := 2 + int(flags>>4)%3
 
 		held := graph.New()
-		var e Executor
+		var e, ref Executor
 		for i := range iters {
 			it := s
 			if flags&0x20 != 0 && i%2 == 1 {
@@ -133,22 +135,8 @@ func FuzzConvertExecute(f *testing.F) {
 			if err := graph.ConvertInto(held, p); err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.Execute(held)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Makespan != want.Makespan || got.BlocksRun != want.BlocksRun || got.BlocksShifted != want.BlocksShifted {
-				t.Fatalf("iteration %d: held makespan %v, blocks %d run %d shifted; fresh %v, %d, %d",
-					i, got.Makespan, got.BlocksRun, got.BlocksShifted, want.Makespan, want.BlocksRun, want.BlocksShifted)
-			}
-			if len(got.Timings) != len(want.Timings) {
-				t.Fatalf("iteration %d: %d timings, fresh %d", i, len(got.Timings), len(want.Timings))
-			}
-			for id, w := range want.Timings {
-				if got.Timings[id] != w {
-					t.Fatalf("iteration %d: node %d (%s) held %+v, fresh %+v", i, id, fresh.Nodes[id].Label, got.Timings[id], w)
-				}
-			}
+			got, _ := executeBothWays(t, fmt.Sprintf("iteration %d held", i), &e, &ref, held)
+			sameResult(t, fmt.Sprintf("iteration %d held against fresh", i), got, want)
 		}
 	})
 }
