@@ -21,13 +21,13 @@
 // run in full when the state never repeats or another node is ready at
 // a boundary.
 //
-// Successive iterations mostly execute graphs of one shape
-// (graph.Shape) with new durations, so the Executor compiles a graph's
-// shape into a plan — successor lists, in-degrees, resource slots and
-// the span layout in flat arrays — validating the graph at that point,
-// and runs every following graph of that shape over the plan.
+// Successive iterations mostly rewrite one graph's durations in place
+// (graph.ConvertInto), so the Executor compiles a converted graph's build
+// into a plan — successor lists, in-degrees, resource slots and the span
+// layout in flat arrays — validating the graph then, and runs the graph
+// over the plan while the build lasts.
 //
-// Compiling a converted shape also decides whether its plan can be
+// Compiling a converted build also decides whether its plan can be
 // priced in one pass, with no event queue: when every resource's users
 // are ordered by their dependencies, no node ever waits for a resource,
 // so each starts when its last dependency ends. The pass visits nodes in
@@ -122,7 +122,8 @@ func (h *candidateHeap) pop() candidate {
 // plan is a graph compiled for execution: everything Execute needs that
 // does not depend on node durations, in flat arrays indexed by node ID.
 type plan struct {
-	shape graph.Shape // the graph shape compiled; zero for a hand-built graph
+	graph *graph.Graph // the graph and build compiled (see Execute)
+	build uint64
 
 	nRes    int     // resource slots: class-major, device-minor
 	indeg   []int32 // dependency count per node; its length is the node count
@@ -142,23 +143,24 @@ type plan struct {
 	arena []int32 // backs every int32 array above, and scratch
 
 	// scratch is the arena's tail: a mark per resource while compiling,
-	// then, for a converted shape, the one-pass check's scratch (see
+	// then, for a converted build, the one-pass check's scratch (see
 	// plan.contentionFree).
 	scratch []int32
 
 	// onePass is set when the plan may be priced by Executor.pass
-	// instead of the event loop; only a converted shape is checked.
+	// instead of the event loop; only a converted build is checked.
 	onePass bool
 }
 
 // Executor runs graphs while reusing all scheduling state across calls.
-// It holds the plan of the last graph's shape (graph.Shape) — successor
-// lists, in-degrees, resource slots, the span layout — validating a
-// graph when it compiles its plan. A graph of that shape runs over the
-// held plan; any other graph replaces it, and a hand-built graph, which
-// has no shape, is validated and compiled on every call. Compiling a
-// shape also decides, once, whether its plan is priced in one pass or by
-// the event loop (see Execute). One graph executes per simulated
+// It holds the plan of the last converted graph's build
+// (graph.Graph.Build) — successor lists, in-degrees, resource slots, the
+// span layout — validating a graph when it compiles its plan. That graph
+// runs over the held plan while its build lasts; any other graph or
+// build replaces it, and a hand-built graph, which is no converted
+// build, is validated and compiled on every call. Compiling a build also
+// decides, once, whether its plan is priced in one pass or by the event
+// loop (see Execute). One graph executes per simulated
 // iteration, so this reuse keeps a warmed Execute call from allocating
 // at all: the returned Result's Timings alias executor-owned storage
 // valid until the next Execute call. An Executor is not safe for
@@ -193,11 +195,11 @@ type spanState struct {
 
 // Reset drops the held plan, keeping its storage, so the next Execute of
 // any graph validates and compiles it afresh.
-func (e *Executor) Reset() { e.plan.shape = graph.Shape{} }
+func (e *Executor) Reset() { e.plan.graph = nil }
 
 // Execute runs the graph to completion and returns the schedule: when g
-// has the held plan's shape it runs that plan over g's node durations,
-// and otherwise it validates g and compiles its plan first. The returned
+// is the held plan's graph and build it runs that plan over g's node
+// durations, and otherwise it validates g and compiles its plan first. The returned
 // Result's Timings alias executor-owned storage, valid until the next
 // Execute call.
 //
@@ -222,7 +224,7 @@ func (e *Executor) Reset() { e.plan.shape = graph.Shape{} }
 //
 // # One pass
 //
-// When a converted shape compiles, the executor checks two properties
+// When a converted build compiles, the executor checks two properties
 // of its plan. The plan is contention-free when, for each resource,
 // every node using it is an ancestor of the next one in ID order; the
 // users of a template resource then stay ordered across repetitions too,
@@ -247,23 +249,22 @@ func (e *Executor) Reset() { e.plan.shape = graph.Shape{} }
 // The pass keeps no resource state, since nothing after it reads any.
 func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	p := &e.plan
-	if shape, keyed := g.Shape(); !keyed || shape != p.shape {
-		p.shape = graph.Shape{}
+	if build, converted := g.Build(); !converted || g != p.graph || build != p.build {
 		if err := g.Validate(); err != nil {
 			return Result{}, err
 		}
-		compile(p, g, keyed)
-		p.onePass = keyed && p.priceable(g)
-		p.shape = shape
+		compile(p, g, converted)
+		p.onePass = converted && p.priceable(g)
+		p.graph, p.build = g, build
 	}
 	n := len(p.indeg)
 	if len(g.Nodes) != n {
-		return Result{}, fmt.Errorf("astra: graph of %d nodes no longer matches its %d-node shape", len(g.Nodes), n)
+		return Result{}, fmt.Errorf("astra: graph of %d nodes no longer matches its %d-node build", len(g.Nodes), n)
 	}
 	dur := grow(&e.dur, n)
 	for i, node := range g.Nodes {
 		if node.Duration < 0 {
-			return Result{}, fmt.Errorf("graph: node %d (%s) has negative duration", node.ID, node.Label)
+			return Result{}, fmt.Errorf("graph: %v has negative duration", node)
 		}
 		dur[i] = node.Duration
 	}
@@ -274,8 +275,8 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 }
 
 // compile builds the plan of the valid graph g, with room for the
-// one-pass check when g is a converted shape.
-func compile(p *plan, g *graph.Graph, keyed bool) {
+// one-pass check when g is a converted build.
+func compile(p *plan, g *graph.Graph, converted bool) {
 	n := len(g.Nodes)
 
 	maxDev, deps, nres := 0, 0, 0
@@ -298,7 +299,7 @@ func compile(p *plan, g *graph.Graph, keyed bool) {
 			spanRes += len(node.Resources)
 		}
 	}
-	if keyed {
+	if converted {
 		scratch += 2 * n
 	}
 	a := growZero(&p.arena, 4*n+2*(n+1)+deps+nres+k+1+spanRes+scratch)

@@ -1,12 +1,16 @@
 package astra
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/config"
 	"repro/internal/graph"
+	"repro/internal/network"
 	"repro/internal/simtime"
 )
 
@@ -30,9 +34,9 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestChainSums(t *testing.T) {
 	g := graph.New()
-	a := g.AddCompute("a", 0, 10*us)
-	b := g.AddCompute("b", 0, 20*us, a)
-	g.AddCompute("c", 0, 30*us, b)
+	a := g.AddCompute(0, 10*us)
+	b := g.AddCompute(0, 20*us, a)
+	g.AddCompute(0, 30*us, b)
 	r, err := execute(g)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +54,7 @@ func TestChainSums(t *testing.T) {
 func TestIndependentDevicesOverlap(t *testing.T) {
 	g := graph.New()
 	for dev := 0; dev < 4; dev++ {
-		g.AddCompute("w", dev, 100*us)
+		g.AddCompute(dev, 100*us)
 	}
 	r, _ := execute(g)
 	if r.Makespan != 100*us {
@@ -61,8 +65,8 @@ func TestIndependentDevicesOverlap(t *testing.T) {
 // TestSameDeviceSerializes: two nodes on one device cannot overlap.
 func TestSameDeviceSerializes(t *testing.T) {
 	g := graph.New()
-	g.AddCompute("a", 0, 100*us)
-	g.AddCompute("b", 0, 100*us)
+	g.AddCompute(0, 100*us)
+	g.AddCompute(0, 100*us)
 	r, _ := execute(g)
 	if r.Makespan != 200*us {
 		t.Fatalf("serialized makespan %v", r.Makespan)
@@ -74,8 +78,8 @@ func TestSameDeviceSerializes(t *testing.T) {
 // behaviour the resource classes exist for.
 func TestCommOverlapsCompute(t *testing.T) {
 	g := graph.New()
-	g.AddCompute("compute", 0, 100*us)
-	g.AddP2P("xfer", 0, 1, 100*us, 1<<20)
+	g.AddCompute(0, 100*us)
+	g.AddP2P(0, 1, 100*us)
 	r, _ := execute(g)
 	if r.Makespan != 100*us {
 		t.Fatalf("comm should overlap compute: %v", r.Makespan)
@@ -86,8 +90,8 @@ func TestCommOverlapsCompute(t *testing.T) {
 // network port but not their compute units.
 func TestCollectiveOccupiesAllPorts(t *testing.T) {
 	g := graph.New()
-	g.AddAllReduce("ar", []int{0, 1, 2, 3}, 50*us, 1<<20)
-	g.AddP2P("xfer", 0, 1, 50*us, 1<<10)
+	g.AddAllReduce([]int{0, 1, 2, 3}, 50*us)
+	g.AddP2P(0, 1, 50*us)
 	r, _ := execute(g)
 	// The p2p shares ports 0,1 with the collective: must serialise.
 	if r.Makespan != 100*us {
@@ -97,9 +101,9 @@ func TestCollectiveOccupiesAllPorts(t *testing.T) {
 
 func TestDependencyAcrossDevices(t *testing.T) {
 	g := graph.New()
-	a := g.AddCompute("s0", 0, 30*us)
-	x := g.AddP2P("xfer", 0, 1, 10*us, 1<<10, a)
-	g.AddCompute("s1", 1, 30*us, x)
+	a := g.AddCompute(0, 30*us)
+	x := g.AddP2P(0, 1, 10*us, a)
+	g.AddCompute(1, 30*us, x)
 	r, _ := execute(g)
 	if r.Makespan != 70*us {
 		t.Fatalf("pipeline chain %v", r.Makespan)
@@ -110,10 +114,10 @@ func TestDependencyAcrossDevices(t *testing.T) {
 // 0 of item 2 with stage 1 of item 1.
 func TestPipelining(t *testing.T) {
 	g := graph.New()
-	a1 := g.AddCompute("a1", 0, 50*us)
-	b1 := g.AddCompute("b1", 1, 50*us, a1)
-	a2 := g.AddCompute("a2", 0, 50*us, a1)
-	g.AddCompute("b2", 1, 50*us, b1, a2)
+	a1 := g.AddCompute(0, 50*us)
+	b1 := g.AddCompute(1, 50*us, a1)
+	a2 := g.AddCompute(0, 50*us, a1)
+	g.AddCompute(1, 50*us, b1, a2)
 	r, _ := execute(g)
 	if r.Makespan != 150*us {
 		t.Fatalf("pipelined makespan %v, want 150us", r.Makespan)
@@ -125,8 +129,8 @@ func TestPipelining(t *testing.T) {
 // makespan.
 func TestBusyAccounting(t *testing.T) {
 	g := graph.New()
-	g.AddCompute("a", 0, 10*us)
-	g.AddCompute("b", 0, 20*us)
+	g.AddCompute(0, 10*us)
+	g.AddCompute(0, 20*us)
 	r, _ := execute(g)
 	if r.Makespan != 30*us {
 		t.Fatalf("serial makespan %v, want 30us", r.Makespan)
@@ -153,19 +157,21 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestInvalidGraphRejected: a hand-built graph has no shape, so it is
-// validated on every Execute, also on an executor that has just run a
-// valid graph of the same size, and a converted graph whose durations
-// turn negative is rejected although its plan is held.
+// TestInvalidGraphRejected: a hand-built graph is no converted build,
+// so it is validated on every Execute, also on an executor that has just
+// run a valid graph of the same size, and a converted graph whose
+// durations turn negative is rejected although its plan is held. Both
+// errors name the node by its ID and kind, the held plan's exactly as
+// Validate does.
 func TestInvalidGraphRejected(t *testing.T) {
 	bad := graph.New()
 	bad.Nodes = append(bad.Nodes, &graph.Node{ID: 0, Kind: graph.Compute, Duration: 1})
 	good := graph.New()
-	good.AddCompute("a", 0, 1)
+	good.AddCompute(0, 1)
 	var e Executor
 	for i := range 3 {
-		if _, err := e.Execute(bad); err == nil {
-			t.Fatalf("call %d: invalid graph accepted", i)
+		if _, err := e.Execute(bad); err == nil || !strings.Contains(err.Error(), "node 0 (compute") {
+			t.Fatalf("call %d: invalid graph gave %v, want an error naming node 0 (compute)", i, err)
 		}
 		if _, err := e.Execute(good); err != nil {
 			t.Fatalf("call %d: %v", i, err)
@@ -180,8 +186,12 @@ func TestInvalidGraphRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Nodes[5].Duration = -1
-	if _, err := e.Execute(g); err == nil {
-		t.Fatal("negative duration accepted on a held plan")
+	_, err = e.Execute(g)
+	if want := g.Validate(); err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("negative duration on a held plan gave %v, want Validate's %v", err, want)
+	}
+	if name := fmt.Sprintf("node 5 (%s", g.Nodes[5].Kind); !strings.Contains(err.Error(), name) {
+		t.Fatalf("error %q does not name %s", err, name)
 	}
 	g.Nodes[5].Duration = 1
 	if _, err := e.Execute(g); err != nil {
@@ -193,9 +203,9 @@ func TestInvalidGraphRejected(t *testing.T) {
 // longer of two parallel chains sets the makespan.
 func TestCriticalPath(t *testing.T) {
 	g := graph.New()
-	a := g.AddCompute("a", 0, 10*us)
-	b := g.AddCompute("b", 1, 100*us)
-	c := g.AddCompute("c", 0, 10*us, a, b)
+	a := g.AddCompute(0, 10*us)
+	b := g.AddCompute(1, 100*us)
+	c := g.AddCompute(0, 10*us, a, b)
 	r, _ := execute(g)
 	if r.Timings[c].Start != r.Timings[b].End || r.Timings[c].Start <= r.Timings[a].End {
 		t.Fatalf("c starts at %v; dependencies end at %v and %v", r.Timings[c].Start, r.Timings[a].End, r.Timings[b].End)
@@ -217,9 +227,9 @@ func buildRandomDAG(rng *rand.Rand, n int) *graph.Graph {
 			}
 		}
 		if rng.Intn(3) == 0 && i > 0 {
-			g.AddP2P("x", dev, (dev+1)%4, d, 1024, deps...)
+			g.AddP2P(dev, (dev+1)%4, d, deps...)
 		} else {
-			g.AddCompute("c", dev, d, deps...)
+			g.AddCompute(dev, d, deps...)
 		}
 	}
 	return g
@@ -286,5 +296,109 @@ func TestExecutorAllocationFree(t *testing.T) {
 	r, _ := e.Execute(g)
 	if r.Makespan != want.Makespan || !slices.Equal(r.Timings, want.Timings) {
 		t.Fatal("re-executing the same graph changed its result")
+	}
+}
+
+// TestPlanFollowsBuild: one executor recompiles its plan whenever the
+// converter rebuilds the graph, also when only the paging moved, and
+// keeps it while only durations change. Two converted graphs of one
+// shape whose paging differs, taking turns on one executor, each get a
+// fresh executor's result.
+func TestPlanFollowsBuild(t *testing.T) {
+	topo, err := network.Build(network.Hybrid, 4, 2, config.DefaultLink(), config.DefaultLink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := graph.Params{
+		Topo:            topo,
+		Layers:          6,
+		Block:           graph.BlockWork{Pre: 9 * us, Post: 14 * us, Attn: map[int]simtime.Duration{0: 5 * us, 1: 7 * us}},
+		EmbedDur:        us,
+		HeadDur:         3 * us,
+		ActBytes:        1 << 20,
+		HeadGatherBytes: 1 << 10,
+		Placement:       graph.RequestSplit,
+		RepeatBlocks:    true,
+		MemOps:          []graph.MemOp{{Device: 0, Bytes: 1 << 20, Load: true}},
+	}
+	slower, moved, deeper := base, base, base
+	slower.Block.Pre = 20 * us
+	moved.MemOps = []graph.MemOp{{Device: 2, Bytes: 1 << 20, Load: true}}
+	deeper.Layers++
+	fresh := func(p graph.Params) Result {
+		t.Helper()
+		g, err := graph.Convert(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := execute(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	held := graph.New()
+	var e Executor
+	var prev uint64
+	for i, step := range []struct {
+		name    string
+		p       graph.Params
+		rebuild bool
+	}{
+		{"first", base, true},
+		{"durations", slower, false},
+		{"paging moved", moved, true},
+		{"paging back", base, true},
+		{"durations again", slower, false},
+		{"layers", deeper, true},
+	} {
+		if err := graph.ConvertInto(held, step.p); err != nil {
+			t.Fatal(err)
+		}
+		n, ok := held.Build()
+		if !ok {
+			t.Fatalf("%s: converted graph is no converted build", step.name)
+		}
+		if rebuilt := i == 0 || n != prev; rebuilt != step.rebuild {
+			t.Fatalf("%s: rebuilt %v, want %v", step.name, rebuilt, step.rebuild)
+		}
+		prev = n
+		// A held plan never reads the graph's resources, and compiling
+		// one validates them: a recompile rejects this graph.
+		res := held.Nodes[1].Resources
+		if !step.rebuild {
+			held.Nodes[1].Resources = nil
+		}
+		got, err := e.Execute(held)
+		held.Nodes[1].Resources = res
+		if err != nil {
+			t.Fatalf("%s: recompiled a held build: %v", step.name, err)
+		}
+		if e.plan.graph != held || e.plan.build != n {
+			t.Fatalf("%s: plan holds build %d, graph is at build %d", step.name, e.plan.build, n)
+		}
+		sameResult(t, step.name, got, fresh(step.p))
+	}
+
+	a, err := graph.Convert(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := graph.Convert(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shared Executor
+	for i := range 4 {
+		g, p := a, base
+		if i%2 == 1 {
+			g, p = b, moved
+		}
+		got, err := shared.Execute(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("turn %d", i), got, fresh(p))
 	}
 }

@@ -17,20 +17,20 @@ func buildServingGraph(workers, layers int) *graph.Graph {
 	g := graph.New()
 	entry := make([]int, workers)
 	for w := 0; w < workers; w++ {
-		entry[w] = g.AddCompute("embed", w, simtime.Microsecond)
+		entry[w] = g.AddCompute(w, simtime.Microsecond)
 	}
 	for l := 0; l < layers; l++ {
 		post := make([]int, workers)
 		for w := 0; w < workers; w++ {
-			pre := g.AddCompute("pre", w, 10*simtime.Microsecond, entry[w])
-			attn := g.AddCompute("attn", w, 5*simtime.Microsecond, pre)
-			post[w] = g.AddCompute("post", w, 20*simtime.Microsecond, attn)
+			pre := g.AddCompute(w, 10*simtime.Microsecond, entry[w])
+			attn := g.AddCompute(w, 5*simtime.Microsecond, pre)
+			post[w] = g.AddCompute(w, 20*simtime.Microsecond, attn)
 		}
 		devs := make([]int, workers)
 		for w := range devs {
 			devs[w] = w
 		}
-		ar := g.AddAllReduce("ar", devs, 3*simtime.Microsecond, 1<<20, post...)
+		ar := g.AddAllReduce(devs, 3*simtime.Microsecond, post...)
 		for w := 0; w < workers; w++ {
 			entry[w] = ar
 		}

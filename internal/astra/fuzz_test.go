@@ -52,7 +52,6 @@ func (s fuzzShape) params(rng *rand.Rand) graph.Params {
 	}
 	for _, m := range s.pages {
 		m.Bytes = int64(1+rng.Intn(256)) << 16
-		m.ReqID = rng.Intn(9)
 		p.MemOps = append(p.MemOps, m)
 	}
 	return p

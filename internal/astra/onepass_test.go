@@ -85,9 +85,9 @@ func TestLoopPlans(t *testing.T) {
 
 	// Two nodes on device 0, each ordered after a but not after each other.
 	shared := graph.New()
-	a := shared.AddCompute("a", 0, us)
-	shared.AddCompute("b", 0, us, a)
-	shared.AddCompute("c", 0, us, a)
+	a := shared.AddCompute(0, us)
+	shared.AddCompute(0, us, a)
+	shared.AddCompute(0, us, a)
 	if e := compile(shared); e.plan.contentionFree(shared) || e.plan.priceable(shared) {
 		t.Fatal("unordered users of one resource: plan is contention-free")
 	}
@@ -124,8 +124,9 @@ func TestLoopPlans(t *testing.T) {
 	}
 }
 
-// TestResetRevalidates: after Reset, a graph of the held shape is
-// validated again, so one made invalid in place is rejected.
+// TestResetRevalidates: after Reset, the graph and build of the held
+// plan are validated again, so a graph made invalid in place is
+// rejected.
 func TestResetRevalidates(t *testing.T) {
 	g := graph.New()
 	if err := graph.ConvertInto(g, paperParams(t)); err != nil {
@@ -136,8 +137,8 @@ func TestResetRevalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Nodes[3].Resources = nil
-	if _, ok := g.Shape(); !ok {
-		t.Fatal("clearing a node's resources dropped the graph's shape")
+	if n, ok := g.Build(); !ok || n != e.plan.build {
+		t.Fatal("clearing a node's resources ended the graph's build")
 	}
 	e.Reset()
 	if _, err := e.Execute(g); err == nil {

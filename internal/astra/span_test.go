@@ -59,7 +59,6 @@ func randomParams(t *testing.T, rng *rand.Rand) graph.Params {
 			Device: rng.Intn(topo.NPUNodes()),
 			Bytes:  int64(1+rng.Intn(256)) << 16,
 			Load:   rng.Intn(2) == 0,
-			ReqID:  rng.Intn(9),
 		})
 	}
 	return p
@@ -86,7 +85,7 @@ func checkTimings(t *testing.T, tag string, gf *graph.Graph, got, want Result) {
 	t.Helper()
 	for id := range gf.Nodes {
 		if g, w := got.Timings[id], want.Timings[unrolledID(gf.Spans, id)]; g != w {
-			t.Fatalf("%s: node %d (%s) timing folded %+v, unrolled %+v", tag, id, gf.Nodes[id].Label, g, w)
+			t.Fatalf("%s: %v timing folded %+v, unrolled %+v", tag, gf.Nodes[id], g, w)
 		}
 	}
 }
@@ -217,10 +216,10 @@ func TestRepeatSpansMatchUnrolled(t *testing.T) {
 // neither isolated nor contention-free.
 func stallGraph(blocks int, fold, stall bool) *graph.Graph {
 	g := graph.New()
-	entry := g.AddCompute("entry", 0, us)
+	entry := g.AddCompute(0, us)
 	if stall {
-		pre := g.AddCompute("pre", 2, 2*us)
-		g.AddCompute("stall", 1, 25*us, pre) // runs on device 1 right after the first block's b
+		pre := g.AddCompute(2, 2*us)
+		g.AddCompute(1, 25*us, pre) // runs on device 1 right after the first block's b
 	}
 	reps := blocks
 	if fold {
@@ -228,19 +227,19 @@ func stallGraph(blocks int, fold, stall bool) *graph.Graph {
 	}
 	first := len(g.Nodes)
 	for range reps {
-		a := g.AddCompute("a", 0, 10*us, entry)
-		b := g.AddCompute("b", 1, 4*us, entry)
-		entry = g.AddAllReduce("x", []int{0, 1}, 2*us, 0, a, b)
+		a := g.AddCompute(0, 10*us, entry)
+		b := g.AddCompute(1, 4*us, entry)
+		entry = g.AddAllReduce([]int{0, 1}, 2*us, a, b)
 	}
 	if fold {
 		g.Spans = append(g.Spans, graph.Span{First: first, Len: len(g.Nodes) - first, Count: blocks})
 	}
-	g.AddCompute("tail", 1, us, entry)
+	g.AddCompute(1, us, entry)
 	return g
 }
 
 // priceOnePass prices g in one pass, which Execute keeps for converted
-// shapes, when its plan passes both checks; it reports whether it did.
+// builds, when its plan passes both checks; it reports whether it did.
 func priceOnePass(t *testing.T, g *graph.Graph) (Result, bool) {
 	t.Helper()
 	var e Executor

@@ -112,11 +112,11 @@ func SimulateIteration(mode SlowMode, m model.Config, npuCfg config.NPUConfig, p
 		if err != nil {
 			return err
 		}
-		r, err := eng.Simulate(c)
+		lat, err := eng.Simulate(c)
 		if err != nil {
 			return err
 		}
-		res.SimLatency += r.Latency
+		res.SimLatency += lat
 		res.OpsSimulated++
 		tiles := npu.TileCount(c)
 		res.TilesVisited += tiles

@@ -37,13 +37,10 @@ func (e flatEngine) Kind() engine.Kind { return engine.NPU }
 func (e flatEngine) Compile(op model.Op) (engine.Compiled, error) {
 	return flatCompiled{}, nil
 }
-func (e flatEngine) Simulate(c engine.Compiled) (engine.Result, error) {
-	return engine.Result{Latency: 50 * simtime.Microsecond}, nil
+func (e flatEngine) Simulate(c engine.Compiled) (simtime.Duration, error) {
+	return 50 * simtime.Microsecond, nil
 }
-func (e flatEngine) Supports(model.OpKind) bool { return true }
-func (e flatEngine) MemoryBytes() int64         { return e.mem }
-func (e flatEngine) MemoryBandwidth() float64   { return 1e12 }
-func (e flatEngine) PeakFLOPs() float64         { return 1e15 }
+func (e flatEngine) MemoryBytes() int64 { return e.mem }
 
 // scaleReplicaFactory builds 2-NPU gpt2 replicas on the flat engine.
 // Per-device memory leaves a KV budget tight enough that saturated

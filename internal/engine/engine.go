@@ -52,15 +52,6 @@ func (k Kind) String() string {
 // shape.
 type Compiled any
 
-// Result is the simulated execution of one compiled operator.
-type Result struct {
-	Latency       simtime.Duration
-	ComputeCycles int64 // cycles the compute resource was busy
-	MemoryCycles  int64 // cycles the memory system was busy
-	BytesMoved    int64
-	Bound         string // "compute" or "memory": the roofline side that dominated
-}
-
 // Engine is a compiler-and-simulator stack for one accelerator type.
 // Implementations must be safe for concurrent use.
 type Engine interface {
@@ -71,8 +62,8 @@ type Engine interface {
 	// Compile lowers an operator into a device schedule. This is the
 	// expensive front-end phase that model-redundancy reuse skips.
 	Compile(op model.Op) (Compiled, error)
-	// Simulate executes a compiled operator and reports its latency.
-	Simulate(c Compiled) (Result, error)
+	// Simulate executes a compiled operator and returns its latency.
+	Simulate(c Compiled) (simtime.Duration, error)
 	// MemoryBytes returns the device memory capacity (KV paging budget).
 	MemoryBytes() int64
 }
@@ -262,7 +253,7 @@ func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (simtime.Duration, erro
 	}
 	s.mu.Unlock()
 
-	r, err := s.eng.Simulate(c)
+	lat, err := s.eng.Simulate(c)
 	if err != nil {
 		return 0, fmt.Errorf("engine %s: simulating %s: %w", s.eng.Name(), opLabel(op), err)
 	}
@@ -271,11 +262,11 @@ func (s *Stack) runSlow(op *model.Op, key model.ShapeID) (simtime.Duration, erro
 	if e != nil {
 		s.mu.Lock()
 		if !e.simulated {
-			e.simulated, e.latency = true, r.Latency
+			e.simulated, e.latency = true, lat
 		}
 		s.mu.Unlock()
 	}
-	return r.Latency, nil
+	return lat, nil
 }
 
 // foldHits adds n double hits counted by a Memo.

@@ -110,23 +110,14 @@ func kernelEfficiency(op model.Op) float64 {
 // Simulate evaluates the kernel roofline: latency is the max of compute
 // time at effective throughput and memory time at HBM bandwidth, plus the
 // launch overhead.
-func (e *Engine) Simulate(c engine.Compiled) (engine.Result, error) {
+func (e *Engine) Simulate(c engine.Compiled) (simtime.Duration, error) {
 	k, ok := c.(*kernel)
 	if !ok {
-		return engine.Result{}, fmt.Errorf("gpu: foreign compiled artifact %T", c)
+		return 0, fmt.Errorf("gpu: foreign compiled artifact %T", c)
 	}
 	computeSec := float64(k.flops) / (e.cfg.PeakFLOPs * k.eff)
 	memorySec := float64(k.bytes) / e.cfg.MemoryBWBytes
 	launch := e.cfg.KernelLaunchUs * 1e-6
 
-	sec := math.Max(computeSec, memorySec) + launch
-	bound := "compute"
-	if memorySec > computeSec {
-		bound = "memory"
-	}
-	return engine.Result{
-		Latency:    simtime.FromSeconds(sec),
-		BytesMoved: k.bytes,
-		Bound:      bound,
-	}, nil
+	return simtime.FromSeconds(math.Max(computeSec, memorySec) + launch), nil
 }

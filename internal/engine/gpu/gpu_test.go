@@ -20,17 +20,17 @@ func newEngine(t *testing.T, flash bool) *Engine {
 	return e
 }
 
-func run(t *testing.T, e *Engine, op model.Op) engine.Result {
+func run(t *testing.T, e *Engine, op model.Op) simtime.Duration {
 	t.Helper()
 	c, err := e.Compile(op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := e.Simulate(c)
+	lat, err := e.Simulate(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return lat
 }
 
 func TestNewValidates(t *testing.T) {
@@ -65,30 +65,40 @@ func TestCompileErrors(t *testing.T) {
 
 func TestLaunchOverheadFloor(t *testing.T) {
 	e := newEngine(t, true)
-	r := run(t, e, model.Op{Kind: model.OpResidue, Name: "tiny", M: 1, N: 1, K: 1, Heads: 1})
+	lat := run(t, e, model.Op{Kind: model.OpResidue, Name: "tiny", M: 1, N: 1, K: 1, Heads: 1})
 	floor := simtime.FromSeconds(e.Config().KernelLaunchUs * 1e-6)
-	if r.Latency < floor {
-		t.Fatalf("latency %v below kernel launch floor %v", r.Latency, floor)
+	if lat < floor {
+		t.Fatalf("latency %v below kernel launch floor %v", lat, floor)
 	}
 }
 
 // TestFlashAttentionReducesTraffic: with FlashAttention the score matrix
-// never hits HBM, so the attention kernel moves far fewer bytes for long
-// contexts.
+// never hits HBM, so the attention kernel moves fewer bytes for long
+// contexts. Both kernels are compute-bound at this prefill shape, where
+// the fused one must still not be slower; on a device with a thousand
+// times the compute both are memory-bound, and the saved traffic shows
+// as a lower latency.
 func TestFlashAttentionReducesTraffic(t *testing.T) {
 	op := model.Op{Kind: model.OpScore, Name: "score", Phase: model.Initiation,
 		M: 512, N: 512, K: 128, Heads: 32, Context: 512}
 	withFlash := run(t, newEngine(t, true), op)
 	without := run(t, newEngine(t, false), op)
-	if withFlash.BytesMoved >= without.BytesMoved {
-		t.Fatalf("flash bytes %d should be below unfused %d", withFlash.BytesMoved, without.BytesMoved)
+	if withFlash > without {
+		t.Fatalf("flash %v should not be slower than unfused %v", withFlash, without)
 	}
-	if withFlash.Latency > without.Latency {
-		t.Fatalf("flash %v should not be slower than unfused %v", withFlash.Latency, without.Latency)
+	fast := func(flash bool) simtime.Duration {
+		e := newEngine(t, flash)
+		e.cfg.PeakFLOPs *= 1000
+		return run(t, e, op)
+	}
+	if withFlash, without = fast(true), fast(false); withFlash >= without {
+		t.Fatalf("memory-bound flash %v should beat unfused %v", withFlash, without)
 	}
 }
 
-// TestSkinnyGEMMDegrades: decode-phase GEMVs cannot reach GEMM efficiency.
+// TestSkinnyGEMMDegrades: decode-phase GEMVs cannot reach GEMM
+// efficiency; they are memory-bound, taking at least the time to move
+// their bytes at HBM bandwidth and within twice it.
 func TestSkinnyGEMMDegrades(t *testing.T) {
 	e := newEngine(t, true)
 	fat := model.Op{Kind: model.OpFFN1, M: 1024, N: 4096, K: 4096, Heads: 1, Weights: 4096 * 4096 * 2}
@@ -97,13 +107,14 @@ func TestSkinnyGEMMDegrades(t *testing.T) {
 	rFat := run(t, e, fat)
 	rThin := run(t, e, thin)
 	// Per-FLOP cost must be far higher for the skinny shape.
-	fatRate := float64(fat.FLOPs()) / rFat.Latency.Seconds()
-	thinRate := float64(thin.FLOPs()) / rThin.Latency.Seconds()
+	fatRate := float64(fat.FLOPs()) / rFat.Seconds()
+	thinRate := float64(thin.FLOPs()) / rThin.Seconds()
 	if thinRate > fatRate/4 {
 		t.Fatalf("skinny GEMM rate %.2e should be far below fat %.2e", thinRate, fatRate)
 	}
-	if rThin.Bound != "memory" {
-		t.Fatalf("decode GEMV should be memory bound, got %s", rThin.Bound)
+	floor := simtime.FromSeconds(float64(thin.TotalBytes(dtypeBytes)) / e.Config().MemoryBWBytes)
+	if rThin < floor || rThin > 2*floor {
+		t.Fatalf("decode GEMV latency %v outside [1, 2] x its HBM streaming floor %v", rThin, floor)
 	}
 }
 
@@ -112,10 +123,10 @@ func TestRooflineBound(t *testing.T) {
 	e := newEngine(t, true)
 	cfg := e.Config()
 	op := model.Op{Kind: model.OpFFN1, M: 2048, N: 8192, K: 8192, Heads: 1, Weights: 8192 * 8192 * 2}
-	r := run(t, e, op)
+	lat := run(t, e, op)
 	computeFloor := simtime.FromSeconds(float64(op.FLOPs()) / cfg.PeakFLOPs)
-	if r.Latency < computeFloor {
-		t.Fatalf("latency %v beats compute floor %v", r.Latency, computeFloor)
+	if lat < computeFloor {
+		t.Fatalf("latency %v beats compute floor %v", lat, computeFloor)
 	}
 }
 

@@ -27,7 +27,7 @@ func (c *countingEngine) Compile(op model.Op) (engine.Compiled, error) {
 	return c.Engine.Compile(op)
 }
 
-func (c *countingEngine) Simulate(x engine.Compiled) (engine.Result, error) {
+func (c *countingEngine) Simulate(x engine.Compiled) (simtime.Duration, error) {
 	c.simulates++
 	return c.Engine.Simulate(x)
 }
@@ -71,10 +71,9 @@ func newPairOf(mk func() engine.Engine, reuse bool) pair {
 // some reach past what the memo's attention tables keep (4.3 ms).
 type slowEngine struct{ engine.Engine }
 
-func (s slowEngine) Simulate(c engine.Compiled) (engine.Result, error) {
-	r, err := s.Engine.Simulate(c)
-	r.Latency *= 20000
-	return r, err
+func (s slowEngine) Simulate(c engine.Compiled) (simtime.Duration, error) {
+	lat, err := s.Engine.Simulate(c)
+	return 20000 * lat, err
 }
 
 // run prices op both ways and fails unless the latencies match bit for

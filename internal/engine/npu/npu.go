@@ -167,11 +167,12 @@ func vectorPasses(k model.OpKind) int {
 	}
 }
 
-// Simulate replays a compiled schedule through the device pipeline.
-func (e *Engine) Simulate(c engine.Compiled) (engine.Result, error) {
+// Simulate replays a compiled schedule through the device pipeline and
+// returns its latency.
+func (e *Engine) Simulate(c engine.Compiled) (simtime.Duration, error) {
 	s, ok := c.(*schedule)
 	if !ok {
-		return engine.Result{}, fmt.Errorf("npu: foreign compiled artifact %T", c)
+		return 0, fmt.Errorf("npu: foreign compiled artifact %T", c)
 	}
 	switch s.class {
 	case kernelGEMM:
@@ -181,7 +182,7 @@ func (e *Engine) Simulate(c engine.Compiled) (engine.Result, error) {
 	case kernelMemory:
 		return e.simulateMemory(s), nil
 	default:
-		return engine.Result{}, fmt.Errorf("npu: unknown kernel class %d", s.class)
+		return 0, fmt.Errorf("npu: unknown kernel class %d", s.class)
 	}
 }
 
@@ -199,7 +200,7 @@ func (e *Engine) Simulate(c engine.Compiled) (engine.Result, error) {
 //
 // The walk visits every tile, so simulation cost scales with model size
 // like a conventional NPU simulator's.
-func (e *Engine) simulateGEMM(s *schedule) engine.Result {
+func (e *Engine) simulateGEMM(s *schedule) simtime.Duration {
 	bytesPerCycle := e.cfg.MemoryBWBytes / e.cfg.FrequencyHz
 
 	conc := e.cfg.SystolicRows / s.tileM
@@ -207,7 +208,7 @@ func (e *Engine) simulateGEMM(s *schedule) engine.Result {
 		conc = 1
 	}
 
-	var busyCycles, computeBusy, memoryBusy, bytesMoved int64
+	var busyCycles int64
 	// Fill latency of the systolic array for one tile wave.
 	fill := int64(e.cfg.SystolicRows + e.cfg.SystolicCols)
 
@@ -234,17 +235,11 @@ func (e *Engine) simulateGEMM(s *schedule) engine.Result {
 				// the fill, regardless of how many tiles are packed.
 				computeCycles := int64(curK) + fill
 
-				step := max(loadCycles, computeCycles)
-				busyCycles += step
-				computeBusy += computeCycles
-				memoryBusy += loadCycles
-				bytesMoved += loadBytes
+				busyCycles += max(loadCycles, computeCycles)
 
 				if k == s.nK-1 {
 					storeBytes := int64(curM) * groupN * dtypeBytes
 					storeCycles := int64(math.Ceil(float64(storeBytes) / bytesPerCycle))
-					memoryBusy += storeCycles
-					bytesMoved += storeBytes
 					if storeCycles > computeCycles {
 						busyCycles += storeCycles - computeCycles
 					}
@@ -260,23 +255,12 @@ func (e *Engine) simulateGEMM(s *schedule) engine.Result {
 		int64(firstK)*int64(min(s.n, s.tileN))*dtypeBytes
 	firstLoad := int64(math.Ceil(float64(firstBytes) / bytesPerCycle))
 	total := (busyCycles+firstLoad)*int64(s.repeats) + e.cfg.OpOverheadCycles
-
-	bound := "compute"
-	if memoryBusy > computeBusy {
-		bound = "memory"
-	}
-	return engine.Result{
-		Latency:       simtime.Cycles(total, e.cfg.FrequencyHz),
-		ComputeCycles: computeBusy * int64(s.repeats),
-		MemoryCycles:  memoryBusy * int64(s.repeats),
-		BytesMoved:    bytesMoved * int64(s.repeats),
-		Bound:         bound,
-	}
+	return simtime.Cycles(total, e.cfg.FrequencyHz)
 }
 
 // simulateVector models the vector unit: strip-mined elementwise passes
 // bounded by either lane throughput or memory bandwidth.
-func (e *Engine) simulateVector(s *schedule) engine.Result {
+func (e *Engine) simulateVector(s *schedule) simtime.Duration {
 	bytesPerCycle := e.cfg.MemoryBWBytes / e.cfg.FrequencyHz
 	passes := int64(vectorPasses(s.kind))
 
@@ -286,29 +270,14 @@ func (e *Engine) simulateVector(s *schedule) engine.Result {
 	memoryCycles := int64(math.Ceil(float64(bytes) / bytesPerCycle))
 
 	total := max(computeCycles, memoryCycles) + e.cfg.OpOverheadCycles
-	bound := "compute"
-	if memoryCycles > computeCycles {
-		bound = "memory"
-	}
-	return engine.Result{
-		Latency:       simtime.Cycles(total, e.cfg.FrequencyHz),
-		ComputeCycles: computeCycles,
-		MemoryCycles:  memoryCycles,
-		BytesMoved:    bytes,
-		Bound:         bound,
-	}
+	return simtime.Cycles(total, e.cfg.FrequencyHz)
 }
 
 // simulateMemory models pure data movement (embedding gather).
-func (e *Engine) simulateMemory(s *schedule) engine.Result {
+func (e *Engine) simulateMemory(s *schedule) simtime.Duration {
 	bytes := s.elements * dtypeBytes
 	cycles := int64(math.Ceil(float64(bytes)/(e.cfg.MemoryBWBytes/e.cfg.FrequencyHz))) + e.cfg.OpOverheadCycles
-	return engine.Result{
-		Latency:      simtime.Cycles(cycles, e.cfg.FrequencyHz),
-		MemoryCycles: cycles,
-		BytesMoved:   bytes,
-		Bound:        "memory",
-	}
+	return simtime.Cycles(cycles, e.cfg.FrequencyHz)
 }
 
 // TileCount reports the tile count of a compiled artifact; the baseline

@@ -94,10 +94,10 @@ func (e *Engine) Compile(op model.Op) (engine.Compiled, error) {
 // Simulate models bank-parallel execution: banks work independently; the
 // op completes when the most loaded bank drains its command queue, bounded
 // below by the aggregate internal bandwidth streaming cost.
-func (e *Engine) Simulate(c engine.Compiled) (engine.Result, error) {
+func (e *Engine) Simulate(c engine.Compiled) (simtime.Duration, error) {
 	p, ok := c.(*program)
 	if !ok {
-		return engine.Result{}, fmt.Errorf("pim: foreign compiled artifact %T", c)
+		return 0, fmt.Errorf("pim: foreign compiled artifact %T", c)
 	}
 	banks := int64(e.cfg.TotalBanks())
 
@@ -114,17 +114,7 @@ func (e *Engine) Simulate(c engine.Compiled) (engine.Result, error) {
 	memoryCycles := int64(math.Ceil(float64(p.bytesStreamed+p.bytesToHost) / bytesPerCycle))
 
 	total := max(computeCycles, memoryCycles) + e.cfg.CommandCycles
-	bound := "compute"
-	if memoryCycles > computeCycles {
-		bound = "memory"
-	}
-	return engine.Result{
-		Latency:       simtime.Cycles(total, e.cfg.FrequencyHz),
-		ComputeCycles: computeCycles,
-		MemoryCycles:  memoryCycles,
-		BytesMoved:    p.bytesStreamed + p.bytesToHost,
-		Bound:         bound,
-	}, nil
+	return simtime.Cycles(total, e.cfg.FrequencyHz), nil
 }
 
 func ceilDiv(a, b int) int       { return (a + b - 1) / b }

@@ -1,11 +1,8 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
-	"strconv"
-	"sync"
 
 	"repro/internal/network"
 	"repro/internal/simtime"
@@ -49,7 +46,6 @@ type MemOp struct {
 	Device int
 	Bytes  int64
 	Load   bool // true = reload from host, false = evict to host
-	ReqID  int  // the request whose pages move, for the node label
 }
 
 // BlockWork carries one transformer block's simulated durations for a
@@ -100,63 +96,19 @@ type Params struct {
 	RepeatBlocks bool
 }
 
-// Node labels repeat across iterations (the same stages, layers, and
-// block parts every time), so they are interned in a process-wide cache
-// instead of being formatted per node — label formatting used to be a
-// top entry in hot-loop profiles. Labels are bounded by stages x layers
-// x parts; per-request labels (which are unbounded) are built with
-// strconv appends instead.
-const (
-	partPre = iota
-	partAttn
-	partPost
-	partAllReduce
-	partBlock
-)
-
-var partName = [...]string{"pre", "attn", "post", "allreduce", "block"}
-
-// labelTable holds every static label of a (stages, layers) shape:
-// layer[s][l][part] plus the per-stage transfer labels. A rebuild
-// fetches one table, so label access inside the layer loop is a plain
-// array index.
-type labelTable struct {
-	layer [][][len(partName)]string
-	stage []string // stage[s] = "stage{s-1}->{s}"
-}
-
-var labelTables sync.Map // uint64(stages)<<32 | layers -> *labelTable
-
-func labelsFor(stages, layers int) *labelTable {
-	key := uint64(stages)<<32 | uint64(layers)
-	if v, ok := labelTables.Load(key); ok {
-		return v.(*labelTable)
-	}
-	t := &labelTable{
-		layer: make([][][len(partName)]string, stages),
-		stage: make([]string, stages),
-	}
-	for s := 0; s < stages; s++ {
-		t.stage[s] = fmt.Sprintf("stage%d->%d", s-1, s)
-		t.layer[s] = make([][len(partName)]string, layers)
-		for l := 0; l < layers; l++ {
-			for part, name := range partName {
-				t.layer[s][l][part] = fmt.Sprintf("s%d.l%d.%s", s, l, name)
-			}
-		}
-	}
-	labelTables.Store(key, t)
-	return t
-}
-
-// reqLabel builds "<base>.r<ID><suffix>" without fmt.
-func reqLabel(base string, r int, suffix string) string {
-	b := make([]byte, 0, len(base)+len(suffix)+8)
-	b = append(b, base...)
-	b = append(b, ".r"...)
-	b = strconv.AppendInt(b, int64(r), 10)
-	b = append(b, suffix...)
-	return string(b)
+// shape is the part of Params that decides a converted graph's nodes,
+// dependencies, resources and spans, apart from the paging ops, which
+// the converter keeps beside it (convScratch.pages). Two conversions of
+// one shape and paging differ only in node durations. The zero shape
+// belongs to no converted graph.
+type shape struct {
+	stages, tp, pimPool int32 // the topology's device layout
+	layers              int32
+	reqs                int32 // requests of a per-request placement, else 0
+	monolithic          bool  // fused block interior
+	repeatBlocks        bool
+	gather              bool // logit all-gather emitted
+	placement           AttentionPlacement
 }
 
 // Convert builds the execution graph of one serving iteration: embedding
@@ -173,14 +125,13 @@ func Convert(p Params) (*Graph, error) {
 	return g, nil
 }
 
-// ConvertInto converts the iteration into g, reusing g's storage, and
-// stamps g with the iteration's Shape. When g already holds that shape,
-// from an earlier ConvertInto, no node, dependency, resource or label is
-// built: only the node durations and payloads are rewritten. Otherwise g
-// is rebuilt from scratch. Either way every node takes its value from
-// one slot vector computed per call (fillSlots), so the two paths cannot
-// disagree; a per-request or paging node's label keeps the request ID of
-// the build that created it.
+// ConvertInto converts the iteration into g, reusing g's storage. When
+// g's build came from an earlier ConvertInto of the same shape and
+// paging ops, nothing is built: only the node durations are rewritten,
+// and g keeps its build number. Otherwise g is rebuilt from scratch as
+// a new build. Either way every node takes its duration from one slot
+// vector computed per call (fillSlots), so the two paths cannot
+// disagree.
 func ConvertInto(g *Graph, p Params) error {
 	topo := p.Topo
 	if err := topo.Validate(); err != nil {
@@ -213,47 +164,27 @@ func ConvertInto(g *Graph, p Params) error {
 	}
 	cv.fillSlots()
 
-	key := Shape{
-		Stages: int32(topo.Stages), TP: int32(topo.TP), PIMPool: int32(topo.PIMPool),
-		Layers:       int32(p.Layers),
-		Reqs:         int32(len(cs.reqIDs)),
-		Monolithic:   p.Block.Monolithic > 0,
-		RepeatBlocks: p.RepeatBlocks,
-		Gather:       topo.TP > 1 && p.HeadGatherBytes > 0,
-		Placement:    p.Placement,
-		pages:        g.shape.pages,
+	key := shape{
+		stages: int32(topo.Stages), tp: int32(topo.TP), pimPool: int32(topo.PIMPool),
+		layers:       int32(p.Layers),
+		reqs:         int32(len(cs.reqIDs)),
+		monolithic:   p.Block.Monolithic > 0,
+		repeatBlocks: p.RepeatBlocks,
+		gather:       topo.TP > 1 && p.HeadGatherBytes > 0,
+		placement:    p.Placement,
 	}
-	cs.pages = cs.pages[:0]
-	for _, m := range p.MemOps {
-		v := uint64(m.Device) << 1
-		if m.Load {
-			v |= 1
-		}
-		cs.pages = binary.AppendUvarint(cs.pages, v)
-	}
-	// key holds g's own paging encoding, so the first test compares the
-	// other fields; the second compares the paging ops without building
-	// a string.
-	if key != g.shape || string(cs.pages) != g.shape.pages {
-		key.pages = cs.pageKey()
+	if key != g.shape || !cs.samePages(p.MemOps) {
 		g.Reset()
 		cv.build()
 		g.shape = key
 	}
 	for i, n := range g.Nodes {
-		v := cs.vals[cs.slots[i]]
-		n.Duration, n.Bytes = v.d, v.bytes
+		n.Duration = cs.vals[cs.slots[i]]
 	}
 	// The builders emit in topological order. The executor validates a
-	// graph whenever it compiles the graph's shape into a plan, so the
+	// graph whenever it compiles the graph's build into a plan, so the
 	// graph is not validated here.
 	return nil
-}
-
-// slotVal is one duration and payload that nodes of the graph take.
-type slotVal struct {
-	d     simtime.Duration
-	bytes int64
 }
 
 // The fixed value slots. The paging ops follow them, one slot each, and
@@ -273,8 +204,8 @@ const (
 	slotPages
 )
 
-// fillSlots computes every duration and payload of the iteration's
-// graph into cv.vals.
+// fillSlots computes every duration of the iteration's graph into
+// cv.vals.
 func (cv *converter) fillSlots() {
 	p, topo := cv.p, cv.topo
 	var attn simtime.Duration
@@ -286,34 +217,34 @@ func (cv *converter) fillSlots() {
 	// Two ring all-reduces per block (after attention projection and
 	// after FFN2) are merged into one collective node of doubled cost.
 	v := append(slices.Grow(cv.vals[:0], slotPages+len(p.MemOps)+2*len(cv.reqIDs)),
-		slotVal{d: p.EmbedDur},
-		slotVal{d: p.HeadDur},
-		slotVal{d: p.Block.Pre},
-		slotVal{d: attn},
-		slotVal{d: p.Block.Post},
-		slotVal{d: p.Block.Monolithic},
-		slotVal{topo.P2P(p.ActBytes), p.ActBytes},
-		slotVal{2 * topo.AllReduce(p.ActBytes, topo.TP), 2 * p.ActBytes},
-		slotVal{topo.AllGather(p.HeadGatherBytes, topo.TP), p.HeadGatherBytes},
+		p.EmbedDur,
+		p.HeadDur,
+		p.Block.Pre,
+		attn,
+		p.Block.Post,
+		p.Block.Monolithic,
+		topo.P2P(p.ActBytes),
+		2*topo.AllReduce(p.ActBytes, topo.TP),
+		topo.AllGather(p.HeadGatherBytes, topo.TP),
 	)
 	for _, m := range p.MemOps {
-		v = append(v, slotVal{topo.HostTransfer(m.Bytes), m.Bytes})
+		v = append(v, topo.HostTransfer(m.Bytes))
 	}
 	for _, r := range cv.reqIDs {
 		if p.Placement == RequestSplit {
 			// A worker's full-head cost is its local-head cost scaled by
 			// the group size (heads are independent repetitions).
-			v = append(v, slotVal{d: p.Block.Attn[r] * simtime.Duration(topo.TP)})
+			v = append(v, p.Block.Attn[r]*simtime.Duration(topo.TP))
 			continue
 		}
-		bytes := p.ReqBytes[r]
-		v = append(v, slotVal{topo.P2P(bytes), bytes}, slotVal{d: p.Block.PIMAttn[r]})
+		v = append(v, topo.P2P(p.ReqBytes[r]), p.Block.PIMAttn[r])
 	}
 	cv.vals = v
 }
 
 // build emits the graph's nodes into the empty g, each with the slot
-// its duration and payload come from.
+// its duration comes from, and keeps the paging ops' devices and
+// directions for samePages.
 func (cv *converter) build() {
 	g, topo, p := cv.g, cv.topo, cv.p
 	// Size slots like the node arena, from the previous build's size.
@@ -329,25 +260,16 @@ func (cv *converter) build() {
 		cv.memDeps = make(map[int][]int, len(p.MemOps))
 	}
 	memDeps := cv.memDeps
-	var label string
+	cv.pages = cv.pages[:0]
 	for i, m := range p.MemOps {
-		// A paging op is usually split across several devices: its
-		// consecutive parts share one label.
-		if prev := p.MemOps[max(i-1, 0)]; i == 0 || m.ReqID != prev.ReqID || m.Load != prev.Load {
-			prefix := "evict"
-			if m.Load {
-				prefix = "reload"
-			}
-			label = reqLabel(prefix, m.ReqID, "")
-		}
-		id := cv.slotted(g.AddMemOp(label, m.Device, m.Load, 0, 0), slotPages+i)
+		id := cv.slotted(g.AddMemOp(m.Device, m.Load, 0), slotPages+i)
 		memDeps[m.Device] = append(memDeps[m.Device], id)
+		cv.pages = append(cv.pages, MemOp{Device: m.Device, Load: m.Load})
 	}
 	cv.reqSlot = slotPages + len(p.MemOps)
 
 	cv.layersOf = distributeLayers(cv.layersOf[:0], p.Layers, topo.Stages)
 	layersOf := cv.layersOf
-	cv.labels = labelsFor(topo.Stages, p.Layers)
 
 	// Stage device lists are needed several times each; fetch them once.
 	// Every stage holds one tensor-parallel group of equal size.
@@ -371,7 +293,7 @@ func (cv *converter) build() {
 
 	// Stage 0: embedding on every worker.
 	for i, dev := range stageDevs[0] {
-		cv.entry[i] = cv.slotted(g.AddCompute("embed", dev, 0, memDeps[dev]...), slotEmbed)
+		cv.entry[i] = cv.slotted(g.AddCompute(dev, 0, memDeps[dev]...), slotEmbed)
 	}
 
 	for s := 0; s < topo.Stages; s++ {
@@ -380,12 +302,11 @@ func (cv *converter) build() {
 			// Activation transfer from the corresponding worker of the
 			// previous stage.
 			prevDevs := stageDevs[s-1]
-			label := cv.labels.stage[s]
 			for i, dev := range devs {
 				deps := append(cv.depsBuf[:0], cv.entry[i])
 				deps = append(deps, memDeps[dev]...)
 				cv.depsBuf = deps
-				cv.entry[i] = cv.slotted(g.AddP2P(label, prevDevs[i], dev, 0, 0, deps...), slotP2P)
+				cv.entry[i] = cv.slotted(g.AddP2P(prevDevs[i], dev, 0, deps...), slotP2P)
 			}
 		}
 
@@ -394,13 +315,13 @@ func (cv *converter) build() {
 			// group all-reduce, or the single worker's last node) is the
 			// next block's whole entry: store block 0 as a span.
 			first := len(g.Nodes)
-			cv.emitLayer(s, 0, devs)
+			cv.emitLayer(devs)
 			g.Spans = append(g.Spans, Span{First: first, Len: len(g.Nodes) - first, Count: n})
 			cv.pimRR += (n - 1) * len(cv.reqIDs)
 			continue
 		}
-		for l := 0; l < layersOf[s]; l++ {
-			cv.emitLayer(s, l, devs)
+		for range layersOf[s] {
+			cv.emitLayer(devs)
 		}
 	}
 
@@ -408,26 +329,25 @@ func (cv *converter) build() {
 	lastDevs := stageDevs[topo.Stages-1]
 	headIDs := cv.scratch[:0]
 	for i, dev := range lastDevs {
-		headIDs = append(headIDs, cv.slotted(g.AddCompute("lmhead", dev, 0, cv.entry[i]), slotHead))
+		headIDs = append(headIDs, cv.slotted(g.AddCompute(dev, 0, cv.entry[i]), slotHead))
 	}
 	if topo.TP > 1 && p.HeadGatherBytes > 0 {
-		cv.slotted(g.AddAllReduce("logit-gather", lastDevs, 0, 0, headIDs...), slotGather)
+		cv.slotted(g.AddAllReduce(lastDevs, 0, headIDs...), slotGather)
 	}
 }
 
 // convScratch holds ConvertInto's buffers. It lives in the Graph and is
-// reused across calls, so converting into a graph allocates nothing once
-// the buffers have grown, apart from per-request labels on a rebuild.
+// reused across calls, so converting into a graph, or rebuilding it,
+// allocates nothing once the buffers have grown.
 type convScratch struct {
-	reqIDs    []int         // request IDs in ascending order
-	vals      []slotVal     // the iteration's values by slot
-	slots     []int32       // each node's slot in vals
-	pages     []byte        // the paging ops' Shape encoding
-	pageKeys  [4]string     // recent encodings as strings (see pageKey)
-	memDeps   map[int][]int // per-device KV paging nodes
-	layersOf  []int         // layer count per pipeline stage
-	devs      []int         // every stage's devices, back to back
-	stageDevs [][]int       // per-stage windows into devs
+	reqIDs    []int              // request IDs in ascending order
+	vals      []simtime.Duration // the iteration's durations by slot
+	slots     []int32            // each node's slot in vals
+	pages     []MemOp            // the build's paging ops, bytes left zero
+	memDeps   map[int][]int      // per-device KV paging nodes
+	layersOf  []int              // layer count per pipeline stage
+	devs      []int              // every stage's devices, back to back
+	stageDevs [][]int            // per-stage windows into devs
 
 	entry   []int // per worker position: node its next compute waits on
 	scratch []int // per-stage staging (pre/post/block/head node IDs)
@@ -438,17 +358,18 @@ type convScratch struct {
 	multiDeps [][]int
 }
 
-// pageKey returns cs.pages as a string. A run's paging repeats a few
-// patterns, so a recent string that matches is reused, not allocated.
-func (cs *convScratch) pageKey() string {
-	for _, k := range cs.pageKeys {
-		if k == string(cs.pages) {
-			return k
+// samePages reports whether ops page on the devices, in the directions,
+// that the graph's build placed its paging nodes for.
+func (cs *convScratch) samePages(ops []MemOp) bool {
+	if len(ops) != len(cs.pages) {
+		return false
+	}
+	for i, m := range ops {
+		if m.Device != cs.pages[i].Device || m.Load != cs.pages[i].Load {
+			return false
 		}
 	}
-	copy(cs.pageKeys[1:], cs.pageKeys[:])
-	cs.pageKeys[0] = string(cs.pages)
-	return cs.pageKeys[0]
+	return true
 }
 
 // converter holds the positional per-worker state of one Convert call
@@ -456,10 +377,9 @@ func (cs *convScratch) pageKey() string {
 // per-layer maps or allocations.
 type converter struct {
 	*convScratch
-	g      *Graph
-	topo   network.Topology
-	p      *Params
-	labels *labelTable
+	g    *Graph
+	topo network.Topology
+	p    *Params
 
 	reqSlot int // slot of the first request's value
 	pimRR   int
@@ -472,23 +392,22 @@ func (cv *converter) slotted(id, slot int) int {
 	return id
 }
 
-// emitLayer adds one transformer block for stage s at the current entry
-// frontier, advancing it in place.
-func (cv *converter) emitLayer(s, l int, devs []int) {
+// emitLayer adds one transformer block on a stage's devices at the
+// current entry frontier, advancing it in place.
+func (cv *converter) emitLayer(devs []int) {
 	g, topo, p := cv.g, cv.topo, cv.p
 
 	if p.Block.Monolithic > 0 {
 		// Fused block interior (sub-batch interleaved execution): one
 		// compute span per worker, then the group collective.
-		label := cv.labels.layer[s][l][partBlock]
 		ids := cv.scratch[:0]
 		for i, dev := range devs {
-			id := cv.slotted(g.AddCompute(label, dev, 0, cv.entry[i]), slotBlock)
+			id := cv.slotted(g.AddCompute(dev, 0, cv.entry[i]), slotBlock)
 			ids = append(ids, id)
 			cv.entry[i] = id
 		}
 		if topo.TP > 1 {
-			cid := cv.slotted(g.AddAllReduce(cv.labels.layer[s][l][partAllReduce], devs, 0, 0, ids...), slotAllReduce)
+			cid := cv.slotted(g.AddAllReduce(devs, 0, ids...), slotAllReduce)
 			for i := range devs {
 				cv.entry[i] = cid
 			}
@@ -496,48 +415,45 @@ func (cv *converter) emitLayer(s, l int, devs []int) {
 		return
 	}
 
-	preLabel := cv.labels.layer[s][l][partPre]
 	pre := cv.scratch[:len(devs)]
 	for i, dev := range devs {
-		pre[i] = cv.slotted(g.AddCompute(preLabel, dev, 0, cv.entry[i]), slotPre)
+		pre[i] = cv.slotted(g.AddCompute(dev, 0, cv.entry[i]), slotPre)
 	}
 
 	// Attention core. The head-split fast path keeps one attention node
 	// per worker in entry; the request-scattered placements accumulate
 	// per-worker dependency lists in multiDeps.
-	attnLabel := cv.labels.layer[s][l][partAttn]
 	multi := false
 	switch p.Placement {
 	case HeadSplit:
 		for i, dev := range devs {
-			cv.entry[i] = cv.slotted(g.AddCompute(attnLabel, dev, 0, pre[i]), slotAttn)
+			cv.entry[i] = cv.slotted(g.AddCompute(dev, 0, pre[i]), slotAttn)
 		}
 	case RequestSplit:
 		// Each request's full-head attention on one worker.
 		multi = true
 		cv.resetMulti(len(devs))
-		for i, r := range cv.reqIDs {
+		for i := range cv.reqIDs {
 			w := i % len(devs)
-			id := cv.slotted(g.AddCompute(reqLabel(attnLabel, r, ""), devs[w], 0, pre[w]), cv.reqSlot+i)
+			id := cv.slotted(g.AddCompute(devs[w], 0, pre[w]), cv.reqSlot+i)
 			cv.multiDeps[w] = append(cv.multiDeps[w], id)
 		}
 	case PIMPool:
 		multi = true
 		cv.resetMulti(len(devs))
-		for i, r := range cv.reqIDs {
+		for i := range cv.reqIDs {
 			w := i % len(devs)
 			owner := devs[w]
 			pimDev := topo.NPUNodes() + cv.pimRR%topo.PIMPool // next pool device, round-robin
 			cv.pimRR++
 			xfer, comp := cv.reqSlot+2*i, cv.reqSlot+2*i+1
-			out := cv.slotted(g.AddP2P(reqLabel(attnLabel, r, ".toPIM"), owner, pimDev, 0, 0, pre[w]), xfer)
-			in := cv.slotted(g.AddCompute(reqLabel(attnLabel, r, ".pim"), pimDev, 0, out), comp)
-			back := cv.slotted(g.AddP2P(reqLabel(attnLabel, r, ".fromPIM"), pimDev, owner, 0, 0, in), xfer)
+			out := cv.slotted(g.AddP2P(owner, pimDev, 0, pre[w]), xfer)
+			in := cv.slotted(g.AddCompute(pimDev, 0, out), comp)
+			back := cv.slotted(g.AddP2P(pimDev, owner, 0, in), xfer)
 			cv.multiDeps[w] = append(cv.multiDeps[w], back)
 		}
 	}
 
-	postLabel := cv.labels.layer[s][l][partPost]
 	post := cv.scratch[:0] // pre is consumed above; reuse its backing
 	for i, dev := range devs {
 		var id int
@@ -547,16 +463,16 @@ func (cv *converter) emitLayer(s, l int, devs []int) {
 				// Workers without requests proceed straight from pre.
 				deps = append(deps, pre[i])
 			}
-			id = g.AddCompute(postLabel, dev, 0, deps...)
+			id = g.AddCompute(dev, 0, deps...)
 		} else {
-			id = g.AddCompute(postLabel, dev, 0, cv.entry[i])
+			id = g.AddCompute(dev, 0, cv.entry[i])
 		}
 		post = append(post, cv.slotted(id, slotPost))
 		cv.entry[i] = id
 	}
 
 	if topo.TP > 1 {
-		id := cv.slotted(g.AddAllReduce(cv.labels.layer[s][l][partAllReduce], devs, 0, 0, post...), slotAllReduce)
+		id := cv.slotted(g.AddAllReduce(devs, 0, post...), slotAllReduce)
 		for i := range devs {
 			cv.entry[i] = id
 		}

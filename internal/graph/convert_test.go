@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"reflect"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -41,18 +41,54 @@ func baseParams(t *testing.T, tp network.Topology) Params {
 	}
 }
 
+// tally is the node count and total duration of one node kind.
+type tally struct {
+	n int
+	d simtime.Duration
+}
+
+// kinds tallies g's nodes by kind, a repeat span's template nodes once
+// per repetition, so a folded graph tallies like its unrolled form.
+func kinds(g *Graph) map[NodeKind]tally {
+	m := map[NodeKind]tally{}
+	for _, n := range g.Nodes {
+		reps := 1
+		for _, sp := range g.Spans {
+			if sp.Contains(n.ID) {
+				reps = sp.Count
+			}
+		}
+		k := m[n.Kind]
+		k.n += reps
+		k.d += simtime.Duration(reps) * n.Duration
+		m[n.Kind] = k
+	}
+	return m
+}
+
+// slotted returns the nodes of g that take their duration from slot.
+func slotted(g *Graph, slot int) []*Node {
+	var ns []*Node
+	for i, n := range g.Nodes {
+		if int(g.conv.slots[i]) == slot {
+			ns = append(ns, n)
+		}
+	}
+	return ns
+}
+
 func TestConvertSingleDevice(t *testing.T) {
 	p := baseParams(t, topo(t, network.Tensor, 1, 0, 0))
 	g, err := Convert(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := g.Summarize()
+	k := kinds(g)
 	// embed + 4 layers x (pre, attn, post) + head; no comm at TP1.
-	if s.ByKind[Compute] != 1+4*3+1 {
-		t.Fatalf("compute nodes = %d", s.ByKind[Compute])
+	if k[Compute].n != 1+4*3+1 {
+		t.Fatalf("compute nodes = %d", k[Compute].n)
 	}
-	if s.ByKind[AllReduce] != 0 || s.ByKind[P2P] != 0 {
+	if k[AllReduce].n != 0 || k[P2P].n != 0 {
 		t.Fatal("TP1 PP1 must have no communication")
 	}
 }
@@ -63,14 +99,14 @@ func TestConvertTensorParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := g.Summarize()
+	k := kinds(g)
 	// One merged all-reduce per layer plus the logit gather.
-	if s.ByKind[AllReduce] != 4+1 {
-		t.Fatalf("allreduce nodes = %d", s.ByKind[AllReduce])
+	if k[AllReduce].n != 4+1 {
+		t.Fatalf("allreduce nodes = %d", k[AllReduce].n)
 	}
 	// 4 workers x (embed + 4x3 + head).
-	if s.ByKind[Compute] != 4*(1+4*3+1) {
-		t.Fatalf("compute nodes = %d", s.ByKind[Compute])
+	if k[Compute].n != 4*(1+4*3+1) {
+		t.Fatalf("compute nodes = %d", k[Compute].n)
 	}
 }
 
@@ -80,12 +116,12 @@ func TestConvertPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := g.Summarize()
+	k := kinds(g)
 	// 3 stage boundaries, one transfer each (TP1).
-	if s.ByKind[P2P] != 3 {
-		t.Fatalf("p2p nodes = %d", s.ByKind[P2P])
+	if k[P2P].n != 3 {
+		t.Fatalf("p2p nodes = %d", k[P2P].n)
 	}
-	if s.ByKind[AllReduce] != 0 {
+	if k[AllReduce].n != 0 {
 		t.Fatal("TP1 pipeline must have no all-reduce")
 	}
 }
@@ -97,11 +133,13 @@ func TestConvertMoreStagesThanLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Summarize().ByKind[P2P] != 7 {
-		t.Fatalf("p2p = %d", g.Summarize().ByKind[P2P])
+	if n := kinds(g)[P2P].n; n != 7 {
+		t.Fatalf("p2p = %d", n)
 	}
 }
 
+// TestConvertRequestSplit: each request's attention runs at full head
+// count on one worker, from the request's own slot.
 func TestConvertRequestSplit(t *testing.T) {
 	p := baseParams(t, topo(t, network.Tensor, 2, 0, 0))
 	p.Placement = RequestSplit
@@ -111,26 +149,18 @@ func TestConvertRequestSplit(t *testing.T) {
 	}
 	// Each layer: 2 pre + 2 attn (one per request, round-robined) + 2 post.
 	found := 0
-	for _, n := range g.Nodes {
-		if strings.Contains(n.Label, "attn.r") {
+	for i, r := range []int{0, 1} {
+		for _, n := range slotted(g, slotPages+i) {
 			found++
 			// Full-head duration = local x TP.
-			want := p.Block.Attn[reqOf(n.Label)] * 2
-			if n.Duration != want {
-				t.Fatalf("node %s duration %v, want %v", n.Label, n.Duration, want)
+			if want := p.Block.Attn[r] * 2; n.Kind != Compute || n.Duration != want || n.Resources[0].Device != i {
+				t.Fatalf("request %d attention %v, duration %v; want compute on device %d, %v", r, n, n.Duration, i, want)
 			}
 		}
 	}
 	if found != 4*2 {
 		t.Fatalf("request-split attention nodes = %d", found)
 	}
-}
-
-func reqOf(label string) int {
-	if strings.Contains(label, ".r0") {
-		return 0
-	}
-	return 1
 }
 
 func TestConvertPIMPool(t *testing.T) {
@@ -144,18 +174,21 @@ func TestConvertPIMPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := g.Summarize()
 	// Per layer per request: transfer out + back = 2 P2P.
-	if s.ByKind[P2P] != 4*2*2 {
-		t.Fatalf("pim transfers = %d", s.ByKind[P2P])
+	if n := kinds(g)[P2P].n; n != 4*2*2 {
+		t.Fatalf("pim transfers = %d", n)
 	}
-	// PIM compute nodes land on pool devices (IDs 2,3).
+	// PIM compute nodes land on pool devices (IDs 2,3). Each request has
+	// a transfer slot, then its PIM compute slot.
 	pim := 0
-	for _, n := range g.Nodes {
-		if strings.HasSuffix(n.Label, ".pim") {
+	for i, r := range []int{0, 1} {
+		for _, n := range slotted(g, slotPages+2*i+1) {
 			pim++
-			if dev := n.Resources[0].Device; dev != 2 && dev != 3 {
-				t.Fatalf("pim compute on device %d", dev)
+			if dev := n.Resources[0].Device; n.Kind != Compute || dev != 2 && dev != 3 {
+				t.Fatalf("pim compute %v", n)
+			}
+			if n.Duration != p.Block.PIMAttn[r] {
+				t.Fatalf("pim compute %v takes %v, want %v", n, n.Duration, p.Block.PIMAttn[r])
 			}
 		}
 	}
@@ -171,77 +204,77 @@ func TestConvertMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := 0
-	for _, n := range g.Nodes {
-		if strings.HasSuffix(n.Label, ".block") {
-			blocks++
-			if n.Duration != 50*simtime.Microsecond {
-				t.Fatal("monolithic duration")
-			}
+	blocks := slotted(g, slotBlock)
+	for _, n := range blocks {
+		if n.Kind != Compute || n.Duration != 50*simtime.Microsecond {
+			t.Fatalf("monolithic block %v takes %v", n, n.Duration)
 		}
 	}
-	if blocks != 4*2 {
-		t.Fatalf("monolithic blocks = %d", blocks)
+	if len(blocks) != 4*2 {
+		t.Fatalf("monolithic blocks = %d", len(blocks))
 	}
 }
 
 func TestConvertMemOps(t *testing.T) {
 	p := baseParams(t, topo(t, network.Tensor, 2, 0, 0))
 	p.MemOps = []MemOp{
-		{Device: 0, Bytes: 1 << 20, Load: true, ReqID: 5},
-		{Device: 1, Bytes: 1 << 20, Load: false, ReqID: 6},
-		{Device: 0, Bytes: 1 << 20, Load: false, ReqID: 6},
+		{Device: 0, Bytes: 1 << 20, Load: true},
+		{Device: 1, Bytes: 1 << 20, Load: false},
+		{Device: 0, Bytes: 1 << 10, Load: false},
 	}
 	g, err := Convert(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := g.Summarize()
-	if s.ByKind[MemLoad] != 1 || s.ByKind[MemStore] != 2 {
-		t.Fatalf("mem nodes %v", s.ByKind)
+	k := kinds(g)
+	if k[MemLoad].n != 1 || k[MemStore].n != 2 {
+		t.Fatalf("mem nodes %v", k)
+	}
+	// The paging ops come first, in order, each on its device's DMA
+	// engine for its host transfer time.
+	for i, m := range p.MemOps {
+		n := g.Nodes[i]
+		if (n.Kind == MemLoad) != m.Load || n.Resources[0] != (Resource{ResHostDMA, m.Device}) ||
+			n.Duration != p.Topo.HostTransfer(m.Bytes) {
+			t.Fatalf("paging node %v takes %v, want op %+v", n, n.Duration, m)
+		}
 	}
 	// The embed on device 0 must wait on its reload and its eviction.
 	var embedDeps []int
-	for _, n := range g.Nodes {
-		if n.Label == "embed" && n.Resources[0].Device == 0 {
+	for _, n := range slotted(g, slotEmbed) {
+		if n.Resources[0].Device == 0 {
 			embedDeps = n.Deps
 		}
 	}
-	if len(embedDeps) != 2 || g.Nodes[embedDeps[0]].Kind != MemLoad || g.Nodes[embedDeps[1]].Kind != MemStore {
+	if !slices.Equal(embedDeps, []int{0, 2}) {
 		t.Fatalf("embed deps %v", embedDeps)
 	}
-	for i, want := range []string{"reload.r5", "evict.r6", "evict.r6"} {
-		if got := g.Nodes[i].Label; got != want {
-			t.Fatalf("paging node %d label %q, want %q", i, got, want)
-		}
-	}
 }
 
-// shapeOf converts p into a fresh graph and returns its shape.
-func shapeOf(t *testing.T, p Params) Shape {
-	t.Helper()
-	g, err := Convert(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := g.Shape()
-	if !ok {
-		t.Fatal("converted graph has no shape")
-	}
-	return s
-}
-
-// TestShapeKey: every Params field that decides the graph's nodes,
-// dependencies, resources or spans changes its shape, and the fields
-// that only set durations and payloads do not.
+// TestShapeKey: on one graph, every Params field that decides the
+// graph's nodes, dependencies, resources or spans forces a rebuild, and
+// the fields that only set durations do not. A rebuild gives the graph
+// a new build number, and with it a recompile by any executor that
+// holds the graph's plan.
 func TestShapeKey(t *testing.T) {
 	base := func() Params {
 		p := baseParams(t, topo(t, network.Hybrid, 4, 2, 0))
 		p.Placement = RequestSplit
-		p.MemOps = []MemOp{{Device: 0, Bytes: 1 << 20, Load: true, ReqID: 1}}
+		p.MemOps = []MemOp{{Device: 0, Bytes: 1 << 20, Load: true}}
 		return p
 	}
-	want := shapeOf(t, base())
+	g := New()
+	convert := func(p Params) uint64 {
+		t.Helper()
+		if err := ConvertInto(g, p); err != nil {
+			t.Fatal(err)
+		}
+		n, ok := g.Build()
+		if !ok {
+			t.Fatal("converted graph is no converted build")
+		}
+		return n
+	}
 	for name, edit := range map[string]func(p *Params){
 		"stages":        func(p *Params) { p.Topo = topo(t, network.Hybrid, 4, 4, 0) },
 		"tp":            func(p *Params) { p.Topo = topo(t, network.Hybrid, 8, 2, 0) },
@@ -257,10 +290,11 @@ func TestShapeKey(t *testing.T) {
 		"page count":    func(p *Params) { p.MemOps = append(p.MemOps, p.MemOps[0]) },
 		"no pages":      func(p *Params) { p.MemOps = nil },
 	} {
+		before := convert(base())
 		p := base()
 		edit(&p)
-		if shapeOf(t, p) == want {
-			t.Errorf("%s: shape unchanged", name)
+		if convert(p) == before {
+			t.Errorf("%s: graph not rebuilt", name)
 		}
 	}
 	for name, edit := range map[string]func(p *Params){
@@ -268,23 +302,22 @@ func TestShapeKey(t *testing.T) {
 		"payloads":    func(p *Params) { p.ActBytes, p.HeadGatherBytes, p.MemOps[0].Bytes = 1, 2, 3 },
 		"link":        func(p *Params) { p.Topo.Link.BandwidthBytes /= 2 },
 		"request IDs": func(p *Params) { p.Block.Attn = map[int]simtime.Duration{7: 1, 9: 2} },
-		"paging req":  func(p *Params) { p.MemOps[0].ReqID = 4 },
 	} {
+		before := convert(base())
 		p := base()
 		edit(&p)
-		if shapeOf(t, p) != want {
-			t.Errorf("%s: shape changed", name)
+		if convert(p) != before {
+			t.Errorf("%s: graph rebuilt", name)
 		}
 	}
-	g := New()
-	g.AddCompute("a", 0, 1)
-	if _, ok := g.Shape(); ok {
-		t.Fatal("hand-built graph has a shape")
+	g = New()
+	g.AddCompute(0, 1)
+	if _, ok := g.Build(); ok {
+		t.Fatal("hand-built graph is a converted build")
 	}
 }
 
-// sameStructure fails unless got and want hold equal nodes and spans,
-// labels aside.
+// sameStructure fails unless got and want hold equal nodes and spans.
 func sameStructure(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if len(got.Nodes) != len(want.Nodes) || !slices.Equal(got.Spans, want.Spans) {
@@ -292,7 +325,7 @@ func sameStructure(t *testing.T, got, want *Graph) {
 	}
 	for i, n := range got.Nodes {
 		w := want.Nodes[i]
-		if n.ID != w.ID || n.Kind != w.Kind || n.Duration != w.Duration || n.Bytes != w.Bytes ||
+		if n.ID != w.ID || n.Kind != w.Kind || n.Duration != w.Duration ||
 			!slices.Equal(n.Resources, w.Resources) || !slices.Equal(n.Deps, w.Deps) {
 			t.Fatalf("node %d: %+v, want %+v", i, *n, *w)
 		}
@@ -300,28 +333,30 @@ func sameStructure(t *testing.T, got, want *Graph) {
 }
 
 // TestConvertIntoReusesShape: converting an iteration of the shape a
-// graph already holds rewrites the durations and payloads in place,
-// building no node or label, and leaves the graph equal to a fresh
-// conversion; a new shape rebuilds it.
+// graph already holds rewrites the durations in place, allocating
+// nothing and keeping the graph's build, and leaves the graph equal to a
+// fresh conversion; a new shape rebuilds it. Alternating two paging
+// patterns rebuilds the graph on every conversion, and once both have
+// been built, a rebuild allocates nothing either.
 func TestConvertIntoReusesShape(t *testing.T) {
 	for _, place := range []AttentionPlacement{HeadSplit, RequestSplit, PIMPool} {
 		t.Run(place.String(), func(t *testing.T) {
 			p := baseParams(t, topo(t, network.Hybrid, 4, 2, 2))
 			p.Placement, p.RepeatBlocks = place, true
 			p.Block.PIMAttn = p.Block.Attn
-			p.MemOps = []MemOp{{Device: 1, Bytes: 1 << 20, ReqID: 0}}
+			p.MemOps = []MemOp{{Device: 1, Bytes: 1 << 20}}
 			g := New()
 			if err := ConvertInto(g, p); err != nil {
 				t.Fatal(err)
 			}
-			first := g.Nodes[0]
+			build, _ := g.Build()
 
 			q := p
 			q.Block = BlockWork{Pre: 3, Post: 4, Attn: map[int]simtime.Duration{5: 6, 8: 7}}
 			q.Block.PIMAttn = map[int]simtime.Duration{5: 11, 8: 12}
 			q.ReqBytes = map[int]int64{5: 100, 8: 200}
 			q.EmbedDur, q.HeadDur, q.ActBytes, q.HeadGatherBytes = 1, 2, 300, 400
-			q.MemOps = []MemOp{{Device: 1, Bytes: 1 << 10, ReqID: 8}}
+			q.MemOps = []MemOp{{Device: 1, Bytes: 1 << 10}}
 			if n := testing.AllocsPerRun(10, func() {
 				if err := ConvertInto(g, q); err != nil {
 					t.Fatal(err)
@@ -333,33 +368,63 @@ func TestConvertIntoReusesShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g.Nodes[0] != first {
+			if n, _ := g.Build(); n != build {
 				t.Fatal("a held shape was rebuilt")
 			}
 			sameStructure(t, g, want)
-			if m := g.Nodes[0]; m.Kind != MemStore || m.Bytes != q.MemOps[0].Bytes {
-				t.Fatalf("paging node %+v after a held-shape conversion", *m)
+			if m := g.Nodes[0]; m.Kind != MemStore || m.Duration != q.Topo.HostTransfer(q.MemOps[0].Bytes) {
+				t.Fatalf("paging node %v takes %v after a held-shape conversion", m, m.Duration)
 			}
+
+			// Two paging patterns of different devices, directions and
+			// counts: each conversion rebuilds.
+			pages := [2][]MemOp{
+				{{Device: 2, Bytes: 1 << 20}},
+				{{Device: 2, Bytes: 1 << 20, Load: true}, {Device: 0, Bytes: 1 << 16}},
+			}
+			rebuilds := 0
+			alternate := func() {
+				for _, ops := range pages {
+					q.MemOps = ops
+					if err := ConvertInto(g, q); err != nil {
+						t.Fatal(err)
+					}
+					if n, _ := g.Build(); n != build {
+						build = n
+						rebuilds++
+					}
+				}
+			}
+			alternate()
+			if n := testing.AllocsPerRun(10, alternate); n != 0 {
+				t.Fatalf("a pair of paging-only rebuilds allocates %v times", n)
+			}
+			if rebuilds != 2*12 {
+				t.Fatalf("%d rebuilds in 12 pairs of paging-only conversions, want 24", rebuilds)
+			}
+			if want, err = Convert(q); err != nil {
+				t.Fatal(err)
+			}
+			sameStructure(t, g, want)
 
 			// A moved paging op rebuilds the graph, and so does an extra
 			// layer.
 			for _, edit := range []func(){
-				func() { q.MemOps[0].Device = 2 },
+				func() { q.MemOps = []MemOp{{Device: 3, Bytes: 1 << 20}} },
 				func() { q.Layers++ },
 			} {
 				edit()
 				if err := ConvertInto(g, q); err != nil {
 					t.Fatal(err)
 				}
+				if n, _ := g.Build(); n == build {
+					t.Fatal("a new shape did not rebuild the graph")
+				}
+				build, _ = g.Build()
 				if want, err = Convert(q); err != nil {
 					t.Fatal(err)
 				}
 				sameStructure(t, g, want)
-				for i, n := range g.Nodes {
-					if n.Label != want.Nodes[i].Label {
-						t.Fatalf("rebuilt node %d label %q, want %q", i, n.Label, want.Nodes[i].Label)
-					}
-				}
 			}
 		})
 	}
@@ -427,7 +492,7 @@ func zeros(n int) []int { return make([]int, n) }
 
 // TestConvertRepeatBlocks: with RepeatBlocks each stage holding two or
 // more layers stores its first block once as a span whose count is the
-// stage's layer count, and the folded graph summarises exactly like the
+// stage's layer count, and the folded graph tallies exactly like the
 // unrolled one.
 func TestConvertRepeatBlocks(t *testing.T) {
 	for _, tc := range []struct {
@@ -469,8 +534,8 @@ func TestConvertRepeatBlocks(t *testing.T) {
 			if !slices.Equal(counts, tc.spans) {
 				t.Fatalf("span counts %v, want %v", counts, tc.spans)
 			}
-			if got, want := folded.Summarize(), unrolled.Summarize(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("folded summary %+v, unrolled %+v", got, want)
+			if got, want := kinds(folded), kinds(unrolled); !maps.Equal(got, want) {
+				t.Fatalf("folded graph tallies %+v, unrolled %+v", got, want)
 			}
 		})
 	}
@@ -478,35 +543,39 @@ func TestConvertRepeatBlocks(t *testing.T) {
 
 // TestValidateSpans: spans must be in range and disjoint, wait on their
 // entry and reach their exit from every node, and be depended on from
-// outside only through the exit.
+// outside only through the exit. An error about a node names it by its
+// ID, kind and device; one about a span's layout names the span.
 func TestValidateSpans(t *testing.T) {
 	us := simtime.Microsecond
 	build := func() *Graph {
 		g := New()
-		e := g.AddCompute("entry", 0, us)
-		a := g.AddCompute("a", 0, us, e)
-		b := g.AddCompute("b", 1, us, e)
-		x := g.AddAllReduce("x", []int{0, 1}, us, 0, a, b)
-		g.AddCompute("tail", 0, us, x)
+		e := g.AddCompute(0, us)
+		a := g.AddCompute(0, us, e)
+		b := g.AddCompute(1, us, e)
+		x := g.AddAllReduce([]int{0, 1}, us, a, b)
+		g.AddCompute(0, us, x)
 		g.Spans = []Span{{First: 1, Len: 3, Count: 4}}
 		return g
 	}
 	if err := build().Validate(); err != nil {
 		t.Fatalf("well-formed span rejected: %v", err)
 	}
-	for name, edit := range map[string]func(g *Graph){
-		"past the graph":   func(g *Graph) { g.Spans[0].Len = 9 },
-		"zero count":       func(g *Graph) { g.Spans[0].Count = 0 },
-		"overlapping":      func(g *Graph) { g.Spans = append(g.Spans, Span{First: 2, Len: 1, Count: 2}) },
-		"no entry":         func(g *Graph) { g.Spans[0] = Span{First: 0, Len: 1, Count: 2} },
-		"exit not reached": func(g *Graph) { g.Spans[0].Len = 2 },
-		"entry not waited": func(g *Graph) { g.Nodes[2].Deps = nil },
-		"interior escapes": func(g *Graph) { g.Nodes[4].Deps = []int{1, 3} },
+	for name, tc := range map[string]struct {
+		edit func(g *Graph)
+		want string
+	}{
+		"past the graph":   {func(g *Graph) { g.Spans[0].Len = 9 }, "span 0 "},
+		"zero count":       {func(g *Graph) { g.Spans[0].Count = 0 }, "span 0 "},
+		"overlapping":      {func(g *Graph) { g.Spans = append(g.Spans, Span{First: 2, Len: 1, Count: 2}) }, "span 1 "},
+		"no entry":         {func(g *Graph) { g.Spans[0] = Span{First: 0, Len: 1, Count: 2} }, "node 0 (compute on device 0) does not wait"},
+		"exit not reached": {func(g *Graph) { g.Spans[0].Len = 2 }, "node 1 (compute on device 0) does not reach"},
+		"entry not waited": {func(g *Graph) { g.Nodes[2].Deps = nil }, "node 2 (compute on device 1) does not wait"},
+		"interior escapes": {func(g *Graph) { g.Nodes[4].Deps = []int{1, 3} }, "node 4 (compute on device 0) depends on node 1"},
 	} {
 		g := build()
-		edit(g)
-		if err := g.Validate(); err == nil {
-			t.Errorf("%s: malformed span accepted", name)
+		tc.edit(g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
 		}
 	}
 }

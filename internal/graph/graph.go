@@ -11,15 +11,17 @@
 // the network cost models — and the system simulator resolves resource
 // contention and overlap.
 //
-// # Shapes
+// # Builds
 //
 // Successive serving iterations mostly convert to the same graph
-// structure with new durations. ConvertInto stamps each graph with its
-// Shape, the comparable key of everything that decides nodes,
-// dependencies, resources and spans. Converting into a graph that
-// already holds the same shape writes only the durations and payloads;
-// the executor compiles the shape's schedule plan once and reuses it
-// while the shape lasts. A hand-built graph has no shape.
+// structure with new durations. ConvertInto keeps, from the graph's last
+// build, the inputs that decide its nodes, dependencies, resources and
+// spans: the graph's shape. Converting an iteration of that shape writes
+// only the node durations; any other iteration rebuilds the graph. Every
+// rebuild, Reset and Add gives the graph a new build number (Build), so
+// an executor compiles a graph's schedule plan once per build and reuses
+// it while the build lasts. A hand-built graph is never a converted
+// build.
 //
 // # Repeat spans
 //
@@ -93,9 +95,7 @@ type Resource struct {
 type Node struct {
 	ID       int
 	Kind     NodeKind
-	Label    string // informational; see ConvertInto for request IDs
 	Duration simtime.Duration
-	Bytes    int64 // payload for communication/memory nodes (informational)
 
 	// Resources the node occupies for its whole duration. Compute nodes
 	// occupy their device's compute unit; collectives occupy the network
@@ -105,6 +105,15 @@ type Node struct {
 	Deps []int // node IDs that must complete first
 }
 
+// String names the node in errors by its ID, its kind and the device of
+// its first resource.
+func (n *Node) String() string {
+	if len(n.Resources) == 0 {
+		return fmt.Sprintf("node %d (%s)", n.ID, n.Kind)
+	}
+	return fmt.Sprintf("node %d (%s on device %d)", n.ID, n.Kind, n.Resources[0].Device)
+}
+
 // Graph is a DAG of execution nodes. Nodes are stored in insertion order
 // and node IDs equal slice indices.
 //
@@ -112,7 +121,7 @@ type Node struct {
 // helpers carve slices out of graph-owned backing arrays, so building a
 // graph costs a handful of amortised allocations instead of several per
 // node. A graph is converted once per simulated iteration, and rebuilt
-// only when the iteration's Shape differs from the one it holds.
+// only when the iteration's shape differs from the one it holds.
 type Graph struct {
 	Nodes []*Node
 
@@ -125,7 +134,8 @@ type Graph struct {
 	resArena  []Resource
 
 	conv  convScratch // ConvertInto's reused buffers
-	shape Shape       // set by ConvertInto; zero on a hand-built graph
+	shape shape       // set by ConvertInto; zero on a hand-built graph
+	build uint64      // advanced by every Reset and Add (see Build)
 
 	// Validate's scratch for repeat spans: the span owning each template
 	// node, and whether a template node waits on its span's entry.
@@ -146,36 +156,22 @@ func (s Span) Exit() int { return s.First + s.Len - 1 }
 // Contains reports whether node id belongs to the template.
 func (s Span) Contains(id int) bool { return id >= s.First && id < s.First+s.Len }
 
-// Shape identifies the structure of a converted graph: the Params fields
-// that decide its nodes, dependencies, resources and spans. Two
-// conversions with equal shapes differ only in node durations, payloads
-// and the request IDs in labels. The zero Shape belongs to no converted
-// graph. The counts are int32 to keep the key small: every conversion
-// compares one, and the graph and the executor's plan each hold one.
-type Shape struct {
-	Stages, TP, PIMPool int32 // the topology's device layout
-	Layers              int32
-	Reqs                int32 // requests of a per-request placement, else 0
-	Monolithic          bool  // fused block interior
-	RepeatBlocks        bool
-	Gather              bool // logit all-gather emitted
-	Placement           AttentionPlacement
-
-	// pages packs each paging op's device and direction as a uvarint.
-	pages string
-}
-
-// Shape returns the graph's shape and true when ConvertInto built it,
-// or false for a hand-built graph. Edit a converted graph's structure
-// only through Reset or the Add* builders, which drop the shape; writing
-// node durations keeps it.
-func (g *Graph) Shape() (Shape, bool) { return g.shape, g.shape.Layers > 0 }
+// Build returns the graph's build number and whether ConvertInto made
+// the current build. The number changes on every Reset and Add, so it
+// changes whenever ConvertInto rebuilds the graph and never when it only
+// rewrites durations: a converted graph with the number of an earlier
+// one has that graph's structure. A hand-built graph may have been
+// edited in place since its last Add, so its number proves nothing.
+// Edit a converted graph's structure only through Reset or the Add*
+// builders, which end its converted build; writing node durations keeps
+// it.
+func (g *Graph) Build() (n uint64, converted bool) { return g.build, g.shape.layers > 0 }
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
 
 // Reset clears the graph for rebuilding while retaining its allocated
-// capacity, and drops its shape, so the next ConvertInto builds afresh.
+// capacity, and ends its build, so the next ConvertInto builds afresh.
 // Nodes of the previous build are invalidated.
 func (g *Graph) Reset() {
 	g.Nodes = g.Nodes[:0]
@@ -183,13 +179,15 @@ func (g *Graph) Reset() {
 	g.nodeArena = g.nodeArena[:0]
 	g.depArena = g.depArena[:0]
 	g.resArena = g.resArena[:0]
-	g.shape = Shape{}
+	g.shape = shape{}
+	g.build++
 }
 
 // Add appends a node, assigning its ID, and returns the ID. The graph
-// stops being a converted shape.
+// starts a new build, which is not a converted one.
 func (g *Graph) Add(n *Node) int {
-	g.shape = Shape{}
+	g.shape = shape{}
+	g.build++
 	n.ID = len(g.Nodes)
 	g.Nodes = append(g.Nodes, n)
 	return n.ID
@@ -251,10 +249,9 @@ func (g *Graph) holdRes(res ...Resource) []Resource {
 }
 
 // AddCompute appends a compute node on the given device.
-func (g *Graph) AddCompute(label string, device int, d simtime.Duration, deps ...int) int {
+func (g *Graph) AddCompute(device int, d simtime.Duration, deps ...int) int {
 	n := g.alloc()
 	n.Kind = Compute
-	n.Label = label
 	n.Duration = d
 	n.Resources = g.holdRes(Resource{ResCompute, device})
 	n.Deps = g.holdDeps(deps)
@@ -262,7 +259,7 @@ func (g *Graph) AddCompute(label string, device int, d simtime.Duration, deps ..
 }
 
 // AddAllReduce appends a collective across the given devices.
-func (g *Graph) AddAllReduce(label string, devices []int, d simtime.Duration, bytes int64, deps ...int) int {
+func (g *Graph) AddAllReduce(devices []int, d simtime.Duration, deps ...int) int {
 	if len(g.resArena)+len(devices) > cap(g.resArena) {
 		g.resArena = make([]Resource, 0, growCap(2*len(g.Nodes)+len(devices)))
 	}
@@ -272,9 +269,7 @@ func (g *Graph) AddAllReduce(label string, devices []int, d simtime.Duration, by
 	}
 	n := g.alloc()
 	n.Kind = AllReduce
-	n.Label = label
 	n.Duration = d
-	n.Bytes = bytes
 	n.Resources = g.resArena[start:len(g.resArena):len(g.resArena)]
 	n.Deps = g.holdDeps(deps)
 	return n.ID
@@ -282,28 +277,24 @@ func (g *Graph) AddAllReduce(label string, devices []int, d simtime.Duration, by
 
 // AddP2P appends a point-to-point transfer occupying both endpoints'
 // network ports.
-func (g *Graph) AddP2P(label string, src, dst int, d simtime.Duration, bytes int64, deps ...int) int {
+func (g *Graph) AddP2P(src, dst int, d simtime.Duration, deps ...int) int {
 	n := g.alloc()
 	n.Kind = P2P
-	n.Label = label
 	n.Duration = d
-	n.Bytes = bytes
 	n.Resources = g.holdRes(Resource{ResNetwork, src}, Resource{ResNetwork, dst})
 	n.Deps = g.holdDeps(deps)
 	return n.ID
 }
 
 // AddMemOp appends a host paging transfer on the device's DMA engine.
-func (g *Graph) AddMemOp(label string, device int, load bool, d simtime.Duration, bytes int64, deps ...int) int {
+func (g *Graph) AddMemOp(device int, load bool, d simtime.Duration, deps ...int) int {
 	kind := MemStore
 	if load {
 		kind = MemLoad
 	}
 	n := g.alloc()
 	n.Kind = kind
-	n.Label = label
 	n.Duration = d
-	n.Bytes = bytes
 	n.Resources = g.holdRes(Resource{ResHostDMA, device})
 	n.Deps = g.holdDeps(deps)
 	return n.ID
@@ -315,17 +306,17 @@ func (g *Graph) AddMemOp(label string, device int, load bool, d simtime.Duration
 func (g *Graph) Validate() error {
 	for _, n := range g.Nodes {
 		if len(n.Resources) == 0 {
-			return fmt.Errorf("graph: node %d (%s) has no resources", n.ID, n.Label)
+			return fmt.Errorf("graph: %v has no resources", n)
 		}
 		if n.Duration < 0 {
-			return fmt.Errorf("graph: node %d (%s) has negative duration", n.ID, n.Label)
+			return fmt.Errorf("graph: %v has negative duration", n)
 		}
 		for _, d := range n.Deps {
 			if d < 0 || d >= len(g.Nodes) {
-				return fmt.Errorf("graph: node %d (%s) depends on unknown node %d", n.ID, n.Label, d)
+				return fmt.Errorf("graph: %v depends on unknown node %d", n, d)
 			}
 			if d >= n.ID {
-				return fmt.Errorf("graph: node %d (%s) depends on later node %d (not topological)", n.ID, n.Label, d)
+				return fmt.Errorf("graph: %v depends on later node %d (not topological)", n, d)
 			}
 		}
 	}
@@ -365,12 +356,12 @@ func (g *Graph) validateSpans() error {
 				}
 			}
 			if !fed[id] {
-				return fmt.Errorf("graph: span %d node %d (%s) does not wait on the span's entry", k, id, g.Nodes[id].Label)
+				return fmt.Errorf("graph: span %d %v does not wait on the span's entry", k, g.Nodes[id])
 			}
 		}
 		for id := sp.First; id < sp.Exit(); id++ {
 			if owner[id] != -int32(k+1) {
-				return fmt.Errorf("graph: span %d node %d (%s) does not reach the span's exit", k, id, g.Nodes[id].Label)
+				return fmt.Errorf("graph: span %d %v does not reach the span's exit", k, g.Nodes[id])
 			}
 		}
 	}
@@ -378,7 +369,7 @@ func (g *Graph) validateSpans() error {
 	for _, n := range g.Nodes {
 		for _, d := range n.Deps {
 			if o := owner[d]; o != 0 && !g.Spans[-o-1].Contains(n.ID) {
-				return fmt.Errorf("graph: node %d (%s) depends on node %d inside another span's block", n.ID, n.Label, d)
+				return fmt.Errorf("graph: %v depends on node %d inside another span's block", n, d)
 			}
 		}
 	}
@@ -393,41 +384,5 @@ func growZero[T any](buf *[]T, n int) []T {
 	}
 	s := (*buf)[:n]
 	clear(s)
-	return s
-}
-
-// Stats summarises a graph.
-type Stats struct {
-	Nodes      int
-	ByKind     map[NodeKind]int
-	TotalWork  simtime.Duration // sum of compute durations
-	TotalComm  simtime.Duration // sum of communication durations
-	TotalBytes int64            // communication + paging payload
-}
-
-// Summarize computes graph statistics. Template nodes of a repeat span
-// count once per repetition, so a folded graph summarises like its
-// unrolled form.
-func (g *Graph) Summarize() Stats {
-	s := Stats{ByKind: map[NodeKind]int{}}
-	spans := g.Spans
-	for _, n := range g.Nodes {
-		for len(spans) > 0 && n.ID > spans[0].Exit() {
-			spans = spans[1:]
-		}
-		reps := 1
-		if len(spans) > 0 && spans[0].Contains(n.ID) {
-			reps = spans[0].Count
-		}
-		s.Nodes += reps
-		s.ByKind[n.Kind] += reps
-		switch n.Kind {
-		case Compute:
-			s.TotalWork += simtime.Duration(reps) * n.Duration
-		default:
-			s.TotalComm += simtime.Duration(reps) * n.Duration
-			s.TotalBytes += int64(reps) * n.Bytes
-		}
-	}
 	return s
 }

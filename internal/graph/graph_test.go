@@ -1,19 +1,18 @@
 package graph
 
 import (
+	"strings"
 	"testing"
-
-	"repro/internal/simtime"
 )
 
 func TestBuilders(t *testing.T) {
 	g := New()
-	a := g.AddCompute("a", 0, 10)
-	b := g.AddCompute("b", 1, 20, a)
-	c := g.AddAllReduce("ar", []int{0, 1}, 5, 1024, a, b)
-	d := g.AddP2P("x", 0, 1, 3, 256, c)
-	e := g.AddMemOp("load", 0, true, 7, 4096)
-	f := g.AddMemOp("store", 1, false, 7, 4096, e)
+	a := g.AddCompute(0, 10)
+	b := g.AddCompute(1, 20, a)
+	c := g.AddAllReduce([]int{0, 1}, 5, a, b)
+	d := g.AddP2P(0, 1, 3, c)
+	e := g.AddMemOp(0, true, 7)
+	f := g.AddMemOp(1, false, 7, e)
 
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -37,69 +36,34 @@ func TestBuilders(t *testing.T) {
 
 func TestDedupDeps(t *testing.T) {
 	g := New()
-	a := g.AddCompute("a", 0, 1)
-	b := g.AddCompute("b", 0, 1, a, a, a)
+	a := g.AddCompute(0, 1)
+	b := g.AddCompute(0, 1, a, a, a)
 	if len(g.Nodes[b].Deps) != 1 {
 		t.Fatalf("deps = %v", g.Nodes[b].Deps)
 	}
 }
 
+// TestValidateErrors: each malformed node is rejected with an error
+// that names it by its ID, kind and device.
 func TestValidateErrors(t *testing.T) {
-	g := New()
-	g.Nodes = append(g.Nodes, &Node{ID: 0, Kind: Compute, Duration: 1})
-	if g.Validate() == nil {
-		t.Fatal("resourceless node must fail")
-	}
-
-	g = New()
-	g.Nodes = append(g.Nodes, &Node{
-		ID: 0, Kind: Compute, Duration: 1,
-		Resources: []Resource{{ResCompute, 0}},
-		Deps:      []int{5},
-	})
-	if g.Validate() == nil {
-		t.Fatal("dangling dep must fail")
-	}
-
-	g = New()
-	g.Nodes = append(g.Nodes, &Node{
-		ID: 0, Kind: Compute, Duration: 1,
-		Resources: []Resource{{ResCompute, 0}},
-		Deps:      []int{0},
-	})
-	if g.Validate() == nil {
-		t.Fatal("self/forward dep must fail")
-	}
-
-	g = New()
-	g.Nodes = append(g.Nodes, &Node{
-		ID: 0, Kind: Compute, Duration: -1,
-		Resources: []Resource{{ResCompute, 0}},
-	})
-	if g.Validate() == nil {
-		t.Fatal("negative duration must fail")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	g := New()
-	g.AddCompute("a", 0, 10*simtime.Microsecond)
-	g.AddCompute("b", 1, 20*simtime.Microsecond)
-	g.AddAllReduce("ar", []int{0, 1}, 5*simtime.Microsecond, 1000)
-	g.AddMemOp("m", 0, true, 2*simtime.Microsecond, 500)
-
-	s := g.Summarize()
-	if s.Nodes != 4 || s.ByKind[Compute] != 2 || s.ByKind[AllReduce] != 1 || s.ByKind[MemLoad] != 1 {
-		t.Fatalf("stats %+v", s)
-	}
-	if s.TotalWork != 30*simtime.Microsecond {
-		t.Fatalf("work %v", s.TotalWork)
-	}
-	if s.TotalComm != 7*simtime.Microsecond {
-		t.Fatalf("comm %v", s.TotalComm)
-	}
-	if s.TotalBytes != 1500 {
-		t.Fatalf("bytes %d", s.TotalBytes)
+	for _, tc := range []struct {
+		name string
+		node Node
+		want string
+	}{
+		{"resourceless", Node{ID: 0, Kind: MemLoad, Duration: 1}, "node 0 (memload) has no resources"},
+		{"dangling dep", Node{ID: 0, Kind: Compute, Duration: 1, Resources: []Resource{{ResCompute, 3}}, Deps: []int{5}},
+			"node 0 (compute on device 3) depends on unknown node 5"},
+		{"self dep", Node{ID: 0, Kind: P2P, Duration: 1, Resources: []Resource{{ResNetwork, 1}, {ResNetwork, 2}}, Deps: []int{0}},
+			"node 0 (p2p on device 1) depends on later node 0"},
+		{"negative duration", Node{ID: 0, Kind: AllReduce, Duration: -1, Resources: []Resource{{ResNetwork, 2}}},
+			"node 0 (allreduce on device 2) has negative duration"},
+	} {
+		g := New()
+		g.Nodes = append(g.Nodes, &tc.node)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

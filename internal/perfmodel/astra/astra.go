@@ -74,8 +74,8 @@ type Backend struct {
 
 	// Reusable per-iteration scratch. The execution graph is converted
 	// in place: an iteration of the shape it already holds rewrites only
-	// its durations (see graph.ConvertInto), and the executor keeps that
-	// shape's compiled plan.
+	// its durations (see graph.ConvertInto), and the executor keeps the
+	// plan it compiled for the graph's build.
 	exec     astrasim.Executor // system-simulation plan and scratch state
 	interlv  trace.Scheduler   // sub-batch interleaving scratch state
 	gbuf     *graph.Graph
@@ -368,7 +368,7 @@ func (b *Backend) assembleBlockWork(items []trace.Item, nSub int) (graph.BlockWo
 
 // convert builds the iteration's execution graph into the backend's
 // reused graph buffer; the result is valid until the next convert call.
-// With computation reuse off it also drops the graph's shape and the
+// With computation reuse off it also ends the graph's build and drops the
 // executor's plans, so nothing carries over between iterations.
 func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, headDur simtime.Duration, totalNew int) (*graph.Graph, error) {
 	m := b.cfg.Model
@@ -403,9 +403,7 @@ func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, he
 				share = op.Bytes
 			}
 			for _, dev := range stage0 {
-				memOps = append(memOps, graph.MemOp{
-					Device: dev, Bytes: share, Load: op.Load, ReqID: op.ReqID,
-				})
+				memOps = append(memOps, graph.MemOp{Device: dev, Bytes: share, Load: op.Load})
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package astra
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	astrasim "repro/internal/astra"
 	"repro/internal/config"
@@ -27,6 +28,18 @@ func testConfig(t *testing.T, npus int) perfmodel.Config {
 		Model: model.MustLookup("gpt2"),
 		Topo:  topo,
 		Reuse: perfmodel.ReuseAll(),
+	}
+}
+
+// TestBackendSizeClass keeps Backend within the 1536-byte malloc size
+// class on 64-bit hosts: a few bytes past it and every backend, one per
+// replica, costs the next class up.
+func TestBackendSizeClass(t *testing.T) {
+	if unsafe.Sizeof(int(0)) != 8 {
+		t.Skip("size pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Backend{}); got > 1536 {
+		t.Fatalf("Backend is %d bytes, past its 1536-byte size class", got)
 	}
 }
 
@@ -186,12 +199,12 @@ func TestSubBatchIterationAllocs(t *testing.T) {
 	if _, _, err := b.IterationLatency(whole); err != nil {
 		t.Fatal(err)
 	}
-	split, _ := b.gbuf.Shape()
+	split, _ := b.gbuf.Build()
 	if _, _, err := b.IterationLatency(batch); err != nil {
 		t.Fatal(err)
 	}
-	if mono, _ := b.gbuf.Shape(); mono == split {
-		t.Fatal("the sub-batched and the unpartitioned batch convert to one shape")
+	if mono, _ := b.gbuf.Build(); mono == split {
+		t.Fatal("the sub-batched and the unpartitioned batch convert to one build")
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		for _, bt := range []*sched.Batch{whole, batch} {
