@@ -193,6 +193,11 @@ type spanState struct {
 	prevT simtime.Time
 }
 
+// UseEventLoop makes every later Execute price its plan with the event
+// loop, never in one pass: the reference path differential tests
+// compare the fast paths with.
+func (e *Executor) UseEventLoop() { e.loop = true }
+
 // Reset drops the held plan, keeping its storage, so the next Execute of
 // any graph validates and compiles it afresh.
 func (e *Executor) Reset() { e.plan.graph = nil }

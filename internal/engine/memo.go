@@ -138,6 +138,13 @@ func slotOf(op *model.Op) int {
 	return int(h >> (64 - memoBits))
 }
 
+// AddHits counts n operators as memo hits without pricing them. It is
+// for a caller that skips operators it knows would hit: ones it priced
+// through this memo before, with reuse on, and whose shapes have not
+// changed. They fold into the Stack's counters at the next Flush,
+// exactly as pricing them would have.
+func (m *Memo) AddHits(n int64) { m.hits += n }
+
 // Flush folds the hits counted since the last Flush into the Stack's
 // double-hit counters, with one locked call.
 func (m *Memo) Flush() {

@@ -293,3 +293,25 @@ func TestMemoReuseOff(t *testing.T) {
 		t.Fatalf("no-reuse stats %+v", st)
 	}
 }
+
+// TestMemoAddHits: operators counted with AddHits instead of priced
+// reach the stack's counters at the next Flush exactly as pricing them
+// again would have.
+func TestMemoAddHits(t *testing.T) {
+	p := newPair(t, engine.NPU, true)
+	ops := []model.Op{gemmOp(64), attnOp(model.OpScore, model.Generation, 1, 10, 64, 8), gemmOp(32)}
+	for i, op := range ops {
+		p.run(t, i, op)
+	}
+	p.checkStats(t, "priced once")
+	const rounds = 3
+	for range rounds {
+		for i := range ops {
+			if _, err := p.bare.RunLatency(&ops[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.memo.AddHits(int64(len(ops)))
+	}
+	p.checkStats(t, "counted again")
+}

@@ -18,13 +18,27 @@
 //
 // Computation reuse reaches past the engines the same way: an
 // iteration's graph is rewritten in place, and run over the executor's
-// compiled schedule, when it has the previous graph's shape. With it
-// off, every iteration converts, validates, compiles and simulates from
-// scratch.
+// compiled schedule, when it has the previous graph's shape. It also
+// carries whole iterations over in steady decode. When a batch is the
+// previous one's decode batch a step on (the same requests in the same
+// order and sub-batches, each decoding one token, and no KV paging),
+// only its attention operators changed. The batched operators,
+// embedding and LM head keep last iteration's trace, and each request's
+// Score, Softmax and Attend are repriced at its new context. Attention
+// latency grows with every token, since the PIM engine streams every
+// context row, so the trace almost never repeats. Interleaved
+// sub-batches are NPU-bound, though, so the block work the trace
+// reduces to often does; the graph then converts to the previous graph
+// exactly, and its stored makespan is returned without converting or
+// executing. The skipped operators count as the engine-cache double hits
+// a full run would have counted. The steady path needs model-redundancy
+// reuse too. With either reuse off, every iteration converts,
+// validates, compiles and simulates from scratch.
 package astra
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	astrasim "repro/internal/astra"
@@ -72,6 +86,15 @@ type Backend struct {
 	// executor's steady-state time shift (see BlockCounts).
 	blocksSimulated, blocksShifted int64
 
+	// steady is the last iteration as the steady decode path reads it;
+	// nil until a decode batch is priced with both reuses on.
+	steady *steady
+
+	// reference runs every iteration in full, and the executor's event
+	// loop for every plan: the plain path differential tests compare the
+	// fast paths with. Only tests set it.
+	reference bool
+
 	// Reusable per-iteration scratch. The execution graph is converted
 	// in place: an iteration of the shape it already holds rewrites only
 	// its durations (see graph.ConvertInto), and the executor keeps the
@@ -79,7 +102,7 @@ type Backend struct {
 	exec     astrasim.Executor // system-simulation plan and scratch state
 	interlv  trace.Scheduler   // sub-batch interleaving scratch state
 	gbuf     *graph.Graph
-	itemsBuf []trace.Item
+	itemsBuf []trace.Item   // the last engine phase's merged trace
 	groups   [][]model.Seq  // per-sub-batch sequence groups
 	single   [1][]model.Seq // the unpartitioned batch's one group
 	memOps   []graph.MemOp
@@ -189,6 +212,41 @@ func (b *Backend) IterationLatency(batch *sched.Batch) (simtime.Duration, perfmo
 	return lat, perfmodel.Breakdown{}, err
 }
 
+// engineWork is what the execution-engine phase hands the graph
+// converter.
+type engineWork struct {
+	block             graph.BlockWork
+	embedDur, headDur simtime.Duration
+	totalNew          int
+}
+
+// steady is what the steady decode path keeps of the last iteration. It
+// is valid when that iteration ended without error on a decode batch
+// without paging; then the graph and the executor hold its conversion.
+type steady struct {
+	valid bool
+	seqs  []steadySeq // in batch order
+
+	// attn holds a Score, Softmax and Attend operator of the batch: the
+	// templates each request's attention is repriced from.
+	attn [3]model.Op
+	// hits counts the NPU operators the batch priced besides attention:
+	// a repeat skips them, and counts each as the double hit it would
+	// have been.
+	hits int64
+
+	work     engineWork // the engine phase's output, as converted
+	makespan simtime.Duration
+	shifted  int // blocks the executor time-shifted
+}
+
+// steadySeq is one sequence of the kept batch.
+type steadySeq struct {
+	req   int
+	sub   int32 // sub-batch index, 0 when unpartitioned
+	score int32 // trace index of its Score; its Softmax and Attend follow
+}
+
 // iterate runs the engine, graph-conversion and system-simulation phases
 // of one batch. When t is non-nil it reads the clock between phases and
 // stores each phase's host time there.
@@ -197,7 +255,18 @@ func (b *Backend) iterate(batch *sched.Batch, t *metrics.ComponentTimes) (simtim
 	if t != nil {
 		mark = time.Now()
 	}
-	work, embedDur, headDur, totalNew, err := b.runEngines(batch)
+	st := b.steadyStep(batch)
+	if b.steady != nil {
+		b.steady.valid = false // until this iteration succeeds
+	}
+	var work engineWork
+	var moved bool // whether any attention latency changed on the steady path
+	var err error
+	if st != nil {
+		work, moved, err = b.reprice(batch, st)
+	} else {
+		work, err = b.runEngines(batch)
+	}
 	if t != nil {
 		t.ExecutionEngine = lap(&mark)
 	}
@@ -205,7 +274,18 @@ func (b *Backend) iterate(batch *sched.Batch, t *metrics.ComponentTimes) (simtim
 		return 0, err
 	}
 
-	g, err := b.convert(batch, work, embedDur, headDur, totalNew)
+	if st != nil && st.sameWork(work.block, moved) {
+		// The graph and the executor already hold this conversion.
+		if t != nil {
+			t.GraphConverter = lap(&mark)
+			t.AstraSim = lap(&mark)
+		}
+		b.countBlocks(st.shifted)
+		b.keep(batch, st, work, st.makespan, st.shifted)
+		return st.makespan, nil
+	}
+
+	g, err := b.convert(batch, work)
 	if t != nil {
 		t.GraphConverter = lap(&mark)
 	}
@@ -220,9 +300,156 @@ func (b *Backend) iterate(batch *sched.Batch, t *metrics.ComponentTimes) (simtim
 	if err != nil {
 		return 0, err
 	}
-	b.blocksShifted += int64(res.BlocksShifted)
-	b.blocksSimulated += int64(b.cfg.Model.Layers - res.BlocksShifted)
+	b.countBlocks(res.BlocksShifted)
+	b.keep(batch, st, work, res.Makespan, res.BlocksShifted)
 	return res.Makespan, nil
+}
+
+// countBlocks adds one iteration's decoder blocks, shifted of them
+// time-shifted, to the block counts.
+func (b *Backend) countBlocks(shifted int) {
+	b.blocksShifted += int64(shifted)
+	b.blocksSimulated += int64(b.cfg.Model.Layers - shifted)
+}
+
+// steadyStep returns the steady state when batch is the last
+// iteration's decode batch a step on, and nil when it runs in full: the
+// same requests in the same order and sub-batches, each in generation
+// with one new token and within the model's length, and no KV paging.
+// Then only the requests' contexts differ, and only attention reads
+// them.
+func (b *Backend) steadyStep(batch *sched.Batch) *steady {
+	st := b.steady
+	if st == nil || !st.valid || len(batch.PageOps) > 0 || len(batch.Seqs) != len(st.seqs) ||
+		batch.SubBatch != nil && len(batch.SubBatch) != len(batch.Seqs) {
+		return nil
+	}
+	for i, q := range batch.Seqs {
+		sub := 0
+		if batch.SubBatch != nil {
+			sub = batch.SubBatch[i]
+		}
+		if p := &st.seqs[i]; q.ReqID != p.req || sub != int(p.sub) || q.Phase != model.Generation ||
+			q.NewTokens != 1 || q.TotalLen() > b.cfg.Model.MaxSeqLen {
+			return nil
+		}
+	}
+	return st
+}
+
+// keep records a successful iteration for the next one's steady check.
+// st is the steady state the iteration was repriced from, nil if it ran
+// in full; a full run is kept when it priced a decode batch without
+// paging, with both reuses on and outside the reference path.
+func (b *Backend) keep(batch *sched.Batch, st *steady, work engineWork, makespan simtime.Duration, shifted int) {
+	if st == nil {
+		if b.reference || !b.cfg.Reuse.ComputationReuse || !b.cfg.Reuse.ModelRedundancy || len(batch.PageOps) > 0 {
+			return
+		}
+		for _, q := range batch.Seqs {
+			if q.Phase != model.Generation || q.NewTokens != 1 {
+				return
+			}
+		}
+		if st = b.steady; st == nil {
+			st = new(steady)
+			b.steady = st
+		}
+		st.record(batch, b.itemsBuf, b.itBuf.Block)
+	}
+	st.valid = true
+	st.work, st.makespan, st.shifted = work, makespan, shifted
+}
+
+// record keeps a decode batch priced in full: its sequences, their
+// places in its trace items, an attention template of each kind from
+// the last sub-batch's block, and the count of its other operators.
+func (st *steady) record(batch *sched.Batch, items []trace.Item, block []model.Op) {
+	n := len(batch.Seqs)
+	st.seqs = slices.Grow(st.seqs[:0], n)[:n]
+	var last int32 // the highest sub-batch index
+	for i, q := range batch.Seqs {
+		p := &st.seqs[i]
+		p.req, p.sub = q.ReqID, 0
+		if batch.SubBatch != nil {
+			p.sub = int32(batch.SubBatch[i])
+		}
+		last = max(last, p.sub)
+	}
+	// The trace holds the non-empty sub-batches in ascending order, each
+	// with its sequences' attention in batch order (see groupSeqs).
+	k := 0
+	for sb := range last + 1 {
+		for i := range st.seqs {
+			if st.seqs[i].sub == sb {
+				for items[k].OpKind != model.OpScore {
+					k++
+				}
+				st.seqs[i].score = int32(k)
+				k++
+			}
+		}
+	}
+	// The sub-batches' attention operators differ only in context.
+	i := slices.IndexFunc(block, func(op model.Op) bool { return op.Kind.IsAttention() })
+	copy(st.attn[:], block[i:i+len(st.attn)])
+	nSub := items[len(items)-1].SubBatch + 1
+	st.hits = int64(len(items) - len(st.attn)*n + 2*nSub) // + Embed and Head
+}
+
+// sameWork reports whether block, repriced from the kept iteration's,
+// converts to the graph that iteration left: its fused span or its
+// pre- and post-attention times are unchanged, and so is every
+// request's attention unless a fused span replaces it.
+func (st *steady) sameWork(block graph.BlockWork, moved bool) bool {
+	last := &st.work.block
+	return block.Monolithic == last.Monolithic && block.Pre == last.Pre && block.Post == last.Post &&
+		(block.Monolithic > 0 || !moved)
+}
+
+// reprice is the engine phase of a steady decode step: the kept
+// iteration's trace, with each request's Score, Softmax and Attend
+// priced at its new context through the memos, and every other
+// operator counted as the memo hit it would have been. It reports
+// whether any attention latency changed.
+func (b *Backend) reprice(batch *sched.Batch, st *steady) (engineWork, bool, error) {
+	defer b.flushMemos()
+	b.npuMemo.AddHits(st.hits)
+	items := b.itemsBuf
+	moved := false
+	for i := range batch.Seqs {
+		q := &batch.Seqs[i]
+		ctx := q.TotalLen()
+		k := int(st.seqs[i].score)
+		for j := range st.attn {
+			op := &st.attn[j]
+			op.ReqID, op.Context = q.ReqID, ctx
+			if op.Kind == model.OpAttend {
+				op.K = ctx
+			} else {
+				op.N = ctx
+			}
+			_, lat, err := b.runOperator(op)
+			if err != nil {
+				return engineWork{}, false, err
+			}
+			if it := &items[k+j]; it.Latency != lat {
+				it.Latency, moved = lat, true
+			}
+		}
+	}
+	work := st.work
+	var err error
+	work.block, err = b.assembleBlockWork(items, items[len(items)-1].SubBatch+1, true)
+	return work, moved, err
+}
+
+// flushMemos folds the memos' hits into the stacks' counters.
+func (b *Backend) flushMemos() {
+	b.npuMemo.Flush()
+	if b.pimMemo != nil {
+		b.pimMemo.Flush()
+	}
 }
 
 // lap returns the time since *mark and moves *mark to now.
@@ -236,17 +463,12 @@ func lap(mark *time.Time) time.Duration {
 // runEngines performs the execution-engine phase: build each sub-batch's
 // operator workload, map operators to engines (Algorithm 1, line 6), run
 // the compiler/simulator stacks, and merge the traces.
-func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Duration, simtime.Duration, int, error) {
-	defer func() {
-		b.npuMemo.Flush()
-		if b.pimMemo != nil {
-			b.pimMemo.Flush()
-		}
-	}()
+func (b *Backend) runEngines(batch *sched.Batch) (engineWork, error) {
+	defer b.flushMemos()
 
-	var zero graph.BlockWork
+	var zero engineWork
 	if batch.SubBatch != nil && len(batch.SubBatch) != len(batch.Seqs) {
-		return zero, 0, 0, 0, fmt.Errorf("astra: %d sub-batch indices for %d sequences", len(batch.SubBatch), len(batch.Seqs))
+		return zero, fmt.Errorf("astra: %d sub-batch indices for %d sequences", len(batch.SubBatch), len(batch.Seqs))
 	}
 	subBatches := b.groupSeqs(batch)
 	reps := 1
@@ -257,7 +479,7 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 	}
 
 	allItems := b.itemsBuf[:0]
-	defer func() { b.itemsBuf = allItems[:0] }()
+	defer func() { b.itemsBuf = allItems }()
 	var embedDur, headDur simtime.Duration
 	totalNew := 0
 	widen := 1
@@ -270,7 +492,7 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 	for sbIdx, seqs := range subBatches {
 		it := &b.itBuf
 		if err := model.BuildIterationInto(it, b.cfg.Model, seqs, b.cfg.Topo.TP); err != nil {
-			return zero, 0, 0, 0, err
+			return zero, err
 		}
 		totalNew += it.TotalNewTokens
 		if widen > 1 {
@@ -286,7 +508,7 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 				op := &it.Block[i]
 				kind, latency, err := b.runOperator(op)
 				if err != nil {
-					return zero, 0, 0, 0, err
+					return zero, err
 				}
 				if rep == 0 {
 					// Written in place: a composite literal goes through
@@ -301,21 +523,21 @@ func (b *Backend) runEngines(batch *sched.Batch) (graph.BlockWork, simtime.Durat
 		}
 		eDur, err := b.npuMemo.RunLatency(&it.Embed)
 		if err != nil {
-			return zero, 0, 0, 0, err
+			return zero, err
 		}
 		hDur, err := b.npuMemo.RunLatency(&it.Head)
 		if err != nil {
-			return zero, 0, 0, 0, err
+			return zero, err
 		}
 		embedDur += eDur
 		headDur += hDur
 	}
 
-	work, err := b.assembleBlockWork(allItems, len(subBatches))
+	block, err := b.assembleBlockWork(allItems, len(subBatches), false)
 	if err != nil {
-		return zero, 0, 0, 0, err
+		return zero, err
 	}
-	return work, embedDur, headDur, totalNew, nil
+	return engineWork{block: block, embedDur: embedDur, headDur: headDur, totalNew: totalNew}, nil
 }
 
 // runOperator maps one operator to an engine and prices it there,
@@ -331,8 +553,9 @@ func (b *Backend) runOperator(op *model.Op) (engine.Kind, simtime.Duration, erro
 }
 
 // assembleBlockWork reduces the merged engine trace into the graph
-// converter's per-layer work description.
-func (b *Backend) assembleBlockWork(items []trace.Item, nSub int) (graph.BlockWork, error) {
+// converter's per-layer work description. repriced says the trace is
+// the last call's with only latencies changed.
+func (b *Backend) assembleBlockWork(items []trace.Item, nSub int, repriced bool) (graph.BlockWork, error) {
 	var work graph.BlockWork
 	if len(items) == 0 {
 		return work, fmt.Errorf("astra backend: engine phase produced no trace items")
@@ -342,7 +565,13 @@ func (b *Backend) assembleBlockWork(items []trace.Item, nSub int) (graph.BlockWo
 		// Sub-batch interleaving: the execution engine stack's operator
 		// scheduler overlaps sub-batches across the heterogeneous engines
 		// (Algorithm 1, line 14); the block behaves as one fused span.
-		makespan, err := b.interlv.Makespan(items)
+		var makespan simtime.Duration
+		var err error
+		if repriced {
+			makespan, err = b.interlv.Reschedule(items)
+		} else {
+			makespan, err = b.interlv.Makespan(items)
+		}
 		if err != nil {
 			return work, err
 		}
@@ -370,10 +599,10 @@ func (b *Backend) assembleBlockWork(items []trace.Item, nSub int) (graph.BlockWo
 // reused graph buffer; the result is valid until the next convert call.
 // With computation reuse off it also ends the graph's build and drops the
 // executor's plans, so nothing carries over between iterations.
-func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, headDur simtime.Duration, totalNew int) (*graph.Graph, error) {
+func (b *Backend) convert(batch *sched.Batch, work engineWork) (*graph.Graph, error) {
 	m := b.cfg.Model
 	d := int64(m.DTypeBytes)
-	actBytes := int64(totalNew) * int64(m.Hidden) * d
+	actBytes := int64(work.totalNew) * int64(m.Hidden) * d
 
 	// Only PIM-pool placement moves per-request activations, so only it
 	// reads their sizes.
@@ -416,9 +645,9 @@ func (b *Backend) convert(batch *sched.Batch, work graph.BlockWork, embedDur, he
 	err := graph.ConvertInto(b.gbuf, graph.Params{
 		Topo:            b.cfg.Topo,
 		Layers:          m.Layers,
-		Block:           work,
-		EmbedDur:        embedDur,
-		HeadDur:         headDur,
+		Block:           work.block,
+		EmbedDur:        work.embedDur,
+		HeadDur:         work.headDur,
 		ActBytes:        actBytes,
 		HeadGatherBytes: int64(len(batch.Seqs)) * int64(m.Vocab/b.cfg.Topo.TP) * d,
 		ReqBytes:        reqBytes,

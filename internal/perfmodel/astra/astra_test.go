@@ -92,11 +92,11 @@ func TestCriticalPathCoversIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := firstBatch(t, cfg, []workload.Request{{ID: 0, InputLen: 32, OutputLen: 1}})
-	work, embedDur, headDur, totalNew, err := b.runEngines(batch)
+	work, err := b.runEngines(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := b.convert(batch, work, embedDur, headDur, totalNew)
+	g, err := b.convert(batch, work)
 	if err != nil {
 		t.Fatal(err)
 	}

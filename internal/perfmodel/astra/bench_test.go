@@ -26,6 +26,13 @@ import (
 // every op rewrites the held graph's durations and simulates it over
 // the compiled plan. (Lengthening every context by 64 tokens instead
 // leaves this batch's durations unchanged.)
+//
+// The steady case decodes the 24-request batch instead, one token per
+// op, as a serving run does between joins and completions: each op
+// takes the steady decode path, repricing only attention, and skips
+// conversion and execution whenever the interleaved block's work
+// repeats. Contexts restart before the model's length; a warm-up pass
+// over every context fills the engine caches first.
 func BenchmarkAstraIteration(b *testing.B) {
 	topo, err := network.Build(network.Hybrid, 8, 2, config.DefaultLink(), config.DefaultLink())
 	if err != nil {
@@ -73,6 +80,46 @@ func BenchmarkAstraIteration(b *testing.B) {
 			}
 		})
 	}
+	b.Run("steady", func(b *testing.B) {
+		cfg := perfmodel.Config{
+			Model:   model.MustLookup("gpt3-7b"),
+			Topo:    topo,
+			PIMMode: perfmodel.PIMLocal,
+			Reuse:   perfmodel.ReuseAll(),
+		}
+		be, err := New(cfg, Options{NPU: config.DefaultNPU(), PIM: config.DefaultPIM()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch := firstSubBatched(b, cfg, reqs, sched.Config{SubBatches: 2, SkipPrefill: true})
+		base := make([]int, len(batch.Seqs))
+		longest := 0
+		for i, q := range batch.Seqs {
+			base[i] = q.Context
+			longest = max(longest, q.TotalLen())
+		}
+		steps := cfg.Model.MaxSeqLen - longest + 1 // contexts base+0 .. base+steps-1
+		step := 0
+		decode := func() {
+			for i := range batch.Seqs {
+				batch.Seqs[i].Context = base[i] + step
+			}
+			if _, _, err := be.IterationLatency(batch); err != nil {
+				b.Fatal(err)
+			}
+			step = (step + 1) % steps
+		}
+		for range steps {
+			decode()
+		}
+		if be.steadyStep(batch) == nil {
+			b.Fatal("the decoded batch does not take the steady path")
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			decode()
+		}
+	})
 }
 
 // BenchmarkAstraRun serves a short trace from a cold start: a fresh
