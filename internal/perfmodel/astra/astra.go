@@ -440,7 +440,7 @@ func (b *Backend) reprice(batch *sched.Batch, st *steady) (engineWork, bool, err
 	}
 	work := st.work
 	var err error
-	work.block, err = b.assembleBlockWork(items, items[len(items)-1].SubBatch+1, true)
+	work.block, err = b.assembleBlockWork(items, items[len(items)-1].SubBatch+1)
 	return work, moved, err
 }
 
@@ -533,7 +533,7 @@ func (b *Backend) runEngines(batch *sched.Batch) (engineWork, error) {
 		headDur += hDur
 	}
 
-	block, err := b.assembleBlockWork(allItems, len(subBatches), false)
+	block, err := b.assembleBlockWork(allItems, len(subBatches))
 	if err != nil {
 		return zero, err
 	}
@@ -553,9 +553,8 @@ func (b *Backend) runOperator(op *model.Op) (engine.Kind, simtime.Duration, erro
 }
 
 // assembleBlockWork reduces the merged engine trace into the graph
-// converter's per-layer work description. repriced says the trace is
-// the last call's with only latencies changed.
-func (b *Backend) assembleBlockWork(items []trace.Item, nSub int, repriced bool) (graph.BlockWork, error) {
+// converter's per-layer work description.
+func (b *Backend) assembleBlockWork(items []trace.Item, nSub int) (graph.BlockWork, error) {
 	var work graph.BlockWork
 	if len(items) == 0 {
 		return work, fmt.Errorf("astra backend: engine phase produced no trace items")
@@ -565,13 +564,7 @@ func (b *Backend) assembleBlockWork(items []trace.Item, nSub int, repriced bool)
 		// Sub-batch interleaving: the execution engine stack's operator
 		// scheduler overlaps sub-batches across the heterogeneous engines
 		// (Algorithm 1, line 14); the block behaves as one fused span.
-		var makespan simtime.Duration
-		var err error
-		if repriced {
-			makespan, err = b.interlv.Reschedule(items)
-		} else {
-			makespan, err = b.interlv.Makespan(items)
-		}
+		makespan, err := b.interlv.Makespan(items)
 		if err != nil {
 			return work, err
 		}

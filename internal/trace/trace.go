@@ -44,18 +44,10 @@ type Item struct {
 // A Scheduler reuses its scratch state across calls, so a warmed
 // Makespan call does not allocate. It is not safe for concurrent use.
 type Scheduler struct {
-	bounds []int              // chain c holds items[bounds[c]:bounds[c+1]]
-	chains []chain            // sub-batches with items left, ascending
-	starts []simtime.Duration // start offset per item
-}
-
-// chain is one sub-batch's program-order run of items while it is
-// scheduled.
-type chain struct {
-	next, end int              // next unscheduled item, and one past the last
-	kind      engine.Kind      // items[next].Kind
-	lat       simtime.Duration // items[next].Latency
-	free      simtime.Duration // when the previous item ends
+	bounds    []int              // chain c holds items[bounds[c]:bounds[c+1]]
+	head      []int              // next unscheduled item per chain
+	chainFree []simtime.Duration // when each chain's previous item ends
+	starts    []simtime.Duration // start offset per item
 }
 
 // Makespan schedules items and returns the merged timeline's length.
@@ -75,74 +67,48 @@ func (s *Scheduler) Makespan(items []Item) (simtime.Duration, error) {
 		it := &items[i]
 		switch {
 		case it.Kind < 0 || it.Kind >= engine.NumKinds:
-			s.bounds = s.bounds[:0]
 			return 0, fmt.Errorf("trace: item %d (%q) has unknown engine kind %v", i, it.Name, it.Kind)
+		case it.Latency < 0:
+			return 0, fmt.Errorf("trace: item %d (%q) has negative latency %v", i, it.Name, it.Latency)
 		case i == 0 || it.SubBatch > items[i-1].SubBatch:
 			s.bounds = append(s.bounds, i)
 		case it.SubBatch < items[i-1].SubBatch:
-			s.bounds = s.bounds[:0]
 			return 0, fmt.Errorf("trace: item %d: sub-batch %d follows sub-batch %d; items must be grouped in ascending sub-batch order",
 				i, it.SubBatch, items[i-1].SubBatch)
 		case it.Seq <= items[i-1].Seq:
-			s.bounds = s.bounds[:0]
 			return 0, fmt.Errorf("trace: item %d: sub-batch %d order violation: seq %d follows seq %d",
 				i, it.SubBatch, it.Seq, items[i-1].Seq)
 		}
 	}
+	chains := len(s.bounds)
 	s.bounds = append(s.bounds, len(items))
-	return s.schedule(items)
-}
-
-// Reschedule is Makespan over the items of the last Makespan call,
-// which succeeded, with no change since but to latencies: it reuses
-// that call's checks of the items' grouping, order and kinds. Items of
-// another length go to Makespan.
-func (s *Scheduler) Reschedule(items []Item) (simtime.Duration, error) {
-	if n := len(s.bounds); n == 0 || s.bounds[n-1] != len(items) {
-		return s.Makespan(items)
-	}
-	return s.schedule(items)
-}
-
-// schedule runs the greedy list schedule over the chains s.bounds
-// delimits, checking latencies as it dispatches.
-func (s *Scheduler) schedule(items []Item) (simtime.Duration, error) {
-	s.chains = s.chains[:0]
-	for c := range len(s.bounds) - 1 {
-		first := s.bounds[c]
-		s.chains = append(s.chains, chain{next: first, end: s.bounds[c+1], kind: items[first].Kind, lat: items[first].Latency})
-	}
+	s.head = append(s.head[:0], s.bounds[:chains]...)
+	s.chainFree = slices.Grow(s.chainFree[:0], chains)[:chains]
+	clear(s.chainFree)
 	s.starts = slices.Grow(s.starts[:0], len(items))[:len(items)]
 
-	// Each step dispatches, among the chains' next items, the one that
-	// can start earliest; a chain leaves the list when it runs out, so
-	// the list stays in sub-batch order for the tie rule.
 	var kindFree [engine.NumKinds]simtime.Duration // when each engine kind becomes idle
 	var makespan simtime.Duration
-	chains := s.chains
-	for len(chains) > 0 {
-		best := 0
-		bestStart := max(chains[0].free, kindFree[chains[0].kind])
-		for c := 1; c < len(chains); c++ {
-			if start := max(chains[c].free, kindFree[chains[c].kind]); start < bestStart {
+	for range items {
+		best := -1
+		var bestStart simtime.Duration
+		for c := range chains {
+			i := s.head[c]
+			if i == s.bounds[c+1] {
+				continue
+			}
+			start := max(s.chainFree[c], kindFree[items[i].Kind])
+			if best < 0 || start < bestStart {
 				best, bestStart = c, start
 			}
 		}
-		ch := &chains[best]
-		if ch.lat < 0 {
-			it := &items[ch.next]
-			return 0, fmt.Errorf("trace: item %d (%q) has negative latency %v", ch.next, it.Name, it.Latency)
-		}
-		end := bestStart + ch.lat
-		s.starts[ch.next] = bestStart
-		ch.free = end
-		kindFree[ch.kind] = end
+		i := s.head[best]
+		s.head[best]++
+		end := bestStart + items[i].Latency
+		s.starts[i] = bestStart
+		s.chainFree[best] = end
+		kindFree[items[i].Kind] = end
 		makespan = max(makespan, end)
-		if ch.next++; ch.next < ch.end {
-			ch.kind, ch.lat = items[ch.next].Kind, items[ch.next].Latency
-		} else {
-			chains = slices.Delete(chains, best, best+1)
-		}
 	}
 	return makespan, nil
 }

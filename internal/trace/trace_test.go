@@ -442,66 +442,3 @@ func TestSchedulerAllocationFree(t *testing.T) {
 		t.Fatalf("warmed Makespan allocates %v times per call", n)
 	}
 }
-
-// TestRescheduleMatchesMakespan: rescheduling a trace whose latencies
-// changed since the last Makespan call gives exactly the makespan and
-// starts Makespan gives it; a trace of another length, or one after a
-// rejected Makespan call, is checked in full.
-func TestRescheduleMatchesMakespan(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	var s, fresh Scheduler
-	for trial := range 500 {
-		items := randomChains(rng)
-		if _, err := s.Makespan(items); err != nil {
-			t.Fatal(err)
-		}
-		for round := range 3 {
-			for i := range items {
-				if rng.Intn(3) == 0 {
-					items[i].Latency = simtime.Duration(10 * rng.Intn(4))
-				}
-			}
-			got, err := s.Reschedule(items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fresh.Makespan(items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("trial %d round %d: rescheduled makespan %v, Makespan %v", trial, round, got, want)
-			}
-			for i := range items {
-				if s.Start(i) != fresh.Start(i) {
-					t.Fatalf("trial %d round %d: item %d starts %v rescheduled, %v by Makespan", trial, round, i, s.Start(i), fresh.Start(i))
-				}
-			}
-		}
-	}
-
-	ok := []Item{
-		item(engine.NPU, 0, 0, 10, model.OpQKVGen, -1),
-		item(engine.PIM, 1, 0, 10, model.OpScore, 0),
-	}
-	if _, err := s.Makespan(ok); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Reschedule(append(ok, item(engine.NPU, 0, 1, 10, model.OpProj, -1))); err == nil {
-		t.Fatal("a longer, misordered trace was rescheduled unchecked")
-	}
-	bad := []Item{ok[1], ok[0]}
-	if _, err := s.Makespan(bad); err == nil {
-		t.Fatal("misordered trace accepted")
-	}
-	if _, err := s.Reschedule(bad); err == nil {
-		t.Fatal("a trace rejected by Makespan was rescheduled unchecked")
-	}
-	ok[1].Latency = -1
-	if _, err := s.Makespan(ok[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Reschedule(ok[1:]); err == nil {
-		t.Fatal("negative latency rescheduled")
-	}
-}
